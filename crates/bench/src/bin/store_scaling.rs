@@ -1,22 +1,23 @@
 //! Circuit-store scaling measurement: cache warm-start and circuit-corpus
-//! round-trips through the legacy CSV/Verilog disk formats vs the binary
-//! frame store.
+//! round-trips through the binary frame store.
 //!
 //! This is the regenerator behind EXPERIMENTS.md "Circuit store" and the
-//! `BENCH_store.json` baseline. Three measurements, each with the legacy
-//! path as the `csv_us` column and the store path as `store_us`:
+//! `BENCH_store.json` baseline. Three measurements, each timing the
+//! store path as `store_us`:
 //!
 //! * `warm_start_mul8` — loading a fully-characterized mul8 cache from
-//!   disk: CSV row parsing ([`DiskTier::open`]) vs binary record decode
-//!   ([`StoreTier::open`]). Both caches are populated by real flow runs
-//!   and the loaded entry sets are checked identical before any timing.
-//! * `stream_mul8` — reopening a generated mul8 circuit corpus:
-//!   re-parsing structural Verilog vs streaming the sealed store file
-//!   ([`afp_circuits::store::read_library`]). The `size_ratio` column is
-//!   the on-disk ratio (Verilog bytes / store bytes).
+//!   disk ([`StoreTier::open`]). The cache is populated by a real flow
+//!   run, and its decoded entries are checked against the flow's records
+//!   before any timing.
+//! * `stream_mul8` — reopening a generated mul8 circuit corpus by
+//!   streaming the sealed store file
+//!   ([`afp_circuits::store::read_library`]), against re-parsing the same
+//!   corpus as structural Verilog (the `legacy_us` column). The
+//!   `size_ratio` column is the on-disk ratio (Verilog bytes / store
+//!   bytes).
 //! * `cold_open_mul8` — answering "how many records, which version?"
-//!   without a prior open: parsing every CSV row vs reading the sealed
-//!   store's index footer ([`afp_store::inspect`]).
+//!   without a prior open, by reading the sealed store's index footer
+//!   ([`afp_store::inspect`]).
 //!
 //! Usage: `cargo run --release -p afp-bench --bin store_scaling [--quick]`
 //!
@@ -31,11 +32,10 @@ use afp_circuits::store::read_library;
 use afp_circuits::{build_library, ArithKind, LibrarySpec};
 use afp_netlist::export::to_verilog;
 use afp_netlist::parse::from_verilog;
-use afp_runtime::cache::DiskTier;
-use afp_runtime::Key128;
+use afp_runtime::Counters;
 use afp_store::StoreTier;
-use approxfpgas::cache::{CACHE_FILE, STORE_FILE};
-use approxfpgas::{CacheBackend, CachedCharacterization, Flow, FlowConfig};
+use approxfpgas::cache::STORE_FILE;
+use approxfpgas::{CachedCharacterization, CharacterizationCache, Flow, FlowConfig, FlowOutcome};
 
 /// Median-of-runs wall time of `f`, in microseconds.
 fn time_us(iters: u32, runs: usize, mut f: impl FnMut()) -> f64 {
@@ -60,28 +60,18 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Populate a characterization cache directory by running the real flow
-/// on the mul8 library with the given disk backend.
-fn populate_cache(dir: &Path, backend: CacheBackend) {
+/// on the mul8 library; returns the flow's outcome and configuration.
+fn populate_cache(dir: &Path) -> (FlowOutcome, FlowConfig) {
     let config = FlowConfig {
         library: LibrarySpec::new(ArithKind::Multiplier, 8, 320),
         min_subset: 24,
         threads: 1,
         cache_dir: Some(dir.to_path_buf()),
-        cache_backend: backend,
         ..FlowConfig::default()
     };
-    let outcome = Flow::new(config).run();
+    let outcome = Flow::new(config.clone()).run();
     assert!(!outcome.records.is_empty(), "flow produced no records");
-}
-
-/// Load-and-sort every cache entry, so the CSV and store tiers can be
-/// compared for exact equality before their load paths are timed.
-fn sorted_entries(mut entries: Vec<(Key128, CachedCharacterization)>) -> Vec<(Key128, String)> {
-    entries.sort_by_key(|(k, _)| (k.hi, k.lo));
-    entries
-        .into_iter()
-        .map(|(k, v)| (k, format!("{v:?}")))
-        .collect()
+    (outcome, config)
 }
 
 fn file_len(path: &Path) -> u64 {
@@ -94,42 +84,39 @@ fn main() {
     println!("store_scaling: {iters} iters x {runs} runs (median)\n");
 
     // ---- warm_start_mul8: characterization cache load --------------------
-    let csv_dir = temp_dir("csv");
     let store_dir = temp_dir("store");
-    populate_cache(&csv_dir, CacheBackend::Csv);
-    populate_cache(&store_dir, CacheBackend::Store);
+    let (outcome, config) = populate_cache(&store_dir);
     // One settling open: the store tier compacts an append-heavy file into
     // block frames on first open, which is the steady state every later
     // warm start sees.
     drop(StoreTier::<CachedCharacterization>::open(&store_dir, STORE_FILE).unwrap());
 
-    // Equivalence gate: both tiers must decode the exact same entries.
-    let csv_entries = sorted_entries(
-        DiskTier::<CachedCharacterization>::open(&csv_dir, CACHE_FILE)
-            .unwrap()
-            .take_loaded(),
-    );
-    let store_entries = sorted_entries(
-        StoreTier::<CachedCharacterization>::open(&store_dir, STORE_FILE)
-            .unwrap()
-            .take_loaded(),
-    );
-    assert!(!csv_entries.is_empty(), "cache ended up empty");
-    assert_eq!(
-        csv_entries, store_entries,
-        "csv and store tiers disagree on cache contents"
-    );
-    let entries = csv_entries.len();
-
-    let csv_bytes = file_len(&csv_dir.join(CACHE_FILE));
-    let store_bytes = file_len(&store_dir.join(STORE_FILE));
-    let cache_ratio = csv_bytes as f64 / store_bytes as f64;
-    let warm_csv_us = time_us(iters, runs, || {
-        std::hint::black_box(
-            DiskTier::<CachedCharacterization>::open(std::hint::black_box(&csv_dir), CACHE_FILE)
-                .unwrap(),
+    // Equivalence gate: the reopened store serves exactly the reports the
+    // flow computed, for every circuit (record ids are library indices).
+    let library = build_library(&config.library);
+    let cache = CharacterizationCache::try_with_disk(&store_dir).unwrap();
+    let entries = cache.len();
+    assert!(entries > 0, "cache ended up empty");
+    let counters = Counters::default();
+    for record in &outcome.records {
+        let key = CharacterizationCache::key(
+            &library[record.id],
+            &config.asic,
+            &config.fpga,
+            &config.error,
         );
-    });
+        assert_eq!(
+            cache.get(key, &counters),
+            Some(CachedCharacterization {
+                asic: record.asic,
+                error: record.error,
+                fpga: record.fpga,
+            }),
+            "store entry for {} differs from the flow's record",
+            record.name
+        );
+    }
+    drop(cache);
     let warm_store_us = time_us(iters, runs, || {
         std::hint::black_box(
             StoreTier::<CachedCharacterization>::open(std::hint::black_box(&store_dir), STORE_FILE)
@@ -139,7 +126,6 @@ fn main() {
 
     // ---- stream_mul8: circuit corpus round-trip --------------------------
     let corpus_dir = temp_dir("corpus");
-    let library = build_library(&LibrarySpec::new(ArithKind::Multiplier, 8, 320));
     let verilog: Vec<String> = library.iter().map(|c| to_verilog(c.netlist())).collect();
     let verilog_path = corpus_dir.join("library.v");
     std::fs::write(&verilog_path, verilog.join("\n")).unwrap();
@@ -197,7 +183,7 @@ fn main() {
 
     let verilog_bytes = file_len(&verilog_path);
     let corpus_ratio = verilog_bytes as f64 / summary.bytes as f64;
-    let stream_csv_us = time_us(iters, runs, || {
+    let stream_verilog_us = time_us(iters, runs, || {
         let text = std::fs::read_to_string(std::hint::black_box(&verilog_path)).unwrap();
         for module in text.split("\nmodule ") {
             let src = if module.starts_with("module ") {
@@ -213,65 +199,65 @@ fn main() {
     });
 
     // ---- cold_open_mul8: record count without a warm cache ---------------
-    let cold_csv_us = time_us(iters, runs, || {
-        let entries = DiskTier::<CachedCharacterization>::read_entries(std::hint::black_box(
-            &csv_dir.join(CACHE_FILE),
-        ))
-        .unwrap();
-        std::hint::black_box(entries.len());
-    });
     let cold_store_us = time_us(iters, runs, || {
         let info = afp_store::inspect(std::hint::black_box(&store_path)).unwrap();
         std::hint::black_box(info.records);
     });
 
     // ---- report ----------------------------------------------------------
+    // Only stream_mul8 keeps a legacy comparison (structural Verilog); the
+    // other cases are absolute store timings.
     let cases = [
         (
             "warm_start_mul8",
             format!("{entries}e"),
-            warm_csv_us,
             warm_store_us,
-            cache_ratio,
+            None,
         ),
         (
             "stream_mul8",
             format!("{}c", streamed.len()),
-            stream_csv_us,
             stream_store_us,
-            corpus_ratio,
+            Some((stream_verilog_us, corpus_ratio)),
         ),
-        (
-            "cold_open_mul8",
-            format!("{entries}e"),
-            cold_csv_us,
-            cold_store_us,
-            cache_ratio,
-        ),
+        ("cold_open_mul8", format!("{entries}e"), cold_store_us, None),
     ];
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
-    for (name, work, legacy_us, store_us, size_ratio) in &cases {
-        let speedup = legacy_us / store_us;
-        println!(
-            "  {name}: legacy {legacy_us:.0} us, store {store_us:.0} us  \
-             ({speedup:.2}x, {size_ratio:.2}x smaller)"
-        );
+    for (name, work, store_us, legacy) in &cases {
+        let (legacy_us, speedup, size_ratio) = match legacy {
+            Some((legacy_us, ratio)) => {
+                let speedup = legacy_us / store_us;
+                println!(
+                    "  {name}: store {store_us:.1} us, verilog {legacy_us:.0} us \
+                     ({speedup:.2}x, {ratio:.2}x smaller)"
+                );
+                (
+                    format!("{legacy_us:.2}"),
+                    format!("{speedup:.2}"),
+                    format!("{ratio:.2}"),
+                )
+            }
+            None => {
+                println!("  {name}: store {store_us:.1} us");
+                Default::default()
+            }
+        };
         rows.push(vec![
             name.to_string(),
             work.clone(),
-            format!("{legacy_us:.1}"),
+            legacy_us.clone(),
             format!("{store_us:.1}"),
-            format!("{speedup:.2}"),
-            format!("{size_ratio:.2}"),
+            speedup.clone(),
+            size_ratio.clone(),
         ]);
         csv_rows.push(vec![
             name.to_string(),
             work.clone(),
-            format!("{legacy_us:.2}"),
+            legacy_us,
             format!("{store_us:.2}"),
-            format!("{speedup:.2}"),
-            format!("{size_ratio:.2}"),
+            speedup,
+            size_ratio,
         ]);
     }
 
@@ -303,7 +289,7 @@ fn main() {
     );
     println!("baseline for regression checks: BENCH_store.json (repo root)");
 
-    for dir in [csv_dir, store_dir, corpus_dir] {
+    for dir in [store_dir, corpus_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -12,7 +12,7 @@
 //! * `serve`    — long-running characterization service (HTTP/1.1,
 //!   keep-alive, optional `.afpm` model zoos for `GET /estimate`)
 //! * `zoo`      — train a model zoo and persist it as a `.afpm` container
-//! * `cache`    — inspect or migrate a characterization cache directory
+//! * `cache`    — inspect a characterization cache directory
 //!
 //! The parsing layer is deliberately dependency-free: flags are
 //! `--name value` pairs.
@@ -126,11 +126,10 @@ USAGE:
       LUT-map the circuit, verify LUT-network equivalence, optionally
       write the mapped netlist as LUT primitives.
   afp flow --kind add|mul --width W --size N [--fronts K] [--subset F]
-           [--threads T] [--no-cache] [--cache-dir DIR]
-           [--cache-format store|csv] [--target NAME] [--all-targets]
-           [--library FILE.afps] [--paper-full] [--paper-scale F]
-           [--shard N] [--report table|json|none] [--report-out PATH]
-           [--report-normalized]
+           [--threads T] [--no-cache] [--cache-dir DIR] [--target NAME]
+           [--all-targets] [--library FILE.afps] [--paper-full]
+           [--paper-scale F] [--shard N] [--report table|json|none]
+           [--report-out PATH] [--report-normalized]
       Run the full ApproxFPGAs methodology and print the summary.
       --threads 0 (default) uses every core; results are identical for
       any thread count. --library streams a persisted .afps corpus
@@ -141,12 +140,11 @@ USAGE:
       (default results/paper_full.afps) and streams it — --paper-scale
       shrinks every library for smoke runs. A missing, torn or
       foreign-version corpus is a loud error, never a smaller run.
-      --cache-dir persists the characterization cache
-      across runs (an unusable directory is an error); --cache-format
-      picks the disk tier: the binary frame store (default) or the
-      legacy CSV file — both lossless, identical outcomes. --no-cache
-      disables memoization. --target retargets the FPGA model to a named
-      device profile (see `afp targets`; default lut6-7series);
+      --cache-dir persists the characterization cache across runs as
+      the binary store DIR/characterization.afps (an unusable directory
+      is an error). --no-cache disables memoization. --target retargets
+      the FPGA model to a named device profile (see `afp targets`;
+      default lut6-7series);
       --all-targets sweeps every registry profile and prints a
       per-target comparison instead of one run's summary. --report table
       (default) appends a per-stage timing table; --report json writes
@@ -159,9 +157,8 @@ USAGE:
       entirely.
   afp serve [--addr HOST:PORT] [--socket PATH] [--threads T]
             [--queue-depth N] [--target-default NAME] [--cache-dir DIR]
-            [--cache-format store|csv] [--models ZOO.afpm[,ZOO2.afpm..]]
-            [--estimate-only] [--keepalive-requests N]
-            [--idle-timeout-ms MS]
+            [--models ZOO.afpm[,ZOO2.afpm..]] [--estimate-only]
+            [--keepalive-requests N] [--idle-timeout-ms MS]
       Run the characterization service: a long-lived daemon answering
       HTTP/1.1 characterization requests (GET /characterize?spec=
       mul8:trunc:3&target=NAME, POST /characterize with a Bristol body,
@@ -181,8 +178,8 @@ USAGE:
       characterization, or is answered 404 under --estimate-only. --addr
       (default 127.0.0.1:8080) and --socket (Unix-domain) are mutually
       exclusive; --target-default (default lut6-7series) applies when a
-      request omits ?target=; --cache-dir/--cache-format share the warm
-      tier with `afp flow`.
+      request omits ?target=; --cache-dir shares the warm tier with
+      `afp flow`.
   afp zoo train --save MODELS.afpm [--kind add|mul] [--width W]
           [--size N] [--target NAME] [--models ML1,ML14,..] [--subset F]
           [--tolerance T] [--threads T]
@@ -195,10 +192,7 @@ USAGE:
       result.
   afp cache stats DIR
       Describe the characterization cache in DIR: entries, bytes and
-      format version of the binary store and/or legacy CSV file.
-  afp cache migrate DIR
-      Migrate a legacy CSV cache in DIR to the binary store, once
-      (idempotent; the CSV is kept as characterization.csv.migrated).
+      format version of the binary store.
   afp targets [NAME]
       List the named device profiles the flow can target, or describe
       one profile in detail.
@@ -512,17 +506,15 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     let size = cli.usize_flag("size", 300)?;
     let fronts = cli.usize_flag("fronts", 3)?;
     let threads = cli.usize_flag("threads", 0)?;
-    let shard = cli.usize_flag("shard", 0)?;
-    // 0 is the internal "use the default" sentinel; accepting it from the
-    // command line would silently run with 1024-circuit shards instead of
-    // what the user plainly asked for.
-    if cli.flags.get("shard").map(String::as_str) == Some("0") {
+    let shard = cli.usize_flag("shard", approxfpgas::DEFAULT_SHARD_CIRCUITS)?;
+    if shard == 0 {
         return Err(format!(
-            "--shard 0 is not a valid shard size (it would silently fall back to the \
-             {}-circuit default); pass --shard N with N >= 1, or omit the flag",
+            "--shard 0 is not a valid shard size; pass --shard N with N >= 1, or omit \
+             the flag for the {}-circuit default",
             approxfpgas::DEFAULT_SHARD_CIRCUITS
         ));
     }
+    reject_cache_format(cli)?;
     for serve_only in [
         "addr",
         "socket",
@@ -556,11 +548,6 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
         .map_err(|_| "--subset expects a fraction".to_string())?;
     let use_cache = cli.flag_or("no-cache", "false") != "true";
     let cache_dir = cli.flags.get("cache-dir").map(std::path::PathBuf::from);
-    let cache_backend = match cli.flag_or("cache-format", "store") {
-        "store" => approxfpgas::CacheBackend::Store,
-        "csv" => approxfpgas::CacheBackend::Csv,
-        other => return Err(format!("--cache-format must be store|csv, got `{other}`")),
-    };
     let report_normalized = cli.flag_or("report-normalized", "false") == "true";
     let report_mode = cli.flag_or("report", "table");
     if !matches!(report_mode, "table" | "json" | "none") {
@@ -592,7 +579,6 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
         shard_circuits: shard,
         use_cache,
         cache_dir,
-        cache_backend,
         ..approxfpgas::FlowConfig::default()
     };
     config.fpga = profile.apply(&config.fpga);
@@ -612,12 +598,10 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     } else {
         afp_obs::Recorder::enabled()
     };
-    let outcome = match &source {
-        Some(src) => flow
-            .run_source_traced(src, &recorder)
-            .map_err(|e| format!("cannot stream the circuit corpus: {e}"))?,
-        None => flow.run_traced(&recorder),
-    };
+    let source = source.unwrap_or_else(|| LibrarySource::Generated(config.library.clone()));
+    let outcome = flow
+        .run_source_traced(&source, &recorder)
+        .map_err(|e| format!("cannot stream the circuit corpus: {e}"))?;
     if report_mode == "json" {
         // Stdout carries the JSON document and nothing else, so the
         // output pipes straight into `python3 -m json.tool`, `jq`, etc.
@@ -633,7 +617,7 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     let mut out = String::new();
     out.push_str(&corpus_notes);
     match &source {
-        Some(LibrarySource::Stored(path)) => {
+        LibrarySource::Stored(path) => {
             let _ = writeln!(
                 out,
                 "corpus {} x{}: synthesized {}/{} circuits",
@@ -643,7 +627,7 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
                 outcome.time.exhaustive_count
             );
         }
-        _ => {
+        LibrarySource::Generated(_) => {
             let _ = writeln!(
                 out,
                 "library {}{}u x{}: synthesized {}/{} circuits",
@@ -737,6 +721,20 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     Ok(out)
 }
 
+/// `--cache-format` selected the removed CSV cache tier. `Cli::parse`
+/// accepts any flag, so without this check the flag would be silently
+/// ignored and the run would use the store anyway.
+fn reject_cache_format(cli: &Cli) -> Result<(), String> {
+    if cli.flags.contains_key("cache-format") {
+        return Err(format!(
+            "--cache-format was removed: the binary store ({}) is the only cache format; \
+             a leftover characterization.csv is ignored and the cache rebuilds",
+            approxfpgas::cache::STORE_FILE
+        ));
+    }
+    Ok(())
+}
+
 fn cmd_serve(cli: &Cli) -> Result<String, String> {
     // Flow-shaped flags on `serve` are a sign the user mixed up the two
     // subcommands; reject them loudly instead of silently ignoring them.
@@ -786,12 +784,8 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
         }
         .to_string());
     }
+    reject_cache_format(cli)?;
     let cache_dir = cli.flags.get("cache-dir").map(std::path::PathBuf::from);
-    let cache_backend = match cli.flag_or("cache-format", "store") {
-        "store" => approxfpgas::CacheBackend::Store,
-        "csv" => approxfpgas::CacheBackend::Csv,
-        other => return Err(format!("--cache-format must be store|csv, got `{other}`")),
-    };
     let models: Vec<std::path::PathBuf> = cli
         .flags
         .get("models")
@@ -840,7 +834,6 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
         queue_depth,
         default_target: default_target.clone(),
         cache_dir,
-        cache_backend,
         models,
         estimate_only,
         keepalive_requests,
@@ -1089,83 +1082,52 @@ fn cmd_cache(cli: &Cli) -> Result<String, String> {
         .positional
         .first()
         .map(String::as_str)
-        .ok_or("expected `afp cache stats DIR` or `afp cache migrate DIR`")?;
+        .ok_or("expected `afp cache stats DIR`")?;
+    if action == "migrate" {
+        return Err(
+            "`afp cache migrate` was removed along with the CSV cache tier: the binary store \
+             is the only format, and a leftover characterization.csv is ignored (the cache \
+             rebuilds on the next run)"
+                .to_string(),
+        );
+    }
+    if action != "stats" {
+        return Err(format!(
+            "unknown cache action `{action}` (expected `stats`)"
+        ));
+    }
     let dir = cli
         .positional
         .get(1)
         .ok_or("expected a cache directory argument")?;
     let dir = Path::new(dir);
     let store_path = dir.join(approxfpgas::cache::STORE_FILE);
-    let csv_path = dir.join(approxfpgas::cache::CACHE_FILE);
-    match action {
-        "stats" => {
-            let mut out = String::new();
-            let _ = writeln!(out, "cache directory: {}", dir.display());
-            match afp_store::inspect(&store_path) {
-                Ok(info) => {
-                    let _ = writeln!(
-                        out,
-                        "store: {} — {} entries, {} bytes (format v{}, records v{}, {}{})",
-                        approxfpgas::cache::STORE_FILE,
-                        info.records,
-                        info.bytes,
-                        info.format_version,
-                        info.record_version,
-                        if info.sealed { "sealed" } else { "unsealed" },
-                        if info.truncated {
-                            ", torn tail — repaired on next open"
-                        } else {
-                            ""
-                        }
-                    );
+    let mut out = String::new();
+    let _ = writeln!(out, "cache directory: {}", dir.display());
+    match afp_store::inspect(&store_path) {
+        Ok(info) => {
+            let _ = writeln!(
+                out,
+                "store: {} — {} entries, {} bytes (format v{}, records v{}, {}{})",
+                approxfpgas::cache::STORE_FILE,
+                info.records,
+                info.bytes,
+                info.format_version,
+                info.record_version,
+                if info.sealed { "sealed" } else { "unsealed" },
+                if info.truncated {
+                    ", torn tail — repaired on next open"
+                } else {
+                    ""
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    let _ = writeln!(out, "store: absent");
-                }
-                Err(e) => return Err(format!("cannot inspect {}: {e}", store_path.display())),
-            }
-            match std::fs::read_to_string(&csv_path) {
-                Ok(text) => {
-                    let rows = text.lines().count().saturating_sub(1);
-                    let _ = writeln!(
-                        out,
-                        "csv: {} — {} entries, {} bytes (legacy; run `afp cache migrate` \
-                         or any store-backed flow to convert)",
-                        approxfpgas::cache::CACHE_FILE,
-                        rows,
-                        text.len()
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    let _ = writeln!(out, "csv: absent");
-                }
-                Err(e) => return Err(format!("cannot read {}: {e}", csv_path.display())),
-            }
-            Ok(out)
+            );
         }
-        "migrate" => {
-            let summary = approxfpgas::CharacterizationCache::migrate_csv_cache(dir)
-                .map_err(|e| format!("migration failed: {e}"))?;
-            let mut out = String::new();
-            if summary.performed {
-                let _ = writeln!(
-                    out,
-                    "migrated {} entries from {} to {} (CSV kept as {}.migrated)",
-                    summary.migrated,
-                    approxfpgas::cache::CACHE_FILE,
-                    approxfpgas::cache::STORE_FILE,
-                    approxfpgas::cache::CACHE_FILE
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "nothing to migrate (no legacy CSV, or the store already exists)"
-                );
-            }
-            Ok(out)
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            let _ = writeln!(out, "store: absent");
         }
-        other => Err(format!("unknown cache action `{other}` (stats|migrate)")),
+        Err(e) => return Err(format!("cannot inspect {}: {e}", store_path.display())),
     }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1196,7 +1158,6 @@ mod tests {
         }
         assert!(text.contains("--target"), "{text}");
         assert!(text.contains("--all-targets"), "{text}");
-        assert!(text.contains("--cache-format"), "{text}");
         assert!(text.contains("--report-normalized"), "{text}");
         assert!(text.contains("--library"), "{text}");
         assert!(text.contains("--paper-full"), "{text}");
@@ -1217,7 +1178,7 @@ mod tests {
         let e = run(&args(&["flow", "--size", "4", "--shard", "0"])).unwrap_err();
         assert!(e.contains("--shard 0"), "{e}");
         assert!(e.contains("1024"), "{e}");
-        // The sentinel is still fine when the flag is simply absent.
+        // Omitting the flag uses the default shard size.
         assert!(run(&args(&["flow", "--size", "4", "--subset", "1.0"])).is_ok());
     }
 
@@ -1581,16 +1542,16 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_and_migrate_round_trip() {
+    fn cache_stats_reports_the_store_only() {
         let dir = std::env::temp_dir().join(format!("afp_cli_cache_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let d = dir.to_string_lossy().to_string();
-        // Empty directory: both tiers absent.
         std::fs::create_dir_all(&dir).unwrap();
+        // A leftover CSV cache is not a cache format any more.
+        std::fs::write(dir.join("characterization.csv"), "key,v1\n").unwrap();
         let out = run(&args(&["cache", "stats", &d])).unwrap();
         assert!(out.contains("store: absent"), "{out}");
-        assert!(out.contains("csv: absent"), "{out}");
-        // Produce a legacy CSV cache, then migrate it via the CLI.
+        assert!(!out.contains("csv"), "{out}");
         let flow_args = [
             "flow",
             "--kind",
@@ -1601,30 +1562,20 @@ mod tests {
             "60",
             "--subset",
             "0.4",
+            "--threads",
+            "1",
             "--report",
             "none",
             "--cache-dir",
             &d,
-            "--cache-format",
-            "csv",
         ];
         run(&args(&flow_args)).unwrap();
         let out = run(&args(&["cache", "stats", &d])).unwrap();
-        assert!(out.contains("csv: characterization.csv"), "{out}");
-        let out = run(&args(&["cache", "migrate", &d])).unwrap();
-        assert!(out.contains("migrated "), "{out}");
-        // Idempotent: a second migrate is a no-op.
-        let out = run(&args(&["cache", "migrate", &d])).unwrap();
-        assert!(out.contains("nothing to migrate"), "{out}");
-        let out = run(&args(&["cache", "stats", &d])).unwrap();
         assert!(out.contains("store: characterization.afps"), "{out}");
         assert!(out.contains("unsealed"), "{out}");
-        assert!(out.contains("csv: absent"), "{out}");
-        // The migrated store warms a default (store-backend) flow run.
-        let mut warm_args: Vec<&str> = flow_args[..flow_args.len() - 2].to_vec();
-        warm_args.push("--threads");
-        warm_args.push("1");
-        let out = run(&args(&warm_args)).unwrap();
+        assert!(!out.contains("csv"), "{out}");
+        // The store warms the next run.
+        let out = run(&args(&flow_args)).unwrap();
         assert!(
             out.contains(" 0 misses"),
             "warm run must be all hits: {out}"
@@ -1641,28 +1592,30 @@ mod tests {
     }
 
     #[test]
-    fn flow_validates_cache_format() {
-        let e = run(&args(&[
-            "flow",
-            "--kind",
-            "add",
-            "--width",
-            "8",
-            "--size",
-            "40",
-            "--cache-format",
-            "sqlite",
-        ]))
-        .unwrap_err();
-        assert!(e.contains("--cache-format must be store|csv"), "{e}");
+    fn cache_migrate_fails_loudly() {
+        let e = run(&args(&["cache", "migrate", "/tmp"])).unwrap_err();
+        assert!(e.contains("afp cache migrate` was removed"), "{e}");
+        assert!(e.contains("CSV cache tier"), "{e}");
     }
 
     #[test]
-    fn flow_report_normalized_is_stable_across_backends() {
+    fn flow_and_serve_reject_the_removed_cache_format() {
+        for command in ["flow", "serve"] {
+            for format in ["csv", "store"] {
+                let e = run(&args(&[command, "--cache-format", format])).unwrap_err();
+                assert!(e.contains("--cache-format was removed"), "{command}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn flow_report_normalized_is_stable_across_warm_runs() {
         let dir = std::env::temp_dir().join(format!("afp_cli_norm_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let base = |cache_dir: &str, format: &str, report_out: &str| {
-            args(&[
+        let cache_dir = dir.join("cache").to_string_lossy().to_string();
+        let report_out = dir.join("report.json").to_string_lossy().to_string();
+        let flow = || {
+            run(&args(&[
                 "flow",
                 "--kind",
                 "add",
@@ -1676,23 +1629,20 @@ mod tests {
                 "json",
                 "--report-normalized",
                 "--report-out",
-                report_out,
+                &report_out,
                 "--cache-dir",
-                cache_dir,
-                "--cache-format",
-                format,
-            ])
+                &cache_dir,
+            ]))
+            .unwrap()
         };
-        let csv_dir = dir.join("csv").to_string_lossy().to_string();
-        let store_dir = dir.join("store").to_string_lossy().to_string();
-        let csv_out = dir.join("csv.json").to_string_lossy().to_string();
-        let store_out = dir.join("store.json").to_string_lossy().to_string();
-        let a = run(&base(&csv_dir, "csv", &csv_out)).unwrap();
-        let b = run(&base(&store_dir, "store", &store_out)).unwrap();
-        assert_eq!(a, b, "normalized reports must not depend on the backend");
+        let cold = flow();
+        let warm = flow();
+        assert_eq!(warm, flow(), "warm normalized reports must be identical");
+        assert!(warm.contains("\"misses\":0"), "{warm}");
+        assert_ne!(cold, warm, "warmth changes the hit/miss counters");
         // Normalization really stripped the wall-clock surfaces.
-        assert!(a.contains("\"steals\":0"), "{a}");
-        assert!(a.contains("\"write_errors\":0"), "{a}");
+        assert!(warm.contains("\"steals\":0"), "{warm}");
+        assert!(warm.contains("\"write_errors\":0"), "{warm}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,12 +8,9 @@
 //! memory and optionally on disk, so repeated runs (or repeated circuits)
 //! skip synthesis entirely.
 //!
-//! The disk tier has two backends: the default binary store
-//! ([`afp_store::StoreTier`], compact frames + fast decode) and the
-//! legacy plain-CSV tier ([`afp_runtime::DiskTier`], greppable). Both are
-//! lossless — float fields round-trip bit-exactly — so flow outcomes are
-//! identical whichever backend persisted the entries. Opening the default
-//! backend transparently migrates a legacy CSV file once.
+//! The disk tier is the binary store ([`afp_store::StoreTier`], compact
+//! frames + fast decode). It is lossless — float fields round-trip
+//! bit-exactly — so a warm run's outcome is identical to a cold one's.
 
 use std::path::Path;
 
@@ -21,9 +18,9 @@ use afp_asic::AsicReport;
 use afp_circuits::ArithCircuit;
 use afp_error::ErrorMetrics;
 use afp_fpga::FpgaReport;
-use afp_runtime::{Counters, CsvRecord, DiskTier, Fingerprint, Key128, MemoCache, StableHasher};
+use afp_runtime::{Counters, Fingerprint, Key128, MemoCache, StableHasher};
 use afp_store::bytes::{put_f64, put_ivarint, put_uvarint, ByteReader};
-use afp_store::{BinRecord, CsvMigration, StoreTier};
+use afp_store::{BinRecord, StoreTier};
 
 /// The memoized result of characterizing one circuit under one
 /// configuration triple: everything expensive, nothing circuit-identity
@@ -36,104 +33,6 @@ pub struct CachedCharacterization {
     pub error: ErrorMetrics,
     /// FPGA synthesis report.
     pub fpga: FpgaReport,
-}
-
-impl CsvRecord for CachedCharacterization {
-    const VERSION: u32 = 1;
-
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "asic_area_um2",
-            "asic_delay_ns",
-            "asic_power_mw",
-            "asic_dynamic_mw",
-            "asic_leakage_mw",
-            "asic_cells",
-            "err_samples",
-            "err_exhaustive",
-            "err_med",
-            "err_mae",
-            "err_wce",
-            "err_wce_rel",
-            "err_mre",
-            "err_error_prob",
-            "err_mse",
-            "err_bias",
-            "fpga_luts",
-            "fpga_slices",
-            "fpga_depth",
-            "fpga_delay_ns",
-            "fpga_power_mw",
-            "fpga_synth_time_s",
-        ]
-    }
-
-    fn to_fields(&self) -> Vec<String> {
-        // `{:?}` for f64 is the shortest representation that parses back
-        // to the same bits, so the disk tier is lossless.
-        vec![
-            format!("{:?}", self.asic.area_um2),
-            format!("{:?}", self.asic.delay_ns),
-            format!("{:?}", self.asic.power_mw),
-            format!("{:?}", self.asic.dynamic_mw),
-            format!("{:?}", self.asic.leakage_mw),
-            format!("{}", self.asic.cells),
-            format!("{}", self.error.samples),
-            format!("{}", self.error.exhaustive),
-            format!("{:?}", self.error.med),
-            format!("{:?}", self.error.mae),
-            format!("{}", self.error.wce),
-            format!("{:?}", self.error.wce_rel),
-            format!("{:?}", self.error.mre),
-            format!("{:?}", self.error.error_prob),
-            format!("{:?}", self.error.mse),
-            format!("{:?}", self.error.bias),
-            format!("{}", self.fpga.luts),
-            format!("{}", self.fpga.slices),
-            format!("{}", self.fpga.depth_levels),
-            format!("{:?}", self.fpga.delay_ns),
-            format!("{:?}", self.fpga.power_mw),
-            format!("{:?}", self.fpga.synth_time_s),
-        ]
-    }
-
-    fn from_fields(fields: &[&str]) -> Option<CachedCharacterization> {
-        let [aa, ad, ap, ady, al, ac, es, ee, emed, emae, ewce, ewr, emre, eep, emse, eb, fl, fs, fd, fde, fp, ft] =
-            fields
-        else {
-            return None;
-        };
-        Some(CachedCharacterization {
-            asic: AsicReport {
-                area_um2: aa.parse().ok()?,
-                delay_ns: ad.parse().ok()?,
-                power_mw: ap.parse().ok()?,
-                dynamic_mw: ady.parse().ok()?,
-                leakage_mw: al.parse().ok()?,
-                cells: ac.parse().ok()?,
-            },
-            error: ErrorMetrics {
-                samples: es.parse().ok()?,
-                exhaustive: ee.parse().ok()?,
-                med: emed.parse().ok()?,
-                mae: emae.parse().ok()?,
-                wce: ewce.parse().ok()?,
-                wce_rel: ewr.parse().ok()?,
-                mre: emre.parse().ok()?,
-                error_prob: eep.parse().ok()?,
-                mse: emse.parse().ok()?,
-                bias: eb.parse().ok()?,
-            },
-            fpga: FpgaReport {
-                luts: fl.parse().ok()?,
-                slices: fs.parse().ok()?,
-                depth_levels: fd.parse().ok()?,
-                delay_ns: fde.parse().ok()?,
-                power_mw: fp.parse().ok()?,
-                synth_time_s: ft.parse().ok()?,
-            },
-        })
-    }
 }
 
 /// Binary payload layout (see `DESIGN.md` "Circuit store"): raw-bits
@@ -260,33 +159,12 @@ fn exact_ratio(v: f64, den: u64) -> Option<i64> {
     }
 }
 
-/// Disk persistence backend for the characterization cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheBackend {
-    /// The binary frame store (`characterization.afps`): compact,
-    /// CRC-checked, compacted into compressed blocks. The default.
-    #[default]
-    Store,
-    /// The legacy append-only CSV file (`characterization.csv`):
-    /// greppable, kept for comparison runs and old tooling.
-    Csv,
-}
-
-#[derive(Debug)]
-enum DiskBackend {
-    Csv(DiskTier<CachedCharacterization>),
-    Store(StoreTier<CachedCharacterization>),
-}
-
 /// Two-tier (memory + optional disk) cache of [`CachedCharacterization`]s.
 #[derive(Debug)]
 pub struct CharacterizationCache {
     memo: MemoCache<CachedCharacterization>,
-    disk: Option<DiskBackend>,
+    disk: Option<StoreTier<CachedCharacterization>>,
 }
-
-/// File name of the legacy CSV disk tier inside the cache directory.
-pub const CACHE_FILE: &str = "characterization.csv";
 
 /// File name of the binary store disk tier inside the cache directory.
 pub const STORE_FILE: &str = "characterization.afps";
@@ -301,12 +179,10 @@ impl CharacterizationCache {
         }
     }
 
-    /// A cache persisted to `dir/characterization.afps` (the binary store
-    /// backend); existing entries are loaded into the memory tier
-    /// immediately, and a legacy `characterization.csv` in the same
-    /// directory is migrated on first open. Falls back to a memory-only
-    /// cache if the directory is not writable — callers that need loud
-    /// failure use [`CharacterizationCache::try_with_disk`].
+    /// A cache persisted to `dir/characterization.afps`; existing
+    /// entries are loaded into the memory tier immediately. Falls back to
+    /// a memory-only cache if the directory is not writable — callers
+    /// that need loud failure use [`CharacterizationCache::try_with_disk`].
     pub fn with_disk(dir: &Path) -> CharacterizationCache {
         CharacterizationCache::try_with_disk(dir)
             .unwrap_or_else(|_| CharacterizationCache::in_memory())
@@ -317,70 +193,30 @@ impl CharacterizationCache {
     /// for append) is returned as the underlying I/O error instead of
     /// silently degrading to a memory-only cache.
     pub fn try_with_disk(dir: &Path) -> std::io::Result<CharacterizationCache> {
-        let disk = StoreTier::open_migrating(dir, STORE_FILE, CACHE_FILE)?;
-        Ok(CharacterizationCache::from_backend(DiskBackend::Store(
-            disk,
-        )))
-    }
-
-    /// A cache persisted to the legacy CSV backend
-    /// (`dir/characterization.csv`), falling back to memory-only on an
-    /// unwritable directory.
-    pub fn with_csv_disk(dir: &Path) -> CharacterizationCache {
-        CharacterizationCache::try_with_csv_disk(dir)
-            .unwrap_or_else(|_| CharacterizationCache::in_memory())
-    }
-
-    /// Like [`CharacterizationCache::with_csv_disk`], but loud about an
-    /// unusable cache directory.
-    pub fn try_with_csv_disk(dir: &Path) -> std::io::Result<CharacterizationCache> {
-        let disk = DiskTier::open(dir, CACHE_FILE)?;
-        Ok(CharacterizationCache::from_backend(DiskBackend::Csv(disk)))
-    }
-
-    fn from_backend(mut disk: DiskBackend) -> CharacterizationCache {
+        let mut disk = StoreTier::open(dir, STORE_FILE)?;
         let memo = MemoCache::new();
-        let loaded = match &mut disk {
-            DiskBackend::Csv(tier) => tier.take_loaded(),
-            DiskBackend::Store(tier) => tier.take_loaded(),
-        };
-        for (key, value) in loaded {
+        for (key, value) in disk.take_loaded() {
             memo.insert(key, value);
         }
-        CharacterizationCache {
+        Ok(CharacterizationCache {
             memo,
             disk: Some(disk),
-        }
-    }
-
-    /// Migrate a legacy CSV cache in `dir` to the binary store, once.
-    /// No-op when the store already exists or there is no CSV (that is
-    /// what makes `afp cache migrate` idempotent).
-    pub fn migrate_csv_cache(dir: &Path) -> std::io::Result<CsvMigration> {
-        afp_store::migrate_csv::<CachedCharacterization>(dir, STORE_FILE, CACHE_FILE)
+        })
     }
 
     /// Entries whose disk append failed since this cache was opened (the
     /// run kept the values in memory; persistence was lost). Always zero
     /// for a memory-only cache.
     pub fn write_errors(&self) -> u64 {
-        match &self.disk {
-            Some(DiskBackend::Csv(tier)) => tier.write_errors(),
-            Some(DiskBackend::Store(tier)) => tier.write_errors(),
-            None => 0,
-        }
+        self.disk.as_ref().map_or(0, StoreTier::write_errors)
     }
 
     /// The most recent disk-append failure message, if any. The disk
-    /// tiers only warn on stderr for the *first* failure; this carries
+    /// tier only warns on stderr for the *first* failure; this carries
     /// the last one into reports so an operator can see why the warm
     /// tier is degraded. Always `None` for a memory-only cache.
     pub fn last_write_error(&self) -> Option<String> {
-        match &self.disk {
-            Some(DiskBackend::Csv(tier)) => tier.last_write_error(),
-            Some(DiskBackend::Store(tier)) => tier.last_write_error(),
-            None => None,
-        }
+        self.disk.as_ref().and_then(StoreTier::last_write_error)
     }
 
     /// The content key of one characterization: circuit structure (not
@@ -417,10 +253,8 @@ impl CharacterizationCache {
     /// Store a freshly computed entry in both tiers.
     pub fn insert(&self, key: Key128, value: CachedCharacterization) {
         self.memo.insert(key, value);
-        match &self.disk {
-            Some(DiskBackend::Csv(tier)) => tier.append(key, &value),
-            Some(DiskBackend::Store(tier)) => tier.append(key, &value),
-            None => {}
+        if let Some(tier) = &self.disk {
+            tier.append(key, &value);
         }
     }
 
@@ -449,15 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip_is_lossless() {
-        let v = sample();
-        let fields = v.to_fields();
-        let refs: Vec<&str> = fields.iter().map(String::as_str).collect();
-        let back = CachedCharacterization::from_fields(&refs).unwrap();
-        assert_eq!(v, back);
-    }
-
-    #[test]
     fn bin_round_trip_is_lossless() {
         let v = sample();
         let mut bytes = Vec::new();
@@ -466,11 +291,11 @@ mod tests {
         let back = CachedCharacterization::decode(&mut r).unwrap();
         assert!(r.is_empty(), "decode must consume the whole payload");
         assert_eq!(v, back);
-        // The rational metric packing should beat the 22-column CSV row.
-        let csv_len: usize = v.to_fields().iter().map(|f| f.len() + 1).sum();
+        // Varints and the rational metric packing beat 22 raw 8-byte
+        // fields.
         assert!(
-            bytes.len() * 2 < csv_len,
-            "binary ({}) should be <half the CSV row ({csv_len})",
+            bytes.len() < 22 * 8,
+            "binary payload ({} bytes) should beat the fixed-width layout",
             bytes.len()
         );
     }
@@ -489,35 +314,6 @@ mod tests {
         assert!(back.error.mre.is_nan());
         assert_eq!(v.error.mse.to_bits(), back.error.mse.to_bits());
         assert_eq!(v.fpga.delay_ns, back.fpga.delay_ns);
-    }
-
-    #[test]
-    fn csv_cache_migrates_to_store_on_open() {
-        let dir = std::env::temp_dir().join(format!("afp-core-migrate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let v = sample();
-        let key = Key128 {
-            hi: 0x1234_5678,
-            lo: 0x9abc_def0,
-        };
-        {
-            let cache = CharacterizationCache::with_csv_disk(&dir);
-            cache.insert(key, v);
-        }
-        assert!(dir.join(CACHE_FILE).exists());
-        // Default open migrates the CSV once and serves the entry.
-        let migrated = CharacterizationCache::with_disk(&dir);
-        let counters = Counters::default();
-        assert_eq!(migrated.get(key, &counters), Some(v));
-        assert!(dir.join(STORE_FILE).exists());
-        assert!(
-            !dir.join(CACHE_FILE).exists(),
-            "CSV renamed after migration"
-        );
-        // And an explicit migrate afterwards is a no-op.
-        let again = CharacterizationCache::migrate_csv_cache(&dir).unwrap();
-        assert!(!again.performed);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Dataset assembly: parallel circuit characterization, 10% subset
 //! sampling and the 80/20 train/validation split.
 
-use afp_circuits::ArithCircuit;
+use std::borrow::Borrow;
+use std::collections::HashMap;
+
+use afp_circuits::{ArithCircuit, ArithKind};
 use afp_obs::Recorder;
-use afp_runtime::Runtime;
+use afp_runtime::{Counters, Runtime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,14 +34,8 @@ pub fn characterize_library(
 }
 
 /// [`characterize_library`] on an explicit [`Runtime`], optionally through
-/// the characterization cache. Items are distributed dynamically (circuit
-/// cost varies wildly across a library), but records always come back in
-/// library order, independent of the thread count.
-///
-/// Each worker thread owns one [`afp_fpga::Mapper`] and sweeps its share
-/// of the library through it, so repeated FPGA synthesis reuses warm cut
-/// arenas, scratch vectors and simulator buffers instead of reallocating
-/// per circuit. Reports are bit-identical for any thread count.
+/// the characterization cache: the resident library is one shard of
+/// [`characterize_shards_traced`], borrowed rather than cloned.
 pub fn characterize_library_with(
     library: &[ArithCircuit],
     asic_config: &afp_asic::AsicConfig,
@@ -47,8 +44,8 @@ pub fn characterize_library_with(
     rt: &Runtime,
     cache: Option<&CharacterizationCache>,
 ) -> Vec<CircuitRecord> {
-    characterize_library_traced(
-        library,
+    characterize_shards_traced(
+        [Ok(library)],
         asic_config,
         fpga_config,
         error_config,
@@ -56,125 +53,55 @@ pub fn characterize_library_with(
         cache,
         &Recorder::disabled(),
     )
+    .expect("a resident library has no shard that can fail")
 }
 
-/// [`characterize_library_with`] with a `flow/characterize` tracing span
-/// (items = circuits characterized). Tracing wraps the whole parallel
-/// stage, so the span measures the stage's wall-clock latency; it never
-/// touches the per-circuit hot path.
+/// Characterize a library delivered as a sequence of shards, with a
+/// `flow/characterize` tracing span (items = circuits characterized).
+///
+/// This is the one characterization engine. A shard is anything that
+/// yields circuits, owned or borrowed: a resident library is a single
+/// shard, and a sealed `.afps` corpus streams through
+/// [`afp_circuits::LibrarySource::shards`]. Shards are pulled one at a
+/// time, each shard's not-yet-seen structures are characterized through
+/// the work-stealing runtime (one [`afp_fpga::Mapper`] per worker, so
+/// repeated FPGA synthesis reuses warm buffers), and the shard's
+/// netlists are dropped before the next shard is pulled — peak circuit
+/// residency is one shard, tracked by the `peak_resident_circuits`
+/// gauge, with `shards_streamed` counting the pulls. Only the
+/// per-circuit [`CircuitRecord`]s (and the structural-dedup index) stay
+/// resident.
 ///
 /// Structurally identical circuits (same kind, width and
 /// [`afp_netlist::Netlist::structural_hash`] — approximate variants of one
 /// generator are frequently gate-identical after simplification) are
-/// simulated and synthesized **once**: each duplicate's record is copied
-/// from its representative with the duplicate's own id and name. Every
-/// report is a pure function of the netlist structure and the configs, so
-/// the fan-out is bit-identical to characterizing each copy separately;
-/// the skipped work is surfaced as the `structural_dedup_hits` counter.
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_library_traced(
-    library: &[ArithCircuit],
-    asic_config: &afp_asic::AsicConfig,
-    fpga_config: &afp_fpga::FpgaConfig,
-    error_config: &afp_error::ErrorConfig,
-    rt: &Runtime,
-    cache: Option<&CharacterizationCache>,
-    recorder: &Recorder,
-) -> Vec<CircuitRecord> {
-    use std::collections::hash_map::Entry;
-    use std::collections::HashMap;
-
-    let mut span = recorder.span("flow/characterize");
-    span.add_items(library.len() as u64);
-
-    // Group structurally identical circuits; `reps` holds the library
-    // index of each group's first member, `rep_of[i]` that group's index.
-    let mut rep_of: Vec<usize> = Vec::with_capacity(library.len());
-    let mut reps: Vec<usize> = Vec::new();
-    let mut seen: HashMap<(afp_circuits::ArithKind, usize, u64), usize> =
-        HashMap::with_capacity(library.len());
-    for (i, c) in library.iter().enumerate() {
-        match seen.entry((c.kind(), c.width(), c.netlist().structural_hash())) {
-            Entry::Occupied(e) => rep_of.push(*e.get()),
-            Entry::Vacant(v) => {
-                v.insert(reps.len());
-                rep_of.push(reps.len());
-                reps.push(i);
-            }
-        }
-    }
-    let dedup_hits = (library.len() - reps.len()) as u64;
-    if dedup_hits > 0 {
-        afp_runtime::Counters::add(&rt.counters().structural_dedup_hits, dedup_hits);
-    }
-
-    let rep_records: Vec<CircuitRecord> = rt.par_map_init(
-        &reps,
-        CharacterizeScratch::default,
-        |scratch, _, &lib_ix| {
-            characterize_with_scratch(
-                lib_ix,
-                &library[lib_ix],
-                asic_config,
-                fpga_config,
-                error_config,
-                rt,
-                cache,
-                scratch,
-            )
-        },
-    );
-
-    library
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let mut record = rep_records[rep_of[i]].clone();
-            record.id = i;
-            record.name = c.name().to_string();
-            record
-        })
-        .collect()
-}
-
-/// [`characterize_library_traced`] over a *shard iterator* instead of a
-/// resident slice: the streaming path behind `afp flow --library` and
-/// `--paper-full`.
-///
-/// Shards are pulled one at a time (e.g. from a sealed `.afps` corpus via
-/// [`afp_circuits::LibrarySource::shards`]), each shard's
-/// not-yet-seen structures are characterized through the work-stealing
-/// runtime, and the shard's netlists are dropped before the next shard is
-/// pulled — peak circuit residency is one shard, tracked by the
-/// `peak_resident_circuits` gauge, with `shards_streamed` counting the
-/// pulls. Only the per-circuit [`CircuitRecord`]s (and the cross-shard
-/// structural-dedup index) stay resident.
-///
-/// Records come back in library order with ids equal to library indices,
-/// bit-identical to the in-RAM path on the same circuit sequence, for any
-/// thread count and any shard size: structural dedup spans shard
-/// boundaries (a structure seen in shard 0 is never re-characterized in
-/// shard 7), and every record is a pure function of structure + configs.
+/// simulated and synthesized **once**, even across shard boundaries: each
+/// duplicate's record is copied from its representative with the
+/// duplicate's own id and name. Every report is a pure function of the
+/// netlist structure and the configs, so records come back in library
+/// order, bit-identical for any thread count and any shard size; the
+/// skipped work is surfaced as the `structural_dedup_hits` counter.
 ///
 /// The first shard error (torn corpus, undecodable record) aborts and is
 /// returned; a damaged corpus never silently characterizes as a smaller
 /// library.
 #[allow(clippy::too_many_arguments)]
-pub fn characterize_shards_traced(
-    shards: impl Iterator<Item = std::io::Result<Vec<ArithCircuit>>>,
+pub fn characterize_shards_traced<S, C>(
+    shards: impl IntoIterator<Item = std::io::Result<S>>,
     asic_config: &afp_asic::AsicConfig,
     fpga_config: &afp_fpga::FpgaConfig,
     error_config: &afp_error::ErrorConfig,
     rt: &Runtime,
     cache: Option<&CharacterizationCache>,
     recorder: &Recorder,
-) -> std::io::Result<Vec<CircuitRecord>> {
-    use std::collections::hash_map::Entry;
-    use std::collections::HashMap;
-
+) -> std::io::Result<Vec<CircuitRecord>>
+where
+    S: IntoIterator<Item = C>,
+    C: Borrow<ArithCircuit> + Sync,
+{
     let mut span = recorder.span("flow/characterize");
 
-    let mut seen: HashMap<(afp_circuits::ArithKind, usize, u64), usize> = HashMap::new();
+    let mut seen: HashMap<(ArithKind, usize, u64), usize> = HashMap::new();
     let mut rep_records: Vec<CircuitRecord> = Vec::new();
     // Per circuit, in library order: its name and its representative's
     // index into `rep_records` — everything the fan-out needs after the
@@ -182,44 +109,43 @@ pub fn characterize_shards_traced(
     let mut fanout: Vec<(String, usize)> = Vec::new();
 
     for shard in shards {
-        let shard = shard?;
-        if shard.is_empty() {
-            continue;
-        }
-        span.add_items(shard.len() as u64);
-        afp_runtime::Counters::add(&rt.counters().shards_streamed, 1);
-        afp_runtime::Counters::max(&rt.counters().peak_resident_circuits, shard.len() as u64);
-
-        let mut fresh: Vec<(usize, ArithCircuit)> = Vec::new();
-        let mut dedup_hits = 0u64;
-        for c in shard {
-            match seen.entry((c.kind(), c.width(), c.netlist().structural_hash())) {
-                Entry::Occupied(e) => {
-                    dedup_hits += 1;
-                    fanout.push((c.name().to_string(), *e.get()));
-                }
-                Entry::Vacant(v) => {
-                    v.insert(rep_records.len() + fresh.len());
-                    fanout.push((c.name().to_string(), rep_records.len() + fresh.len()));
-                    // The representative keeps its global library index,
-                    // exactly as in the in-RAM path.
-                    fresh.push((fanout.len() - 1, c));
-                }
+        let first = fanout.len();
+        // Representatives new in this shard, each with its global library
+        // index (which becomes its record id).
+        let mut fresh: Vec<(usize, C)> = Vec::new();
+        for c in shard? {
+            let circuit = c.borrow();
+            let key = (
+                circuit.kind(),
+                circuit.width(),
+                circuit.netlist().structural_hash(),
+            );
+            let next = rep_records.len() + fresh.len();
+            let rep = *seen.entry(key).or_insert(next);
+            fanout.push((circuit.name().to_string(), rep));
+            if rep == next {
+                fresh.push((fanout.len() - 1, c));
             }
         }
+        let len = fanout.len() - first;
+        if len == 0 {
+            continue;
+        }
+        span.add_items(len as u64);
+        Counters::add(&rt.counters().shards_streamed, 1);
+        Counters::max(&rt.counters().peak_resident_circuits, len as u64);
+        let dedup_hits = (len - fresh.len()) as u64;
         if dedup_hits > 0 {
-            afp_runtime::Counters::add(&rt.counters().structural_dedup_hits, dedup_hits);
+            Counters::add(&rt.counters().structural_dedup_hits, dedup_hits);
         }
 
-        let window = fresh.len().max(1);
-        rep_records.extend(rt.par_map_stream_init(
-            fresh,
-            window,
+        rep_records.extend(rt.par_map_init(
+            &fresh,
             CharacterizeScratch::default,
-            |scratch, _, item: &(usize, ArithCircuit)| {
+            |scratch, _, (id, c)| {
                 characterize_with_scratch(
-                    item.0,
-                    &item.1,
+                    *id,
+                    c.borrow(),
                     asic_config,
                     fpga_config,
                     error_config,
@@ -229,8 +155,8 @@ pub fn characterize_shards_traced(
                 )
             },
         ));
-        // `fresh` was consumed by the streaming map: this shard's
-        // netlists are gone before the next shard is pulled.
+        // Dropping `fresh` here releases this shard's netlists before the
+        // next shard is pulled.
     }
 
     Ok(fanout
@@ -370,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_streaming_matches_in_ram_characterization() {
+    fn shard_streaming_matches_serial_characterization() {
         let base = build_library(&LibrarySpec::new(ArithKind::Adder, 8, 9));
         // Append renamed structural copies so dedup must span shards.
         let mut lib: Vec<ArithCircuit> = base.clone();
@@ -382,7 +308,12 @@ mod tests {
         let asic = afp_asic::AsicConfig::default();
         let fpga = afp_fpga::FpgaConfig::default();
         let err = afp_error::ErrorConfig::default();
-        let expect = characterize_library_with(&lib, &asic, &fpga, &err, &Runtime::serial(), None);
+        // The oracle: the plain serial per-circuit loop, no dedup, no shards.
+        let expect: Vec<CircuitRecord> = lib
+            .iter()
+            .enumerate()
+            .map(|(i, c)| characterize(i, c, &asic, &fpga, &err))
+            .collect();
         for threads in [1, 4] {
             for shard in [1, 4, lib.len(), 500] {
                 let rt = Runtime::new(threads);
@@ -420,7 +351,7 @@ mod tests {
             Ok(lib),
         ];
         let err = characterize_shards_traced(
-            shards.into_iter(),
+            shards,
             &afp_asic::AsicConfig::default(),
             &afp_fpga::FpgaConfig::default(),
             &afp_error::ErrorConfig::default(),

@@ -10,17 +10,15 @@ use afp_ml::MlModelId;
 use afp_obs::Recorder;
 use afp_runtime::{CounterSnapshot, Counters, Runtime};
 
-use crate::cache::{CacheBackend, CharacterizationCache};
-use crate::dataset::{
-    characterize_library_traced, characterize_shards_traced, sample_subset, train_validate_split,
-};
+use crate::cache::CharacterizationCache;
+use crate::dataset::{characterize_shards_traced, sample_subset, train_validate_split};
 use crate::fidelity::{train_zoo_tuned_with, train_zoo_with, TrainedZoo};
 use crate::pareto::{coverage, pareto_front, peel_fronts};
 use crate::record::{CircuitRecord, FpgaParam};
 
-/// Shard size used when [`FlowConfig::shard_circuits`] is `0`: large
-/// enough to keep the work-stealing pool saturated, small enough that a
-/// paper-full corpus never has more than ~2% of its circuits resident.
+/// Default [`FlowConfig::shard_circuits`]: large enough to keep the
+/// work-stealing pool saturated, small enough that a paper-full corpus
+/// never has more than ~2% of its circuits resident.
 pub const DEFAULT_SHARD_CIRCUITS: usize = 1024;
 
 /// Configuration of one flow run.
@@ -55,22 +53,19 @@ pub struct FlowConfig {
     /// core). Results are bit-identical for any thread count.
     pub threads: usize,
     /// Circuits per shard when streaming a stored corpus through
-    /// [`Flow::run_source`] (0 = the 1024-circuit default). Smaller
-    /// shards lower peak circuit residency; normalized outcomes are
-    /// bit-identical for any shard size.
+    /// [`Flow::run_source`] (default [`DEFAULT_SHARD_CIRCUITS`]; 0 = the
+    /// whole corpus as one shard, as [`LibrarySource::shards`] defines
+    /// it). Smaller shards lower peak circuit residency; normalized
+    /// outcomes are bit-identical for any shard size.
     pub shard_circuits: usize,
     /// Memoize characterization results keyed by circuit structure and
     /// configuration (default on; repeated circuits and repeated runs of
     /// one [`Flow`] skip synthesis entirely).
     pub use_cache: bool,
-    /// Persist the characterization cache under `cache_dir` so hits
-    /// survive across processes. `None` keeps the cache in memory only.
+    /// Persist the characterization cache under `cache_dir` (as the
+    /// binary store `characterization.afps`) so hits survive across
+    /// processes. `None` keeps the cache in memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Which disk format backs a persistent cache (ignored without
-    /// `cache_dir`). [`CacheBackend::Store`] is the compact binary
-    /// default; [`CacheBackend::Csv`] keeps the legacy greppable file.
-    /// Both are lossless, so outcomes are identical either way.
-    pub cache_backend: CacheBackend,
     /// Master seed for sampling/splitting.
     pub seed: u64,
     /// Fault injection for the numeric-robustness harness: corrupt model
@@ -125,7 +120,6 @@ impl Default for FlowConfig {
             shard_circuits: DEFAULT_SHARD_CIRCUITS,
             use_cache: true,
             cache_dir: None,
-            cache_backend: CacheBackend::default(),
             seed: 0xDAC_2020,
             chaos: None,
             asic: afp_asic::AsicConfig::default(),
@@ -257,15 +251,10 @@ impl Flow {
     /// as long as the `Flow` — repeated [`run`](Flow::run)s on the same
     /// instance hit it.
     pub fn new(config: FlowConfig) -> Flow {
-        let cache = if config.use_cache {
-            Some(match (&config.cache_dir, config.cache_backend) {
-                (Some(dir), CacheBackend::Store) => CharacterizationCache::with_disk(dir),
-                (Some(dir), CacheBackend::Csv) => CharacterizationCache::with_csv_disk(dir),
-                (None, _) => CharacterizationCache::in_memory(),
-            })
-        } else {
-            None
-        };
+        let cache = config.use_cache.then(|| match &config.cache_dir {
+            Some(dir) => CharacterizationCache::with_disk(dir),
+            None => CharacterizationCache::in_memory(),
+        });
         Flow { config, cache }
     }
 
@@ -274,14 +263,10 @@ impl Flow {
     /// cache. Use this when the caller asked for persistence explicitly
     /// (as the CLI's `--cache-dir` does).
     pub fn try_new(config: FlowConfig) -> std::io::Result<Flow> {
-        let cache = if config.use_cache {
-            Some(match (&config.cache_dir, config.cache_backend) {
-                (Some(dir), CacheBackend::Store) => CharacterizationCache::try_with_disk(dir)?,
-                (Some(dir), CacheBackend::Csv) => CharacterizationCache::try_with_csv_disk(dir)?,
-                (None, _) => CharacterizationCache::in_memory(),
-            })
-        } else {
-            None
+        let cache = match (config.use_cache, &config.cache_dir) {
+            (false, _) => None,
+            (true, Some(dir)) => Some(CharacterizationCache::try_with_disk(dir)?),
+            (true, None) => Some(CharacterizationCache::in_memory()),
         };
         Ok(Flow { config, cache })
     }
@@ -314,13 +299,13 @@ impl Flow {
     ///
     /// [`LibrarySource::Generated`] behaves exactly like [`Flow::run`]
     /// with that spec as [`FlowConfig::library`]: the library is built in
-    /// process and characterized in RAM. [`LibrarySource::Stored`]
-    /// streams the corpus shard-at-a-time ([`FlowConfig::shard_circuits`]
-    /// circuits per shard), keeping only one shard plus the surviving
-    /// records resident; normalized outcomes are bit-identical to the
-    /// in-RAM path for any shard size and thread count. A missing,
-    /// foreign-version, or torn corpus is an `Err` — never a silently
-    /// smaller run.
+    /// process and characterized as one resident shard.
+    /// [`LibrarySource::Stored`] streams the corpus shard-at-a-time
+    /// ([`FlowConfig::shard_circuits`] circuits per shard), keeping only
+    /// one shard plus the surviving records resident. Normalized outcomes
+    /// are bit-identical for any source, shard size and thread count. A
+    /// missing, foreign-version, or torn corpus is an `Err` — never a
+    /// silently smaller run.
     pub fn run_source(&self, source: &LibrarySource) -> std::io::Result<FlowOutcome> {
         self.run_source_traced(source, &Recorder::disabled())
     }
@@ -334,96 +319,31 @@ impl Flow {
     ) -> std::io::Result<FlowOutcome> {
         let cfg = &self.config;
         let rt = Runtime::new(cfg.threads);
-        match source {
+        type Shards<'a> = Box<dyn Iterator<Item = std::io::Result<Vec<ArithCircuit>>> + 'a>;
+        let shards: Shards<'_> = match source {
             LibrarySource::Generated(spec) => {
-                let library = {
-                    let mut span = recorder.span("flow/build_library");
-                    let library = build_library_with(spec, &rt);
-                    span.add_items(library.len() as u64);
-                    library
-                };
-                let records = characterize_library_traced(
-                    &library,
-                    &cfg.asic,
-                    &cfg.fpga,
-                    &cfg.error,
-                    &rt,
-                    self.cache.as_ref(),
-                    recorder,
-                );
-                drop(library);
-                Ok(self.run_on_records_inner(records, &rt, recorder))
+                let mut span = recorder.span("flow/build_library");
+                let library = build_library_with(spec, &rt);
+                span.add_items(library.len() as u64);
+                Box::new(std::iter::once(Ok(library)))
             }
-            LibrarySource::Stored(_) => {
-                let shard = if cfg.shard_circuits == 0 {
-                    DEFAULT_SHARD_CIRCUITS
-                } else {
-                    cfg.shard_circuits
-                };
-                let shards = source.shards(shard, &rt)?;
-                let records = characterize_shards_traced(
-                    shards,
-                    &cfg.asic,
-                    &cfg.fpga,
-                    &cfg.error,
-                    &rt,
-                    self.cache.as_ref(),
-                    recorder,
-                )?;
-                Ok(self.run_on_records_inner(records, &rt, recorder))
-            }
-        }
-    }
-
-    /// Run the methodology on an already-built library slice: in-RAM
-    /// characterization plus the downstream stages, with no
-    /// `flow/build_library` span. This is the resident comparator for the
-    /// streamed path — `run_source(&LibrarySource::Stored(p))` must
-    /// produce the same normalized report as
-    /// `run_on_library(&read_library(p)?)`.
-    pub fn run_on_library(&self, library: &[ArithCircuit]) -> FlowOutcome {
-        self.run_on_library_traced(library, &Recorder::disabled())
-    }
-
-    /// [`Flow::run_on_library`] with structured tracing (see
-    /// [`Flow::run_traced`]).
-    pub fn run_on_library_traced(
-        &self,
-        library: &[ArithCircuit],
-        recorder: &Recorder,
-    ) -> FlowOutcome {
-        let cfg = &self.config;
-        let rt = Runtime::new(cfg.threads);
-        let records = characterize_library_traced(
-            library,
+            LibrarySource::Stored(_) => Box::new(source.shards(cfg.shard_circuits, &rt)?),
+        };
+        let records = characterize_shards_traced(
+            shards,
             &cfg.asic,
             &cfg.fpga,
             &cfg.error,
             &rt,
             self.cache.as_ref(),
             recorder,
-        );
-        self.run_on_records_inner(records, &rt, recorder)
+        )?;
+        Ok(self.explore(records, &rt, recorder))
     }
 
-    /// Run the methodology on pre-characterized records (lets callers share
-    /// one characterization across multiple flow variants, as the Fig. 7
-    /// ablation does).
-    pub fn run_on_records(&self, records: Vec<CircuitRecord>) -> FlowOutcome {
-        self.run_on_records_traced(records, &Recorder::disabled())
-    }
-
-    /// [`Flow::run_on_records`] with structured tracing (see
-    /// [`Flow::run_traced`]).
-    pub fn run_on_records_traced(
-        &self,
-        records: Vec<CircuitRecord>,
-        recorder: &Recorder,
-    ) -> FlowOutcome {
-        self.run_on_records_inner(records, &Runtime::new(self.config.threads), recorder)
-    }
-
-    fn run_on_records_inner(
+    /// Everything downstream of characterization: subset, zoo, estimation,
+    /// fronts and time accounting.
+    fn explore(
         &self,
         records: Vec<CircuitRecord>,
         rt: &Runtime,
@@ -824,7 +744,7 @@ mod tests {
         let library = afp_circuits::build_library(&cfg.library);
         afp_circuits::write_library(&path, &library).expect("persist corpus");
 
-        let in_ram = Flow::new(cfg.clone()).run_on_library(&library);
+        let in_ram = Flow::new(cfg.clone()).run();
         for (threads, shard) in [(1, 7), (4, 17), (1, 0)] {
             let flow = Flow::new(FlowConfig {
                 threads,
@@ -839,12 +759,12 @@ mod tests {
             assert_eq!(in_ram.final_fronts, streamed.final_fronts);
             assert_eq!(in_ram.coverage, streamed.coverage);
             assert_eq!(in_ram.time, streamed.time);
-            assert!(streamed.runtime.shards_streamed >= 1);
-            let cap = if shard == 0 {
-                DEFAULT_SHARD_CIRCUITS
-            } else {
-                shard
-            };
+            // Shard 0 is the whole corpus as one shard.
+            let cap = if shard == 0 { library.len() } else { shard };
+            assert_eq!(
+                streamed.runtime.shards_streamed,
+                library.len().div_ceil(cap) as u64
+            );
             assert!(
                 streamed.runtime.peak_resident_circuits <= cap as u64,
                 "peak {} > shard {cap}",
@@ -869,8 +789,12 @@ mod tests {
         assert_eq!(classic.subset, sourced.subset);
         assert_eq!(classic.final_fronts, sourced.final_fronts);
         assert_eq!(classic.time, sourced.time);
-        assert_eq!(classic.runtime.shards_streamed, 0);
-        assert_eq!(classic.runtime.peak_resident_circuits, 0);
+        // The generated library is characterized as one resident shard.
+        assert_eq!(classic.runtime.shards_streamed, 1);
+        assert_eq!(
+            classic.runtime.peak_resident_circuits,
+            classic.records.len() as u64
+        );
     }
 
     #[test]

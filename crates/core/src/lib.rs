@@ -57,7 +57,7 @@ pub mod request;
 pub mod targets;
 pub mod zoo_store;
 
-pub use cache::{CacheBackend, CachedCharacterization, CharacterizationCache};
+pub use cache::{CachedCharacterization, CharacterizationCache};
 pub use fidelity::FidelityRecord;
 pub use flow::{ChaosSpec, Flow, FlowConfig, FlowOutcome, TimeAccounting, DEFAULT_SHARD_CIRCUITS};
 pub use pareto::{coverage, pareto_front, peel_fronts};

@@ -1,18 +1,11 @@
-//! Content-addressed memoization: a sharded in-memory tier plus an
-//! optional append-only CSV tier on disk.
+//! Content-addressed memoization: a sharded, thread-safe in-memory map.
 //!
 //! Values are stored under a [`Key128`] produced by fingerprinting the
 //! *inputs* of a computation (netlist structure + configuration), so a
 //! hit is valid regardless of when or where the entry was produced. The
-//! disk format is deliberately plain CSV — one `key,field,field,...` row
-//! per entry with a versioned header — so no serialization dependency is
-//! needed and the file stays greppable.
+//! persistent disk tier lives in `afp-store` (`StoreTier`).
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::counters::Counters;
@@ -96,180 +89,6 @@ impl<V: Clone> MemoCache<V> {
     }
 }
 
-/// A value that can round-trip through the CSV disk tier without serde.
-pub trait CsvRecord: Sized {
-    /// Bumped whenever the field layout changes; mismatching files are
-    /// ignored rather than misparsed.
-    const VERSION: u32;
-    /// Column names written into the header (excluding the leading `key`).
-    fn columns() -> Vec<&'static str>;
-    /// Encode into one CSV row (must not contain commas or newlines).
-    fn to_fields(&self) -> Vec<String>;
-    /// Decode from the fields of one row.
-    fn from_fields(fields: &[&str]) -> Option<Self>;
-}
-
-/// The append-only on-disk tier of the characterization cache.
-///
-/// On open, every well-formed row of the existing file is loaded; new
-/// entries are appended (and flushed) as they are produced, so even an
-/// interrupted run leaves a usable cache behind. Rows that fail to parse
-/// — partial writes, hand edits, stale versions — are skipped silently.
-#[derive(Debug)]
-pub struct DiskTier<V> {
-    path: PathBuf,
-    writer: Mutex<BufWriter<File>>,
-    loaded: Vec<(Key128, V)>,
-    write_errors: AtomicU64,
-    last_error: Mutex<Option<String>>,
-    warned: AtomicBool,
-}
-
-impl<V: CsvRecord> DiskTier<V> {
-    /// Open (or create) the cache file at `dir/name`, loading any
-    /// existing entries. Returns an I/O error only for unwritable
-    /// locations; a corrupt existing file is truncated and restarted.
-    pub fn open(dir: &Path, name: &str) -> std::io::Result<DiskTier<V>> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(name);
-        let header = Self::header();
-        let mut loaded = Vec::new();
-        let mut valid_header = false;
-        if let Ok(file) = File::open(&path) {
-            let mut lines = BufReader::new(file).lines();
-            if let Some(Ok(first)) = lines.next() {
-                valid_header = first == header;
-            }
-            if valid_header {
-                for line in lines.map_while(Result::ok) {
-                    if let Some(entry) = Self::parse_row(&line) {
-                        loaded.push(entry);
-                    }
-                }
-            }
-        }
-        let mut options = OpenOptions::new();
-        options.create(true).write(true);
-        if valid_header {
-            options.append(true);
-        } else {
-            // Missing, empty, or version-mismatched file: start fresh.
-            options.truncate(true);
-            loaded.clear();
-        }
-        let mut file = options.open(&path)?;
-        if !valid_header {
-            writeln!(file, "{header}")?;
-            file.flush()?;
-        }
-        Ok(DiskTier {
-            path,
-            writer: Mutex::new(BufWriter::new(file)),
-            loaded,
-            write_errors: AtomicU64::new(0),
-            last_error: Mutex::new(None),
-            warned: AtomicBool::new(false),
-        })
-    }
-
-    /// Read every well-formed entry of the CSV file at `path` without
-    /// opening it for writing (used by the binary-store migration and
-    /// `afp cache stats`). A missing file is an error; a corrupt or
-    /// version-mismatched file yields an empty list, matching how
-    /// [`DiskTier::open`] discards such files.
-    pub fn read_entries(path: &Path) -> std::io::Result<Vec<(Key128, V)>> {
-        let file = File::open(path)?;
-        let mut lines = BufReader::new(file).lines();
-        let mut entries = Vec::new();
-        match lines.next() {
-            Some(Ok(first)) if first == Self::header() => {}
-            _ => return Ok(entries),
-        }
-        for line in lines.map_while(Result::ok) {
-            if let Some(entry) = Self::parse_row(&line) {
-                entries.push(entry);
-            }
-        }
-        Ok(entries)
-    }
-
-    fn header() -> String {
-        let mut cols = vec!["key".to_string(), format!("v{}", V::VERSION)];
-        cols.extend(V::columns().into_iter().map(str::to_string));
-        cols.join(",")
-    }
-
-    fn parse_row(line: &str) -> Option<(Key128, V)> {
-        let mut parts = line.split(',');
-        let key = Key128::from_hex(parts.next()?)?;
-        let fields: Vec<&str> = parts.collect();
-        Some((key, V::from_fields(&fields)?))
-    }
-
-    /// Entries read from the file at open time; drain them into the
-    /// memory tier before the run starts.
-    pub fn take_loaded(&mut self) -> Vec<(Key128, V)> {
-        std::mem::take(&mut self.loaded)
-    }
-
-    /// Append one entry and flush, so a crash never loses completed work.
-    ///
-    /// A failed write must not fail a run whose value is already in
-    /// memory, but it is no longer silent: each dropped entry is counted
-    /// (see [`DiskTier::write_errors`]) and the first failure warns on
-    /// stderr, so lost persistence surfaces in the run report instead of
-    /// nowhere.
-    pub fn append(&self, key: Key128, value: &V) {
-        let row = {
-            let mut fields = vec![key.to_hex()];
-            fields.extend(value.to_fields());
-            fields.join(",")
-        };
-        debug_assert!(
-            !row.contains('\n'),
-            "CsvRecord fields must not contain newlines"
-        );
-        let result = {
-            let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-            writeln!(writer, "{row}").and_then(|()| writer.flush())
-        };
-        if let Err(err) = result {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-            *self
-                .last_error
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(err.to_string());
-            if !self.warned.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: failed to persist cache entry to {}: {err} \
-                     (run continues; see cache.write_errors in the report)",
-                    self.path.display()
-                );
-            }
-        }
-    }
-
-    /// Number of entries whose disk append failed since open.
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors.load(Ordering::Relaxed)
-    }
-
-    /// The most recent append failure message, if any — the warn-once
-    /// stderr path only shows the *first* error, so reports surface the
-    /// last one here.
-    pub fn last_write_error(&self) -> Option<String> {
-        self.last_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// The backing file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,172 +110,5 @@ mod tests {
         let snap = counters.snapshot();
         assert_eq!((snap.cache_hits, snap.cache_misses), (1, 1));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Row {
-        area: f64,
-        tag: String,
-    }
-
-    impl CsvRecord for Row {
-        const VERSION: u32 = 1;
-        fn columns() -> Vec<&'static str> {
-            vec!["area", "tag"]
-        }
-        fn to_fields(&self) -> Vec<String> {
-            vec![format!("{:e}", self.area), self.tag.clone()]
-        }
-        fn from_fields(fields: &[&str]) -> Option<Row> {
-            let [area, tag] = fields else { return None };
-            Some(Row {
-                area: area.parse().ok()?,
-                tag: tag.to_string(),
-            })
-        }
-    }
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("afp-runtime-cache-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn disk_tier_round_trip() {
-        let dir = temp_dir("roundtrip");
-        {
-            let tier: DiskTier<Row> = DiskTier::open(&dir, "c.csv").unwrap();
-            tier.append(
-                key(7),
-                &Row {
-                    area: 12.5,
-                    tag: "add8".into(),
-                },
-            );
-            tier.append(
-                key(8),
-                &Row {
-                    area: 3.25,
-                    tag: "mult8".into(),
-                },
-            );
-        }
-        let mut tier: DiskTier<Row> = DiskTier::open(&dir, "c.csv").unwrap();
-        let mut loaded = tier.take_loaded();
-        loaded.sort_by_key(|(k, _)| *k);
-        let mut expect = vec![
-            (
-                key(7),
-                Row {
-                    area: 12.5,
-                    tag: "add8".into(),
-                },
-            ),
-            (
-                key(8),
-                Row {
-                    area: 3.25,
-                    tag: "mult8".into(),
-                },
-            ),
-        ];
-        expect.sort_by_key(|(k, _)| *k);
-        assert_eq!(loaded, expect);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_tier_skips_corrupt_rows_and_stale_versions() {
-        let dir = temp_dir("corrupt");
-        {
-            let tier: DiskTier<Row> = DiskTier::open(&dir, "c.csv").unwrap();
-            tier.append(
-                key(1),
-                &Row {
-                    area: 1.0,
-                    tag: "good".into(),
-                },
-            );
-        }
-        // Inject a torn row.
-        {
-            let mut f = OpenOptions::new()
-                .append(true)
-                .open(dir.join("c.csv"))
-                .unwrap();
-            writeln!(f, "not-a-key,oops").unwrap();
-        }
-        let mut tier: DiskTier<Row> = DiskTier::open(&dir, "c.csv").unwrap();
-        assert_eq!(tier.take_loaded().len(), 1);
-
-        // A header from another version is discarded wholesale.
-        fs::write(dir.join("c.csv"), "key,v999,area,tag\nabc,1.0,x\n").unwrap();
-        let mut tier: DiskTier<Row> = DiskTier::open(&dir, "c.csv").unwrap();
-        assert!(tier.take_loaded().is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn read_entries_matches_open_without_writing() {
-        let dir = temp_dir("readonly");
-        {
-            let tier: DiskTier<Row> = DiskTier::open(&dir, "c.csv").unwrap();
-            tier.append(
-                key(1),
-                &Row {
-                    area: 2.0,
-                    tag: "a".into(),
-                },
-            );
-            tier.append(
-                key(2),
-                &Row {
-                    area: 4.0,
-                    tag: "b".into(),
-                },
-            );
-        }
-        let path = dir.join("c.csv");
-        let before = fs::read(&path).unwrap();
-        let entries = DiskTier::<Row>::read_entries(&path).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(fs::read(&path).unwrap(), before, "file untouched");
-
-        // Version mismatch: empty, same policy as open().
-        fs::write(&path, "key,v999,area,tag\n").unwrap();
-        assert!(DiskTier::<Row>::read_entries(&path).unwrap().is_empty());
-        // Missing file: a real error.
-        assert!(DiskTier::<Row>::read_entries(&dir.join("nope.csv")).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn write_errors_are_counted_and_run_continues() {
-        // /dev/full fails every flush with ENOSPC — the canonical way to
-        // hit the error path deterministically. Skip quietly where it
-        // does not exist.
-        let Ok(file) = OpenOptions::new().write(true).open("/dev/full") else {
-            return;
-        };
-        let tier = DiskTier::<Row> {
-            path: PathBuf::from("/dev/full"),
-            writer: Mutex::new(BufWriter::new(file)),
-            loaded: Vec::new(),
-            write_errors: AtomicU64::new(0),
-            last_error: Mutex::new(None),
-            warned: AtomicBool::new(false),
-        };
-        let row = Row {
-            area: 1.0,
-            tag: "x".into(),
-        };
-        assert_eq!(tier.last_write_error(), None);
-        tier.append(key(1), &row);
-        tier.append(key(2), &row);
-        assert_eq!(tier.write_errors(), 2);
-        let last = tier.last_write_error().expect("error message captured");
-        assert!(!last.is_empty());
     }
 }

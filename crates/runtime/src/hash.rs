@@ -1,7 +1,7 @@
 //! Stable 128-bit content hashing for cache keys.
 //!
-//! The hash must be stable across processes and platforms (it names rows
-//! in the on-disk cache tier), so it is a fixed FNV-1a pair rather than
+//! The hash must be stable across processes and platforms (it keys
+//! records in the on-disk store), so it is a fixed FNV-1a pair rather than
 //! `std::hash`, whose output is unspecified across releases.
 
 /// A 128-bit content-addressed cache key.
@@ -17,21 +17,6 @@ pub struct Key128 {
 }
 
 impl Key128 {
-    /// Render as fixed-width hex (32 chars), the on-disk key format.
-    pub fn to_hex(self) -> String {
-        format!("{:016x}{:016x}", self.hi, self.lo)
-    }
-
-    /// Parse the [`Key128::to_hex`] format.
-    pub fn from_hex(s: &str) -> Option<Key128> {
-        if s.len() != 32 {
-            return None;
-        }
-        let hi = u64::from_str_radix(&s[..16], 16).ok()?;
-        let lo = u64::from_str_radix(&s[16..], 16).ok()?;
-        Some(Key128 { hi, lo })
-    }
-
     /// Shard selector for `shards`-way sharded structures.
     #[inline]
     pub fn shard(self, shards: usize) -> usize {
@@ -153,15 +138,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(key_of(|h| h.write_str("ab")), key_of(|h| h.write_str("a")));
-    }
-
-    #[test]
-    fn hex_round_trip() {
-        let k = key_of(|h| h.write_str("round trip"));
-        let hex = k.to_hex();
-        assert_eq!(hex.len(), 32);
-        assert_eq!(Key128::from_hex(&hex), Some(k));
-        assert_eq!(Key128::from_hex("xyz"), None);
     }
 
     #[test]

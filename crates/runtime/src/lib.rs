@@ -11,9 +11,9 @@
 //!   so the output of a parallel stage is bit-for-bit independent of the
 //!   thread count. `threads = 1` executes inline on the caller thread.
 //! * [`cache`] — a sharded, content-addressed memoization cache keyed by
-//!   128-bit structural fingerprints ([`Key128`]), with an optional
-//!   append-only CSV tier on disk so repeated runs of the same
-//!   characterization skip recomputation across processes.
+//!   128-bit structural fingerprints ([`Key128`]); `afp-store` adds the
+//!   persistent disk tier so repeated runs of the same characterization
+//!   skip recomputation across processes.
 //!
 //! Both report into shared [`Counters`] (tasks executed, steals, cache
 //! hits/misses, synthesis calls, simulated bytes) that the flow surfaces
@@ -39,7 +39,7 @@ mod hash;
 mod inflight;
 mod pool;
 
-pub use cache::{CsvRecord, DiskTier, MemoCache};
+pub use cache::MemoCache;
 pub use counters::{CounterSnapshot, Counters};
 pub use hash::{Fingerprint, Key128, StableHasher};
 pub use inflight::Inflight;

@@ -55,7 +55,7 @@ use afp_obs::{RunReport, Section, Value};
 use afp_runtime::{Counters, Inflight, Runtime};
 use approxfpgas::record::{estimate_features, CharacterizeScratch};
 use approxfpgas::{
-    characterize_request, load_zoo, request_report, CacheBackend, CharacterizationCache, FpgaParam,
+    characterize_request, load_zoo, request_report, CharacterizationCache, FpgaParam,
     RequestConfig, SavedZoo,
 };
 
@@ -100,10 +100,9 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Target applied when a request omits `?target=`.
     pub default_target: String,
-    /// Warm-tier directory; `None` keeps the cache memory-only.
+    /// Warm-tier directory (the same binary store `afp flow` uses);
+    /// `None` keeps the cache memory-only.
     pub cache_dir: Option<PathBuf>,
-    /// Disk format of the warm tier when `cache_dir` is set.
-    pub cache_backend: CacheBackend,
     /// `.afpm` model containers ([`approxfpgas::save_zoo`]) loaded at
     /// startup to answer `GET /estimate` from trained models. A path
     /// that fails to load aborts startup loudly.
@@ -127,7 +126,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             default_target: afp_fpga::target::DEFAULT_TARGET.to_string(),
             cache_dir: None,
-            cache_backend: CacheBackend::Store,
             models: Vec::new(),
             estimate_only: false,
             keepalive_requests: 1000,
@@ -417,10 +415,7 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
     };
     let cache = match &config.cache_dir {
         None => CharacterizationCache::in_memory(),
-        Some(dir) => match config.cache_backend {
-            CacheBackend::Store => CharacterizationCache::try_with_disk(dir)?,
-            CacheBackend::Csv => CharacterizationCache::try_with_csv_disk(dir)?,
-        },
+        Some(dir) => CharacterizationCache::try_with_disk(dir)?,
     };
 
     let (listener, addr, wake) = match &config.bind {

@@ -29,8 +29,7 @@
 //! the trailer from EOF and seeking back, so opening a sealed store never
 //! scans the data frames. Unsealed (append-mode) files simply end after
 //! the last record frame; readers scan those front to back and stop at the
-//! first torn or corrupt frame, mirroring how the CSV tier skips malformed
-//! rows.
+//! first torn or corrupt frame.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};

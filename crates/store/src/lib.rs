@@ -1,7 +1,6 @@
 //! `afp-store` — a framed, content-addressed binary record store.
 //!
-//! The crate replaces the plain-CSV disk tier for library-scale data: a
-//! store file is a fixed 16-byte header followed by CRC-checked,
+//! The crate is the one disk format for library-scale data: a store file is a fixed 16-byte header followed by CRC-checked,
 //! length-prefixed frames keyed by [`afp_runtime::Key128`], optionally
 //! ending in an index footer that lets readers seek without scanning
 //! (zstd-style framing; the block codec id byte reserves space for
@@ -15,9 +14,9 @@
 //!   recovery, and [`inspect`] for cheap file stats.
 //! * [`stream`] — [`FrameStream`], a lazy iterator decoding one frame at
 //!   a time so corpora never need to be fully resident.
-//! * [`tier`] — [`StoreTier`], the drop-in binary sibling of
-//!   [`afp_runtime::DiskTier`] (load-on-open, append-and-flush, torn-tail
-//!   repair, block compaction), plus one-shot CSV migration.
+//! * [`tier`] — [`StoreTier`], the persistent tier of the
+//!   characterization cache (load-on-open, append-and-flush, torn-tail
+//!   repair, block compaction).
 //!
 //! [`netcode`] defines the varint-packed netlist payload encoding
 //! (`gate kind / fanin back-delta`) shared by the circuit store in
@@ -58,4 +57,4 @@ pub use bytes::ByteReader;
 pub use frame::{inspect, RawRecord, StoreInfo, StoreWriter};
 pub use netcode::{decode_netlist, encode_netlist};
 pub use stream::FrameStream;
-pub use tier::{migrate_csv, BinRecord, CsvMigration, StoreTier};
+pub use tier::{BinRecord, StoreTier};

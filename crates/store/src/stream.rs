@@ -5,7 +5,7 @@
 //! peak memory is one frame (a block of [`crate::frame::BLOCK_RECORDS`]
 //! records) regardless of file size. A torn or corrupt tail frame ends
 //! the stream (recoverable via [`FrameStream::truncated`]) instead of
-//! erroring, mirroring the CSV tier's skip-malformed-rows policy.
+//! erroring.
 
 use std::collections::VecDeque;
 use std::fs::File;

@@ -1,13 +1,10 @@
-//! `StoreTier` — the binary disk tier, a drop-in sibling of
-//! [`afp_runtime::DiskTier`].
+//! `StoreTier` — the persistent disk tier of a content-addressed cache.
 //!
-//! Same contract as the CSV tier: open loads every recoverable entry,
-//! `append` persists-and-flushes each new entry so a crash never loses
-//! completed work, and damage degrades gracefully (a torn tail frame is
-//! dropped like a malformed CSV row). On top of that the binary tier
-//! compacts append-mode record frames into compressed block frames once
-//! enough accumulate, and it can transparently migrate a legacy CSV file
-//! the first time it opens a directory.
+//! Open loads every recoverable entry, `append` persists-and-flushes each
+//! new entry so a crash never loses completed work, and damage degrades
+//! gracefully (a torn tail frame is dropped, a stale version restarts the
+//! file). Append-mode record frames are compacted into compressed block
+//! frames once enough accumulate.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -17,20 +14,19 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use afp_runtime::{CsvRecord, DiskTier, Key128};
+use afp_runtime::Key128;
 
 use crate::bytes::ByteReader;
 use crate::frame::{put_record_frame, scan_bytes, Header, StoreWriter, FORMAT_VERSION};
 
 /// A value that can round-trip through the binary store tier.
 ///
-/// The symmetric requirement to [`afp_runtime::CsvRecord`]: `decode`
-/// after `encode` must reproduce the value exactly (bit-exact for float
-/// fields — the flow's golden tests compare reports across tiers).
+/// `decode` after `encode` must reproduce the value exactly (bit-exact
+/// for float fields — the flow's golden tests compare cold and warm
+/// reports byte-for-byte).
 pub trait BinRecord: Sized {
     /// Bumped whenever the payload layout changes; files carrying another
-    /// version are discarded rather than misparsed (same policy as the
-    /// CSV tier's versioned header).
+    /// version are discarded rather than misparsed.
     const VERSION: u32;
     /// Append the payload encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -44,8 +40,8 @@ pub trait BinRecord: Sized {
 /// ~3-4x smaller file and faster future opens.
 pub const COMPACT_AT: u64 = 64;
 
-/// The append-only binary disk tier. API mirrors [`DiskTier`]:
-/// [`StoreTier::open`], [`StoreTier::take_loaded`], [`StoreTier::append`].
+/// The append-only binary disk tier: [`StoreTier::open`],
+/// [`StoreTier::take_loaded`], [`StoreTier::append`].
 #[derive(Debug)]
 pub struct StoreTier<V> {
     path: PathBuf,
@@ -75,7 +71,7 @@ impl<V: BinRecord> StoreTier<V> {
         match scan {
             None => {
                 // Missing file, foreign file, or stale version: start
-                // fresh, exactly like the CSV tier's truncate-on-mismatch.
+                // fresh.
                 let mut file = File::create(&path)?;
                 file.write_all(
                     &Header {
@@ -163,10 +159,10 @@ impl<V: BinRecord> StoreTier<V> {
 
     /// Append one entry as a single record frame and flush.
     ///
-    /// Like the CSV tier, a failed write must not fail a run whose value
-    /// is already in memory — but unlike the old CSV tier it is *counted*
-    /// (see [`StoreTier::write_errors`]) and warned about once, so silent
-    /// cache loss shows up in the run report instead of nowhere.
+    /// A failed write must not fail a run whose value is already in
+    /// memory, but it is *counted* (see [`StoreTier::write_errors`]) and
+    /// warned about once, so silent cache loss shows up in the run report
+    /// instead of nowhere.
     pub fn append(&self, key: Key128, value: &V) {
         let mut payload = Vec::new();
         value.encode(&mut payload);
@@ -213,62 +209,6 @@ impl<V: BinRecord> StoreTier<V> {
     }
 }
 
-impl<V: BinRecord + CsvRecord> StoreTier<V> {
-    /// Open the binary store at `dir/name`, first migrating a legacy CSV
-    /// file (`csv_name`) if one exists and no store file does. The CSV is
-    /// renamed aside after migration, so the conversion happens exactly
-    /// once.
-    pub fn open_migrating(dir: &Path, name: &str, csv_name: &str) -> io::Result<StoreTier<V>> {
-        migrate_csv::<V>(dir, name, csv_name)?;
-        Self::open(dir, name)
-    }
-}
-
-/// Outcome of [`migrate_csv`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CsvMigration {
-    /// Entries carried over into the store file.
-    pub migrated: usize,
-    /// Whether a conversion actually ran (false when the store already
-    /// exists or there is no CSV to migrate — both make the call a no-op,
-    /// which is what lets `afp cache migrate` be idempotent).
-    pub performed: bool,
-}
-
-/// One-shot CSV → binary-store migration of `dir/csv_name` into
-/// `dir/name`. No-op (idempotent) when the store file already exists or
-/// the CSV is absent. The migrated CSV is renamed to `<csv_name>.migrated`
-/// rather than deleted.
-pub fn migrate_csv<V: BinRecord + CsvRecord>(
-    dir: &Path,
-    name: &str,
-    csv_name: &str,
-) -> io::Result<CsvMigration> {
-    let store_path = dir.join(name);
-    let csv_path = dir.join(csv_name);
-    if store_path.exists() || !csv_path.exists() {
-        return Ok(CsvMigration {
-            migrated: 0,
-            performed: false,
-        });
-    }
-    let entries = DiskTier::<V>::read_entries(&csv_path)?;
-    let mut writer = StoreWriter::create_atomic(&store_path, <V as BinRecord>::VERSION)?;
-    let mut payload = Vec::new();
-    for (key, value) in &entries {
-        payload.clear();
-        value.encode(&mut payload);
-        writer.append(*key, &payload)?;
-    }
-    writer.finish()?;
-    let aside = csv_path.with_file_name(format!("{csv_name}.migrated"));
-    fs::rename(&csv_path, aside)?;
-    Ok(CsvMigration {
-        migrated: entries.len(),
-        performed: true,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,23 +229,6 @@ mod tests {
             Some(Rec {
                 area: r.f64_le()?,
                 luts: r.uvarint()?,
-            })
-        }
-    }
-
-    impl CsvRecord for Rec {
-        const VERSION: u32 = 3;
-        fn columns() -> Vec<&'static str> {
-            vec!["area", "luts"]
-        }
-        fn to_fields(&self) -> Vec<String> {
-            vec![format!("{:?}", self.area), self.luts.to_string()]
-        }
-        fn from_fields(fields: &[&str]) -> Option<Rec> {
-            let [area, luts] = fields else { return None };
-            Some(Rec {
-                area: area.parse().ok()?,
-                luts: luts.parse().ok()?,
             })
         }
     }
@@ -407,47 +330,6 @@ mod tests {
             after < before,
             "compaction should shrink the file: {before} -> {after}"
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn csv_migration_is_one_shot_and_lossless() {
-        let dir = temp_dir("migrate");
-        {
-            let csv: DiskTier<Rec> = DiskTier::open(&dir, "c.csv").unwrap();
-            for i in 0..20 {
-                csv.append(key(i), &rec(i));
-            }
-        }
-        let outcome = migrate_csv::<Rec>(&dir, "c.afps", "c.csv").unwrap();
-        assert_eq!(
-            outcome,
-            CsvMigration {
-                migrated: 20,
-                performed: true
-            }
-        );
-        assert!(!dir.join("c.csv").exists(), "CSV renamed aside");
-        assert!(dir.join("c.csv.migrated").exists());
-
-        // Idempotent: a second call is a no-op.
-        let again = migrate_csv::<Rec>(&dir, "c.afps", "c.csv").unwrap();
-        assert!(!again.performed);
-
-        let mut tier: StoreTier<Rec> = StoreTier::open_migrating(&dir, "c.afps", "c.csv").unwrap();
-        let loaded = tier.take_loaded();
-        assert_eq!(loaded.len(), 20);
-        for (i, (k, v)) in loaded.iter().enumerate() {
-            assert_eq!((k, v), (&key(i as u64), &rec(i as u64)));
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_migrating_without_csv_starts_empty() {
-        let dir = temp_dir("migrate-none");
-        let mut tier: StoreTier<Rec> = StoreTier::open_migrating(&dir, "c.afps", "c.csv").unwrap();
-        assert!(tier.take_loaded().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

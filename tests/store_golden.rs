@@ -1,20 +1,20 @@
-//! Golden cross-backend flow reports: the characterization cache's disk
-//! format must be invisible to results. A flow run backed by the CSV
-//! tier, the binary store tier, or a store freshly migrated from CSV has
-//! to produce byte-identical normalized JSON reports — on one thread and
-//! on eight — when compared at equal cache warmth (cold-vs-cold,
-//! warm-vs-warm; warmth legitimately changes the hit/miss counters).
-//! Anything less means the disk codec is lossy and quietly changing
-//! science.
+//! Golden store-backed flow reports: the characterization cache's disk
+//! tier must be invisible to results. A cold run that fills the binary
+//! store, a warm run served from it, and a warm run on eight threads have
+//! to produce the same normalized JSON report wherever warmth does not
+//! legitimately change a counter (task, synthesis, simulation and
+//! hit/miss counts). Anything less means the store codec is lossy and
+//! quietly changing science. A leftover legacy CSV cache is ignored and
+//! left untouched.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use approxfpgas_suite::circuits::{ArithKind, LibrarySpec};
-use approxfpgas_suite::flow::cache::{CACHE_FILE, STORE_FILE};
+use approxfpgas_suite::flow::cache::STORE_FILE;
 use approxfpgas_suite::flow::report::{normalized, run_report};
-use approxfpgas_suite::flow::{CacheBackend, CharacterizationCache, Flow, FlowConfig};
+use approxfpgas_suite::flow::{Flow, FlowConfig};
 use approxfpgas_suite::ml::MlModelId;
-use approxfpgas_suite::obs::{Recorder, Value};
+use approxfpgas_suite::obs::{Recorder, RunReport, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("afp-suite-golden-{tag}-{}", std::process::id()));
@@ -23,94 +23,105 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn golden_config(threads: usize, cache_dir: Option<PathBuf>, backend: CacheBackend) -> FlowConfig {
-    FlowConfig {
+/// Run a traced flow backed by the store in `cache_dir` and return the
+/// normalized report with the honestly-different `flow.threads` field
+/// zeroed out.
+fn normalized_report(threads: usize, cache_dir: &Path) -> RunReport {
+    let config = FlowConfig {
         library: LibrarySpec::new(ArithKind::Adder, 8, 48),
         min_subset: 20,
         models: vec![MlModelId::Ml1, MlModelId::Ml13],
         threads,
-        cache_dir,
-        cache_backend: backend,
+        cache_dir: Some(cache_dir.to_path_buf()),
         ..FlowConfig::default()
-    }
-}
-
-/// Run a traced flow and return the normalized report JSON with the
-/// honestly-different `flow.threads` field zeroed out.
-fn normalized_json(threads: usize, cache_dir: &std::path::Path, backend: CacheBackend) -> String {
-    let config = golden_config(threads, Some(cache_dir.to_path_buf()), backend);
+    };
     let recorder = Recorder::enabled();
-    let outcome = Flow::new(config.clone()).run_traced(&recorder);
+    let outcome = Flow::try_new(config.clone()).unwrap().run_traced(&recorder);
     let mut report = normalized(&run_report(&config, &outcome, &recorder));
     report.set_field("flow", "threads", Value::UInt(0));
+    report
+}
+
+/// The report JSON with every counter that cache warmth legitimately
+/// changes zeroed: what was computed, not what had to be recomputed.
+fn warmth_invariant(report: &RunReport) -> String {
+    let mut report = report.clone();
+    for field in [
+        "tasks_executed",
+        "asic_synths",
+        "fpga_synths",
+        "error_analyses",
+        "sim_tape_reuses",
+    ] {
+        report.set_field("runtime", field, Value::UInt(0));
+    }
+    report.set_field("cache", "hits", Value::UInt(0));
+    report.set_field("cache", "misses", Value::UInt(0));
+    report.set_field("cache", "hit_rate", Value::Null);
     report.to_json()
 }
 
 #[test]
-fn reports_are_identical_across_cache_backends() {
-    let csv_dir = temp_dir("csv");
-    let store_dir = temp_dir("store");
+fn cold_and_warm_store_reports_agree() {
+    let dir = temp_dir("store");
 
-    // Cold runs: both tiers start empty, so every counter must agree.
-    let cold_csv = normalized_json(1, &csv_dir, CacheBackend::Csv);
-    let cold_store = normalized_json(1, &store_dir, CacheBackend::Store);
-    assert_eq!(cold_csv, cold_store, "cold runs diverge across backends");
-    assert!(csv_dir.join(CACHE_FILE).exists());
-    assert!(store_dir.join(STORE_FILE).exists());
+    let cold = normalized_report(1, &dir);
+    assert!(dir.join(STORE_FILE).exists());
+    let cold_json = cold.to_json();
+    assert!(cold_json.contains("\"hits\":0"), "{cold_json}");
 
-    // Warm runs: every characterization is served from disk. If either
+    // Warm runs: every characterization is served from the store. If the
     // codec dropped a bit, the time/coverage sections would drift.
-    let warm_csv = normalized_json(1, &csv_dir, CacheBackend::Csv);
-    let warm_store = normalized_json(1, &store_dir, CacheBackend::Store);
-    assert_eq!(warm_csv, warm_store, "warm runs diverge across backends");
+    let warm = normalized_report(1, &dir);
+    let warm_json = warm.to_json();
     assert!(
-        warm_csv.contains("\"misses\":0"),
-        "warm run should be fully cache-served"
+        warm_json.contains("\"misses\":0"),
+        "warm run should be fully cache-served: {warm_json}"
+    );
+    assert!(warm_json.contains("\"asic_synths\":0"), "{warm_json}");
+    assert_eq!(
+        warmth_invariant(&cold),
+        warmth_invariant(&warm),
+        "the warm store changed what the flow computed"
     );
 
-    // And the same at eight threads.
-    let warm_csv8 = normalized_json(8, &csv_dir, CacheBackend::Csv);
-    let warm_store8 = normalized_json(8, &store_dir, CacheBackend::Store);
-    assert_eq!(warm_csv8, warm_store8, "8-thread warm runs diverge");
-    assert_eq!(warm_csv8, warm_csv, "thread count leaks into the report");
+    // And the same at eight threads: nothing differs at all.
+    let warm8 = normalized_report(8, &dir);
+    assert_eq!(
+        warm8.to_json(),
+        warm_json,
+        "thread count leaks into the report"
+    );
 
-    let _ = std::fs::remove_dir_all(&csv_dir);
-    let _ = std::fs::remove_dir_all(&store_dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn migrated_cache_serves_identical_results() {
-    let migrate_dir = temp_dir("migrate");
-    let native_dir = temp_dir("native");
+fn leftover_csv_cache_is_ignored_and_left_untouched() {
+    let dir = temp_dir("leftover-csv");
+    // A cache directory left behind by a build that still had the removed
+    // CSV tier: a versioned header and one row.
+    let csv = dir.join("characterization.csv");
+    let legacy = b"key,v1,asic_area_um2,asic_delay_ns\n\
+                   000000000000000100000000000000ff,1.5,0.25\n";
+    std::fs::write(&csv, legacy).unwrap();
 
-    // Populate one cache through the CSV tier, the other natively through
-    // the store tier.
-    let cold_csv = normalized_json(1, &migrate_dir, CacheBackend::Csv);
-    let cold_native = normalized_json(1, &native_dir, CacheBackend::Store);
-    assert_eq!(cold_csv, cold_native);
+    let reference_dir = temp_dir("leftover-csv-reference");
+    let reference = normalized_report(1, &reference_dir);
 
-    // Explicit migration converts every CSV row into the binary store.
-    let migration = CharacterizationCache::migrate_csv_cache(&migrate_dir).unwrap();
-    assert!(migration.migrated > 0, "csv rows should convert");
-    assert!(migrate_dir.join(STORE_FILE).exists());
-    assert!(
-        !migrate_dir.join(CACHE_FILE).exists(),
-        "csv file is renamed away"
+    // The store opens empty and the run is fully cold, exactly like a
+    // run on an empty directory.
+    let run = normalized_report(1, &dir);
+    let json = run.to_json();
+    assert!(json.contains("\"hits\":0"), "{json}");
+    assert_eq!(json, reference.to_json());
+    assert!(dir.join(STORE_FILE).exists());
+    assert_eq!(
+        std::fs::read(&csv).unwrap(),
+        legacy,
+        "the legacy CSV file must be left byte-for-byte untouched"
     );
 
-    // A warm run on the migrated store must match a warm run on the
-    // natively-written store byte-for-byte — and both must be fully
-    // cache-served, proving migration preserved every entry.
-    for threads in [1usize, 8] {
-        let warm_migrated = normalized_json(threads, &migrate_dir, CacheBackend::Store);
-        let warm_native = normalized_json(threads, &native_dir, CacheBackend::Store);
-        assert_eq!(
-            warm_migrated, warm_native,
-            "migrated cache diverges at {threads} threads"
-        );
-        assert!(warm_migrated.contains("\"misses\":0"));
-    }
-
-    let _ = std::fs::remove_dir_all(&migrate_dir);
-    let _ = std::fs::remove_dir_all(&native_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&reference_dir);
 }

@@ -1,13 +1,12 @@
 //! The streaming contract of the flow: a stored corpus streamed
 //! shard-at-a-time must produce a normalized run report byte-identical
-//! to the in-RAM path, for any thread count and shard size — and a
-//! damaged corpus must fail loudly, never shrink silently.
+//! to characterizing it as one resident shard, for any thread count and
+//! shard size — and a damaged corpus must fail loudly, never shrink
+//! silently.
 
 use std::path::PathBuf;
 
-use approxfpgas_suite::circuits::{
-    read_library, write_library_specs, ArithKind, LibrarySource, LibrarySpec,
-};
+use approxfpgas_suite::circuits::{write_library_specs, ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::report::{normalized, run_report};
 use approxfpgas_suite::flow::{Flow, FlowConfig};
 use approxfpgas_suite::ml::MlModelId;
@@ -67,11 +66,13 @@ fn streamed_reports_are_byte_identical_to_the_in_ram_path() {
     let dir = temp_dir("golden");
     let path = mixed_corpus(&dir);
 
-    // In-RAM comparator: eager read + resident characterization.
+    // In-RAM comparator: the whole corpus as one shard, on one thread.
     let in_ram_cfg = config(1, 0);
-    let library = read_library(&path).unwrap();
     let rec = Recorder::enabled();
-    let outcome = Flow::new(in_ram_cfg.clone()).run_on_library_traced(&library, &rec);
+    let outcome = Flow::new(in_ram_cfg.clone())
+        .run_source_traced(&LibrarySource::Stored(path.clone()), &rec)
+        .unwrap();
+    assert_eq!(outcome.runtime.shards_streamed, 1);
     let golden = report_json(&in_ram_cfg, &outcome, &rec);
     assert!(golden.contains("\"shards_streamed\":0"), "{golden}");
     assert!(golden.contains("\"peak_resident_circuits\":0"), "{golden}");
