@@ -14,29 +14,15 @@
 //! Writes `results/flow_residency.csv`.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use afp_bench::render::table;
-use afp_bench::write_csv;
+use afp_bench::{time_us, write_csv};
 use afp_circuits::{build_library, ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas::{Flow, FlowConfig};
 
 /// Circuits pulled per shard — the residency budget every case must
 /// respect regardless of corpus size.
 const SHARD: usize = 64;
-
-/// Median-of-runs wall time of `f`, in microseconds.
-fn time_us(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(|a, b| afp_ord::asc(*a, *b));
-    samples[samples.len() / 2]
-}
 
 fn temp_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("afp-bench-residency-{}", std::process::id()));
@@ -119,7 +105,7 @@ fn main() {
             "{name}: peak residency {peak} exceeds the shard budget {SHARD}"
         );
         peaks.push(peak);
-        let flow_us = time_us(runs, || {
+        let flow_us = time_us(1, runs, || {
             let outcome = Flow::new(config())
                 .run_source(std::hint::black_box(&source))
                 .unwrap();

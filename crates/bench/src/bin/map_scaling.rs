@@ -12,28 +12,11 @@
 //!
 //! Writes `results/map_scaling.csv`.
 
-use std::time::Instant;
-
 use afp_bench::render::table;
-use afp_bench::write_csv;
+use afp_bench::{time_us, write_csv};
 use afp_circuits::{adders, multipliers};
 use afp_fpga::{cuts, map, FpgaConfig, Mapper};
 use afp_netlist::Netlist;
-
-/// Median-of-runs wall time of `f`, in microseconds.
-fn time_us(iters: u32, runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t.elapsed().as_secs_f64() * 1e6 / iters as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| afp_ord::asc(*a, *b));
-    samples[samples.len() / 2]
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -42,7 +42,7 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 use afp_bench::render::table;
-use afp_bench::write_csv;
+use afp_bench::{stat_u64, write_csv};
 
 /// Concurrent client threads per burst.
 const CLIENTS: usize = 8;
@@ -139,21 +139,6 @@ fn read_keepalive_response(
         .read_exact(&mut body)
         .map_err(|e| format!("recv body: {e}"))?;
     Ok((status, head, String::from_utf8_lossy(&body).into_owned()))
-}
-
-/// Pull `"field":N` out of the flat /stats JSON without a parser.
-fn stat_u64(stats: &str, field: &str) -> u64 {
-    let needle = format!("\"{field}\":");
-    stats
-        .find(&needle)
-        .and_then(|at| {
-            let digits: String = stats[at + needle.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().ok()
-        })
-        .unwrap_or(0)
 }
 
 /// Fire one 1000-request burst from `CLIENTS` threads; returns
@@ -317,11 +302,11 @@ fn main() {
     // recharacterization) holds either way, as a delta.
     let (status, stats) = get(&addr, "/stats").expect("stats");
     assert_eq!(status, 200, "{stats}");
-    let baseline_asic = stat_u64(&stats, "asic_synths");
+    let baseline_asic = stat_u64(&stats, "runtime", "asic_synths");
     let fresh = baseline_asic == 0
-        && stat_u64(&stats, "hits") == 0
-        && stat_u64(&stats, "misses") == 0
-        && stat_u64(&stats, "entries") == 0;
+        && stat_u64(&stats, "cache", "hits") == 0
+        && stat_u64(&stats, "cache", "misses") == 0
+        && stat_u64(&stats, "cache", "entries") == 0;
     if !fresh {
         println!(
             "note: daemon not fresh (asic_synths={baseline_asic}); \
@@ -365,7 +350,7 @@ fn main() {
     // (from a fresh start; otherwise the cold delta is bounded by it).
     let (status, stats) = get(&addr, "/stats").expect("stats");
     assert_eq!(status, 200, "{stats}");
-    let asic_synths = stat_u64(&stats, "asic_synths");
+    let asic_synths = stat_u64(&stats, "runtime", "asic_synths");
     if fresh {
         assert_eq!(
             asic_synths, distinct as u64,
@@ -377,7 +362,7 @@ fn main() {
             "cold burst characterized more than the distinct vocabulary\n{stats}"
         );
     }
-    let coalesced = stat_u64(&stats, "requests_coalesced");
+    let coalesced = stat_u64(&stats, "serve", "requests_coalesced");
 
     let mut warm_samples: Vec<f64> = (0..warm_runs)
         .map(|_| {
@@ -396,11 +381,11 @@ fn main() {
     let (status, stats) = get(&addr, "/stats").expect("stats");
     assert_eq!(status, 200, "{stats}");
     assert_eq!(
-        stat_u64(&stats, "asic_synths"),
+        stat_u64(&stats, "runtime", "asic_synths"),
         asic_synths,
         "warm bursts must not recharacterize\n{stats}"
     );
-    let reuses_before = stat_u64(&stats, "keepalive_reuses");
+    let reuses_before = stat_u64(&stats, "serve", "keepalive_reuses");
 
     // Warm keep-alive burst: the same fully-cached schedule, but each
     // client holds one connection for all of its requests.
@@ -419,19 +404,19 @@ fn main() {
     let (status, stats) = get(&addr, "/stats").expect("stats");
     assert_eq!(status, 200, "{stats}");
     assert_eq!(
-        stat_u64(&stats, "asic_synths"),
+        stat_u64(&stats, "runtime", "asic_synths"),
         asic_synths,
         "keep-alive burst must not recharacterize\n{stats}"
     );
     assert_eq!(
-        stat_u64(&stats, "keepalive_reuses") - reuses_before,
+        stat_u64(&stats, "serve", "keepalive_reuses") - reuses_before,
         (total - CLIENTS) as u64,
         "every request after the first per connection must count as a reuse\n{stats}"
     );
 
     // Estimate burst: model answers only, over keep-alive. Skipped when
     // an external daemon carries no zoo (`--models` not passed to it).
-    let models_loaded = stat_u64(&stats, "models_loaded");
+    let models_loaded = stat_u64(&stats, "estimate", "models_loaded");
     let estimate_us = if models_loaded == 0 {
         println!("note: no model zoo loaded; skipping the /estimate burst");
         None
@@ -441,7 +426,7 @@ fn main() {
             .copied()
             .filter(|s| s.starts_with("add8:"))
             .collect();
-        let estimates_before = stat_u64(&stats, "estimates_served");
+        let estimates_before = stat_u64(&stats, "estimate", "estimates_served");
         let estimate_path = |n: usize| {
             format!(
                 "/estimate?spec={}&target={}",
@@ -459,12 +444,12 @@ fn main() {
         let (status, stats) = get(&addr, "/stats").expect("stats");
         assert_eq!(status, 200, "{stats}");
         assert_eq!(
-            stat_u64(&stats, "asic_synths"),
+            stat_u64(&stats, "runtime", "asic_synths"),
             asic_synths,
             "the estimate fast path must never synthesize\n{stats}"
         );
         assert_eq!(
-            stat_u64(&stats, "estimates_served") - estimates_before,
+            stat_u64(&stats, "estimate", "estimates_served") - estimates_before,
             total as u64,
             "every estimate request must be answered from the zoo\n{stats}"
         );
@@ -473,7 +458,7 @@ fn main() {
 
     let (status, stats) = get(&addr, "/stats").expect("stats");
     assert_eq!(status, 200, "{stats}");
-    let served = stat_u64(&stats, "requests_served");
+    let served = stat_u64(&stats, "serve", "requests_served");
 
     if shutdown_after {
         let (status, _) = http(

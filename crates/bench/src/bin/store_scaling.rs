@@ -24,10 +24,9 @@
 //! Writes `results/store_scaling.csv`.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use afp_bench::render::table;
-use afp_bench::write_csv;
+use afp_bench::{time_us, write_csv};
 use afp_circuits::store::read_library;
 use afp_circuits::{build_library, ArithKind, LibrarySpec};
 use afp_netlist::export::to_verilog;
@@ -36,21 +35,6 @@ use afp_runtime::Counters;
 use afp_store::StoreTier;
 use approxfpgas::cache::STORE_FILE;
 use approxfpgas::{CachedCharacterization, CharacterizationCache, Flow, FlowConfig, FlowOutcome};
-
-/// Median-of-runs wall time of `f`, in microseconds.
-fn time_us(iters: u32, runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t.elapsed().as_secs_f64() * 1e6 / iters as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| afp_ord::asc(*a, *b));
-    samples[samples.len() / 2]
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("afp-bench-store-{tag}-{}", std::process::id()));

@@ -13,6 +13,7 @@ pub mod render;
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use afp_circuits::{ArithKind, LibrarySpec};
 
@@ -186,6 +187,48 @@ pub fn human_time(seconds: f64) -> String {
     }
 }
 
+/// Median-of-`runs` wall time of `iters` back-to-back calls of `f`, in
+/// microseconds per call.
+pub fn time_us(iters: u32, runs: usize, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..runs)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t.elapsed().as_secs_f64() * 1e6 / iters as f64
+        })
+        .collect();
+    samples.sort_by(|a, b| afp_ord::asc(*a, *b));
+    samples[samples.len() / 2]
+}
+
+/// Read the unsigned field `key` of section `section` out of a flat
+/// `afp serve` `/stats` JSON document, without a JSON parser.
+///
+/// # Panics
+///
+/// Panics naming `section.key` when the section or the key is missing,
+/// appears more than once, or holds no unsigned integer — a renamed or
+/// duplicated key must fail loudly rather than read as 0.
+pub fn stat_u64(stats: &str, section: &str, key: &str) -> u64 {
+    let unique = |hay: &str, needle: &str| -> usize {
+        let mut hits = hay.match_indices(needle).map(|(at, _)| at);
+        match (hits.next(), hits.next()) {
+            (Some(at), None) => at + needle.len(),
+            (None, _) => panic!("/stats has no {section}.{key}: {stats}"),
+            (Some(_), Some(_)) => panic!("/stats {section}.{key} is ambiguous: {stats}"),
+        }
+    };
+    let body = &stats[unique(stats, &format!("\"{section}\":{{"))..];
+    let body = &body[..body.find('}').unwrap_or(body.len())];
+    let value = &body[unique(body, &format!("\"{key}\":"))..];
+    let digits: String = value.chars().take_while(char::is_ascii_digit).collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("/stats {section}.{key} is not an unsigned integer: {stats}"))
+}
+
 /// Check that `path` exists and is non-empty (used by integration tests).
 pub fn assert_csv_written(path: &Path) {
     let meta = std::fs::metadata(path).expect("csv exists");
@@ -203,6 +246,45 @@ mod tests {
         assert!(q.mul8 < p.mul8);
         assert_eq!(p.mul8, 4494, "the paper's 8x8 multiplier count");
         assert_eq!(p.all_specs().len(), 6);
+    }
+
+    const STATS: &str = "{\"version\":1,\"stages\":[],\"serve\":{\"requests_served\":7},\
+        \"estimate\":{\"model_cache_hits\":3},\"cache\":{\"hits\":5,\"misses\":2},\
+        \"runtime\":{\"asic_synths\":4}}";
+
+    #[test]
+    fn stat_u64_reads_section_qualified_keys() {
+        assert_eq!(stat_u64(STATS, "cache", "hits"), 5);
+        assert_eq!(stat_u64(STATS, "estimate", "model_cache_hits"), 3);
+        assert_eq!(stat_u64(STATS, "runtime", "asic_synths"), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "/stats has no cache.entries")]
+    fn stat_u64_panics_on_a_missing_key() {
+        stat_u64(STATS, "cache", "entries");
+    }
+
+    #[test]
+    #[should_panic(expected = "/stats has no serve.asic_synths")]
+    fn stat_u64_does_not_fall_through_to_another_section() {
+        stat_u64(STATS, "serve", "asic_synths");
+    }
+
+    #[test]
+    #[should_panic(expected = "/stats cache.hits is ambiguous")]
+    fn stat_u64_panics_on_an_ambiguous_key() {
+        stat_u64("{\"cache\":{\"hits\":1,\"hits\":2}}", "cache", "hits");
+    }
+
+    #[test]
+    #[should_panic(expected = "/stats runtime.asic_synths is ambiguous")]
+    fn stat_u64_panics_on_a_duplicated_section() {
+        stat_u64(
+            &format!("{STATS},\"runtime\":{{}}"),
+            "runtime",
+            "asic_synths",
+        );
     }
 
     #[test]

@@ -339,8 +339,7 @@ mod tests {
     #[test]
     fn key_pins_every_fpga_field_that_affects_reports() {
         // The power model simulates with `activity_passes` random passes
-        // from `seed`, and `prune_dominated` changes which cuts the mapper
-        // keeps — all three must be part of the content key, or stale
+        // from `seed` — both must be part of the content key, or stale
         // entries would be served after a config change.
         let a = adders::loa(8, 3);
         let asic = afp_asic::AsicConfig::default();
@@ -353,10 +352,27 @@ mod tests {
         let mut seed = base.clone();
         seed.seed ^= 1;
         assert_ne!(k(&base), k(&seed), "seed must change the key");
-        let mut pruned = base.clone();
-        pruned.prune_dominated = !base.prune_dominated;
-        assert_ne!(k(&base), k(&pruned), "prune_dominated must change the key");
         assert_eq!(k(&base), k(&base.clone()), "key is deterministic");
+    }
+
+    #[test]
+    fn default_config_key_is_pinned() {
+        // Keys address persisted store records: any change to what the
+        // fingerprints write (field order, a retired slot) orphans every
+        // existing cache, so the default-config key is a literal.
+        let key = CharacterizationCache::key(
+            &adders::loa(8, 3),
+            &afp_asic::AsicConfig::default(),
+            &afp_fpga::FpgaConfig::default(),
+            &afp_error::ErrorConfig::default(),
+        );
+        assert_eq!(
+            key,
+            Key128 {
+                hi: 0xe845_8e38_b090_11a5,
+                lo: 0xb71b_b687_9ca6_c561,
+            }
+        );
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! coverage. The JSON schema is stable by construction — fields are
 //! emitted in fixed builder order — so goldens can compare documents
 //! byte-for-byte after [`normalized`] strips the nondeterministic
-//! surfaces (wall-clock timings and the scheduling-dependent `steals`
-//! and `mapper_reuses` counters).
+//! surfaces (wall-clock timings and the counters the registry marks
+//! unstable). Counter fields come from the [`COUNTERS`] registry through
+//! [`counter_section`], never from hand-written field lists.
 
 use afp_obs::{Recorder, RunReport, Section, Value};
+use afp_runtime::{CounterSnapshot, ReportSection, COUNTERS};
 
 use crate::flow::{FlowConfig, FlowOutcome};
 use crate::record::FpgaParam;
@@ -29,9 +31,8 @@ fn param_key(param: FpgaParam) -> &'static str {
 /// Sections, in order: `flow` (what ran), `target` (which device profile
 /// the FPGA ground truth was synthesized for), `time` (the paper's
 /// exploration-time accounting; undefined ratios are `null`), `runtime`
-/// (scheduler/synthesis counters; `steals` and `mapper_reuses` are the
-/// schedule-dependent fields), `cache` (hit/miss totals, hit rate and
-/// dropped disk writes),
+/// (the registry's scheduler/synthesis counters, see [`counter_section`]),
+/// `cache` (hit/miss totals, hit rate and dropped disk writes),
 /// `quarantine` (non-finite estimate defenses from the robustness
 /// harness) and `coverage` (per-parameter pareto coverage plus the
 /// mean).
@@ -83,25 +84,7 @@ pub fn run_report(config: &FlowConfig, outcome: &FlowOutcome, recorder: &Recorde
             .field("synth_reduction", Value::ratio(time.synth_reduction())),
     );
     let rt = &outcome.runtime;
-    report.push_section(
-        Section::new("runtime")
-            .field("tasks_executed", Value::UInt(rt.tasks_executed))
-            .field("steals", Value::UInt(rt.steals))
-            .field("asic_synths", Value::UInt(rt.asic_synths))
-            .field("fpga_synths", Value::UInt(rt.fpga_synths))
-            .field("error_analyses", Value::UInt(rt.error_analyses))
-            .field("mapper_reuses", Value::UInt(rt.mapper_reuses))
-            .field("sim_tape_reuses", Value::UInt(rt.sim_tape_reuses))
-            .field(
-                "structural_dedup_hits",
-                Value::UInt(rt.structural_dedup_hits),
-            )
-            .field("shards_streamed", Value::UInt(rt.shards_streamed))
-            .field(
-                "peak_resident_circuits",
-                Value::UInt(rt.peak_resident_circuits),
-            ),
-    );
+    report.push_section(counter_section(ReportSection::Runtime, rt));
     let lookups = rt.cache_hits + rt.cache_misses;
     let hit_rate = if lookups > 0 {
         Some(rt.cache_hits as f64 / lookups as f64)
@@ -142,22 +125,32 @@ pub fn run_report(config: &FlowConfig, outcome: &FlowOutcome, recorder: &Recorde
     report
 }
 
+/// The fields of one report section that come straight from the counter
+/// registry: every [`COUNTERS`] row tagged `section`, in table order, keyed
+/// by counter name. The `runtime` section of both the run report and
+/// `afp serve`'s `/stats` is exactly this; the `serve` and `estimate`
+/// sections of `/stats` start with it and append derived values.
+pub fn counter_section(section: ReportSection, snapshot: &CounterSnapshot) -> Section {
+    snapshot
+        .rows()
+        .filter(|(row, _)| row.section == section)
+        .fold(Section::new(section.name()), |s, (row, value)| {
+            s.field(row.name, Value::UInt(value))
+        })
+}
+
 /// Strip the run-to-run unstable surfaces from a report — wall-clock
-/// stage timings, the two scheduling-dependent counters (`steals`, and
-/// `mapper_reuses`, which depends on how work-stealing distributed
-/// circuits over per-worker mapper arenas), and the two
-/// execution-shape counters (`shards_streamed` and
-/// `peak_resident_circuits`, which depend on shard size and on whether
-/// the library was streamed or resident, not on what was computed) —
-/// leaving a document that is byte-identical across repeated runs,
-/// thread counts, shard sizes and library sources. This is what the
-/// schema goldens and CI diffs compare.
+/// stage timings and every counter the registry marks unstable (its
+/// value depends on scheduling, shard size, or whether the library was
+/// streamed or resident, not on what was computed) — leaving a document
+/// that is byte-identical across repeated runs, thread counts, shard
+/// sizes and library sources. This is what the schema goldens and CI
+/// diffs compare.
 pub fn normalized(report: &RunReport) -> RunReport {
     let mut out = report.normalized();
-    out.set_field("runtime", "steals", Value::UInt(0));
-    out.set_field("runtime", "mapper_reuses", Value::UInt(0));
-    out.set_field("runtime", "shards_streamed", Value::UInt(0));
-    out.set_field("runtime", "peak_resident_circuits", Value::UInt(0));
+    for row in COUNTERS.iter().filter(|row| row.unstable) {
+        out.set_field(row.section.name(), row.name, Value::UInt(0));
+    }
     // Error strings embed host-specific paths; only presence is stable.
     out.set_field("cache", "last_write_error", Value::Null);
     out
@@ -199,12 +192,59 @@ mod tests {
                 "coverage"
             ]
         );
+        // The registry's `runtime` rows, in the schema's historical order
+        // (`afp serve`'s `/stats` pins the same list).
+        let runtime: Vec<&str> = report.sections[3]
+            .fields
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        assert_eq!(
+            runtime,
+            [
+                "tasks_executed",
+                "steals",
+                "asic_synths",
+                "fpga_synths",
+                "error_analyses",
+                "mapper_reuses",
+                "sim_tape_reuses",
+                "structural_dedup_hits",
+                "shards_streamed",
+                "peak_resident_circuits"
+            ]
+        );
         let json = report.to_json();
         assert!(json.contains("\"quarantine\":{\"estimates_quarantined\":0"));
         assert!(json.contains("\"coverage\":{\"latency\":"));
         assert!(
             json.contains("\"target\":{\"name\":\"lut6-7series\",\"lut_inputs\":6"),
             "{json}"
+        );
+    }
+
+    #[test]
+    fn normalized_zeroes_exactly_the_unstable_counters() {
+        let mut report = RunReport::new();
+        let mut runtime = counter_section(ReportSection::Runtime, &CounterSnapshot::default());
+        for (_, value) in &mut runtime.fields {
+            *value = Value::UInt(1);
+        }
+        report.push_section(runtime);
+        let zeroed: Vec<String> = normalized(&report).sections[0]
+            .fields
+            .iter()
+            .filter(|(_, value)| *value == Value::UInt(0))
+            .map(|(key, _)| key.clone())
+            .collect();
+        assert_eq!(
+            zeroed,
+            [
+                "steals",
+                "mapper_reuses",
+                "shards_streamed",
+                "peak_resident_circuits"
+            ]
         );
     }
 

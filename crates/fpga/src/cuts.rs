@@ -13,11 +13,10 @@
 //! cheap (see DESIGN.md "Cut engine"):
 //!
 //! * every cut carries a 64-bit **leaf signature** (bit `leaf % 64`), so
-//!   an infeasible merge (`popcount(sigA | sigB) > K`) or a non-subset
-//!   pair is rejected in O(1) before any leaf array is touched;
-//! * **dominance pruning** drops any candidate whose leaf set is a
-//!   superset of another candidate's — the dominated cut can never beat
-//!   the dominating one on depth or area flow.
+//!   an infeasible merge (`popcount(sigA | sigB) > K`) is rejected in
+//!   O(1) before any leaf array is touched;
+//! * **duplicate pruning** drops any candidate whose leaf set equals a
+//!   kept cut's, with the signature as an O(1) prefilter.
 
 use afp_netlist::Netlist;
 
@@ -62,32 +61,6 @@ impl Cut {
     /// infeasible (the true union is at least as large).
     pub fn signature(&self) -> u64 {
         self.sig
-    }
-
-    /// True when `self`'s leaf set is a subset of (or equal to) `other`'s.
-    /// `self` then *dominates* `other`: any LUT realizable from `other`'s
-    /// leaves is realizable from `self`'s, at depth/area-flow no worse.
-    pub(crate) fn subsumes(&self, other: &Cut) -> bool {
-        if self.len > other.len || self.sig & !other.sig != 0 {
-            return false;
-        }
-        // Both leaf sets are sorted: one linear scan.
-        let (a, b) = (self.leaves(), other.leaves());
-        let mut j = 0usize;
-        'outer: for &x in a {
-            while j < b.len() {
-                match b[j].cmp(&x) {
-                    std::cmp::Ordering::Less => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        j += 1;
-                        continue 'outer;
-                    }
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-            return false;
-        }
-        true
     }
 
     /// Merge two sorted leaf sets; `None` if the union exceeds `k`.
@@ -293,21 +266,6 @@ mod tests {
         assert_eq!(a.signature(), sig_bit(3));
         let b = Cut::merge(&a, &Cut::trivial(10, 0, 0.0), 6).unwrap();
         assert_eq!(b.signature(), sig_bit(3) | sig_bit(10));
-    }
-
-    #[test]
-    fn subsumes_is_subset_of_leaves() {
-        let ab = Cut::merge(&Cut::trivial(1, 0, 0.0), &Cut::trivial(2, 0, 0.0), 6).unwrap();
-        let abc = Cut::merge(&ab, &Cut::trivial(3, 0, 0.0), 6).unwrap();
-        assert!(ab.subsumes(&abc));
-        assert!(ab.subsumes(&ab));
-        assert!(!abc.subsumes(&ab));
-        // Signature-equal but not subset: 3 vs 67 (collide mod 64).
-        let x = Cut::trivial(3, 0, 0.0);
-        let y = Cut::trivial(67, 0, 0.0);
-        assert_eq!(x.signature(), y.signature());
-        assert!(!x.subsumes(&y));
-        assert!(!y.subsumes(&x));
     }
 
     #[test]

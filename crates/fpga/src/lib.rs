@@ -103,17 +103,6 @@ pub struct FpgaConfig {
     /// Real P&R outcomes vary with netlist hash-like details; the jitter
     /// makes the ML estimation task realistically noisy.
     pub pnr_jitter: f64,
-    /// Prune candidate cuts whose leaf set is a *proper superset* of a
-    /// kept cut's during enumeration.
-    ///
-    /// Dominated cuts can never improve a node's best depth or area flow,
-    /// so pruning them preserves LUT count, depth and synthesis time —
-    /// but evicting them admits other cuts into the bounded keep window,
-    /// which can flip area-recovery tie-breaks and perturb delay/power in
-    /// the last few percent (see DESIGN.md "Cut engine"). The default
-    /// `false` keeps reports bit-identical to the historical mapper;
-    /// equal-leaf-set (mutual-dominance) pruning is always on.
-    pub prune_dominated: bool,
     /// Identity of the device profile this configuration targets (a
     /// [`target::REGISTRY`] name for registry profiles, or any caller
     /// label for hand-built configurations).
@@ -134,7 +123,6 @@ impl Default for FpgaConfig {
             activity_passes: 32,
             seed: 0xF96A,
             pnr_jitter: 0.08,
-            prune_dominated: false,
             target: target::DEFAULT_TARGET.to_string(),
         }
     }
@@ -185,7 +173,9 @@ impl afp_runtime::Fingerprint for FpgaConfig {
         h.write_usize(self.activity_passes);
         h.write_u64(self.seed);
         h.write_f64(self.pnr_jitter);
-        h.write_u64(self.prune_dominated as u64);
+        // Retired dominance-pruning flag: always off, kept in the key so
+        // every persisted characterization key stays valid.
+        h.write_u64(0);
         h.write_str(&self.target);
     }
 }

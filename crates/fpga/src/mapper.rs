@@ -30,7 +30,7 @@ pub struct MapperStats {
     pub cuts_merged: u64,
     /// Merges rejected in O(1) by the signature popcount filter.
     pub cuts_sig_rejected: u64,
-    /// Candidate cuts dropped by dominance (superset-of-kept) pruning.
+    /// Candidate cuts dropped because an equal leaf set was already kept.
     pub cuts_dominance_pruned: u64,
     /// Calls that reused an already-initialized mapper's buffers.
     pub mapper_reuses: u64,
@@ -75,7 +75,6 @@ pub struct Mapper {
     fanout: Vec<u32>,
     /// Sorted bounded keep-window of the node currently being enumerated.
     window: Vec<Cut>,
-    prune_dominated: bool,
     // --- cover selection ---
     required: Vec<u32>,
     needed: Vec<bool>,
@@ -109,14 +108,6 @@ impl Mapper {
     /// Drain the accumulated counters, resetting them to zero.
     pub fn take_stats(&mut self) -> MapperStats {
         std::mem::take(&mut self.stats)
-    }
-
-    /// Enable/disable proper-superset dominance pruning for direct
-    /// [`Mapper::enumerate`] calls. [`Mapper::synthesize`] and
-    /// [`Mapper::map_luts`] take the setting from
-    /// [`FpgaConfig::prune_dominated`] instead.
-    pub fn set_prune_dominated(&mut self, on: bool) {
-        self.prune_dominated = on;
     }
 
     /// Full synthesis: map `netlist` onto LUTs and evaluate the packing,
@@ -202,7 +193,6 @@ impl Mapper {
 
     /// Enumerate + select + materialize; returns the mapped depth.
     fn cover(&mut self, netlist: &Netlist, config: &FpgaConfig) -> u32 {
-        self.prune_dominated = config.prune_dominated;
         self.enumerate_into(netlist, config.arch.lut_inputs, config.cuts_per_node);
         let (target, fallback_used) = self.select_cover(netlist);
         let depth = self.materialize(netlist);
@@ -269,13 +259,7 @@ impl Mapper {
                     for ia in o0..o0 + l0 {
                         let mut cut = self.arena[ia as usize].clone();
                         score(&mut cut, &self.best_depth, &self.best_area_flow, fo);
-                        insert_window(
-                            &mut self.window,
-                            cut,
-                            keep,
-                            self.prune_dominated,
-                            &mut self.stats,
-                        );
+                        insert_window(&mut self.window, cut, keep, &mut self.stats);
                     }
                 }
                 2 => {
@@ -298,13 +282,7 @@ impl Mapper {
                                 &self.best_area_flow,
                                 fo,
                             ) {
-                                insert_window(
-                                    &mut self.window,
-                                    cut,
-                                    keep,
-                                    self.prune_dominated,
-                                    &mut self.stats,
-                                );
+                                insert_window(&mut self.window, cut, keep, &mut self.stats);
                             }
                         }
                     }
@@ -340,13 +318,7 @@ impl Mapper {
                                     &self.best_area_flow,
                                     fo,
                                 ) {
-                                    insert_window(
-                                        &mut self.window,
-                                        cut,
-                                        keep,
-                                        self.prune_dominated,
-                                        &mut self.stats,
-                                    );
+                                    insert_window(&mut self.window, cut, keep, &mut self.stats);
                                 }
                             }
                         }
@@ -642,54 +614,27 @@ fn merge_scored(
 /// deduplicating equal leaf sets and truncating to `keep` — the historical
 /// algorithm — because the window maximum is non-increasing once the
 /// window is full, so a cut rejected (or evicted) once can never have a
-/// later duplicate admitted. With `prune_dominated` the window also
-/// rejects proper supersets of kept cuts and evicts kept supersets of the
-/// newcomer.
-fn insert_window(
-    window: &mut Vec<Cut>,
-    cut: Cut,
-    keep: usize,
-    prune_dominated: bool,
-    stats: &mut MapperStats,
-) {
+/// later duplicate admitted.
+fn insert_window(window: &mut Vec<Cut>, cut: Cut, keep: usize, stats: &mut MapperStats) {
     let pos = window.partition_point(|x| cut_order(x, &cut) != std::cmp::Ordering::Greater);
     if pos >= keep {
         // Window full and the cut ranks at/after its end: drop it. (Any
-        // duplicate or dominated cut landing here is already accounted
-        // for by ranking alone.)
+        // duplicate landing here is already accounted for by ranking
+        // alone.)
         return;
     }
-    if prune_dominated {
-        for c in window.iter() {
-            if c.subsumes(&cut) {
-                stats.cuts_dominance_pruned += 1;
-                return;
-            }
+    // Equal leaf sets rank identically, so a duplicate of any kept cut is
+    // nearby in the window; the signature prefilter makes the scan cheap.
+    for c in window.iter() {
+        if c.sig == cut.sig && c.leaves() == cut.leaves() {
+            stats.cuts_dominance_pruned += 1;
+            return;
         }
-        let before = window.len();
-        window.retain(|c| !cut.subsumes(c));
-        stats.cuts_dominance_pruned += (before - window.len()) as u64;
-        // Evictions may have shifted the insertion point.
-        let pos = window.partition_point(|x| cut_order(x, &cut) != std::cmp::Ordering::Greater);
-        if window.len() == keep {
-            window.pop();
-        }
-        window.insert(pos, cut);
-    } else {
-        // Equal leaf sets rank identically, so a duplicate of any kept
-        // cut is nearby in the window; the signature prefilter makes the
-        // scan cheap.
-        for c in window.iter() {
-            if c.sig == cut.sig && c.leaves() == cut.leaves() {
-                stats.cuts_dominance_pruned += 1;
-                return;
-            }
-        }
-        if window.len() == keep {
-            window.pop();
-        }
-        window.insert(pos, cut);
     }
+    if window.len() == keep {
+        window.pop();
+    }
+    window.insert(pos, cut);
 }
 
 #[cfg(test)]
@@ -743,76 +688,15 @@ mod tests {
     }
 
     #[test]
-    fn dominated_candidates_are_pruned() {
-        // {1} dominates {1,2}: inserting the superset second must drop
-        // it, inserting it first must evict it. Give the subset a lower
-        // area flow so it ranks ahead of the superset either way.
-        let mut a = Cut::trivial(1, 0, 0.0);
-        let mut ab = Cut::merge(&Cut::trivial(1, 0, 0.0), &Cut::trivial(2, 0, 0.0), 6).unwrap();
-        a.depth = 1;
-        a.area_flow = 1.0;
-        ab.depth = 1;
-        ab.area_flow = 2.0;
-        let mut stats = MapperStats::default();
-        let mut window = Vec::new();
-        insert_window(&mut window, a.clone(), 8, true, &mut stats);
-        insert_window(&mut window, ab.clone(), 8, true, &mut stats);
-        assert_eq!(window.len(), 1);
-        assert_eq!(window[0].leaves(), &[1]);
-        let mut window = Vec::new();
-        insert_window(&mut window, ab, 8, true, &mut stats);
-        insert_window(&mut window, a, 8, true, &mut stats);
-        assert_eq!(window.len(), 1);
-        assert_eq!(window[0].leaves(), &[1]);
-        assert_eq!(stats.cuts_dominance_pruned, 2);
-    }
-
-    #[test]
-    fn duplicate_insertion_is_rejected_in_legacy_mode() {
+    fn duplicate_insertion_is_rejected() {
         let mut a = Cut::merge(&Cut::trivial(1, 0, 0.0), &Cut::trivial(2, 0, 0.0), 6).unwrap();
         a.depth = 1;
         a.area_flow = 1.0;
         let mut stats = MapperStats::default();
         let mut window = Vec::new();
-        insert_window(&mut window, a.clone(), 8, false, &mut stats);
-        insert_window(&mut window, a, 8, false, &mut stats);
+        insert_window(&mut window, a.clone(), 8, &mut stats);
+        insert_window(&mut window, a, 8, &mut stats);
         assert_eq!(window.len(), 1);
         assert_eq!(stats.cuts_dominance_pruned, 1);
-    }
-
-    #[test]
-    fn pruned_mode_never_worse_and_dominance_free() {
-        // Pruning dominated cuts frees window slots for otherwise
-        // truncated candidates, so per-node best depth can only improve
-        // (the subset of every dropped cut stays kept), and no kept cut
-        // may dominate another.
-        for nl in [
-            adders::carry_lookahead(16).into_netlist(),
-            multipliers::wallace_multiplier(8).into_netlist(),
-        ] {
-            let legacy = Mapper::new().enumerate(&nl, 6, 8);
-            let mut m = Mapper::new();
-            m.set_prune_dominated(true);
-            let pruned = m.enumerate(&nl, 6, 8);
-            assert!(m.stats().cuts_dominance_pruned > 0, "{}", nl.name());
-            for node in 0..nl.len() {
-                assert!(
-                    pruned.best_depth[node] <= legacy.best_depth[node],
-                    "{} node {node}: pruning worsened depth",
-                    nl.name()
-                );
-                let cuts = pruned.cuts(node);
-                let non_trivial = &cuts[..cuts.len() - 1];
-                for (i, a) in non_trivial.iter().enumerate() {
-                    for (j, b) in non_trivial.iter().enumerate() {
-                        assert!(
-                            i == j || !a.subsumes(b),
-                            "{} node {node}: kept cut dominates another",
-                            nl.name()
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -137,15 +137,14 @@ pub fn default_profile() -> &'static TargetProfile {
 impl TargetProfile {
     /// A fresh [`FpgaConfig`] for this target: profile architecture and
     /// clocking on top of the workspace defaults for everything else
-    /// (cut budget, activity passes, seed, pruning).
+    /// (cut budget, activity passes, seed).
     pub fn config(&self) -> FpgaConfig {
         self.apply(&FpgaConfig::default())
     }
 
     /// Retarget an existing configuration: replace the architecture,
     /// clock, jitter and target identity, keep every other knob
-    /// (`cuts_per_node`, `activity_passes`, `seed`, `prune_dominated`)
-    /// from `base`.
+    /// (`cuts_per_node`, `activity_passes`, `seed`) from `base`.
     pub fn apply(&self, base: &FpgaConfig) -> FpgaConfig {
         FpgaConfig {
             arch: self.arch,
@@ -208,7 +207,6 @@ mod tests {
         assert_eq!(p.cuts_per_node, d.cuts_per_node);
         assert_eq!(p.activity_passes, d.activity_passes);
         assert_eq!(p.seed, d.seed);
-        assert_eq!(p.prune_dominated, d.prune_dominated);
     }
 
     #[test]
@@ -217,7 +215,6 @@ mod tests {
             cuts_per_node: 12,
             activity_passes: 7,
             seed: 42,
-            prune_dominated: true,
             ..FpgaConfig::default()
         };
         let retargeted = named("lut4-ice40").unwrap().apply(&base);
@@ -226,7 +223,6 @@ mod tests {
         assert_eq!(retargeted.cuts_per_node, 12);
         assert_eq!(retargeted.activity_passes, 7);
         assert_eq!(retargeted.seed, 42);
-        assert!(retargeted.prune_dominated);
     }
 
     #[test]

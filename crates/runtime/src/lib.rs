@@ -15,9 +15,13 @@
 //!   persistent disk tier so repeated runs of the same characterization
 //!   skip recomputation across processes.
 //!
-//! Both report into shared [`Counters`] (tasks executed, steals, cache
-//! hits/misses, synthesis calls, simulated bytes) that the flow surfaces
-//! in its outcome and the `afp flow` CLI summary.
+//! Both report into shared [`Counters`]: relaxed atomics declared once,
+//! as rows of the [`COUNTERS`] registry. Each row names a counter, says
+//! whether it is a count or a high-water gauge ([`CounterKind`]), whether
+//! normalized reports zero it, and which [`ReportSection`] publishes it.
+//! [`CounterSnapshot`], its gauge-aware [`CounterSnapshot::since`] delta,
+//! the flow run report, `afp serve`'s `/stats` and normalization are all
+//! derived from that table.
 //!
 //! # Example
 //!
@@ -40,7 +44,7 @@ mod inflight;
 mod pool;
 
 pub use cache::MemoCache;
-pub use counters::{CounterSnapshot, Counters};
+pub use counters::{CounterKind, CounterRow, CounterSnapshot, Counters, ReportSection, COUNTERS};
 pub use hash::{Fingerprint, Key128, StableHasher};
 pub use inflight::Inflight;
 pub use pool::Runtime;

@@ -52,8 +52,9 @@ use std::time::Duration;
 use afp_circuits::{from_spec_ref, stream_library, ArithCircuit, ArithKind};
 use afp_ml::MlModelId;
 use afp_obs::{RunReport, Section, Value};
-use afp_runtime::{Counters, Inflight, Runtime};
+use afp_runtime::{Counters, Inflight, ReportSection, Runtime};
 use approxfpgas::record::{estimate_features, CharacterizeScratch};
+use approxfpgas::report::counter_section;
 use approxfpgas::{
     characterize_request, load_zoo, request_report, CharacterizationCache, FpgaParam,
     RequestConfig, SavedZoo,
@@ -1020,8 +1021,10 @@ fn characterize_batch(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-/// The `GET /stats` report: serve counters, cache state, and synthesis
-/// counts — the full Counters → RunReport → endpoint chain.
+/// The `GET /stats` report: serve counters, cache state, and the run
+/// report's `runtime` section — the full Counters → RunReport → endpoint
+/// chain. Counter fields come from the registry via [`counter_section`];
+/// derived values follow them.
 fn stats_report(shared: &Shared) -> RunReport {
     let snap = shared.rt.snapshot();
     let last_write_error = match shared.cache.last_write_error() {
@@ -1030,14 +1033,9 @@ fn stats_report(shared: &Shared) -> RunReport {
     };
     let mut report = RunReport::new();
     report.push_section(
-        Section::new("serve")
-            .field("requests_served", Value::UInt(snap.requests_served))
-            .field("requests_coalesced", Value::UInt(snap.requests_coalesced))
-            .field("queue_rejections", Value::UInt(snap.queue_rejections))
-            .field("inflight_peak", Value::UInt(snap.inflight_peak))
+        counter_section(ReportSection::Serve, &snap)
             .field("queue_depth", Value::UInt(shared.queue_depth as u64))
-            .field("threads", Value::UInt(shared.threads as u64))
-            .field("keepalive_reuses", Value::UInt(snap.keepalive_reuses)),
+            .field("threads", Value::UInt(shared.threads as u64)),
     );
     let model_targets = shared
         .zoos
@@ -1046,9 +1044,7 @@ fn stats_report(shared: &Shared) -> RunReport {
         .collect::<Vec<_>>()
         .join(",");
     report.push_section(
-        Section::new("estimate")
-            .field("estimates_served", Value::UInt(snap.estimates_served))
-            .field("model_cache_hits", Value::UInt(snap.model_cache_hits))
+        counter_section(ReportSection::Estimate, &snap)
             .field("models_loaded", Value::UInt(shared.zoos.len() as u64))
             .field(
                 "model_targets",
@@ -1068,12 +1064,7 @@ fn stats_report(shared: &Shared) -> RunReport {
             .field("write_errors", Value::UInt(snap.cache_write_errors))
             .field("last_write_error", last_write_error),
     );
-    report.push_section(
-        Section::new("runtime")
-            .field("asic_synths", Value::UInt(snap.asic_synths))
-            .field("fpga_synths", Value::UInt(snap.fpga_synths))
-            .field("error_analyses", Value::UInt(snap.error_analyses)),
-    );
+    report.push_section(counter_section(ReportSection::Runtime, &snap));
     report
 }
 
@@ -1110,6 +1101,23 @@ mod tests {
         let mut body = String::new();
         reader.read_to_string(&mut body).expect("body");
         (status, headers, body)
+    }
+
+    /// The keys of one flat section of a `/stats` document, in order.
+    fn section_keys(stats: &str, section: &str) -> Vec<String> {
+        let open = format!("\"{section}\":{{");
+        let start = stats.find(&open).expect("section present") + open.len();
+        let body = &stats[start..start + stats[start..].find('}').unwrap()];
+        body.split(',')
+            .map(|field| {
+                field
+                    .split(':')
+                    .next()
+                    .unwrap()
+                    .trim_matches('"')
+                    .to_string()
+            })
+            .collect()
     }
 
     fn get(addr: SocketAddr, target: &str) -> (u16, Vec<String>, String) {
@@ -1223,6 +1231,67 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("\"requests_served\":2"), "{body}");
         assert!(body.contains("\"asic_synths\":1"), "{body}");
+        // Every (section, key) pair earlier releases served stays served,
+        // and `runtime` is the run report's section, key for key.
+        let previous: [(&str, &[&str]); 4] = [
+            (
+                "serve",
+                &[
+                    "requests_served",
+                    "requests_coalesced",
+                    "queue_rejections",
+                    "inflight_peak",
+                    "queue_depth",
+                    "threads",
+                    "keepalive_reuses",
+                ],
+            ),
+            (
+                "estimate",
+                &[
+                    "estimates_served",
+                    "model_cache_hits",
+                    "models_loaded",
+                    "model_targets",
+                    "estimate_only",
+                ],
+            ),
+            (
+                "cache",
+                &[
+                    "hits",
+                    "misses",
+                    "entries",
+                    "write_errors",
+                    "last_write_error",
+                ],
+            ),
+            ("runtime", &["asic_synths", "fpga_synths", "error_analyses"]),
+        ];
+        for (section, keys) in previous {
+            let served = section_keys(&body, section);
+            for key in keys {
+                assert!(
+                    served.iter().any(|k| k == key),
+                    "/stats lost {section}.{key}: {body}"
+                );
+            }
+        }
+        assert_eq!(
+            section_keys(&body, "runtime"),
+            [
+                "tasks_executed",
+                "steals",
+                "asic_synths",
+                "fpga_synths",
+                "error_analyses",
+                "mapper_reuses",
+                "sim_tape_reuses",
+                "structural_dedup_hits",
+                "shards_streamed",
+                "peak_resident_circuits"
+            ]
+        );
 
         let (status, _, _) = get(addr, "/nope");
         assert_eq!(status, 404);
