@@ -20,19 +20,11 @@ impl Component {
         circuit.simplify();
         let fpga = synthesize_fpga(circuit.netlist(), fpga_config);
         let mult_table = if circuit.kind() == ArithKind::Multiplier && circuit.width() == 8 {
+            let pairs: Vec<(u64, u64)> = (0..256u64)
+                .flat_map(|a| (0..256u64).map(move |b| (a, b)))
+                .collect();
             let mut batch = BatchEvaluator::new(&circuit);
-            let mut table = Vec::with_capacity(65536);
-            let mut pairs = Vec::with_capacity(64);
-            for a in 0..256u64 {
-                for b in 0..256u64 {
-                    pairs.push((a, b));
-                    if pairs.len() == 64 {
-                        table.extend(batch.eval_chunk(&pairs).iter().map(|&v| v as u16));
-                        pairs.clear();
-                    }
-                }
-            }
-            Some(table)
+            Some(batch.eval_pairs(&pairs).iter().map(|&v| v as u16).collect())
         } else {
             None
         };

@@ -157,7 +157,7 @@ impl ArithCircuit {
     /// Evaluate the circuit behaviourally on one operand pair.
     ///
     /// For bulk evaluation use [`BatchEvaluator`], which amortizes the
-    /// simulator allocation and evaluates 64 pairs per pass.
+    /// tape compilation and evaluates [`LANES`] pairs per pass.
     ///
     /// # Panics
     ///
@@ -179,10 +179,12 @@ enum TapeRef<'c> {
 
 /// Bit-parallel batch evaluator for an [`ArithCircuit`].
 ///
-/// The circuit's netlist is compiled once into a [`SimTape`]; evaluation
-/// then runs either the scalar kernel (≤ 64 operand pairs per pass) or the
-/// wide kernel ([`LANES`] pairs per pass, autovectorized). Both produce
-/// identical results — [`BatchEvaluator::eval_pairs`] picks per chunk.
+/// The circuit's netlist is compiled once into a [`SimTape`]; every
+/// evaluation then runs the wide kernel, [`LANES`] pairs per pass.
+/// Operands are packed into, and results extracted from, the lane-major
+/// simulation words through field-wise bit transposes
+/// ([`afp_netlist::transpose`]) at the narrowest field width that holds
+/// the operand bits and the output bits respectively.
 ///
 /// # Example
 ///
@@ -201,14 +203,10 @@ pub struct BatchEvaluator<'c> {
     tape: TapeRef<'c>,
     /// Net indices of the primary outputs, LSB-first.
     outputs: Vec<usize>,
-    // Scalar (≤ 64 lane) buffers.
-    words: Vec<u64>,
+    /// One `[u64; LANE_WORDS]` block per primary input.
+    inputs: Vec<u64>,
+    /// One `[u64; LANE_WORDS]` block per net, written by the tape.
     values: Vec<u64>,
-    out_words: Vec<u64>,
-    // Wide ([`LANES`] lane) buffers, kept separate so alternating between
-    // the two kernels never thrashes a shared allocation.
-    wide_words: Vec<u64>,
-    wide_values: Vec<u64>,
 }
 
 /// Periodic input-word patterns for exhaustive enumeration: bit `l` of
@@ -262,83 +260,57 @@ impl<'c> BatchEvaluator<'c> {
             outputs.len() <= 64,
             "batch evaluation supports at most 64 output bits"
         );
-        let num_inputs = circuit.netlist().num_inputs();
         BatchEvaluator {
             circuit,
             tape,
-            words: vec![0u64; num_inputs],
+            inputs: vec![0u64; circuit.netlist().num_inputs() * LANE_WORDS],
             values: Vec::new(),
-            out_words: vec![0u64; outputs.len()],
-            wide_words: vec![0u64; num_inputs * LANE_WORDS],
-            wide_values: Vec::new(),
             outputs,
         }
     }
 
-    /// Evaluate a chunk of at most 64 operand pairs in one scalar pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs.len() > 64`, or if an operand is out of range.
-    pub fn eval_chunk(&mut self, pairs: &[(u64, u64)]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(pairs.len());
-        self.eval_chunk_into(pairs, &mut out);
-        out
-    }
-
-    /// Like [`BatchEvaluator::eval_chunk`], but appends the results into a
-    /// caller-provided buffer — the whole evaluation is then allocation-free
-    /// once the evaluator is warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs.len() > 64`, or if an operand is out of range.
-    pub fn eval_chunk_into(&mut self, pairs: &[(u64, u64)], out: &mut Vec<u64>) {
-        assert!(pairs.len() <= 64, "a chunk is at most 64 lanes");
-        let w = self.circuit.width();
-        self.words.fill(0);
-        for (lane, &(a, b)) in pairs.iter().enumerate() {
-            afp_netlist::pack_operand(&mut self.words, 0, w, lane, a);
-            afp_netlist::pack_operand(&mut self.words, w, w, lane, b);
-        }
-        let tape = match &self.tape {
-            TapeRef::Owned(t) => t,
-            TapeRef::Shared(t) => t,
-        };
-        tape.execute(&self.words, &mut self.values);
-        for (slot, &o) in self.out_words.iter_mut().zip(&self.outputs) {
-            *slot = self.values[o];
-        }
-        out.extend((0..pairs.len()).map(|lane| afp_netlist::unpack_result(&self.out_words, lane)));
-    }
-
     /// Evaluate a block of at most [`LANES`] operand pairs in one wide
-    /// pass, appending one result per pair. Operand packing and result
-    /// extraction go through 64×64 bit transposes, so the per-pair
-    /// conversion cost is a handful of word operations rather than one
-    /// shift/mask chain per operand bit.
+    /// pass, appending one result per pair.
     ///
     /// # Panics
     ///
     /// Panics if `pairs.len() > LANES`.
     pub fn eval_block_into(&mut self, pairs: &[(u64, u64)], out: &mut Vec<u64>) {
         assert!(pairs.len() <= LANES, "a block is at most LANES lanes");
-        const W: usize = LANE_WORDS;
-        let w = self.circuit.width();
-        let mask = (1u64 << w) - 1;
-        for (j, group) in pairs.chunks(64).enumerate() {
-            // Lane-major matrix: row l = the pair's packed input word.
-            // After transposing, row o = simulation word of input o.
-            let mut m = [0u64; 64];
-            for (l, &(a, b)) in group.iter().enumerate() {
-                m[l] = (a & mask) | ((b & mask) << w);
-            }
-            afp_netlist::transpose64(&mut m);
-            for (o, &word) in m.iter().enumerate().take(2 * w) {
-                self.wide_words[o * W + j] = word;
-            }
+        match 2 * self.circuit.width() {
+            0..=16 => self.pack::<16>(pairs),
+            17..=32 => self.pack::<32>(pairs),
+            _ => self.pack::<64>(pairs),
         }
         self.exec_wide_and_unpack(pairs.len(), out);
+    }
+
+    /// Pack `pairs` into the input blocks through `F`-bit field
+    /// transposes (`2 * width <= F`): lane `l` of lane word `j` is row
+    /// `(j mod 64/F)·F + l mod F`, field `l / F` of the lane-major matrix,
+    /// and after transposing, row `(j mod 64/F)·F + o` is the simulation
+    /// word of input `o` for lane word `j`.
+    fn pack<const F: usize>(&mut self, pairs: &[(u64, u64)]) {
+        const W: usize = LANE_WORDS;
+        let words = 64 / F;
+        let w = self.circuit.width();
+        let mask = (1u64 << w) - 1;
+        for (t, group) in pairs.chunks(64 * words).enumerate() {
+            let mut m = [0u64; 64];
+            for (rows, lanes) in m.chunks_exact_mut(F).zip(group.chunks(64)) {
+                for (f, field) in lanes.chunks(F).enumerate() {
+                    for (row, &(a, b)) in rows.iter_mut().zip(field) {
+                        *row |= ((a & mask) | ((b & mask) << w)) << (f * F);
+                    }
+                }
+            }
+            afp_netlist::transpose::<F>(&mut m);
+            for g in 0..group.len().div_ceil(64) {
+                for o in 0..2 * w {
+                    self.inputs[o * W + t * words + g] = m[g * F + o];
+                }
+            }
+        }
     }
 
     /// Evaluate `n` consecutive pairs of the exhaustive enumeration
@@ -362,7 +334,7 @@ impl<'c> BatchEvaluator<'c> {
                 // the high w index bits, operand b the low w.
                 let q = if o < w { w + o } else { o - w };
                 for j in 0..W {
-                    self.wide_words[o * W + j] = if q < 6 {
+                    self.inputs[o * W + j] = if q < 6 {
                         EXHAUSTIVE_PAT[q]
                     } else {
                         let base = start + (j * 64) as u64;
@@ -373,50 +345,64 @@ impl<'c> BatchEvaluator<'c> {
         } else {
             for l in 0..n {
                 let p = start + l as u64;
-                afp_netlist::pack_operand_wide(&mut self.wide_words, 0, w, l, p >> w);
-                afp_netlist::pack_operand_wide(&mut self.wide_words, w, w, l, p & mask);
+                afp_netlist::pack_operand_wide(&mut self.inputs, 0, w, l, p >> w);
+                afp_netlist::pack_operand_wide(&mut self.inputs, w, w, l, p & mask);
             }
         }
         self.exec_wide_and_unpack(n, out);
     }
 
-    /// Run the wide kernel over the packed `wide_words` and append the
-    /// first `n` lane results to `out` via transpose extraction.
+    /// Run the wide kernel over the packed input blocks and append the
+    /// first `n` lane results to `out`, extracted through the narrowest
+    /// field transpose that holds the output width.
     fn exec_wide_and_unpack(&mut self, n: usize, out: &mut Vec<u64>) {
-        const W: usize = LANE_WORDS;
         let tape = match &self.tape {
             TapeRef::Owned(t) => t,
             TapeRef::Shared(t) => t,
         };
-        tape.execute_wide(&self.wide_words, &mut self.wide_values);
-        let mut j = 0;
-        let mut done = 0;
-        while done < n {
-            // Row b = simulation word of output bit b for lane word j;
-            // after transposing, row l = the integer result of lane l.
-            let mut m = [0u64; 64];
-            for (b, &o) in self.outputs.iter().enumerate() {
-                m[b] = self.wide_values[o * W + j];
-            }
-            afp_netlist::transpose64(&mut m);
-            let lanes = (n - done).min(64);
-            out.extend_from_slice(&m[..lanes]);
-            j += 1;
-            done += lanes;
+        tape.execute_wide(&self.inputs, &mut self.values);
+        match self.outputs.len() {
+            0..=16 => self.unpack::<16>(n, out),
+            17..=32 => self.unpack::<32>(n, out),
+            _ => self.unpack::<64>(n, out),
         }
     }
 
-    /// Evaluate any number of operand pairs, chunking internally: blocks
-    /// of [`LANES`] pairs run the wide kernel, a short tail (≤ 64 pairs)
-    /// runs the scalar kernel.
+    /// The inverse of [`BatchEvaluator::pack`] on the output nets
+    /// (`outputs.len() <= F`): row `g·F + b` holds output bit `b` of lane
+    /// word `j + g`; after transposing, field `l / F` of row `g·F + l mod F`
+    /// is the integer result of lane `l`.
+    fn unpack<const F: usize>(&self, n: usize, out: &mut Vec<u64>) {
+        const W: usize = LANE_WORDS;
+        let words = 64 / F;
+        let field = u64::MAX >> (64 - F);
+        let mut j = 0;
+        let mut done = 0;
+        while done < n {
+            let mut m = [0u64; 64];
+            for g in 0..words {
+                for (b, &o) in self.outputs.iter().enumerate() {
+                    m[g * F + b] = self.values[o * W + j + g];
+                }
+            }
+            afp_netlist::transpose::<F>(&mut m);
+            for rows in m.chunks_exact(F) {
+                let lanes = (n - done).min(64);
+                for f in 0..words {
+                    let take = lanes.saturating_sub(f * F).min(F);
+                    out.extend(rows[..take].iter().map(|&r| (r >> (f * F)) & field));
+                }
+                done += lanes;
+            }
+            j += words;
+        }
+    }
+
+    /// Evaluate any number of operand pairs, [`LANES`] per wide pass.
     pub fn eval_pairs(&mut self, pairs: &[(u64, u64)]) -> Vec<u64> {
         let mut out = Vec::with_capacity(pairs.len());
         for chunk in pairs.chunks(LANES) {
-            if chunk.len() <= 64 {
-                self.eval_chunk_into(chunk, &mut out);
-            } else {
-                self.eval_block_into(chunk, &mut out);
-            }
+            self.eval_block_into(chunk, &mut out);
         }
         out
     }
@@ -512,19 +498,36 @@ mod tests {
     }
 
     #[test]
-    fn wide_block_matches_scalar_chunks() {
-        let c = crate::adders::ripple_carry(6);
-        let pairs: Vec<(u64, u64)> = (0..300).map(|i| ((i * 31) % 64, (i * 17) % 64)).collect();
-        let mut batch = BatchEvaluator::new(&c);
-        let mut wide = Vec::new();
-        batch.eval_block_into(&pairs, &mut wide);
-        let mut scalar = Vec::new();
-        for chunk in pairs.chunks(64) {
-            batch.eval_chunk_into(chunk, &mut scalar);
-        }
-        assert_eq!(wide, scalar);
-        for (i, &(a, b)) in pairs.iter().enumerate() {
-            assert_eq!(wide[i], a + b, "pair {i}");
+    fn every_field_width_round_trips_operands_and_results() {
+        // Operand bits (2w) and output bits pick the field widths: add6
+        // packs and unpacks at F=16, add16 (17 outputs) and mul16 (32,
+        // the F=32 limit) at F=32, add32 (64 operand bits, 33 outputs)
+        // at F=64. Block sizes straddle the 64-lane word and the
+        // transpose-group boundaries.
+        let circuits = [
+            crate::adders::ripple_carry(6),
+            crate::adders::ripple_carry(16),
+            crate::adders::ripple_carry(32),
+            crate::multipliers::array_multiplier(16),
+        ];
+        for c in &circuits {
+            let w = c.width();
+            let mask = (1u64 << w) - 1;
+            let mut batch = BatchEvaluator::new(c);
+            for n in [1usize, 63, 64, 65, 200, 256, 300, LANES] {
+                let pairs: Vec<(u64, u64)> = (0..n as u64)
+                    .map(|i| {
+                        let v = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        (v & mask, (v >> 29) & mask)
+                    })
+                    .collect();
+                let mut got = Vec::new();
+                batch.eval_block_into(&pairs, &mut got);
+                assert_eq!(got.len(), n);
+                for (i, &(a, b)) in pairs.iter().enumerate() {
+                    assert_eq!(got[i], c.exact(a, b), "{} n={n} pair {i}", c.name());
+                }
+            }
         }
     }
 

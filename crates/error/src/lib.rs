@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use afp_circuits::{ArithCircuit, BatchEvaluator};
+use afp_circuits::{ArithCircuit, ArithKind, BatchEvaluator};
 use afp_netlist::{SimTape, LANES};
 use afp_runtime::{Counters, Runtime};
 
@@ -138,83 +138,97 @@ const BLOCK_PAIRS: usize = 4096;
 /// block order, so the metrics are bit-identical for any thread count.
 pub fn analyze_with(circuit: &ArithCircuit, config: &ErrorConfig, rt: &Runtime) -> ErrorMetrics {
     let w = circuit.width();
+    assert!(w <= 32, "operand width limited to 32 bits");
     let exhaustive = 2 * w <= config.max_exhaustive_bits;
-    let max_out = circuit.kind().max_output(w) as f64;
+    let kind = circuit.kind();
+    let mut total = Sums::<u128>::default();
+    // A block's squared error fits 64 bits while outputs are at most 16
+    // bits wide (2^15 pairs · 2^32 < 2^64); wider outputs sum in u128.
+    if kind.out_width(w) <= 16 {
+        for block in block_sums::<u64>(circuit, config, exhaustive, rt) {
+            block.merge_into(&mut total);
+        }
+    } else {
+        for block in block_sums::<u128>(circuit, config, exhaustive, rt) {
+            block.merge_into(&mut total);
+        }
+    }
+    total.finish(exhaustive, kind.max_output(w) as f64)
+}
+
+/// Evaluate every block of the input space (exhaustive or sampled) and
+/// return the per-block sums in block order.
+fn block_sums<S: BlockSum>(
+    circuit: &ArithCircuit,
+    config: &ErrorConfig,
+    exhaustive: bool,
+    rt: &Runtime,
+) -> Vec<Sums<S>> {
+    let w = circuit.width();
+    let kind = circuit.kind();
+    let mask = (1u64 << w) - 1;
     // Lower the netlist once; every block worker shares the same tape.
     let tape = SimTape::compile(circuit.netlist());
-    let partials: Vec<Accumulator> = if exhaustive {
-        let mask = (1u64 << w) - 1;
+    let finish_block = |sums: Sums<S>| {
+        Counters::add(&rt.counters().sim_tape_reuses, 1);
+        // 16 bytes of operand data per evaluated pair.
+        Counters::add(&rt.counters().bytes_simulated, sums.n * 16);
+        sums
+    };
+    // Per-worker buffers, reused across every block the worker evaluates.
+    let scratch = || {
+        (
+            BatchEvaluator::with_tape(circuit, &tape),
+            Vec::with_capacity(LANES),
+            Vec::with_capacity(LANES),
+        )
+    };
+    if exhaustive {
         // Blocks are ranges of `a` rows; each row is `mask + 1` pairs.
         let rows_per_block = (BLOCK_PAIRS >> w).max(1) as u64;
         let row_starts: Vec<u64> = (0..=mask).step_by(rows_per_block as usize).collect();
-        rt.par_map(&row_starts, |_, &a_start| {
+        rt.par_map_init(&row_starts, scratch, |(batch, got, exact), _, &a_start| {
             let a_end = (a_start + rows_per_block - 1).min(mask);
-            let mut acc = Accumulator::new(max_out);
-            let mut batch = BatchEvaluator::with_tape(circuit, &tape);
-            let mut got: Vec<u64> = Vec::with_capacity(LANES);
+            let mut sums = Sums::default();
             // The block's pairs are the consecutive pair indices
             // `a_start·2^w .. (a_end+1)·2^w` in the row-major order
-            // `p = (a << w) | b` — the same order the nested a/b loops
-            // used to push, so the accumulator state is unchanged.
-            let start = a_start << w;
+            // `p = (a << w) | b`.
             let end = (a_end + 1) << w;
-            let mut p = start;
+            let mut p = a_start << w;
             while p < end {
                 let n = ((end - p) as usize).min(LANES);
                 got.clear();
-                batch.eval_exhaustive_block_into(p, n, &mut got);
-                for (l, &g) in got.iter().enumerate() {
-                    let q = p + l as u64;
-                    acc.push(circuit.exact(q >> w, q & mask), g);
-                }
+                exact.clear();
+                batch.eval_exhaustive_block_into(p, n, got);
+                exact_into(kind, (p..p + n as u64).map(|q| (q >> w, q & mask)), exact);
+                sums.add(exact, got);
                 p += n as u64;
             }
-            Counters::add(&rt.counters().sim_tape_reuses, 1);
-            record_bytes(rt, &acc);
-            acc
+            finish_block(sums)
         })
     } else {
         let pairs = stratified_pairs(w, config.samples, config.seed);
         let blocks: Vec<&[(u64, u64)]> = pairs.chunks(BLOCK_PAIRS).collect();
-        rt.par_map(&blocks, |_, block| {
-            let mut acc = Accumulator::new(max_out);
-            let mut batch = BatchEvaluator::with_tape(circuit, &tape);
-            let mut got: Vec<u64> = Vec::with_capacity(LANES);
+        rt.par_map_init(&blocks, scratch, |(batch, got, exact), _, block| {
+            let mut sums = Sums::default();
             for chunk in block.chunks(LANES) {
-                accumulate(circuit, &mut batch, chunk, &mut got, &mut acc);
+                got.clear();
+                exact.clear();
+                batch.eval_block_into(chunk, got);
+                exact_into(kind, chunk.iter().copied(), exact);
+                sums.add(exact, got);
             }
-            Counters::add(&rt.counters().sim_tape_reuses, 1);
-            record_bytes(rt, &acc);
-            acc
+            finish_block(sums)
         })
-    };
-    let mut total = Accumulator::new(max_out);
-    for p in partials {
-        total.merge(&p);
     }
-    total.finish(exhaustive)
 }
 
-fn record_bytes(rt: &Runtime, acc: &Accumulator) {
-    // 16 bytes of operand data per evaluated pair.
-    Counters::add(&rt.counters().bytes_simulated, acc.n * 16);
-}
-
-fn accumulate(
-    circuit: &ArithCircuit,
-    batch: &mut BatchEvaluator<'_>,
-    pairs: &[(u64, u64)],
-    got: &mut Vec<u64>,
-    acc: &mut Accumulator,
-) {
-    got.clear();
-    if pairs.len() <= 64 {
-        batch.eval_chunk_into(pairs, got);
-    } else {
-        batch.eval_block_into(pairs, got);
-    }
-    for (&(a, b), &g) in pairs.iter().zip(got.iter()) {
-        acc.push(circuit.exact(a, b), g);
+/// Append the golden result of every in-range operand pair to `out`, with
+/// the kind dispatched once per slice rather than once per pair.
+fn exact_into(kind: ArithKind, pairs: impl Iterator<Item = (u64, u64)>, out: &mut Vec<u64>) {
+    match kind {
+        ArithKind::Adder => out.extend(pairs.map(|(a, b)| a + b)),
+        ArithKind::Multiplier => out.extend(pairs.map(|(a, b)| a * b)),
     }
 }
 
@@ -249,81 +263,129 @@ pub fn stratified_pairs(width: usize, samples: usize, seed: u64) -> Vec<(u64, u6
     pairs
 }
 
-/// Partial error sums over one block of input pairs.
+/// Integer type of a block's error sums: `u64` when the circuit's
+/// outputs are at most 16 bits wide, `u128` otherwise (and for the
+/// cross-block totals).
+trait BlockSum: Copy + Default + Send + std::ops::AddAssign + Into<u128> {
+    fn of(x: u64) -> Self;
+    /// `x²` for an absolute error `x` of the circuit being analyzed.
+    fn square(x: u64) -> Self;
+    /// `x as f64` for an error or exact value `x` of that circuit.
+    fn float(x: u64) -> f64;
+}
+
+// Only chosen for outputs of at most 16 bits, so every value is below
+// 2^16: squares fit, and the signed conversion (one instruction, where
+// the unsigned one takes a branch-free sequence) is the same number.
+impl BlockSum for u64 {
+    fn of(x: u64) -> u64 {
+        x
+    }
+
+    fn square(x: u64) -> u64 {
+        x * x
+    }
+
+    fn float(x: u64) -> f64 {
+        x as i64 as f64
+    }
+}
+
+impl BlockSum for u128 {
+    fn of(x: u64) -> u128 {
+        x as u128
+    }
+
+    fn square(x: u64) -> u128 {
+        (x as u128) * (x as u128)
+    }
+
+    fn float(x: u64) -> f64 {
+        x as f64
+    }
+}
+
+/// Error sums over one block of input pairs, or over all blocks.
 ///
-/// The absolute/signed/squared error sums are exact integers (`u128` /
-/// `i128`), so merging partial accumulators is associative and the final
-/// metrics do not depend on how the input space was partitioned. Only
-/// `sum_rel` is inherently fractional; it is merged in fixed block order,
-/// which keeps it deterministic for any thread count.
-struct Accumulator {
-    max_out: f64,
+/// The absolute and squared error sums are exact integers, and so is the
+/// signed sum, kept as the magnitude `sum_neg` of the negative errors
+/// (signed = `sum_abs − 2·sum_neg`). Merging is therefore associative and
+/// those metrics do not depend on how the input space was partitioned.
+/// Only `sum_rel` is inherently fractional; it is merged in fixed block
+/// order, which keeps it deterministic for any thread count.
+#[derive(Default)]
+struct Sums<S> {
     n: u64,
-    sum_abs: u128,
-    sum_signed: i128,
-    sum_sq: u128,
+    sum_abs: S,
+    sum_neg: S,
+    sum_sq: S,
     wce: u64,
     nonzero: u64,
     sum_rel: f64,
     rel_n: u64,
 }
 
-impl Accumulator {
-    fn new(max_out: f64) -> Accumulator {
-        Accumulator {
-            max_out,
-            n: 0,
-            sum_abs: 0,
-            sum_signed: 0,
-            sum_sq: 0,
-            wce: 0,
-            nonzero: 0,
-            sum_rel: 0.0,
-            rel_n: 0,
+impl<S: BlockSum> Sums<S> {
+    /// Accumulate one slice of pairs: `got[i]` against `exact[i]`.
+    ///
+    /// `sum_rel` only adds the terms with a non-zero error. That is
+    /// bit-exact against adding every `exact != 0` term: the sum starts at
+    /// `+0.0` and every term is `>= +0.0`, so adding a `+0.0` term never
+    /// changes its bits.
+    fn add(&mut self, exact: &[u64], got: &[u64]) {
+        let (mut sum_abs, mut sum_neg, mut sum_sq) = (S::default(), S::default(), S::default());
+        let (mut wce, mut nonzero, mut rel_n) = (self.wce, 0u64, 0u64);
+        let mut sum_rel = self.sum_rel;
+        for (&e, &g) in exact.iter().zip(got) {
+            let err = (g as i64).wrapping_sub(e as i64);
+            let abs = err.unsigned_abs();
+            sum_abs += S::of(abs);
+            sum_neg += S::of(if err < 0 { abs } else { 0 });
+            sum_sq += S::square(abs);
+            wce = wce.max(abs);
+            nonzero += (abs != 0) as u64;
+            rel_n += (e != 0) as u64;
+            if abs != 0 && e != 0 {
+                sum_rel += S::float(abs) / S::float(e);
+            }
         }
+        self.n += got.len() as u64;
+        self.sum_abs += sum_abs;
+        self.sum_neg += sum_neg;
+        self.sum_sq += sum_sq;
+        self.wce = wce;
+        self.nonzero += nonzero;
+        self.rel_n += rel_n;
+        self.sum_rel = sum_rel;
     }
 
-    fn push(&mut self, exact: u64, got: u64) {
-        let err = got as i64 - exact as i64;
-        let abs = err.unsigned_abs();
-        self.n += 1;
-        self.sum_abs += abs as u128;
-        self.sum_signed += err as i128;
-        self.sum_sq += (abs as u128) * (abs as u128);
-        self.wce = self.wce.max(abs);
-        if abs != 0 {
-            self.nonzero += 1;
-        }
-        if exact != 0 {
-            self.sum_rel += abs as f64 / exact as f64;
-            self.rel_n += 1;
-        }
+    fn merge_into(&self, total: &mut Sums<u128>) {
+        total.n += self.n;
+        total.sum_abs += self.sum_abs.into();
+        total.sum_neg += self.sum_neg.into();
+        total.sum_sq += self.sum_sq.into();
+        total.wce = total.wce.max(self.wce);
+        total.nonzero += self.nonzero;
+        total.sum_rel += self.sum_rel;
+        total.rel_n += self.rel_n;
     }
+}
 
-    fn merge(&mut self, other: &Accumulator) {
-        self.n += other.n;
-        self.sum_abs += other.sum_abs;
-        self.sum_signed += other.sum_signed;
-        self.sum_sq += other.sum_sq;
-        self.wce = self.wce.max(other.wce);
-        self.nonzero += other.nonzero;
-        self.sum_rel += other.sum_rel;
-        self.rel_n += other.rel_n;
-    }
-
-    fn finish(self, exhaustive: bool) -> ErrorMetrics {
+impl Sums<u128> {
+    fn finish(self, exhaustive: bool, max_out: f64) -> ErrorMetrics {
         let n = self.n.max(1) as f64;
+        let sum_signed = self.sum_abs as i128 - 2 * self.sum_neg as i128;
         ErrorMetrics {
             samples: self.n,
             exhaustive,
-            med: self.sum_abs as f64 / n / self.max_out,
+            med: self.sum_abs as f64 / n / max_out,
             mae: self.sum_abs as f64 / n,
             wce: self.wce,
-            wce_rel: self.wce as f64 / self.max_out,
+            wce_rel: self.wce as f64 / max_out,
             mre: self.sum_rel / self.rel_n.max(1) as f64,
             error_prob: self.nonzero as f64 / n,
             mse: self.sum_sq as f64 / n,
-            bias: self.sum_signed as f64 / n,
+            bias: sum_signed as f64 / n,
         }
     }
 }

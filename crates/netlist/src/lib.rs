@@ -53,6 +53,6 @@ mod sim;
 pub use gate::{Gate, GateKind};
 pub use netlist::{NetId, Netlist, NetlistError};
 pub use sim::{
-    eval_pass_reference, pack_operand, pack_operand_wide, transpose64, unpack_result,
-    unpack_result_wide, SimScratch, SimTape, Simulator, LANES, LANE_WORDS,
+    pack_operand, pack_operand_wide, transpose, unpack_result, unpack_result_wide, SimScratch,
+    SimTape, Simulator, LANES, LANE_WORDS,
 };

@@ -8,8 +8,8 @@
 //! lane blocks — `W = 1` reproduces the classic one-`u64`-per-net pass,
 //! `W =` [`LANE_WORDS`] evaluates [`LANES`] independent input vectors per
 //! pass with a branch-predictable, autovectorizable inner loop. Both
-//! widths produce bit-identical per-net values, and both are bit-identical
-//! to the legacy per-gate interpreter kept as [`eval_pass_reference`].
+//! widths produce bit-identical per-net values (the per-gate reference
+//! interpreter they are checked against lives in the test suite).
 
 use crate::gate::Gate;
 use crate::netlist::Netlist;
@@ -421,8 +421,7 @@ impl SimTape {
     }
 
     /// One 64-lane pass: `inputs` holds one word per primary input,
-    /// `values` is resized to one word per net. Bit-identical to
-    /// [`eval_pass_reference`].
+    /// `values` is resized to one word per net.
     #[inline]
     pub fn execute(&self, inputs: &[u64], values: &mut Vec<u64>) {
         self.exec::<1>(inputs, values);
@@ -560,8 +559,8 @@ impl SimScratch {
     ///
     /// Runs the wide kernel, [`LANE_WORDS`] passes per dispatch. Stimulus
     /// draw order and per-net ones-counting are pass-major exactly like a
-    /// pass-at-a-time loop over [`eval_pass_reference`], so the estimates
-    /// are bit-identical to the legacy kernel and to
+    /// pass-at-a-time loop over [`SimTape::execute`], so the estimates
+    /// are bit-identical to that loop and to
     /// [`Simulator::signal_probabilities`].
     pub fn signal_probabilities(
         &mut self,
@@ -610,57 +609,6 @@ impl SimScratch {
         let total = (total_passes * 64) as f64;
         out.clear();
         out.extend(self.ones.iter().map(|&o| o as f64 / total));
-    }
-}
-
-/// The legacy per-gate interpreter: one 64-lane pass evaluated by matching
-/// on [`Gate`] directly, with no tape compilation.
-///
-/// Kept as the differential reference for the tape kernel — the
-/// bit-identity property tests and the `sim_scaling` pre-rewrite baseline
-/// run this; every production path runs [`SimTape`].
-///
-/// # Panics
-///
-/// Panics if `input_words.len() != netlist.num_inputs()`.
-pub fn eval_pass_reference(netlist: &Netlist, input_words: &[u64], values: &mut Vec<u64>) {
-    assert_eq!(
-        input_words.len(),
-        netlist.num_inputs(),
-        "input word count must equal the number of primary inputs"
-    );
-    if values.len() != netlist.len() {
-        values.clear();
-        values.resize(netlist.len(), 0);
-    }
-    for (i, gate) in netlist.gates().iter().enumerate() {
-        let v = match *gate {
-            Gate::Input(ord) => input_words[ord as usize],
-            Gate::Const(c) => {
-                if c {
-                    u64::MAX
-                } else {
-                    0
-                }
-            }
-            Gate::Buf(a) => values[a.index()],
-            Gate::Not(a) => !values[a.index()],
-            Gate::And(a, b) => values[a.index()] & values[b.index()],
-            Gate::Or(a, b) => values[a.index()] | values[b.index()],
-            Gate::Xor(a, b) => values[a.index()] ^ values[b.index()],
-            Gate::Nand(a, b) => !(values[a.index()] & values[b.index()]),
-            Gate::Nor(a, b) => !(values[a.index()] | values[b.index()]),
-            Gate::Xnor(a, b) => !(values[a.index()] ^ values[b.index()]),
-            Gate::Mux(s, a, b) => {
-                let sv = values[s.index()];
-                (values[a.index()] & !sv) | (values[b.index()] & sv)
-            }
-            Gate::Maj(a, b, c) => {
-                let (av, bv, cv) = (values[a.index()], values[b.index()], values[c.index()]);
-                (av & bv) | (av & cv) | (bv & cv)
-            }
-        };
-        values[i] = v;
     }
 }
 
@@ -715,23 +663,36 @@ pub fn unpack_result_wide(output_blocks: &[u64], lane: usize) -> u64 {
     v
 }
 
-/// In-place 64×64 bit-matrix transpose: bit `j` of `a[i]` swaps with bit
-/// `i` of `a[j]` (the recursive block-swap algorithm, 6 rounds).
+/// In-place field-wise bit-matrix transpose: the 64 rows split into
+/// `64 / F` groups of `F` rows, each row into `64 / F` fields of `F` bits,
+/// and every `F`×`F` tile (one row group × one field) is transposed on its
+/// own — bit `f·F + c` of row `g·F + r` swaps with bit `f·F + r` of row
+/// `g·F + c`. `F = 64` is the plain 64×64 transpose. `F` must be 16, 32
+/// or 64.
 ///
 /// This is how batch evaluation converts between lane-major simulation
-/// words (one word per output bit, one lane per bit position) and
-/// value-major results (one word per lane) in ~6 operations per lane
-/// instead of one shift/mask chain per output bit per lane.
-pub fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32;
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+/// words (one word per operand or output bit, one lane per bit position)
+/// and value-major results (one `F`-bit field per lane). A value of at
+/// most `F` bits needs only the `log2 F` innermost rounds of the
+/// recursive block swap, and one call converts `64 / F` lane words at
+/// once.
+pub fn transpose<const F: usize>(a: &mut [u64; 64]) {
+    const {
+        assert!(
+            F == 16 || F == 32 || F == 64,
+            "field width must be 16, 32 or 64"
+        )
+    };
+    let mut j = F / 2;
+    // Low `j` bits of every `2j`-bit group set: the bits that move up.
+    let mut m = u64::MAX / ((1u64 << j) + 1);
     while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-            k = (k + j + 1) & !j;
+        for base in (0..64).step_by(2 * j) {
+            for k in base..base + j {
+                let t = ((a[k] >> j) ^ a[k + j]) & m;
+                a[k] ^= t << j;
+                a[k + j] ^= t;
+            }
         }
         j >>= 1;
         m ^= m << j;
@@ -794,63 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn tape_matches_reference_on_const_folding_patterns() {
-        // Every fold rule: gates fed by constants in each operand slot.
-        let mut n = Netlist::new("folds");
-        let x = n.add_input();
-        let y = n.add_input();
-        let one = n.constant(true);
-        let zero = n.constant(false);
-        let mut outs = Vec::new();
-        for (a, b) in [
-            (x, one),
-            (x, zero),
-            (one, x),
-            (zero, x),
-            (one, zero),
-            (one, one),
-        ] {
-            outs.push(n.and(a, b));
-            outs.push(n.or(a, b));
-            outs.push(n.xor(a, b));
-            outs.push(n.nand(a, b));
-            outs.push(n.nor(a, b));
-            outs.push(n.xnor(a, b));
-        }
-        for (s, a, b) in [
-            (one, x, y),
-            (zero, x, y),
-            (x, one, y),
-            (x, zero, y),
-            (x, y, one),
-            (x, y, zero),
-            (x, one, zero),
-            (x, zero, one),
-            (x, one, one),
-            (x, zero, zero),
-            (one, zero, one),
-        ] {
-            outs.push(n.mux(s, a, b));
-            outs.push(n.maj(s, a, b));
-            outs.push(n.maj(a, s, b));
-            outs.push(n.maj(a, b, s));
-        }
-        outs.push(n.buf(one));
-        outs.push(n.not(zero));
-        let b1 = n.buf(zero);
-        outs.push(n.not(b1)); // fold through a folded buf
-        n.set_outputs(outs);
-
-        let inputs = [0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210];
-        let mut reference = Vec::new();
-        eval_pass_reference(&n, &inputs, &mut reference);
-        let tape = SimTape::compile(&n);
-        let mut values = Vec::new();
-        tape.execute(&inputs, &mut values);
-        assert_eq!(values, reference);
-    }
-
-    #[test]
     fn wide_execution_matches_per_word_scalar_passes() {
         let n = two_bit_adder();
         let tape = SimTape::compile(&n);
@@ -896,11 +800,12 @@ mod tests {
     }
 
     #[test]
-    fn signal_probabilities_match_a_legacy_pass_loop() {
-        // The wide-block estimator must reproduce the original
-        // pass-at-a-time loop bit for bit, for pass counts around and
+    fn signal_probabilities_match_a_pass_at_a_time_loop() {
+        // The wide-block estimator must reproduce a pass-at-a-time loop
+        // over the scalar tape bit for bit, for pass counts around and
         // away from the block width.
         let n = two_bit_adder();
+        let tape = SimTape::compile(&n);
         for passes in [1, 3, 8, 9, 31, 32, 64] {
             for seed in [0u64, 7, 0xA51C] {
                 let mut state = seed.wrapping_mul(2).wrapping_add(1);
@@ -917,7 +822,7 @@ mod tests {
                     for w in inputs.iter_mut() {
                         *w = next();
                     }
-                    eval_pass_reference(&n, &inputs, &mut values);
+                    tape.execute(&inputs, &mut values);
                     for (o, v) in ones.iter_mut().zip(&values) {
                         *o += v.count_ones() as u64;
                     }
@@ -964,9 +869,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn transpose64_is_an_involutive_transpose() {
-        let mut state = 0xDEAD_BEEFu64;
+    fn check_field_transpose<const F: usize>() {
+        let mut state = 0xDEAD_BEEFu64 ^ F as u64;
         let mut next = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
@@ -975,17 +879,31 @@ mod tests {
         };
         let original: Vec<u64> = (0..64).map(|_| next()).collect();
         let mut a: [u64; 64] = original.clone().try_into().unwrap();
-        transpose64(&mut a);
+        transpose::<F>(&mut a);
         for (i, &row) in a.iter().enumerate() {
-            for (j, &orig) in original.iter().enumerate() {
+            let (g, r) = (i / F, i % F);
+            for col in 0..64 {
+                let (f, c) = (col / F, col % F);
+                let src = original[g * F + c] >> (f * F + r) & 1;
                 assert_eq!(
-                    (row >> j) & 1,
-                    (orig >> i) & 1,
-                    "bit ({i},{j}) not transposed"
+                    (row >> col) & 1,
+                    src,
+                    "F={F}: bit ({i},{col}) not transposed"
                 );
             }
         }
-        transpose64(&mut a);
-        assert_eq!(a.as_slice(), original.as_slice());
+        transpose::<F>(&mut a);
+        assert_eq!(
+            a.as_slice(),
+            original.as_slice(),
+            "F={F}: not an involution"
+        );
+    }
+
+    #[test]
+    fn field_transposes_are_involutive_tile_transposes() {
+        check_field_transpose::<16>();
+        check_field_transpose::<32>();
+        check_field_transpose::<64>();
     }
 }
