@@ -1,5 +1,5 @@
 //! Shared infrastructure for the figure/table regeneration binaries and
-//! Criterion benches.
+//! the gated perf binaries.
 //!
 //! Every `fig*`/`table*` binary accepts `--quick` (shrunken library sizes
 //! for smoke runs); without it the paper-scale defaults of DESIGN.md are

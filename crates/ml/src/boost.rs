@@ -4,7 +4,7 @@ use afp_store::bytes::put_f64;
 use afp_store::ByteReader;
 
 use crate::codec::{self, ModelState};
-use crate::tree::{self, DecisionTree, TreeConfig};
+use crate::tree::{self, DecisionTree, Presorted, TreeConfig};
 use crate::{check_xy, Matrix, MlError, Regressor};
 
 /// Gradient-boosted regression trees (squared loss) — ML6.
@@ -74,10 +74,15 @@ impl Regressor for GradientBoosting {
         self.base = y.iter().sum::<f64>() / y.len() as f64;
         self.stages.clear();
         let mut current: Vec<f64> = vec![self.base; y.len()];
+        let pre = Presorted::new(x);
+        let ones = vec![1.0; y.len()];
+        let mut residual = vec![0.0; y.len()];
         for _ in 0..self.n_stages {
-            let residual: Vec<f64> = y.iter().zip(&current).map(|(t, c)| t - c).collect();
+            for ((r, t), c) in residual.iter_mut().zip(y).zip(&current) {
+                *r = t - c;
+            }
             let mut tree = DecisionTree::new(self.tree_config);
-            tree.fit(x, &residual)?;
+            tree.fit_presorted(&pre, &residual, &ones);
             for (c, row) in current.iter_mut().zip(0..x.rows()) {
                 *c += self.learning_rate * tree.predict_row(x.row(row));
             }
@@ -174,9 +179,10 @@ impl Regressor for AdaBoostR2 {
         let n = y.len();
         self.stages.clear();
         let mut w = vec![1.0 / n as f64; n];
+        let pre = Presorted::new(x);
         for _ in 0..self.n_stages {
             let mut tree = DecisionTree::new(self.tree_config);
-            tree.fit_weighted(x, y, &w)?;
+            tree.fit_presorted(&pre, y, &w);
             let pred: Vec<f64> = (0..n).map(|i| tree.predict_row(x.row(i))).collect();
             let max_err = pred
                 .iter()
@@ -211,7 +217,7 @@ impl Regressor for AdaBoostR2 {
         if self.stages.is_empty() {
             // Fall back to a single unweighted tree.
             let mut tree = DecisionTree::new(self.tree_config);
-            tree.fit(x, y)?;
+            tree.fit_presorted(&pre, y, &vec![1.0; n]);
             self.stages.push((tree, 1.0));
         }
         Ok(())

@@ -3,7 +3,7 @@
 use afp_store::ByteReader;
 
 use crate::codec::{self, ModelState};
-use crate::tree::{self, DecisionTree, TreeConfig};
+use crate::tree::{self, DecisionTree, Presorted, TreeConfig};
 use crate::{check_xy, Matrix, MlError, Regressor};
 
 /// Bagged ensemble of randomized CART trees.
@@ -83,6 +83,7 @@ impl Regressor for RandomForest {
         // p/3; sqrt keeps trees decorrelated on our small feature sets).
         let feats = ((p as f64).sqrt().ceil() as usize).clamp(1, p);
         self.trees.clear();
+        let pre = Presorted::new(x);
         let mut rng = self.seed | 1;
         let mut next = move || {
             rng ^= rng >> 12;
@@ -99,7 +100,7 @@ impl Regressor for RandomForest {
             let mut tree = DecisionTree::new(self.tree_config);
             tree.features_per_split = Some(feats);
             tree.seed = self.seed.wrapping_add(t as u64).wrapping_mul(0x9E37_79B9) | 1;
-            tree.fit_weighted(x, y, &w)?;
+            tree.fit_presorted(&pre, y, &w);
             self.trees.push(tree);
         }
         Ok(())

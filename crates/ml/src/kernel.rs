@@ -24,7 +24,14 @@ struct KernelState {
 }
 
 impl KernelState {
-    fn fit(x: &Matrix, y: &[f64], gamma: f64, diag_add: f64) -> Result<KernelState, MlError> {
+    /// Fit the dual weights; also returns the Cholesky factor of the
+    /// regularized kernel matrix they were solved with.
+    fn fit(
+        x: &Matrix,
+        y: &[f64],
+        gamma: f64,
+        diag_add: f64,
+    ) -> Result<(KernelState, Matrix), MlError> {
         let scaler = Standardizer::fit(x);
         let z = scaler.transform(x);
         let n = z.rows();
@@ -42,12 +49,13 @@ impl KernelState {
         }
         let l = cholesky(&k)?;
         let dual = chol_solve(&l, &yc);
-        Ok(KernelState {
+        let state = KernelState {
             scaler: Some(scaler),
             train: rows,
             dual,
             y_mean,
-        })
+        };
+        Ok((state, l))
     }
 
     fn predict_row(&self, row: &[f64], gamma: f64) -> f64 {
@@ -129,7 +137,8 @@ impl Default for KernelRidge {
 impl Regressor for KernelRidge {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
         check_xy(x, y)?;
-        self.state = KernelState::fit(x, y, self.gamma, self.lambda.max(1e-10) * x.rows() as f64)?;
+        let diag = self.lambda.max(1e-10) * x.rows() as f64;
+        self.state = KernelState::fit(x, y, self.gamma, diag)?.0;
         Ok(())
     }
 
@@ -180,7 +189,8 @@ impl GaussianProcess {
 
     /// Rebuild the noise-augmented kernel Cholesky from the training
     /// rows — the same computation `fit` performs, so a decoded model is
-    /// bit-identical to the one that was saved.
+    /// bit-identical to the one that was saved. Only `decode_state` needs
+    /// it: `fit` keeps the factor it solved with.
     fn rebuild_chol(train: &[Vec<f64>], gamma: f64, noise: f64) -> Result<Matrix, MlError> {
         let n = train.len();
         let mut k = Matrix::zeros(n, n);
@@ -244,14 +254,11 @@ impl Default for GaussianProcess {
 impl Regressor for GaussianProcess {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
         check_xy(x, y)?;
-        self.state = KernelState::fit(x, y, self.gamma, self.noise.max(1e-10))?;
-        // Rebuild the kernel Cholesky for predictive variance (the exact
-        // computation `decode_state` replays when restoring).
-        self.chol = Some(GaussianProcess::rebuild_chol(
-            &self.state.train,
-            self.gamma,
-            self.noise,
-        )?);
+        // The factor of `K + σ²I` serves the predictive variance too;
+        // `decode_state` replays the same computation when restoring.
+        let (state, chol) = KernelState::fit(x, y, self.gamma, self.noise.max(1e-10))?;
+        self.state = state;
+        self.chol = Some(chol);
         Ok(())
     }
 

@@ -238,8 +238,9 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix, MlError> {
                     } else {
                         0.0
                     };
-                for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
+                let (li, lj) = (&l.data[i * n..i * n + j], &l.data[j * n..j * n + j]);
+                for (lik, ljk) in li.iter().zip(lj) {
+                    sum -= lik * ljk;
                 }
                 if i == j {
                     if sum <= 0.0 {

@@ -135,60 +135,89 @@ impl Regressor for Mlp {
         self.w2 = (0..self.hidden).map(|_| next_f() * scale2).collect();
         self.b2 = 0.0;
 
+        // Train on one flat input-major parameter vector
+        // `[w1t | b1 | w2 | b2]`, where `w1t[i·H + h] = w1[h·p + i]`: the
+        // forward and backward loops then run across all hidden units per
+        // input. Each pre-activation still starts at `b1[h]` and adds the
+        // inputs in order, each gradient element still sums its rows in
+        // order, and Adam is elementwise, so every weight has the bits the
+        // hidden-major layout gives.
+        let hid = self.hidden;
+        let (off_b1, off_w2) = (p * hid, p * hid + hid);
+        let dim = off_w2 + hid + 1;
+        let mut theta = vec![0.0; dim];
+        for h in 0..hid {
+            for i in 0..p {
+                theta[i * hid + h] = self.w1[h * p + i];
+            }
+        }
+        theta[off_w2..off_w2 + hid].copy_from_slice(&self.w2);
         // Adam state.
-        let dim = self.w1.len() + self.b1.len() + self.w2.len() + 1;
         let mut m = vec![0.0; dim];
         let mut v = vec![0.0; dim];
+        let mut g = vec![0.0; dim];
+        let mut act = vec![0.0; hid];
+        let mut dh = vec![0.0; hid];
         let (beta1, beta2, eps) = (0.9, 0.999, 1e-8);
 
         for t in 1..=self.epochs {
             // Full-batch gradients.
-            let mut g = vec![0.0; dim];
+            g.fill(0.0);
+            let (w, rest) = theta.split_at(off_b1);
+            let (b1, rest) = rest.split_at(hid);
+            let (w2, b2) = (&rest[..hid], rest[hid]);
             for (r, &ytr) in yt.iter().enumerate().take(n) {
                 let zr = z.row(r);
-                let h = self.hidden_out(zr);
-                let out: f64 =
-                    self.b2 + h.iter().zip(&self.w2).map(|(hi, wi)| hi * wi).sum::<f64>();
-                let err = out - ytr;
-                // Output layer.
-                for (hi, idx) in h.iter().zip(0..self.hidden) {
-                    g[self.w1.len() + self.b1.len() + idx] += err * hi;
-                }
-                g[dim - 1] += err;
-                // Hidden layer.
-                for hidx in 0..self.hidden {
-                    let dh = err * self.w2[hidx] * (1.0 - h[hidx] * h[hidx]);
-                    for (i, zi) in zr.iter().enumerate() {
-                        g[hidx * p + i] += dh * zi;
+                act.copy_from_slice(b1);
+                for (&zi, wi) in zr.iter().zip(w.chunks_exact(hid)) {
+                    for (a, &wh) in act.iter_mut().zip(wi) {
+                        *a += wh * zi;
                     }
-                    g[self.w1.len() + hidx] += dh;
+                }
+                for a in act.iter_mut() {
+                    *a = a.tanh();
+                }
+                let out: f64 = b2 + act.iter().zip(w2).map(|(hi, wi)| hi * wi).sum::<f64>();
+                let err = out - ytr;
+                let (gw, grest) = g.split_at_mut(off_b1);
+                let (gb1, grest) = grest.split_at_mut(hid);
+                // Output layer.
+                for (gi, hi) in grest.iter_mut().zip(&act) {
+                    *gi += err * hi;
+                }
+                grest[hid] += err;
+                // Hidden layer.
+                for ((d, &w2h), &hh) in dh.iter_mut().zip(w2).zip(&act) {
+                    *d = err * w2h * (1.0 - hh * hh);
+                }
+                for (&zi, gi) in zr.iter().zip(gw.chunks_exact_mut(hid)) {
+                    for (gh, &d) in gi.iter_mut().zip(&dh) {
+                        *gh += d * zi;
+                    }
+                }
+                for (gh, &d) in gb1.iter_mut().zip(&dh) {
+                    *gh += d;
                 }
             }
             let inv_n = 1.0 / n as f64;
-            for gi in g.iter_mut() {
-                *gi *= inv_n;
-            }
-            // Adam update over the flattened parameter vector.
             let lr =
                 self.learning_rate * (1.0 - beta2f(beta2, t)).sqrt() / (1.0 - beta2f(beta1, t));
-            let mut apply = |idx: usize, param: &mut f64| {
-                m[idx] = beta1 * m[idx] + (1.0 - beta1) * g[idx];
-                v[idx] = beta2 * v[idx] + (1.0 - beta2) * g[idx] * g[idx];
-                *param -= lr * m[idx] / (v[idx].sqrt() + eps);
-            };
-            for (i, w) in self.w1.iter_mut().enumerate() {
-                apply(i, w);
+            // Adam update over the flattened parameter vector.
+            for (((param, gi), mi), vi) in theta.iter_mut().zip(&g).zip(&mut m).zip(&mut v) {
+                let gi = gi * inv_n;
+                *mi = beta1 * *mi + (1.0 - beta1) * gi;
+                *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+                *param -= lr * *mi / (vi.sqrt() + eps);
             }
-            let off1 = self.w1.len();
-            for (i, b) in self.b1.iter_mut().enumerate() {
-                apply(off1 + i, b);
-            }
-            let off2 = off1 + self.b1.len();
-            for (i, w) in self.w2.iter_mut().enumerate() {
-                apply(off2 + i, w);
-            }
-            apply(dim - 1, &mut self.b2);
         }
+        for h in 0..hid {
+            for i in 0..p {
+                self.w1[h * p + i] = theta[i * hid + h];
+            }
+        }
+        self.b1.copy_from_slice(&theta[off_b1..off_w2]);
+        self.w2.copy_from_slice(&theta[off_w2..off_w2 + hid]);
+        self.b2 = theta[dim - 1];
         self.scaler = Some(scaler);
         Ok(())
     }
@@ -268,5 +297,29 @@ mod tests {
         a.fit(&x, &ys).unwrap();
         b.fit(&x, &ys).unwrap();
         assert_eq!(a.predict(&x), b.predict(&x));
+    }
+
+    /// Zero and one input columns train and predict, with the bits the
+    /// hidden-major trainer produced.
+    #[test]
+    fn fits_zero_and_one_column_matrices() {
+        let y = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let golden: [&[u64]; 2] = [
+            &[0x400816e7f521428d; 5],
+            &[
+                0x400a8cb90f82c3c6,
+                0x4009c3f35b9d8d48,
+                0x40080d8b9cc0246b,
+                0x400658131a8144a1,
+                0x400590679bcce6d8,
+            ],
+        ];
+        for (p, want) in golden.into_iter().enumerate() {
+            let x = Matrix::from_vec(5, p, (0..5 * p).map(|i| i as f64).collect());
+            let mut m = Mlp::new(4, 10, 0.01, 3);
+            m.fit(&x, &y).unwrap();
+            let bits: Vec<u64> = m.predict(&x).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, want, "{p} column(s)");
+        }
     }
 }

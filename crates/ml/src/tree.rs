@@ -7,6 +7,10 @@ use afp_store::ByteReader;
 use crate::codec::{self, ModelState};
 use crate::{check_xy, Matrix, MlError, Regressor};
 
+/// A row index in the growth buffers: half the bytes of `usize` for
+/// the partitions to move.
+type Row = u32;
+
 /// Tree growth configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TreeConfig {
@@ -14,7 +18,7 @@ pub struct TreeConfig {
     pub max_depth: usize,
     /// Minimum samples required to split a node.
     pub min_samples_split: usize,
-    /// Minimum samples per leaf.
+    /// Minimum samples per leaf (0 acts as 1).
     pub min_samples_leaf: usize,
 }
 
@@ -89,50 +93,63 @@ impl DecisionTree {
                 targets: y.len(),
             });
         }
-        self.nodes.clear();
-        let idx: Vec<usize> = (0..x.rows()).collect();
-        let mut rng = self.seed | 1;
-        self.grow(x, y, w, idx, 0, &mut rng);
+        self.fit_presorted(&Presorted::new(x), y, w);
         Ok(())
     }
 
-    fn grow(
-        &mut self,
-        x: &Matrix,
-        y: &[f64],
-        w: &[f64],
-        idx: Vec<usize>,
-        depth: usize,
-        rng: &mut u64,
-    ) -> usize {
-        let node_value = weighted_mean(&idx, y, w);
+    /// Grow the tree on an already presorted `X`; the ensembles share one
+    /// [`Presorted`] across every tree of a fit. Shapes are the caller's
+    /// responsibility.
+    pub(crate) fn fit_presorted(&mut self, pre: &Presorted, y: &[f64], w: &[f64]) {
+        self.nodes.clear();
+        let n = pre.rows;
+        let mut grower = Grower {
+            pre,
+            y,
+            w,
+            idx: (0..n as Row).collect(),
+            sorted: pre.order.clone(),
+            left: vec![false; n],
+            scratch: vec![0; n],
+            feats: Vec::with_capacity(pre.cols),
+            rng: self.seed | 1,
+        };
+        self.grow(&mut grower, 0, n, 0);
+    }
+
+    /// Grow the subtree over rows `idx[lo..hi]` and return its node slot.
+    fn grow(&mut self, g: &mut Grower, lo: usize, hi: usize, depth: usize) -> usize {
+        let (y, w) = (g.y, g.w);
+        let idx = &g.idx[lo..hi];
+        let node_value = weighted_mean(idx, y, w);
         let make_leaf = idx.len() < self.config.min_samples_split
             || depth >= self.config.max_depth
-            || variance(&idx, y, w) < 1e-12;
+            || variance(idx, y, w) < 1e-12;
         if make_leaf {
             self.nodes.push(Node::Leaf(node_value));
             return self.nodes.len() - 1;
         }
-        let p = x.cols();
-        let candidates: Vec<usize> = match self.features_per_split {
-            None => (0..p).collect(),
-            Some(k) => {
-                let mut feats: Vec<usize> = (0..p).collect();
-                // Deterministic partial shuffle.
-                for i in 0..k.min(p) {
-                    *rng ^= *rng >> 12;
-                    *rng ^= *rng << 25;
-                    *rng ^= *rng >> 27;
-                    let j = i + (rng.wrapping_mul(0x2545_F491_4F6C_DD1D) as usize) % (p - i);
-                    feats.swap(i, j);
-                }
-                feats.truncate(k.min(p));
-                feats
+        let (n, p) = (g.pre.rows, g.pre.cols);
+        g.feats.clear();
+        g.feats.extend(0..p);
+        if let Some(k) = self.features_per_split {
+            // Deterministic partial shuffle.
+            for i in 0..k.min(p) {
+                g.rng ^= g.rng >> 12;
+                g.rng ^= g.rng << 25;
+                g.rng ^= g.rng >> 27;
+                let j = i + (g.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) as usize) % (p - i);
+                g.feats.swap(i, j);
             }
-        };
+            g.feats.truncate(k.min(p));
+        }
+        // A split with no left rows always fails the `lw > 0` check, so
+        // `min_samples_leaf: 0` grows the tree 1 does.
+        let min_leaf = self.config.min_samples_leaf.max(1);
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
-        for &f in &candidates {
-            if let Some((thr, score)) = best_split(x, y, w, &idx, f, self.config.min_samples_leaf) {
+        for &f in &g.feats {
+            let order = &g.sorted[f * n + lo..f * n + hi];
+            if let Some((thr, score)) = best_split(g.pre.col(f), y, w, order, min_leaf) {
                 if best.is_none_or(|(_, _, s)| score < s) {
                     best = Some((f, thr, score));
                 }
@@ -142,14 +159,25 @@ impl DecisionTree {
             self.nodes.push(Node::Leaf(node_value));
             return self.nodes.len() - 1;
         };
-        let (li, ri): (Vec<usize>, Vec<usize>) = idx
-            .into_iter()
-            .partition(|&i| x.get(i, feature) <= threshold);
+        // Send each row left or right, then stable-partition the node's
+        // range of every list: ties keep their presorted order.
+        let col = g.pre.col(feature);
+        for i in g.idx[lo..hi].iter().map(|&i| i as usize) {
+            g.left[i] = col[i] <= threshold;
+        }
+        let mid = lo + stable_partition(&mut g.idx[lo..hi], &g.left, &mut g.scratch);
+        for f in 0..p {
+            stable_partition(
+                &mut g.sorted[f * n + lo..f * n + hi],
+                &g.left,
+                &mut g.scratch,
+            );
+        }
         // Reserve a slot, grow children, then fill it.
         self.nodes.push(Node::Leaf(node_value));
         let slot = self.nodes.len() - 1;
-        let left = self.grow(x, y, w, li, depth + 1, rng);
-        let right = self.grow(x, y, w, ri, depth + 1, rng);
+        let left = self.grow(g, lo, mid, depth + 1);
+        let right = self.grow(g, mid, hi, depth + 1);
         self.nodes[slot] = Node::Split {
             feature,
             threshold,
@@ -302,10 +330,10 @@ impl Regressor for DecisionTree {
     }
 }
 
-fn weighted_mean(idx: &[usize], y: &[f64], w: &[f64]) -> f64 {
+fn weighted_mean(idx: &[Row], y: &[f64], w: &[f64]) -> f64 {
     let mut sw = 0.0;
     let mut s = 0.0;
-    for &i in idx {
+    for i in idx.iter().map(|&i| i as usize) {
         sw += w[i];
         s += w[i] * y[i];
     }
@@ -316,11 +344,11 @@ fn weighted_mean(idx: &[usize], y: &[f64], w: &[f64]) -> f64 {
     }
 }
 
-fn variance(idx: &[usize], y: &[f64], w: &[f64]) -> f64 {
+fn variance(idx: &[Row], y: &[f64], w: &[f64]) -> f64 {
     let m = weighted_mean(idx, y, w);
     let mut sw = 0.0;
     let mut s = 0.0;
-    for &i in idx {
+    for i in idx.iter().map(|&i| i as usize) {
         sw += w[i];
         s += w[i] * (y[i] - m) * (y[i] - m);
     }
@@ -331,41 +359,120 @@ fn variance(idx: &[usize], y: &[f64], w: &[f64]) -> f64 {
     }
 }
 
-/// Best threshold on one feature by weighted SSE; returns (threshold,
-/// total child SSE) or None when no legal split exists.
+/// `X` prepared once per fit: a column-major copy plus, for every
+/// feature, the row order of a stable `afp_ord::asc` sort of its column.
+pub(crate) struct Presorted {
+    rows: usize,
+    cols: usize,
+    /// `data[f·rows + i] = x[i][f]`.
+    data: Vec<f64>,
+    /// `order[f·rows..(f+1)·rows]`: rows by ascending feature `f`, ties by
+    /// row index.
+    order: Vec<Row>,
+}
+
+impl Presorted {
+    pub(crate) fn new(x: &Matrix) -> Presorted {
+        let (rows, cols) = (x.rows(), x.cols());
+        assert!(Row::try_from(rows).is_ok(), "too many rows for a tree fit");
+        let mut data = vec![0.0; rows * cols];
+        for i in 0..rows {
+            for (f, &v) in x.row(i).iter().enumerate() {
+                data[f * rows + i] = v;
+            }
+        }
+        let mut order = Vec::with_capacity(rows * cols);
+        for f in 0..cols {
+            let col = &data[f * rows..(f + 1) * rows];
+            let start = order.len();
+            order.extend(0..rows as Row);
+            order[start..].sort_by(|&a, &b| afp_ord::asc(col[a as usize], col[b as usize]));
+        }
+        Presorted {
+            rows,
+            cols,
+            data,
+            order,
+        }
+    }
+
+    fn col(&self, f: usize) -> &[f64] {
+        &self.data[f * self.rows..(f + 1) * self.rows]
+    }
+}
+
+/// Working buffers of one tree fit. A node owns the range `[lo, hi)` of
+/// `idx` (its rows, ascending) and of each feature's list in `sorted`
+/// (its rows in presorted order).
+struct Grower<'a> {
+    pre: &'a Presorted,
+    y: &'a [f64],
+    w: &'a [f64],
+    idx: Vec<Row>,
+    sorted: Vec<Row>,
+    /// Per row: whether the current split sends it left.
+    left: Vec<bool>,
+    scratch: Vec<Row>,
+    feats: Vec<usize>,
+    rng: u64,
+}
+
+/// Move the rows marked `left` to the front of `buf`, keeping the
+/// relative order on both sides; returns the left count. `scratch` must
+/// be at least as long as `buf`. Branch-free: every row is written to
+/// both sides and only one cursor advances.
+fn stable_partition(buf: &mut [Row], left: &[bool], scratch: &mut [Row]) -> usize {
+    let (mut k, mut r) = (0, 0);
+    for j in 0..buf.len() {
+        let i = buf[j];
+        let goes_left = left[i as usize];
+        buf[k] = i;
+        scratch[r] = i;
+        k += goes_left as usize;
+        r += !goes_left as usize;
+    }
+    buf[k..].copy_from_slice(&scratch[..r]);
+    k
+}
+
+/// Best threshold on one feature by weighted SSE, over the node's rows in
+/// ascending feature order; returns (threshold, total child SSE) or None
+/// when no legal split exists. `min_leaf` must be at least 1.
 fn best_split(
-    x: &Matrix,
+    col: &[f64],
     y: &[f64],
     w: &[f64],
-    idx: &[usize],
-    feature: usize,
+    order: &[Row],
     min_leaf: usize,
 ) -> Option<(f64, f64)> {
-    let mut order: Vec<usize> = idx.to_vec();
-    order.sort_by(|&a, &b| afp_ord::asc(x.get(a, feature), x.get(b, feature)));
     let n = order.len();
     if n < 2 * min_leaf {
         return None;
     }
-    // Prefix sums of w, w*y, w*y².
-    let mut pw = vec![0.0; n + 1];
-    let mut py = vec![0.0; n + 1];
-    let mut py2 = vec![0.0; n + 1];
-    for (k, &i) in order.iter().enumerate() {
-        pw[k + 1] = pw[k] + w[i];
-        py[k + 1] = py[k] + w[i] * y[i];
-        py2[k + 1] = py2[k] + w[i] * y[i] * y[i];
+    // Totals, then left-side running sums of w, w*y, w*y², both in
+    // `order`: the same additions a prefix-sum table makes.
+    let (mut tw, mut ty, mut ty2) = (0.0, 0.0, 0.0);
+    for i in order.iter().map(|&i| i as usize) {
+        tw += w[i];
+        ty += w[i] * y[i];
+        ty2 += w[i] * y[i] * y[i];
     }
-    let total_w = pw[n];
+    let (mut lw, mut ly, mut ly2) = (0.0, 0.0, 0.0);
     let mut best: Option<(f64, f64)> = None;
-    for k in min_leaf..=(n - min_leaf) {
-        let xa = x.get(order[k - 1], feature);
-        let xb = x.get(order[k], feature);
+    for k in 1..=(n - min_leaf) {
+        let i = order[k - 1] as usize;
+        lw += w[i];
+        ly += w[i] * y[i];
+        ly2 += w[i] * y[i] * y[i];
+        if k < min_leaf {
+            continue;
+        }
+        let xa = col[i];
+        let xb = col[order[k] as usize];
         if xa == xb {
             continue; // cannot split between equal values
         }
-        let (lw, ly, ly2) = (pw[k], py[k], py2[k]);
-        let (rw, ry, ry2) = (total_w - lw, py[n] - ly, py2[n] - ly2);
+        let (rw, ry, ry2) = (tw - lw, ty - ly, ty2 - ly2);
         if lw <= 0.0 || rw <= 0.0 {
             continue;
         }
@@ -382,6 +489,240 @@ fn best_split(
 mod tests {
     use super::*;
     use crate::metrics::r2;
+    use proptest::prelude::*;
+
+    /// The clone-and-sort fitter the presorted one replaced, kept verbatim
+    /// as the differential oracle: every node re-sorts its rows per
+    /// feature and builds prefix-sum tables.
+    fn oracle_fit(tree: &mut DecisionTree, x: &Matrix, y: &[f64], w: &[f64]) {
+        tree.nodes.clear();
+        let idx: Vec<usize> = (0..x.rows()).collect();
+        let mut rng = tree.seed | 1;
+        oracle_grow(tree, x, y, w, idx, 0, &mut rng);
+    }
+
+    fn oracle_grow(
+        tree: &mut DecisionTree,
+        x: &Matrix,
+        y: &[f64],
+        w: &[f64],
+        idx: Vec<usize>,
+        depth: usize,
+        rng: &mut u64,
+    ) -> usize {
+        let rows: Vec<Row> = idx.iter().map(|&i| i as Row).collect();
+        let node_value = weighted_mean(&rows, y, w);
+        let make_leaf = idx.len() < tree.config.min_samples_split
+            || depth >= tree.config.max_depth
+            || variance(&rows, y, w) < 1e-12;
+        if make_leaf {
+            tree.nodes.push(Node::Leaf(node_value));
+            return tree.nodes.len() - 1;
+        }
+        let p = x.cols();
+        let candidates: Vec<usize> = match tree.features_per_split {
+            None => (0..p).collect(),
+            Some(k) => {
+                let mut feats: Vec<usize> = (0..p).collect();
+                for i in 0..k.min(p) {
+                    *rng ^= *rng >> 12;
+                    *rng ^= *rng << 25;
+                    *rng ^= *rng >> 27;
+                    let j = i + (rng.wrapping_mul(0x2545_F491_4F6C_DD1D) as usize) % (p - i);
+                    feats.swap(i, j);
+                }
+                feats.truncate(k.min(p));
+                feats
+            }
+        };
+        let mut best: Option<(usize, f64, f64)> = None;
+        for &f in &candidates {
+            let min_leaf = tree.config.min_samples_leaf;
+            if let Some((thr, score)) = oracle_best_split(x, y, w, &idx, f, min_leaf) {
+                if best.is_none_or(|(_, _, s)| score < s) {
+                    best = Some((f, thr, score));
+                }
+            }
+        }
+        let Some((feature, threshold, _)) = best else {
+            tree.nodes.push(Node::Leaf(node_value));
+            return tree.nodes.len() - 1;
+        };
+        let (li, ri): (Vec<usize>, Vec<usize>) = idx
+            .into_iter()
+            .partition(|&i| x.get(i, feature) <= threshold);
+        tree.nodes.push(Node::Leaf(node_value));
+        let slot = tree.nodes.len() - 1;
+        let left = oracle_grow(tree, x, y, w, li, depth + 1, rng);
+        let right = oracle_grow(tree, x, y, w, ri, depth + 1, rng);
+        tree.nodes[slot] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        slot
+    }
+
+    fn oracle_best_split(
+        x: &Matrix,
+        y: &[f64],
+        w: &[f64],
+        idx: &[usize],
+        feature: usize,
+        min_leaf: usize,
+    ) -> Option<(f64, f64)> {
+        let mut order: Vec<usize> = idx.to_vec();
+        order.sort_by(|&a, &b| afp_ord::asc(x.get(a, feature), x.get(b, feature)));
+        let n = order.len();
+        if n < 2 * min_leaf {
+            return None;
+        }
+        let mut pw = vec![0.0; n + 1];
+        let mut py = vec![0.0; n + 1];
+        let mut py2 = vec![0.0; n + 1];
+        for (k, &i) in order.iter().enumerate() {
+            pw[k + 1] = pw[k] + w[i];
+            py[k + 1] = py[k] + w[i] * y[i];
+            py2[k + 1] = py2[k] + w[i] * y[i] * y[i];
+        }
+        let total_w = pw[n];
+        let mut best: Option<(f64, f64)> = None;
+        for k in min_leaf..=(n - min_leaf) {
+            let xa = x.get(order[k - 1], feature);
+            let xb = x.get(order[k], feature);
+            if xa == xb {
+                continue;
+            }
+            let (lw, ly, ly2) = (pw[k], py[k], py2[k]);
+            let (rw, ry, ry2) = (total_w - lw, py[n] - ly, py2[n] - ly2);
+            if lw <= 0.0 || rw <= 0.0 {
+                continue;
+            }
+            let sse = (ly2 - ly * ly / lw) + (ry2 - ry * ry / rw);
+            let thr = 0.5 * (xa + xb);
+            if best.is_none_or(|(_, s)| sse < s) {
+                best = Some((thr, sse));
+            }
+        }
+        best
+    }
+
+    /// splitmix64 step: every proptest case derives its inputs from one
+    /// drawn seed.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A column drawn from one of four regimes: constant, a few repeated
+    /// integers, special values (±0.0, ±inf, NaN, duplicates), or
+    /// continuous.
+    fn column(s: &mut u64, n: usize) -> Vec<f64> {
+        const SPECIAL: [f64; 8] = [
+            0.0,
+            -0.0,
+            1.0,
+            1.0,
+            -2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let regime = mix(s) % 4;
+        let c = (mix(s) % 5) as f64;
+        (0..n)
+            .map(|_| match regime {
+                0 => c,
+                1 => (mix(s) % 4) as f64,
+                2 => SPECIAL[(mix(s) % 8) as usize],
+                _ => (mix(s) >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
+            })
+            .collect()
+    }
+
+    /// A random training problem and tree, grown by both fitters.
+    fn both_fitters(seed: u64) -> (DecisionTree, DecisionTree) {
+        let mut s = seed;
+        let n = 1 + (mix(&mut s) % 48) as usize;
+        let p = (mix(&mut s) % 5) as usize;
+        let cols: Vec<Vec<f64>> = (0..p).map(|_| column(&mut s, n)).collect();
+        let data: Vec<f64> = (0..n)
+            .flat_map(|i| cols.iter().map(move |c| c[i]))
+            .collect();
+        let x = Matrix::from_vec(n, p, data);
+        let y: Vec<f64> = match mix(&mut s) % 3 {
+            0 => (0..n).map(|_| (mix(&mut s) % 3) as f64).collect(),
+            _ => column(&mut s, n),
+        };
+        let w: Vec<f64> = match mix(&mut s) % 3 {
+            0 => vec![1.0; n],
+            1 => {
+                // Bootstrap counts, as the random forest draws them.
+                let mut w = vec![0.0; n];
+                for _ in 0..n {
+                    w[(mix(&mut s) % n as u64) as usize] += 1.0;
+                }
+                w
+            }
+            _ => (0..n).map(|_| (mix(&mut s) % 3) as f64 * 0.25).collect(),
+        };
+        let config = TreeConfig {
+            max_depth: (mix(&mut s) % 9) as usize,
+            min_samples_split: (mix(&mut s) % 7) as usize,
+            min_samples_leaf: 1 + (mix(&mut s) % 4) as usize,
+        };
+        let mut fast = DecisionTree::new(config);
+        if mix(&mut s) & 1 == 0 {
+            fast.features_per_split = Some(1 + (mix(&mut s) % 5) as usize);
+        }
+        fast.seed = mix(&mut s) | 1;
+        let mut oracle = fast.clone();
+        fast.fit_weighted(&x, &y, &w).unwrap();
+        oracle_fit(&mut oracle, &x, &y, &w);
+        (fast, oracle)
+    }
+
+    fn encoded(t: &DecisionTree) -> Vec<u8> {
+        let mut out = Vec::new();
+        t.encode_state(&mut out);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Presorted in-place growth builds the tree the clone-and-sort
+        /// fitter builds, byte for byte, through ties, ±0.0, NaN and
+        /// infinite features, zero and bootstrap weights and per-split
+        /// feature sampling.
+        #[test]
+        fn presorted_growth_matches_the_clone_and_sort_oracle(seed in 0u64..u64::MAX) {
+            let (fast, oracle) = both_fitters(seed);
+            prop_assert_eq!(encoded(&fast), encoded(&oracle));
+        }
+    }
+
+    #[test]
+    fn min_samples_leaf_zero_grows_the_min_samples_leaf_one_tree() {
+        let x = Matrix::from_rows(&[&[0.0], &[1.0], &[1.0], &[2.0], &[5.0], &[6.0]]);
+        let y = [0.0, 1.0, 1.5, 2.0, 9.0, 9.5];
+        let grow = |min_samples_leaf| {
+            let mut t = DecisionTree::new(TreeConfig {
+                max_depth: 8,
+                min_samples_split: 2,
+                min_samples_leaf,
+            });
+            t.fit(&x, &y).unwrap();
+            t
+        };
+        let (zero, one) = (grow(0), grow(1));
+        assert!(zero.node_count() > 1);
+        assert_eq!(format!("{:?}", zero.nodes), format!("{:?}", one.nodes));
+    }
 
     #[test]
     fn fits_step_function_exactly() {
