@@ -5,6 +5,7 @@
 
 use afp_bench::render::table;
 use afp_bench::{human_time, write_csv, Scale};
+use afp_circuits::LibrarySource;
 use afp_obs::fmt_ratio;
 use approxfpgas::{Flow, FlowConfig};
 
@@ -17,11 +18,13 @@ fn main() {
     for spec in scale.all_specs() {
         let label = format!("{}{}-bit", spec.kind.mnemonic(), spec.width);
         println!("running flow on {label} ({} circuits)...", spec.target_size);
+        let source = LibrarySource::Generated(spec.clone());
         let outcome = Flow::new(FlowConfig {
             library: spec.clone(),
             ..FlowConfig::default()
         })
-        .run();
+        .run_source(&source)
+        .expect("generated libraries stream");
         let t = outcome.time;
         cum_exhaustive += t.exhaustive_s;
         cum_flow += t.flow_s();

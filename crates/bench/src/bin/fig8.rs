@@ -7,7 +7,7 @@
 
 use afp_bench::render::{scatter, table, Series};
 use afp_bench::{human_time, write_csv, Scale};
-use afp_circuits::{ArithKind, LibrarySpec};
+use afp_circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas::record::FpgaParam;
 use approxfpgas::{Flow, FlowConfig};
 
@@ -26,11 +26,13 @@ fn main() {
     for spec in libs {
         let label = format!("{}{}", spec.kind.mnemonic(), spec.width);
         println!("flow on {label} ({} circuits)...", spec.target_size);
+        let source = LibrarySource::Generated(spec.clone());
         let outcome = Flow::new(FlowConfig {
             library: spec,
             ..FlowConfig::default()
         })
-        .run();
+        .run_source(&source)
+        .expect("generated libraries stream");
         for (&param, front) in &outcome.final_fronts {
             let cov = outcome.coverage[&param];
             cov_sum += cov;

@@ -3,7 +3,7 @@
 //! size, at a fixed shard size.
 //!
 //! This is the regenerator behind EXPERIMENTS.md "Streaming flow
-//! residency" and the `BENCH_residency.json` baseline. The claim being
+//! residency" and the `BENCH_residency.json` pins. The claim being
 //! pinned is the tentpole contract of the streaming path: as the corpus
 //! grows, peak resident circuits stay O(shard) — flat — instead of
 //! O(corpus), while the outcome stays identical to characterizing the
@@ -11,12 +11,11 @@
 //!
 //! Usage: `cargo run --release -p afp-bench --bin flow_residency [--quick]`
 //!
-//! Writes `results/flow_residency.csv`.
+//! Writes `results/flow_residency.csv` (`case,metric,value`).
 
 use std::path::PathBuf;
 
-use afp_bench::render::table;
-use afp_bench::{time_us, write_csv};
+use afp_bench::{emit, time_us};
 use afp_circuits::{build_library, ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas::{Flow, FlowConfig};
 
@@ -92,13 +91,10 @@ fn main() {
     }
 
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
     let mut peaks = Vec::new();
     for (name, path) in &corpora {
         let source = LibrarySource::Stored(path.clone());
         let outcome = Flow::new(config()).run_source(&source).unwrap();
-        let circuits = outcome.records.len();
-        let shards = outcome.runtime.shards_streamed;
         let peak = outcome.runtime.peak_resident_circuits;
         assert!(
             peak <= SHARD as u64,
@@ -111,30 +107,17 @@ fn main() {
                 .unwrap();
             std::hint::black_box(outcome.records.len());
         });
-        let hwm = vm_hwm_kib()
-            .map(|k| format!("{k}"))
-            .unwrap_or_else(|| "n/a".to_string());
-        println!(
-            "  {name}: {circuits} circuits, {shards} shards, peak {peak} resident, \
-             {:.0} ms (VmHWM {hwm} KiB)",
-            flow_us / 1e3
-        );
-        rows.push(vec![
-            name.to_string(),
-            format!("{circuits}"),
-            format!("{shards}"),
-            format!("{peak}"),
-            format!("{flow_us:.0}"),
-            hwm.clone(),
+        rows.extend([
+            (*name, "circuits", outcome.records.len() as f64),
+            (
+                *name,
+                "shards_streamed",
+                outcome.runtime.shards_streamed as f64,
+            ),
+            (*name, "peak_resident", peak as f64),
+            (*name, "flow_us", flow_us),
         ]);
-        csv_rows.push(vec![
-            name.to_string(),
-            format!("{circuits}"),
-            format!("{shards}"),
-            format!("{peak}"),
-            format!("{flow_us:.2}"),
-            hwm,
-        ]);
+        rows.extend(vm_hwm_kib().map(|k| (*name, "vm_hwm_kib", k as f64)));
     }
 
     // The residency claim itself: the corpus grew, the peak did not.
@@ -143,33 +126,7 @@ fn main() {
         "peak residency grew with corpus size: {peaks:?}"
     );
 
-    write_csv(
-        "flow_residency.csv",
-        &[
-            "case",
-            "circuits",
-            "shards_streamed",
-            "peak_resident",
-            "flow_us",
-            "vm_hwm_kib",
-        ],
-        &csv_rows,
-    );
-    println!(
-        "\n{}",
-        table(
-            &[
-                "case",
-                "circuits",
-                "shards",
-                "peak resident",
-                "flow us",
-                "VmHWM KiB"
-            ],
-            &rows
-        )
-    );
-    println!("baseline for regression checks: BENCH_residency.json (repo root)");
+    emit("flow_residency", &rows);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,7 +2,7 @@
 //! 8/12/16-bit adders and multipliers, fresh-mapper vs reused-mapper.
 //!
 //! This is the regenerator behind EXPERIMENTS.md "Cut engine" and the
-//! `BENCH_map.json` baseline: `enumerate_us` times priority-cut
+//! `BENCH_map.json` pins: `enumerate_us` times priority-cut
 //! enumeration into the flat arena alone, `map_us` a full
 //! enumerate+cover through the one-shot API, and `map_reused_us` the
 //! same covering through a single warm [`afp_fpga::Mapper`] — the flow's
@@ -10,10 +10,9 @@
 //!
 //! Usage: `cargo run --release -p afp-bench --bin map_scaling [--quick]`
 //!
-//! Writes `results/map_scaling.csv`.
+//! Writes `results/map_scaling.csv` (`case,metric,value`).
 
-use afp_bench::render::table;
-use afp_bench::{time_us, write_csv};
+use afp_bench::{emit, time_us};
 use afp_circuits::{adders, multipliers};
 use afp_fpga::{cuts, map, FpgaConfig, Mapper};
 use afp_netlist::Netlist;
@@ -41,7 +40,6 @@ fn main() {
 
     println!("map_scaling: {iters} iters x {runs} runs (median)\n");
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
     let mut mapper = Mapper::new();
     for (name, nl) in &cases {
         let enum_us = time_us(iters, runs, || {
@@ -53,51 +51,21 @@ fn main() {
         let reused_us = time_us(iters, runs, || {
             std::hint::black_box(mapper.map_luts(std::hint::black_box(nl), &cfg));
         });
+        // The reused mapper's counters cover its iters x runs timed calls.
         let st = mapper.take_stats();
-        println!(
-            "  {name}: enumerate {enum_us:.1} us, map {map_us:.1} us, \
-             map(reused) {reused_us:.1} us  [{} merges, {} sig-rejected]",
-            st.cuts_merged, st.cuts_sig_rejected
-        );
-        rows.push(vec![
-            name.to_string(),
-            format!("{}", nl.num_logic_gates()),
-            format!("{enum_us:.1}"),
-            format!("{map_us:.1}"),
-            format!("{reused_us:.1}"),
-        ]);
-        csv_rows.push(vec![
-            name.to_string(),
-            format!("{}", nl.num_logic_gates()),
-            format!("{enum_us:.2}"),
-            format!("{map_us:.2}"),
-            format!("{reused_us:.2}"),
+        let calls = f64::from(iters) * runs as f64;
+        rows.extend([
+            (*name, "gates", nl.num_logic_gates() as f64),
+            (*name, "enumerate_us", enum_us),
+            (*name, "map_us", map_us),
+            (*name, "map_reused_us", reused_us),
+            (*name, "cuts_merged_per_map", st.cuts_merged as f64 / calls),
+            (
+                *name,
+                "sig_rejected_per_map",
+                st.cuts_sig_rejected as f64 / calls,
+            ),
         ]);
     }
-
-    write_csv(
-        "map_scaling.csv",
-        &[
-            "circuit",
-            "gates",
-            "enumerate_us",
-            "map_us",
-            "map_reused_us",
-        ],
-        &csv_rows,
-    );
-    println!(
-        "\n{}",
-        table(
-            &[
-                "circuit",
-                "gates",
-                "enumerate us",
-                "map us",
-                "map(reused) us"
-            ],
-            &rows
-        )
-    );
-    println!("baseline for regression checks: BENCH_map.json (repo root)");
+    emit("map_scaling", &rows);
 }

@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use afp_bench::render::table;
 use afp_bench::{write_csv, Scale};
+use afp_circuits::LibrarySource;
 use approxfpgas::{Flow, FlowConfig, FlowOutcome};
 
 fn subset_spec() -> afp_circuits::LibrarySpec {
@@ -35,7 +36,10 @@ fn config(threads: usize) -> FlowConfig {
 
 fn timed(flow: &Flow) -> (f64, FlowOutcome) {
     let start = Instant::now();
-    let outcome = flow.run();
+    let source = LibrarySource::Generated(flow.config().library.clone());
+    let outcome = flow
+        .run_source(&source)
+        .expect("generated libraries stream");
     (start.elapsed().as_secs_f64(), outcome)
 }
 

@@ -2,7 +2,7 @@
 //! (exhaustive 8-bit and sampled 16-bit) and activity-estimation time.
 //!
 //! This is the regenerator behind EXPERIMENTS.md "Simulation kernel" and
-//! the `BENCH_sim.json` baseline. Every case runs a production entry point
+//! the `BENCH_sim.json` pins. Every case runs a production entry point
 //! ([`afp_error::analyze`] or [`SimScratch::signal_probabilities`]); the
 //! bit-identity of those paths against the per-gate reference interpreter
 //! and the per-pair accumulator is pinned by `tests/sim_kernel.rs`, not
@@ -10,11 +10,9 @@
 //!
 //! Usage: `cargo run --release -p afp-bench --bin sim_scaling [--quick]`
 //!
-//! Writes `results/sim_scaling.csv` (`case, work, metric, us`; `metric`
-//! names the `BENCH_sim.json` field the row is gated against).
+//! Writes `results/sim_scaling.csv` (`case,metric,value`).
 
-use afp_bench::render::table;
-use afp_bench::{time_us, write_csv};
+use afp_bench::{emit, time_us};
 use afp_circuits::{adders, multipliers, ArithCircuit};
 use afp_error::{analyze, ErrorConfig};
 use afp_netlist::SimScratch;
@@ -36,16 +34,13 @@ fn main() {
     let mut rows = Vec::new();
     for (name, circuit) in &cases {
         let m = analyze(circuit, &cfg);
-        let mode = if m.exhaustive {
-            "exhaustive"
-        } else {
-            "sampled"
-        };
         let us = time_us(iters, runs, || {
             std::hint::black_box(analyze(std::hint::black_box(circuit), &cfg));
         });
-        println!("  {name}: {us:.0} us ({} pairs, {mode})", m.samples);
-        rows.push((name.to_string(), m.samples.to_string(), "analyze_us", us));
+        rows.extend([
+            (*name, "pairs", m.samples as f64),
+            (*name, "analyze_us", us),
+        ]);
     }
 
     // Activity estimation: the ASIC power model's stimulus sweep.
@@ -62,28 +57,9 @@ fn main() {
             std::hint::black_box(&mut probs),
         );
     });
-    println!("  activity_mul8_wallace: {us:.1} us ({passes} passes)");
-    rows.push((
-        "activity_mul8_wallace".to_string(),
-        format!("{passes}p"),
-        "activity_us",
-        us,
-    ));
-
-    let render = |digits: usize| -> Vec<Vec<String>> {
-        rows.iter()
-            .map(|(case, work, metric, us)| {
-                vec![
-                    case.clone(),
-                    work.clone(),
-                    metric.to_string(),
-                    format!("{us:.digits$}"),
-                ]
-            })
-            .collect()
-    };
-    let header = ["case", "work", "metric", "us"];
-    write_csv("sim_scaling.csv", &header, &render(2));
-    println!("\n{}", table(&header, &render(1)));
-    println!("baseline for regression checks: BENCH_sim.json (repo root)");
+    rows.extend([
+        ("activity_mul8_wallace", "passes", passes as f64),
+        ("activity_mul8_wallace", "activity_us", us),
+    ]);
+    emit("sim_scaling", &rows);
 }

@@ -2,7 +2,7 @@
 //! round-trips through the binary frame store.
 //!
 //! This is the regenerator behind EXPERIMENTS.md "Circuit store" and the
-//! `BENCH_store.json` baseline. Three measurements, each timing the
+//! `BENCH_store.json` pins. Three measurements, each timing the
 //! store path as `store_us`:
 //!
 //! * `warm_start_mul8` — loading a fully-characterized mul8 cache from
@@ -12,23 +12,21 @@
 //! * `stream_mul8` — reopening a generated mul8 circuit corpus by
 //!   streaming the sealed store file
 //!   ([`afp_circuits::store::read_library`]), against re-parsing the same
-//!   corpus as structural Verilog (the `legacy_us` column). The
-//!   `size_ratio` column is the on-disk ratio (Verilog bytes / store
-//!   bytes).
+//!   corpus as structural Verilog (`verilog_us`, and `speedup` over it).
+//!   `size_ratio` is the on-disk ratio (Verilog bytes / store bytes).
 //! * `cold_open_mul8` — answering "how many records, which version?"
 //!   without a prior open, by reading the sealed store's index footer
 //!   ([`afp_store::inspect`]).
 //!
 //! Usage: `cargo run --release -p afp-bench --bin store_scaling [--quick]`
 //!
-//! Writes `results/store_scaling.csv`.
+//! Writes `results/store_scaling.csv` (`case,metric,value`).
 
 use std::path::{Path, PathBuf};
 
-use afp_bench::render::table;
-use afp_bench::{time_us, write_csv};
+use afp_bench::{emit, time_us};
 use afp_circuits::store::read_library;
-use afp_circuits::{build_library, ArithKind, LibrarySpec};
+use afp_circuits::{build_library, ArithKind, LibrarySource, LibrarySpec};
 use afp_netlist::export::to_verilog;
 use afp_netlist::parse::from_verilog;
 use afp_runtime::Counters;
@@ -53,7 +51,9 @@ fn populate_cache(dir: &Path) -> (FlowOutcome, FlowConfig) {
         cache_dir: Some(dir.to_path_buf()),
         ..FlowConfig::default()
     };
-    let outcome = Flow::new(config.clone()).run();
+    let outcome = Flow::new(config.clone())
+        .run_source(&LibrarySource::Generated(config.library.clone()))
+        .expect("generated libraries stream");
     assert!(!outcome.records.is_empty(), "flow produced no records");
     (outcome, config)
 }
@@ -188,90 +188,23 @@ fn main() {
         std::hint::black_box(info.records);
     });
 
-    // ---- report ----------------------------------------------------------
-    // Only stream_mul8 keeps a legacy comparison (structural Verilog); the
-    // other cases are absolute store timings.
-    let cases = [
-        (
-            "warm_start_mul8",
-            format!("{entries}e"),
-            warm_store_us,
-            None,
-        ),
-        (
-            "stream_mul8",
-            format!("{}c", streamed.len()),
-            stream_store_us,
-            Some((stream_verilog_us, corpus_ratio)),
-        ),
-        ("cold_open_mul8", format!("{entries}e"), cold_store_us, None),
-    ];
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    for (name, work, store_us, legacy) in &cases {
-        let (legacy_us, speedup, size_ratio) = match legacy {
-            Some((legacy_us, ratio)) => {
-                let speedup = legacy_us / store_us;
-                println!(
-                    "  {name}: store {store_us:.1} us, verilog {legacy_us:.0} us \
-                     ({speedup:.2}x, {ratio:.2}x smaller)"
-                );
-                (
-                    format!("{legacy_us:.2}"),
-                    format!("{speedup:.2}"),
-                    format!("{ratio:.2}"),
-                )
-            }
-            None => {
-                println!("  {name}: store {store_us:.1} us");
-                Default::default()
-            }
-        };
-        rows.push(vec![
-            name.to_string(),
-            work.clone(),
-            legacy_us.clone(),
-            format!("{store_us:.1}"),
-            speedup.clone(),
-            size_ratio.clone(),
-        ]);
-        csv_rows.push(vec![
-            name.to_string(),
-            work.clone(),
-            legacy_us,
-            format!("{store_us:.2}"),
-            speedup,
-            size_ratio,
-        ]);
-    }
-
-    write_csv(
-        "store_scaling.csv",
+    emit(
+        "store_scaling",
         &[
-            "case",
-            "work",
-            "legacy_us",
-            "store_us",
-            "speedup",
-            "size_ratio",
-        ],
-        &csv_rows,
-    );
-    println!(
-        "\n{}",
-        table(
-            &[
-                "case",
-                "work",
-                "legacy us",
-                "store us",
+            ("warm_start_mul8", "entries", entries as f64),
+            ("warm_start_mul8", "store_us", warm_store_us),
+            ("stream_mul8", "circuits", streamed.len() as f64),
+            ("stream_mul8", "store_us", stream_store_us),
+            ("stream_mul8", "verilog_us", stream_verilog_us),
+            (
+                "stream_mul8",
                 "speedup",
-                "size ratio"
-            ],
-            &rows
-        )
+                stream_verilog_us / stream_store_us,
+            ),
+            ("stream_mul8", "size_ratio", corpus_ratio),
+            ("cold_open_mul8", "store_us", cold_store_us),
+        ],
     );
-    println!("baseline for regression checks: BENCH_store.json (repo root)");
 
     for dir in [store_dir, corpus_dir] {
         let _ = std::fs::remove_dir_all(dir);

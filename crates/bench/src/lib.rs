@@ -3,12 +3,16 @@
 //!
 //! Every `fig*`/`table*` binary accepts `--quick` (shrunken library sizes
 //! for smoke runs); without it the paper-scale defaults of DESIGN.md are
-//! used. Results are written as CSV into `results/` and rendered as ASCII
-//! tables/plots on stdout.
+//! used. Results are written as CSV into `results/` (`target/quick/` under
+//! `--quick`) and rendered as ASCII tables/plots on stdout. The gated perf
+//! binaries write one `case,metric,value` CSV each through [`emit`], which
+//! the `bench_gate` binary checks against the repository's `BENCH_*.json`
+//! pins (see [`gate`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod render;
 
 use std::io::Write as _;
@@ -105,29 +109,32 @@ impl Scale {
     }
 }
 
-/// Directory where result CSVs are written (`results/` at the workspace
-/// root, creatable from any working directory inside the workspace).
+/// The workspace root: the nearest ancestor of the working directory
+/// whose `Cargo.toml` declares `[workspace]` (the working directory itself
+/// if none does).
+pub fn workspace_root() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    cwd.ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|text| text.contains("[workspace]"))
+        })
+        .unwrap_or(&cwd)
+        .to_path_buf()
+}
+
+/// Directory where result CSVs are written, created on demand:
+/// `results/` at the workspace root, or `target/quick/` when `--quick` is
+/// passed, so smoke runs never overwrite the committed artifacts.
 pub fn results_dir() -> PathBuf {
-    // Walk up from CWD until a directory containing `Cargo.toml` with
-    // `[workspace]` is found; fall back to CWD.
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.exists() {
-            if let Ok(text) = std::fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    break;
-                }
-            }
-        }
-        if !dir.pop() {
-            dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-            break;
-        }
-    }
-    let results = dir.join("results");
-    let _ = std::fs::create_dir_all(&results);
-    results
+    let quick = std::env::args().any(|a| a == "--quick");
+    let dir = results_dir_for(&workspace_root(), quick);
+    let _ = std::fs::create_dir_all(&dir);
+    dir
+}
+
+fn results_dir_for(root: &Path, quick: bool) -> PathBuf {
+    root.join(if quick { "target/quick" } else { "results" })
 }
 
 /// Write rows as CSV under `results/<name>` (header first), creating the
@@ -172,6 +179,32 @@ pub fn try_write_csv(
 /// Panics with the typed error's message if the file cannot be written.
 pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
     try_write_csv(name, header, rows).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Header of every perf bench's result CSV: one long-format row per
+/// measured `(case, metric)`. Metric names carry their unit as a suffix
+/// (`map_us`, `size_ratio`, `peak_resident`, `errors`).
+pub(crate) const BENCH_HEADER: [&str; 3] = ["case", "metric", "value"];
+
+/// Write a perf bench's `(case, metric, value)` rows to
+/// `<results_dir>/<bench>.csv` and print them as a table. This is the file
+/// `bench_gate` checks against `BENCH_*.json`.
+///
+/// # Panics
+///
+/// Panics with the typed error's message if the file cannot be written.
+pub fn emit(bench: &str, rows: &[(&str, &str, f64)]) -> PathBuf {
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|&(case, metric, value)| {
+            // Two decimals at most; integral values (counts) print bare.
+            let value = format!("{}", (value * 100.0).round() / 100.0);
+            vec![case.to_string(), metric.to_string(), value]
+        })
+        .collect();
+    let path = write_csv(&format!("{bench}.csv"), &BENCH_HEADER, &rows);
+    println!("\n{}", render::table(&BENCH_HEADER, &rows));
+    path
 }
 
 /// Format seconds as a human-readable duration (`12.3 h`, `4.5 d`, ...).
@@ -229,12 +262,6 @@ pub fn stat_u64(stats: &str, section: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("/stats {section}.{key} is not an unsigned integer: {stats}"))
 }
 
-/// Check that `path` exists and is non-empty (used by integration tests).
-pub fn assert_csv_written(path: &Path) {
-    let meta = std::fs::metadata(path).expect("csv exists");
-    assert!(meta.len() > 0, "csv is empty");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,6 +315,28 @@ mod tests {
     }
 
     #[test]
+    fn quick_output_never_resolves_inside_results() {
+        let root = Path::new("/repo");
+        let canonical = results_dir_for(root, false);
+        assert_eq!(canonical, root.join("results"));
+        let quick = results_dir_for(root, true);
+        assert!(!quick.starts_with(&canonical), "{}", quick.display());
+        assert!(
+            quick.starts_with(root.join("target")),
+            "{}",
+            quick.display()
+        );
+    }
+
+    #[test]
+    fn emit_writes_long_format_rows() {
+        let p = emit("test_emit", &[("a", "n", 64.0), ("a", "t_us", 4.4321)]);
+        let text = std::fs::read_to_string(&p).unwrap();
+        assert_eq!(text, "case,metric,value\na,n,64\na,t_us,4.43\n");
+        let _ = std::fs::remove_file(&p);
+    }
+
+    #[test]
     fn human_time_ranges() {
         assert_eq!(human_time(10.0), "10.0 s");
         assert_eq!(human_time(600.0), "10.0 min");
@@ -302,7 +351,6 @@ mod tests {
             &["a", "b"],
             &[vec!["1".into(), "2".into()]],
         );
-        assert_csv_written(&p);
         let text = std::fs::read_to_string(&p).unwrap();
         assert_eq!(text, "a,b\n1,2\n");
         let _ = std::fs::remove_file(&p);
@@ -312,7 +360,7 @@ mod tests {
     fn try_write_csv_creates_nested_dirs_and_types_errors() {
         // A name with a subdirectory: the parent is created on demand.
         let p = try_write_csv("test_nested/deep.csv", &["x"], &[vec!["1".into()]]).unwrap();
-        assert_csv_written(&p);
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "x\n1\n");
         let _ = std::fs::remove_dir_all(p.parent().unwrap());
         // A path *under a file* cannot be created: typed error, no panic.
         let blocker = write_csv("test_blocker.csv", &["x"], &[]);

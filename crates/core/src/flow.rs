@@ -248,8 +248,7 @@ pub struct Flow {
 
 impl Flow {
     /// Create a flow with `config`. If caching is enabled, the cache lives
-    /// as long as the `Flow` — repeated [`run`](Flow::run)s on the same
-    /// instance hit it.
+    /// as long as the `Flow` — repeated runs on the same instance hit it.
     pub fn new(config: FlowConfig) -> Flow {
         let cache = config.use_cache.then(|| match &config.cache_dir {
             Some(dir) => CharacterizationCache::with_disk(dir),
@@ -276,30 +275,11 @@ impl Flow {
         &self.config
     }
 
-    /// Run the full methodology; see the crate docs for the pipeline.
-    pub fn run(&self) -> FlowOutcome {
-        self.run_traced(&Recorder::disabled())
-    }
-
-    /// [`Flow::run`] with structured tracing: every pipeline stage (library
-    /// generation, characterization, subset split, zoo training, model
-    /// estimation, front peeling) records a span into `recorder`, plus
-    /// per-model `train/<id>` and `estimate/<id>` stages.
+    /// Run the full methodology (see the crate docs for the pipeline) on
+    /// a library obtained from `source`.
     ///
-    /// Tracing is strictly observational — the outcome is bit-identical to
-    /// the untraced run for any thread count, and a disabled recorder
-    /// costs one branch per stage.
-    pub fn run_traced(&self, recorder: &Recorder) -> FlowOutcome {
-        let source = LibrarySource::Generated(self.config.library.clone());
-        self.run_source_traced(&source, recorder)
-            .expect("generated libraries cannot fail to stream")
-    }
-
-    /// Run the methodology on a library obtained from `source`.
-    ///
-    /// [`LibrarySource::Generated`] behaves exactly like [`Flow::run`]
-    /// with that spec as [`FlowConfig::library`]: the library is built in
-    /// process and characterized as one resident shard.
+    /// [`LibrarySource::Generated`], typically of [`FlowConfig::library`],
+    /// builds the library in process as one resident shard.
     /// [`LibrarySource::Stored`] streams the corpus shard-at-a-time
     /// ([`FlowConfig::shard_circuits`] circuits per shard), keeping only
     /// one shard plus the surviving records resident. Normalized outcomes
@@ -310,8 +290,14 @@ impl Flow {
         self.run_source_traced(source, &Recorder::disabled())
     }
 
-    /// [`Flow::run_source`] with structured tracing (see
-    /// [`Flow::run_traced`]).
+    /// [`Flow::run_source`] with structured tracing: every pipeline stage
+    /// (library generation, characterization, subset split, zoo training,
+    /// model estimation, front peeling) records a span into `recorder`,
+    /// plus per-model `train/<id>` and `estimate/<id>` stages.
+    ///
+    /// Tracing is strictly observational — the outcome is bit-identical to
+    /// the untraced run for any thread count, and a disabled recorder
+    /// costs one branch per stage.
     pub fn run_source_traced(
         &self,
         source: &LibrarySource,
@@ -628,10 +614,27 @@ mod tests {
         }
     }
 
+    fn run(config: FlowConfig) -> FlowOutcome {
+        run_traced(config, &Recorder::disabled())
+    }
+
+    fn run_traced(config: FlowConfig, recorder: &Recorder) -> FlowOutcome {
+        let source = LibrarySource::Generated(config.library.clone());
+        Flow::new(config)
+            .run_source_traced(&source, recorder)
+            .expect("generated source")
+    }
+
     #[test]
     fn flow_runs_end_to_end_and_reduces_synthesis() {
-        let outcome = Flow::new(tiny_config(120)).run();
+        let outcome = run(tiny_config(120));
         assert_eq!(outcome.records.len(), outcome.time.exhaustive_count);
+        // The generated library is characterized as one resident shard.
+        assert_eq!(outcome.runtime.shards_streamed, 1);
+        assert_eq!(
+            outcome.runtime.peak_resident_circuits,
+            outcome.records.len() as u64
+        );
         assert!(outcome.time.flow_count < outcome.time.exhaustive_count);
         assert!(
             outcome.time.speedup().is_some_and(|s| s > 1.0),
@@ -648,7 +651,7 @@ mod tests {
 
     #[test]
     fn coverage_is_meaningful() {
-        let outcome = Flow::new(tiny_config(120)).run();
+        let outcome = run(tiny_config(120));
         for (&param, &c) in &outcome.coverage {
             assert!((0.0..=1.0).contains(&c), "{param:?}: {c}");
         }
@@ -664,28 +667,26 @@ mod tests {
     #[test]
     fn more_fronts_synthesize_more_but_cover_more() {
         let base = tiny_config(120);
-        let one = Flow::new(FlowConfig {
+        let one = run(FlowConfig {
             fronts: 1,
             ..base.clone()
-        })
-        .run();
-        let three = Flow::new(FlowConfig { fronts: 3, ..base }).run();
+        });
+        let three = run(FlowConfig { fronts: 3, ..base });
         assert!(three.time.flow_count >= one.time.flow_count);
         assert!(three.mean_coverage() >= one.mean_coverage() - 1e-9);
     }
 
     #[test]
     fn selected_models_exclude_asic_regressions_by_default() {
-        let outcome = Flow::new(tiny_config(100)).run();
+        let outcome = run(tiny_config(100));
         for models in outcome.selected_models.values() {
             assert!(!models.is_empty());
             assert!(models.iter().all(|m| !m.is_asic_regression()));
         }
-        let with_asic = Flow::new(FlowConfig {
+        let with_asic = run(FlowConfig {
             include_asic_regression: true,
             ..tiny_config(100)
-        })
-        .run();
+        });
         for models in with_asic.selected_models.values() {
             assert!(models.iter().any(|m| m.is_asic_regression()));
         }
@@ -693,8 +694,8 @@ mod tests {
 
     #[test]
     fn outcome_is_deterministic() {
-        let a = Flow::new(tiny_config(80)).run();
-        let b = Flow::new(tiny_config(80)).run();
+        let a = run(tiny_config(80));
+        let b = run(tiny_config(80));
         assert_eq!(a.subset, b.subset);
         assert_eq!(a.synthesized, b.synthesized);
         assert_eq!(a.final_fronts, b.final_fronts);
@@ -703,9 +704,9 @@ mod tests {
 
     #[test]
     fn tracing_does_not_perturb_the_outcome() {
-        let untraced = Flow::new(tiny_config(80)).run();
+        let untraced = run(tiny_config(80));
         let recorder = Recorder::enabled();
-        let traced = Flow::new(tiny_config(80)).run_traced(&recorder);
+        let traced = run_traced(tiny_config(80), &recorder);
         assert_eq!(untraced.subset, traced.subset);
         assert_eq!(untraced.synthesized, traced.synthesized);
         assert_eq!(untraced.final_fronts, traced.final_fronts);
@@ -744,7 +745,7 @@ mod tests {
         let library = afp_circuits::build_library(&cfg.library);
         afp_circuits::write_library(&path, &library).expect("persist corpus");
 
-        let in_ram = Flow::new(cfg.clone()).run();
+        let in_ram = run(cfg.clone());
         for (threads, shard) in [(1, 7), (4, 17), (1, 0)] {
             let flow = Flow::new(FlowConfig {
                 threads,
@@ -777,24 +778,6 @@ mod tests {
             Ok(_) => panic!("missing corpus must not run"),
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn generated_source_is_the_classic_run() {
-        let cfg = tiny_config(60);
-        let classic = Flow::new(cfg.clone()).run();
-        let sourced = Flow::new(cfg.clone())
-            .run_source(&LibrarySource::Generated(cfg.library.clone()))
-            .expect("generated source");
-        assert_eq!(classic.subset, sourced.subset);
-        assert_eq!(classic.final_fronts, sourced.final_fronts);
-        assert_eq!(classic.time, sourced.time);
-        // The generated library is characterized as one resident shard.
-        assert_eq!(classic.runtime.shards_streamed, 1);
-        assert_eq!(
-            classic.runtime.peak_resident_circuits,
-            classic.records.len() as u64
-        );
     }
 
     #[test]

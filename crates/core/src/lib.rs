@@ -26,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use afp_circuits::{ArithKind, LibrarySpec};
+//! use afp_circuits::{ArithKind, LibrarySource, LibrarySpec};
 //! use afp_ml::MlModelId;
 //! use approxfpgas::flow::{Flow, FlowConfig};
 //!
@@ -38,7 +38,8 @@
 //!     top_models: 2,
 //!     ..FlowConfig::default()
 //! };
-//! let outcome = Flow::new(config).run();
+//! let source = LibrarySource::Generated(config.library.clone());
+//! let outcome = Flow::new(config).run_source(&source).unwrap();
 //! assert!(outcome.time.flow_count <= outcome.time.exhaustive_count);
 //! assert!(!outcome.final_fronts.is_empty());
 //! ```
@@ -72,7 +73,7 @@ pub use zoo_store::{load_zoo, save_zoo, SavedZoo, ZooStoreError, AFPM_RECORD_VER
 
 /// Structured tracing and run reports (re-export of [`afp_obs`]).
 ///
-/// [`flow::Flow::run_traced`] records per-stage spans into an
+/// [`flow::Flow::run_source_traced`] records per-stage spans into an
 /// [`obs::Recorder`]; [`report::run_report`] folds the recorder plus a
 /// [`FlowOutcome`] into an [`obs::RunReport`] with table and JSON sinks.
 pub use afp_obs as obs;

@@ -160,7 +160,7 @@ pub fn normalized(report: &RunReport) -> RunReport {
 mod tests {
     use super::*;
     use crate::flow::Flow;
-    use afp_circuits::{ArithKind, LibrarySpec};
+    use afp_circuits::{ArithKind, LibrarySource, LibrarySpec};
     use afp_ml::MlModelId;
 
     fn small_outcome() -> (FlowConfig, FlowOutcome, Recorder) {
@@ -171,7 +171,9 @@ mod tests {
             ..FlowConfig::default()
         };
         let recorder = Recorder::enabled();
-        let outcome = Flow::new(config.clone()).run_traced(&recorder);
+        let outcome = Flow::new(config.clone())
+            .run_source_traced(&LibrarySource::Generated(config.library.clone()), &recorder)
+            .expect("generated source");
         (config, outcome, recorder)
     }
 

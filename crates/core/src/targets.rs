@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use afp_circuits::build_library_with;
+use afp_circuits::{build_library_with, LibrarySource};
 use afp_fpga::target::{named, registry, TargetProfile};
 use afp_ml::metrics::fidelity;
 use afp_runtime::Runtime;
@@ -138,9 +138,12 @@ pub fn sweep_targets(base: &FlowConfig, set: &TargetSet) -> TargetSweep {
                 fpga: profile.apply(&base.fpga),
                 ..base.clone()
             };
+            let source = LibrarySource::Generated(config.library.clone());
             TargetRun {
                 target: profile.name.to_string(),
-                outcome: Flow::new(config).run(),
+                outcome: Flow::new(config)
+                    .run_source(&source)
+                    .expect("generated libraries cannot fail to stream"),
             }
         })
         .collect();

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example pareto_exploration`
 
-use approxfpgas_suite::circuits::{ArithKind, LibrarySpec};
+use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::record::FpgaParam;
 use approxfpgas_suite::flow::{Flow, FlowConfig};
 
@@ -18,7 +18,10 @@ fn main() {
         config.library.target_size,
         100.0 * config.subset_fraction
     );
-    let outcome = Flow::new(config).run();
+    let source = LibrarySource::Generated(config.library.clone());
+    let outcome = Flow::new(config)
+        .run_source(&source)
+        .expect("generated libraries stream");
 
     println!("\nselected models per FPGA parameter:");
     for (param, models) in &outcome.selected_models {

@@ -5,7 +5,7 @@ use approxfpgas_suite::autoax::search::AutoAx;
 use approxfpgas_suite::autoax::{
     AcceleratorConfig, AutoAxConfig, Component, ComponentLibrary, GaussianAccelerator,
 };
-use approxfpgas_suite::circuits::{ArithKind, LibrarySpec};
+use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::record::FpgaParam;
 use approxfpgas_suite::flow::{Flow, FlowConfig};
 use approxfpgas_suite::fpga::FpgaConfig;
@@ -16,13 +16,15 @@ use approxfpgas_suite::ml::MlModelId;
 fn components_from_flow() -> ComponentLibrary {
     let fpga_cfg = FpgaConfig::default();
     // Pareto 8x8 multipliers from a small flow run.
+    let library = LibrarySpec::new(ArithKind::Multiplier, 8, 120);
     let mult_outcome = Flow::new(FlowConfig {
-        library: LibrarySpec::new(ArithKind::Multiplier, 8, 120),
+        library: library.clone(),
         models: vec![MlModelId::Ml11, MlModelId::Ml14, MlModelId::Ml18],
         min_subset: 24,
         ..FlowConfig::default()
     })
-    .run();
+    .run_source(&LibrarySource::Generated(library))
+    .expect("generated libraries stream");
     let front = &mult_outcome.final_fronts[&FpgaParam::Area];
     // Keep usable quality points (MED below 2%) and cap at 9, as in the
     // paper; the exact anchor is on every front.

@@ -1,6 +1,6 @@
 //! End-to-end invariants of the ApproxFPGAs flow across the crate stack.
 
-use approxfpgas_suite::circuits::{ArithKind, LibrarySpec};
+use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::record::FpgaParam;
 use approxfpgas_suite::flow::{Flow, FlowConfig};
 use approxfpgas_suite::ml::MlModelId;
@@ -18,13 +18,15 @@ fn fast_models() -> Vec<MlModelId> {
 }
 
 fn run(kind: ArithKind, width: usize, size: usize) -> approxfpgas_suite::flow::FlowOutcome {
+    let library = LibrarySpec::new(kind, width, size);
     Flow::new(FlowConfig {
-        library: LibrarySpec::new(kind, width, size),
+        library: library.clone(),
         models: fast_models(),
         min_subset: 24,
         ..FlowConfig::default()
     })
-    .run()
+    .run_source(&LibrarySource::Generated(library))
+    .expect("generated libraries stream")
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! behavioural change moves these, re-capture them and say why in the
 //! commit message.
 
-use approxfpgas_suite::circuits::{ArithKind, LibrarySpec};
+use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::record::FpgaParam;
 use approxfpgas_suite::flow::{Flow, FlowConfig, FlowOutcome};
 use approxfpgas_suite::ml::MlModelId;
@@ -96,9 +96,16 @@ fn assert_matches_goldens(outcome: &FlowOutcome) {
     assert!(outcome.dropped_models.values().all(|v| v.is_empty()));
 }
 
+/// Run `flow` on its configured generated library.
+fn run(flow: &Flow) -> FlowOutcome {
+    let source = LibrarySource::Generated(flow.config().library.clone());
+    flow.run_source(&source)
+        .expect("generated libraries stream")
+}
+
 #[test]
 fn default_flow_outputs_match_pre_migration_goldens() {
-    let outcome = Flow::new(golden_config()).run();
+    let outcome = run(&Flow::new(golden_config()));
     assert_matches_goldens(&outcome);
 }
 
@@ -111,7 +118,7 @@ fn default_target_profile_reproduces_the_goldens_bit_exactly() {
     let profile = approxfpgas_suite::fpga::target::named(approxfpgas_suite::fpga::DEFAULT_TARGET)
         .expect("default target registered");
     config.fpga = profile.apply(&config.fpga);
-    let outcome = Flow::new(config).run();
+    let outcome = run(&Flow::new(config));
     assert_matches_goldens(&outcome);
 }
 
@@ -120,7 +127,12 @@ fn tracing_enabled_flow_matches_the_same_goldens_bit_exactly() {
     // Tracing is strictly observational: an enabled recorder must not
     // move a single golden bit relative to the untraced run.
     let recorder = Recorder::enabled();
-    let outcome = Flow::new(golden_config()).run_traced(&recorder);
+    let outcome = Flow::new(golden_config())
+        .run_source_traced(
+            &LibrarySource::Generated(golden_config().library),
+            &recorder,
+        )
+        .expect("generated libraries stream");
     assert_matches_goldens(&outcome);
     if recorder.is_enabled() {
         // Every golden model has a train stage; every *selected* model

@@ -7,11 +7,18 @@
 //! the trained models — a pure function of feature row and seed, so the
 //! corruption pattern is independent of scheduling.
 
-use approxfpgas_suite::circuits::{ArithKind, LibrarySpec};
+use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::record::FpgaParam;
 use approxfpgas_suite::flow::{ChaosSpec, Flow, FlowConfig, FlowOutcome};
 use approxfpgas_suite::ml::chaos::{ChaosConfig, ChaosKind};
 use approxfpgas_suite::ml::MlModelId;
+
+/// Run `flow` on its configured generated library.
+fn run(flow: &Flow) -> FlowOutcome {
+    let source = LibrarySource::Generated(flow.config().library.clone());
+    flow.run_source(&source)
+        .expect("generated libraries stream")
+}
 
 fn fast_models() -> Vec<MlModelId> {
     vec![
@@ -61,7 +68,7 @@ fn assert_sane(outcome: &FlowOutcome) {
 
 #[test]
 fn flow_completes_under_mixed_injection() {
-    let outcome = Flow::new(chaotic_config(0.2, 1)).run();
+    let outcome = run(&Flow::new(chaotic_config(0.2, 1)));
     assert_sane(&outcome);
     // Injection at 20% over a 100-circuit library must actually have
     // quarantined something.
@@ -77,8 +84,8 @@ fn flow_completes_under_mixed_injection() {
 
 #[test]
 fn injection_outcomes_are_bit_identical_across_thread_counts() {
-    let one = Flow::new(chaotic_config(0.25, 1)).run();
-    let eight = Flow::new(chaotic_config(0.25, 8)).run();
+    let one = run(&Flow::new(chaotic_config(0.25, 1)));
+    let eight = run(&Flow::new(chaotic_config(0.25, 8)));
     assert_eq!(one.subset, eight.subset);
     assert_eq!(one.selected_models, eight.selected_models);
     assert_eq!(one.dropped_models, eight.dropped_models);
@@ -105,7 +112,7 @@ fn injection_outcomes_are_bit_identical_across_thread_counts() {
 fn heavy_injection_still_yields_valid_coverage() {
     // Half of every model's estimates are NaN/inf/huge; the flow must
     // still terminate with rankable output.
-    let outcome = Flow::new(chaotic_config(0.5, 0)).run();
+    let outcome = run(&Flow::new(chaotic_config(0.5, 0)));
     assert_sane(&outcome);
     assert!(outcome.runtime.estimates_quarantined > 0);
 }
@@ -127,7 +134,7 @@ fn fully_nan_model_is_dropped_and_replaced() {
         }),
         ..FlowConfig::default()
     };
-    let outcome = Flow::new(config).run();
+    let outcome = run(&Flow::new(config));
     assert_sane(&outcome);
 
     // The poisoned model is dropped for Area only.
@@ -157,7 +164,7 @@ fn mean_coverage_of_an_empty_coverage_map_is_zero_not_nan() {
     // Regression: an empty coverage map used to divide 0.0 by 0, turning
     // the report's headline number into NaN. The mean of nothing is
     // defined as 0.0 — "nothing covered", not "undefined".
-    let mut outcome = Flow::new(chaotic_config(0.2, 1)).run();
+    let mut outcome = run(&Flow::new(chaotic_config(0.2, 1)));
     outcome.coverage.clear();
     let mean = outcome.mean_coverage();
     assert!(mean.is_finite(), "empty coverage produced {mean}");
@@ -179,7 +186,7 @@ fn always_inf_injection_never_panics_rankings() {
         }),
         ..FlowConfig::default()
     };
-    let outcome = Flow::new(config).run();
+    let outcome = run(&Flow::new(config));
     for (&param, models) in &outcome.selected_models {
         assert!(models.is_empty(), "{param:?}: {models:?} survived +inf");
         assert!(outcome.candidates[&param].is_empty());

@@ -8,7 +8,7 @@
 //! level, plus the characterization cache's "second run synthesizes
 //! nothing" promise.
 
-use approxfpgas_suite::circuits::{ArithKind, LibrarySpec};
+use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::{Flow, FlowConfig, FlowOutcome};
 use approxfpgas_suite::ml::MlModelId;
 
@@ -56,10 +56,17 @@ fn assert_outcomes_identical(serial: &FlowOutcome, parallel: &FlowOutcome) {
     assert_eq!(serial.time, parallel.time);
 }
 
+/// Run `flow` on its configured generated library.
+fn run(flow: &Flow) -> FlowOutcome {
+    let source = LibrarySource::Generated(flow.config().library.clone());
+    flow.run_source(&source)
+        .expect("generated libraries stream")
+}
+
 #[test]
 fn adder_flow_is_identical_for_one_and_eight_threads() {
-    let serial = Flow::new(tiny_config(ArithKind::Adder, 1)).run();
-    let parallel = Flow::new(tiny_config(ArithKind::Adder, 8)).run();
+    let serial = run(&Flow::new(tiny_config(ArithKind::Adder, 1)));
+    let parallel = run(&Flow::new(tiny_config(ArithKind::Adder, 8)));
     assert_outcomes_identical(&serial, &parallel);
     // Task accounting is thread-invariant too (steals are not).
     assert_eq!(
@@ -70,8 +77,8 @@ fn adder_flow_is_identical_for_one_and_eight_threads() {
 
 #[test]
 fn multiplier_flow_is_identical_for_one_and_eight_threads() {
-    let serial = Flow::new(tiny_config(ArithKind::Multiplier, 1)).run();
-    let parallel = Flow::new(tiny_config(ArithKind::Multiplier, 8)).run();
+    let serial = run(&Flow::new(tiny_config(ArithKind::Multiplier, 1)));
+    let parallel = run(&Flow::new(tiny_config(ArithKind::Multiplier, 8)));
     assert_outcomes_identical(&serial, &parallel);
     assert_eq!(
         serial.runtime.tasks_executed,
@@ -87,11 +94,17 @@ fn traced_flow_keeps_the_thread_invariance_guarantee() {
     use approxfpgas_suite::obs::Recorder;
     let rec_serial = Recorder::enabled();
     let rec_parallel = Recorder::enabled();
-    let serial = Flow::new(tiny_config(ArithKind::Adder, 1)).run_traced(&rec_serial);
-    let parallel = Flow::new(tiny_config(ArithKind::Adder, 8)).run_traced(&rec_parallel);
+    let source = LibrarySource::Generated(tiny_config(ArithKind::Adder, 1).library);
+    let traced = |threads, recorder| {
+        Flow::new(tiny_config(ArithKind::Adder, threads))
+            .run_source_traced(&source, recorder)
+            .expect("generated libraries stream")
+    };
+    let serial = traced(1, &rec_serial);
+    let parallel = traced(8, &rec_parallel);
     assert_outcomes_identical(&serial, &parallel);
     // And tracing vs no tracing is equally invisible.
-    let untraced = Flow::new(tiny_config(ArithKind::Adder, 8)).run();
+    let untraced = run(&Flow::new(tiny_config(ArithKind::Adder, 8)));
     assert_outcomes_identical(&untraced, &parallel);
     if rec_serial.is_enabled() {
         // Call/item tallies are scheduling-independent; only wall time
@@ -109,7 +122,7 @@ fn traced_flow_keeps_the_thread_invariance_guarantee() {
 #[test]
 fn second_run_on_one_flow_synthesizes_nothing() {
     let flow = Flow::new(tiny_config(ArithKind::Adder, 4));
-    let cold = flow.run();
+    let cold = run(&flow);
     assert!(cold.runtime.asic_synths > 0);
     assert!(cold.runtime.fpga_synths > 0);
     assert_eq!(cold.runtime.cache_hits, 0);
@@ -118,7 +131,7 @@ fn second_run_on_one_flow_synthesizes_nothing() {
     // Counters are per-run (fresh Runtime), so the warm run's synthesis
     // counts stand alone: the cache outlives the run and every
     // characterization must hit.
-    let warm = flow.run();
+    let warm = run(&flow);
     assert_eq!(warm.runtime.asic_synths, 0, "warm run re-synthesized ASIC");
     assert_eq!(warm.runtime.fpga_synths, 0, "warm run re-synthesized FPGA");
     assert_eq!(warm.runtime.error_analyses, 0);
@@ -132,8 +145,8 @@ fn disabling_the_cache_disables_memoization() {
         use_cache: false,
         ..tiny_config(ArithKind::Adder, 2)
     });
-    let first = flow.run();
-    let second = flow.run();
+    let first = run(&flow);
+    let second = run(&flow);
     assert_eq!(first.runtime.cache_hits, 0);
     assert_eq!(first.runtime.cache_misses, 0);
     assert_eq!(second.runtime.asic_synths, first.runtime.asic_synths);
@@ -148,11 +161,11 @@ fn disk_cache_warms_a_fresh_process_worth_of_state() {
         cache_dir: Some(dir.clone()),
         ..tiny_config(ArithKind::Adder, 4)
     };
-    let cold = Flow::new(config.clone()).run();
+    let cold = run(&Flow::new(config.clone()));
     assert!(cold.runtime.fpga_synths > 0);
 
     // A brand-new Flow (fresh memory tier) reloads the CSV tier.
-    let warm = Flow::new(config).run();
+    let warm = run(&Flow::new(config));
     assert_eq!(warm.runtime.asic_synths, 0);
     assert_eq!(warm.runtime.fpga_synths, 0);
     assert_eq!(warm.runtime.cache_hits as usize, warm.records.len());

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use approxfpgas_suite::circuits::{ArithKind, LibrarySpec};
+use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::report::{normalized, run_report};
 use approxfpgas_suite::flow::{Flow, FlowConfig};
 use approxfpgas_suite::ml::MlModelId;
@@ -32,7 +32,9 @@ fn report_config(threads: usize) -> FlowConfig {
 fn traced_run(threads: usize) -> (approxfpgas_suite::flow::FlowOutcome, RunReport) {
     let config = report_config(threads);
     let recorder = Recorder::enabled();
-    let outcome = Flow::new(config.clone()).run_traced(&recorder);
+    let outcome = Flow::new(config.clone())
+        .run_source_traced(&LibrarySource::Generated(config.library.clone()), &recorder)
+        .expect("generated libraries stream");
     let report = run_report(&config, &outcome, &recorder);
     (outcome, report)
 }
@@ -187,7 +189,9 @@ fn normalized_report_is_byte_identical_across_thread_counts() {
 fn report_fields_mirror_the_outcome() {
     let config = report_config(1);
     let recorder = Recorder::enabled();
-    let outcome = Flow::new(config.clone()).run_traced(&recorder);
+    let outcome = Flow::new(config.clone())
+        .run_source_traced(&LibrarySource::Generated(config.library.clone()), &recorder)
+        .expect("generated libraries stream");
     let json = run_report(&config, &outcome, &recorder).to_json();
     assert!(json.contains(&format!("\"library_size\":{}", outcome.records.len())));
     assert!(json.contains(&format!("\"subset_size\":{}", outcome.subset.len())));

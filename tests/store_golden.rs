@@ -9,7 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
-use approxfpgas_suite::circuits::{ArithKind, LibrarySpec};
+use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::cache::STORE_FILE;
 use approxfpgas_suite::flow::report::{normalized, run_report};
 use approxfpgas_suite::flow::{Flow, FlowConfig};
@@ -36,7 +36,10 @@ fn normalized_report(threads: usize, cache_dir: &Path) -> RunReport {
         ..FlowConfig::default()
     };
     let recorder = Recorder::enabled();
-    let outcome = Flow::try_new(config.clone()).unwrap().run_traced(&recorder);
+    let outcome = Flow::try_new(config.clone())
+        .unwrap()
+        .run_source_traced(&LibrarySource::Generated(config.library.clone()), &recorder)
+        .expect("generated libraries stream");
     let mut report = normalized(&run_report(&config, &outcome, &recorder));
     report.set_field("flow", "threads", Value::UInt(0));
     report

@@ -14,7 +14,9 @@
 use proptest::prelude::*;
 
 use approxfpgas_suite::asic::AsicConfig;
-use approxfpgas_suite::circuits::{adders, multipliers, mutate, ArithKind, LibrarySpec};
+use approxfpgas_suite::circuits::{
+    adders, multipliers, mutate, ArithKind, LibrarySource, LibrarySpec,
+};
 use approxfpgas_suite::error::ErrorConfig;
 use approxfpgas_suite::flow::record::FpgaParam;
 use approxfpgas_suite::flow::{CharacterizationCache, Flow, FlowConfig, FlowOutcome};
@@ -154,7 +156,10 @@ fn tiny_flow(target: &str) -> FlowOutcome {
         ..FlowConfig::default()
     };
     config.fpga = profile.apply(&config.fpga);
-    Flow::new(config).run()
+    let source = LibrarySource::Generated(config.library.clone());
+    Flow::new(config)
+        .run_source(&source)
+        .expect("generated libraries stream")
 }
 
 /// Pinned per-target pareto fronts from a small flow, plus pairwise
