@@ -20,6 +20,11 @@
 //! * **Keep-alive actually reuses** — the keep-alive burst must advance
 //!   `keepalive_reuses` by exactly `requests - clients` (every request
 //!   after the first per connection).
+//! * **The body cache is used, and only warm answers fill it** — the
+//!   cold burst admits at most one body per distinct pair, the warm
+//!   bursts leave exactly one per pair (from a fresh start), and every
+//!   request of the keep-alive burst is a body hit: `body_cache_hits`
+//!   advances by exactly its request count.
 //! * **Estimates never synthesize** — the `/estimate` burst must leave
 //!   `asic_synths` untouched and advance `estimates_served` by the full
 //!   burst size; every response must carry `X-Afp-Estimate: model`.
@@ -337,6 +342,8 @@ fn main() {
     // provable from a genuinely fresh start. The warm-burst pin (no
     // recharacterization) holds either way, as a delta.
     let stats = get_stats(&addr);
+    let bodies = |stats: &str| stat_u64(stats, "serve", "body_cache_entries");
+    let bodies_before = bodies(&stats);
     let baseline_asic = stat_u64(&stats, "runtime", "asic_synths");
     let fresh = baseline_asic == 0
         && stat_u64(&stats, "cache", "hits") == 0
@@ -392,6 +399,12 @@ fn main() {
         );
     }
     let coalesced = stat_u64(&stats, "serve", "requests_coalesced");
+    // A body enters the cache on a pair's first warm answer, never on a
+    // miss or a coalesced join: the cold burst admits at most one per pair.
+    assert!(
+        bodies(&stats) - bodies_before <= distinct as u64,
+        "cold burst admitted more bodies than distinct pairs\n{stats}"
+    );
 
     let warm = Burst::median((0..warm_runs).map(|_| burst(&addr)).collect());
 
@@ -401,7 +414,16 @@ fn main() {
         asic_synths,
         "warm bursts must not recharacterize\n{stats}"
     );
+    // Every pair had a warm answer by now, so every pair's body is held.
+    if fresh {
+        assert_eq!(
+            bodies(&stats),
+            distinct as u64,
+            "warm bursts must leave one body per distinct pair\n{stats}"
+        );
+    }
     let reuses_before = stat_u64(&stats, "serve", "keepalive_reuses");
+    let body_hits_before = stat_u64(&stats, "serve", "body_cache_hits");
 
     // Warm keep-alive burst: the same fully-cached schedule, but each
     // client holds one connection for all of its requests.
@@ -421,6 +443,11 @@ fn main() {
         stat_u64(&stats, "serve", "keepalive_reuses") - reuses_before,
         (total - CLIENTS) as u64,
         "every request after the first per connection must count as a reuse\n{stats}"
+    );
+    assert_eq!(
+        stat_u64(&stats, "serve", "body_cache_hits") - body_hits_before,
+        total as u64,
+        "every keep-alive request must be answered from the body cache\n{stats}"
     );
 
     // Estimate burst: model answers only, over keep-alive. Skipped when

@@ -862,7 +862,8 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
     Ok(format!(
         "serve drained: {} requests served ({} coalesced, {} keep-alive reuses, \
          {} queue rejections, inflight peak {}), {} estimates from models \
-         ({} estimate-cache hits), {} ASIC synths, cache {} hits / {} misses\n",
+         ({} estimate-cache hits), {} ASIC synths, cache {} hits / {} misses, \
+         {} body-cache hits\n",
         snap.requests_served,
         snap.requests_coalesced,
         snap.keepalive_reuses,
@@ -872,7 +873,8 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
         snap.model_cache_hits,
         snap.asic_synths,
         snap.cache_hits,
-        snap.cache_misses
+        snap.cache_misses,
+        snap.body_cache_hits
     ))
 }
 

@@ -16,9 +16,10 @@ pub enum CounterKind {
     /// A monotonic count, bumped via [`Counters::add`]. A delta between
     /// two snapshots is the difference.
     Count,
-    /// A high-water gauge, raised via [`Counters::max`]. The difference
-    /// of two peaks is not a peak of anything, so a delta carries the
-    /// later high-water mark.
+    /// A gauge: a high-water mark raised via [`Counters::max`], or a
+    /// level stored via [`Counters::set`]. The difference of two peaks or
+    /// levels is not a peak or level of anything, so a delta carries the
+    /// later value.
     Gauge,
 }
 
@@ -202,12 +203,20 @@ counters! {
     /// Estimate requests answered from a persisted model zoo (no
     /// synthesis ran — the `afp serve` fast path).
     estimates_served: Count, stable, Estimate;
-    /// Estimate responses reused from the in-memory estimate cache
-    /// (the model never even ran).
+    /// Estimate responses reused from the rendered-body cache (the model
+    /// never even ran).
     model_cache_hits: Count, stable, Estimate;
     /// Requests after the first answered on an already-open keep-alive
     /// connection (each one saved a TCP handshake).
     keepalive_reuses: Count, stable, Serve;
+    /// Responses sent from the daemon's rendered-body cache (no lookup,
+    /// rendering or model ran for them).
+    body_cache_hits: Count, stable, Serve;
+    /// Bodies the rendered-body cache dropped to stay within its byte
+    /// budget.
+    body_cache_evictions: Count, stable, Serve;
+    /// Bytes the rendered-body cache holds now (a level, not a peak).
+    body_cache_bytes: Gauge, stable, Serve;
 }
 
 impl Counters {
@@ -221,6 +230,12 @@ impl Counters {
     #[inline]
     pub fn max(counter: &AtomicU64, n: u64) {
         counter.fetch_max(n, Ordering::Relaxed);
+    }
+
+    /// Store a level gauge's current value.
+    #[inline]
+    pub fn set(counter: &AtomicU64, n: u64) {
+        counter.store(n, Ordering::Relaxed);
     }
 }
 
@@ -272,7 +287,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), COUNTERS.len());
-        assert_eq!(COUNTERS.len(), 25);
+        assert_eq!(COUNTERS.len(), 28);
         // `rows` pairs each row with its own field, in table order.
         let c = Counters::default();
         Counters::add(&c.structural_dedup_hits, 7);
@@ -285,12 +300,28 @@ mod tests {
     }
 
     #[test]
-    fn only_the_high_water_marks_are_gauges() {
+    fn only_peaks_and_levels_are_gauges() {
         let gauges: Vec<&str> = COUNTERS
             .iter()
             .filter(|r| r.kind == CounterKind::Gauge)
             .map(|r| r.name)
             .collect();
-        assert_eq!(gauges, ["peak_resident_circuits", "inflight_peak"]);
+        assert_eq!(
+            gauges,
+            [
+                "peak_resident_circuits",
+                "inflight_peak",
+                "body_cache_bytes"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_level_gauge_delta_carries_the_current_level() {
+        let c = Counters::default();
+        Counters::set(&c.body_cache_bytes, 900);
+        let a = c.snapshot();
+        Counters::set(&c.body_cache_bytes, 300);
+        assert_eq!(c.snapshot().since(&a).body_cache_bytes, 300);
     }
 }

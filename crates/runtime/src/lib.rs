@@ -17,7 +17,7 @@
 //!
 //! Both report into shared [`Counters`]: relaxed atomics declared once,
 //! as rows of the [`COUNTERS`] registry. Each row names a counter, says
-//! whether it is a count or a high-water gauge ([`CounterKind`]), whether
+//! whether it is a count or a gauge ([`CounterKind`]), whether
 //! normalized reports zero it, and which [`ReportSection`] publishes it.
 //! [`CounterSnapshot`], its gauge-aware [`CounterSnapshot::since`] delta,
 //! the flow run report, `afp serve`'s `/stats` and normalization are all

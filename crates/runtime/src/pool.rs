@@ -15,14 +15,33 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
+/// Marks the current thread as a pool worker until dropped, then restores
+/// the previous flag, also when a task panics. The calling thread runs as
+/// worker 0, so it must get its own flag back.
+struct WorkerFlag(bool);
+
+impl WorkerFlag {
+    fn enter() -> WorkerFlag {
+        WorkerFlag(IN_WORKER.with(|flag| flag.replace(true)))
+    }
+}
+
+impl Drop for WorkerFlag {
+    fn drop(&mut self) {
+        IN_WORKER.with(|flag| flag.set(self.0));
+    }
+}
+
 /// A parallel runtime of `threads` workers with shared [`Counters`].
 ///
 /// The pool is scoped: workers live only for the duration of one
 /// [`Runtime::par_map`] call, so borrowed inputs need no `'static`
-/// lifetime. Work distribution is dynamic — items start block-cyclically
-/// distributed over per-worker deques and idle workers steal half a deque
-/// at a time from the busiest peer — but results are always returned in
-/// input order, making the output independent of the thread count.
+/// lifetime. The calling thread is one of the workers, so a call spawns
+/// `threads - 1` threads. Work distribution is dynamic — items start
+/// block-cyclically distributed over per-worker deques and idle workers
+/// steal half a deque at a time from the busiest peer — but results are
+/// always returned in input order, making the output independent of the
+/// thread count.
 #[derive(Clone, Debug)]
 pub struct Runtime {
     threads: usize,
@@ -128,29 +147,30 @@ impl Runtime {
             .map(|w| Mutex::new((w..n).step_by(workers).collect()))
             .collect();
         let steals = &self.counters.steals;
+        let run_worker = |w: usize| {
+            let _flag = WorkerFlag::enter();
+            let mut scratch = init();
+            let mut local: Vec<(usize, R)> = Vec::with_capacity(n / workers + 1);
+            while let Some(i) = next_item(&deques, w, steals) {
+                local.push((i, f(&mut scratch, i, &items[i])));
+            }
+            local
+        };
 
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let collected: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let deques = &deques;
-                    let f = &f;
-                    let init = &init;
-                    scope.spawn(move || {
-                        IN_WORKER.with(|flag| flag.set(true));
-                        let mut scratch = init();
-                        let mut local: Vec<(usize, R)> = Vec::with_capacity(n / workers + 1);
-                        while let Some(i) = next_item(deques, w, steals) {
-                            local.push((i, f(&mut scratch, i, &items[i])));
-                        }
-                        IN_WORKER.with(|flag| flag.set(false));
-                        local
-                    })
-                })
+            let run_worker = &run_worker;
+            let handles: Vec<_> = (1..workers)
+                .map(|w| scope.spawn(move || run_worker(w)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker panicked"))
+            // The caller is worker 0 instead of parking on the joins: one
+            // thread fewer to spawn per call. Its panic is caught so every
+            // peer is joined before the pool reports it.
+            let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_worker(0)));
+            let peers: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            std::iter::once(own)
+                .chain(peers)
+                .map(|local| local.expect("pool worker panicked"))
                 .collect()
         });
         for (i, r) in collected.into_iter().flatten() {
@@ -319,6 +339,59 @@ mod tests {
         assert_eq!(out, items);
         assert_eq!(inner_parallel.load(Ordering::Relaxed), 16);
         assert!(!Runtime::in_worker());
+    }
+
+    #[test]
+    fn the_caller_runs_as_worker_zero_and_nests_inline() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..64).collect();
+        for threads in [2, 4, 8] {
+            let rt = Runtime::new(threads);
+            let ran = rt.par_map(&items, |_, &x| {
+                let outer = std::thread::current().id();
+                // A nested call runs inline on whichever thread runs the
+                // outer item, the caller included.
+                let inner = rt.par_map(&[1usize, 2, 3], |_, &y| {
+                    (std::thread::current().id(), x * y)
+                });
+                assert!(
+                    inner.iter().all(|&(id, _)| id == outer),
+                    "threads={threads}"
+                );
+                assert_eq!(
+                    inner.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
+                    [x, 2 * x, 3 * x]
+                );
+                outer
+            });
+            assert!(
+                ran.contains(&caller),
+                "threads={threads}: the caller ran no item"
+            );
+            let mut distinct = ran.clone();
+            distinct.sort_unstable_by_key(|id| format!("{id:?}"));
+            distinct.dedup();
+            assert!(distinct.len() <= threads, "threads={threads}");
+            assert!(!Runtime::in_worker(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn the_worker_flag_is_restored_after_a_panicking_item() {
+        for threads in [1, 2, 4] {
+            let rt = Runtime::new(threads);
+            let items: Vec<u32> = (0..16).collect();
+            let outcome = std::panic::catch_unwind(|| {
+                rt.par_map(&items, |_, &x| {
+                    assert!(x != 0, "boom");
+                    x
+                })
+            });
+            assert!(outcome.is_err(), "threads={threads}");
+            assert!(!Runtime::in_worker(), "threads={threads}");
+            // The pool still works afterwards.
+            assert_eq!(rt.par_map(&items, |_, &x| x), items);
+        }
     }
 
     #[test]

@@ -31,13 +31,16 @@
 //!    microseconds — zero FPGA synthesis — falling back to full
 //!    characterization (or `404` under `--estimate-only`) when no
 //!    loaded zoo covers the request's `(kind, width, target)`.
+//! 6. **Rendered-body cache** — one CLOCK cache bounded by
+//!    [`BODY_CACHE_BYTES`], keyed after parsing, answers hot
+//!    `/characterize` and `/estimate` requests with the bytes it sent
+//!    before.
 //!
 //! Responses are schema-stable [`afp_obs::RunReport`] JSON built by
 //! [`approxfpgas::request_report`]; volatile per-request metadata (was
 //! this coalesced? warm?) travels in `X-Afp-*` headers, never in the
 //! body, so identical requests yield byte-identical bodies.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -60,8 +63,11 @@ use approxfpgas::{
     RequestConfig, SavedZoo,
 };
 
+mod body_cache;
 pub mod http;
 
+pub use body_cache::BODY_CACHE_BYTES;
+use body_cache::{BodyCache, BodyKey, Endpoint};
 use http::{error_body, read_request, write_response, ReadError, Request, RequestReader};
 
 /// How long a worker waits on a slow or stalled peer before giving up
@@ -74,10 +80,6 @@ const IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// triggered: long enough for pipelined bytes already in flight to
 /// land, short enough that drain completes promptly.
 const DRAIN_TIMEOUT: Duration = Duration::from_millis(200);
-
-/// Rendered-estimate cache entries kept before the map is reset. Bounds
-/// memory; the cache refills with whatever is hot.
-const ESTIMATE_CACHE_CAP: usize = 4096;
 
 /// Where the daemon listens.
 #[derive(Clone, Debug)]
@@ -253,15 +255,13 @@ struct LoadedZoo {
     best: Vec<(FpgaParam, MlModelId)>,
 }
 
-/// Rendered `/estimate` bodies keyed by (spec, target): identical queries
-/// against an unchanged zoo must return byte-identical responses.
-type EstimateCache = Mutex<HashMap<(String, String), Arc<Vec<u8>>>>;
-
 /// State shared by the acceptor and every worker.
 struct Shared {
     rt: Runtime,
     cache: CharacterizationCache,
     inflight: Inflight<Arc<String>>,
+    /// One request configuration per registered target, built at start.
+    configs: Vec<RequestConfig>,
     default_target: String,
     queue_depth: usize,
     threads: usize,
@@ -269,7 +269,7 @@ struct Shared {
     wake: WakeTarget,
     batch_seq: AtomicU64,
     zoos: Vec<LoadedZoo>,
-    estimate_cache: EstimateCache,
+    bodies: BodyCache,
     estimate_only: bool,
     keepalive_requests: usize,
     keepalive_idle: Duration,
@@ -435,10 +435,16 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
         }
     };
 
+    let base = afp_fpga::FpgaConfig::default();
+    let configs = afp_fpga::target::registry()
+        .iter()
+        .map(|profile| RequestConfig::for_target_config(profile.apply(&base)))
+        .collect();
     let shared = Arc::new(Shared {
         rt: Runtime::new(threads),
         cache,
         inflight: Inflight::new(),
+        configs,
         default_target: config.default_target.clone(),
         queue_depth: config.queue_depth,
         threads,
@@ -446,7 +452,7 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
         wake,
         batch_seq: AtomicU64::new(0),
         zoos,
-        estimate_cache: Mutex::new(HashMap::new()),
+        bodies: BodyCache::new(BODY_CACHE_BYTES),
         estimate_only: config.estimate_only,
         keepalive_requests: config.keepalive_requests,
         keepalive_idle: config.keepalive_idle,
@@ -555,20 +561,26 @@ fn worker_loop(rx: &Mutex<Receiver<Conn>>, shared: &Shared) {
 fn handle_connection(conn: &mut Conn, shared: &Shared) {
     let mut reader = RequestReader::new();
     let mut served: u64 = 0;
+    // The read window in force; `None` is the connection-level IO_TIMEOUT.
+    let mut window: Option<Duration> = None;
     loop {
         // The first request keeps the connection-level IO_TIMEOUT: a
         // freshly accepted connection may legitimately wait queued
         // behind slow work before its bytes are read. Later requests
         // wait at most the keep-alive idle window — or, once shutdown
         // has been triggered, a short drain window that still lets
-        // pipelined bytes already in flight land and be answered.
+        // pipelined bytes already in flight land and be answered. The
+        // socket option is set only when the window changes.
         if served > 0 {
             let idle = if shared.shutdown.load(Ordering::SeqCst) {
                 DRAIN_TIMEOUT
             } else {
                 shared.keepalive_idle
             };
-            conn.set_read_timeout(idle);
+            if window != Some(idle) {
+                conn.set_read_timeout(idle);
+                window = Some(idle);
+            }
         }
         let req = match read_request(conn, &mut reader) {
             Ok(req) => req,
@@ -591,11 +603,7 @@ fn handle_connection(conn: &mut Conn, shared: &Shared) {
         // drain timeout closes the socket afterwards.
         let close = !req.keep_alive || served >= shared.keepalive_requests as u64;
         let (status, headers, body) = route(&req, shared);
-        let header_refs: Vec<(&str, String)> = headers
-            .iter()
-            .map(|(name, value)| (*name, value.clone()))
-            .collect();
-        let write_ok = write_response(conn, status, close, &header_refs, &body).is_ok();
+        let write_ok = write_response(conn, status, close, &headers, body.as_bytes()).is_ok();
         if is_shutdown && status == 200 {
             trigger_shutdown(shared);
         }
@@ -605,21 +613,40 @@ fn handle_connection(conn: &mut Conn, shared: &Shared) {
     }
 }
 
-type Response = (u16, Vec<(&'static str, String)>, Vec<u8>);
+/// A response body: rendered for this response, or shared with the body
+/// cache and the coalescing map, and written from there without a copy.
+enum Body {
+    Owned(Vec<u8>),
+    Shared(Arc<String>),
+}
+
+impl Body {
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Shared(text) => text.as_bytes(),
+        }
+    }
+}
+
+type Headers = Vec<(&'static str, String)>;
+type Response = (u16, Headers, Body);
+
+/// A `{"error":..}` response without extra headers.
+fn error(status: u16, reason: &str) -> Response {
+    (status, Vec::new(), Body::Owned(error_body(reason)))
+}
 
 fn route(req: &Request, shared: &Shared) -> Response {
+    let fixed = |body: &[u8]| (200, Vec::new(), Body::Owned(body.to_vec()));
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => (200, Vec::new(), b"{\"ok\":true}\n".to_vec()),
+        ("GET", "/healthz") => fixed(b"{\"ok\":true}\n"),
         ("GET", "/stats") => {
             let mut body = stats_report(shared).to_json().into_bytes();
             body.push(b'\n');
-            (200, Vec::new(), body)
+            (200, Vec::new(), Body::Owned(body))
         }
-        ("POST", "/shutdown") => (
-            200,
-            Vec::new(),
-            b"{\"ok\":true,\"draining\":true}\n".to_vec(),
-        ),
+        ("POST", "/shutdown") => fixed(b"{\"ok\":true,\"draining\":true}\n"),
         ("GET", "/characterize") => characterize_spec(req, shared),
         ("GET", "/estimate") => estimate_spec(req, shared),
         ("POST", "/characterize") => characterize_bristol(req, shared),
@@ -632,68 +659,94 @@ fn route(req: &Request, shared: &Shared) -> Response {
             | "/characterize"
             | "/characterize/batch"
             | "/estimate",
-        ) => (
-            405,
-            Vec::new(),
-            error_body(&format!("method {} not allowed here", req.method)),
-        ),
-        (_, path) => (
-            404,
-            Vec::new(),
-            error_body(&format!("no such endpoint `{path}`")),
-        ),
+        ) => error(405, &format!("method {} not allowed here", req.method)),
+        (_, path) => error(404, &format!("no such endpoint `{path}`")),
     }
 }
 
-/// Resolve `?target=` (or the daemon default) to a request configuration.
-fn target_config(req: &Request, shared: &Shared) -> Result<RequestConfig, String> {
+/// Resolve `?target=` (or the daemon default) to its request
+/// configuration, built once at start.
+fn target_config<'a>(req: &Request, shared: &'a Shared) -> Result<&'a RequestConfig, Response> {
     let name = req
         .query_param("target")
         .unwrap_or(shared.default_target.as_str());
-    match afp_fpga::target::named(name) {
-        Some(profile) => Ok(RequestConfig::for_target_config(
-            profile.apply(&afp_fpga::FpgaConfig::default()),
-        )),
-        None => Err(format!("unknown target `{name}`")),
-    }
+    shared
+        .configs
+        .iter()
+        .find(|config| config.fpga.target == name)
+        .ok_or_else(|| error(400, &format!("unknown target `{name}`")))
 }
 
-/// The shared serve path: coalesce on the content key, characterize
-/// once, and return the byte-stable report body plus volatile `X-Afp-*`
-/// metadata headers.
+/// The `spec` query parameter, its target's configuration and the
+/// circuit it names, or the `400` that says which one is wrong.
+fn spec_request<'a>(
+    req: &Request,
+    shared: &'a Shared,
+) -> Result<(ArithCircuit, &'a RequestConfig), Response> {
+    let spec = req
+        .query_param("spec")
+        .ok_or_else(|| error(400, "missing `spec` query parameter"))?;
+    let config = target_config(req, shared)?;
+    let circuit = from_spec_ref(spec).map_err(|reason| error(400, &reason))?;
+    Ok((circuit, config))
+}
+
+/// The shared serve path: answer from the body cache, or coalesce on the
+/// content key and characterize once, and return the byte-stable report
+/// body plus volatile `X-Afp-*` metadata headers.
+///
+/// A body is admitted to the body cache only when its request was
+/// answered from a warm characterization-cache entry, never on a miss
+/// or a coalesced join, so cold traffic holds no body memory. A body hit
+/// counts as the characterization-cache hit it stands in for.
 fn characterize_circuit(
     circuit: &ArithCircuit,
     config: &RequestConfig,
     shared: &Shared,
-) -> (Arc<String>, Vec<(&'static str, String)>) {
+) -> (Arc<String>, Headers) {
     let key = config.key(circuit);
-    let warm = shared.cache.contains(key);
-    let (body, joined) = shared.inflight.run(key, || {
-        Counters::max(
-            &shared.counters().inflight_peak,
-            shared.inflight.len() as u64,
-        );
-        let mut scratch = CharacterizeScratch::default();
-        let record = characterize_request(
-            circuit,
-            config,
-            &shared.rt,
-            Some(&shared.cache),
-            &mut scratch,
-        );
-        let mut json = request_report(&record).to_json();
-        json.push('\n');
-        Arc::new(json)
-    });
-    if joined {
-        Counters::add(&shared.counters().requests_coalesced, 1);
-    }
-    let source = if warm {
-        "hit"
-    } else if joined {
-        "coalesced"
-    } else {
-        "miss"
+    let body_key = BodyKey::new(Endpoint::Characterize, key, circuit.name());
+    let cached = shared.bodies.get(body_key, shared.counters());
+    let (body, source, joined) = match cached {
+        Some(body) => {
+            Counters::add(&shared.counters().cache_hits, 1);
+            (body, "hit", false)
+        }
+        None => {
+            let warm = shared.cache.contains(key);
+            let (body, joined) = shared.inflight.run(key, || {
+                Counters::max(
+                    &shared.counters().inflight_peak,
+                    shared.inflight.len() as u64,
+                );
+                let mut scratch = CharacterizeScratch::default();
+                let record = characterize_request(
+                    circuit,
+                    config,
+                    &shared.rt,
+                    Some(&shared.cache),
+                    &mut scratch,
+                );
+                let mut json = request_report(&record).to_json();
+                json.push('\n');
+                Arc::new(json)
+            });
+            if joined {
+                Counters::add(&shared.counters().requests_coalesced, 1);
+            } else if warm {
+                shared
+                    .bodies
+                    .insert(body_key, Arc::clone(&body), shared.counters());
+            }
+            let source = if warm {
+                "hit"
+            } else if joined {
+                "coalesced"
+            } else {
+                "miss"
+            };
+            (body, source, joined)
+        }
     };
     let headers = vec![
         (
@@ -707,24 +760,13 @@ fn characterize_circuit(
 
 /// `GET /characterize?spec=mul8:trunc:3[&target=NAME]`
 fn characterize_spec(req: &Request, shared: &Shared) -> Response {
-    let Some(spec) = req.query_param("spec") else {
-        return (
-            400,
-            Vec::new(),
-            error_body("missing `spec` query parameter"),
-        );
+    let (circuit, config) = match spec_request(req, shared) {
+        Ok(parsed) => parsed,
+        Err(response) => return response,
     };
-    let config = match target_config(req, shared) {
-        Ok(config) => config,
-        Err(reason) => return (400, Vec::new(), error_body(&reason)),
-    };
-    let circuit = match from_spec_ref(spec) {
-        Ok(circuit) => circuit,
-        Err(reason) => return (400, Vec::new(), error_body(&reason)),
-    };
-    let (body, headers) = characterize_circuit(&circuit, &config, shared);
+    let (body, headers) = characterize_circuit(&circuit, config, shared);
     Counters::add(&shared.counters().requests_served, 1);
-    (200, headers, body.as_bytes().to_vec())
+    (200, headers, Body::Shared(body))
 }
 
 /// The best persisted model for `param` in a loaded zoo: fidelity
@@ -746,89 +788,10 @@ fn estimate_fields(param: FpgaParam) -> (&'static str, &'static str) {
     }
 }
 
-/// `GET /estimate?spec=add8:rca[&target=NAME]` — score the circuit with
-/// the persisted trained zoo instead of running the characterization
-/// pipeline: structural features plus one (uncounted, analytic) ASIC
-/// pass feed the best model per FPGA parameter. Microseconds, zero
-/// `asic_synths`/`fpga_synths` counter movement. When no loaded zoo
-/// covers the `(kind, width, target)`, falls back to the full
-/// `/characterize` path (flagged `X-Afp-Estimate: fallback`) — or
-/// answers `404` under estimate-only mode.
-fn estimate_spec(req: &Request, shared: &Shared) -> Response {
-    let Some(spec) = req.query_param("spec") else {
-        return (
-            400,
-            Vec::new(),
-            error_body("missing `spec` query parameter"),
-        );
-    };
-    let target_name = req
-        .query_param("target")
-        .unwrap_or(shared.default_target.as_str());
-    if afp_fpga::target::named(target_name).is_none() {
-        return (
-            400,
-            Vec::new(),
-            error_body(&format!("unknown target `{target_name}`")),
-        );
-    }
-    let circuit = match from_spec_ref(spec) {
-        Ok(circuit) => circuit,
-        Err(reason) => return (400, Vec::new(), error_body(&reason)),
-    };
-    let zoo = shared
-        .zoos
-        .iter()
-        .find(|z| z.saved.target == target_name && z.saved.covers(circuit.kind(), circuit.width()));
-    let Some(zoo) = zoo else {
-        if shared.estimate_only {
-            return (
-                404,
-                Vec::new(),
-                error_body(&format!(
-                    "no loaded model zoo covers `{spec}` on target `{target_name}` \
-                     (estimate-only mode; no characterization fallback)"
-                )),
-            );
-        }
-        // Fall back to the full measured path, flagged so the client
-        // can tell this answer was characterized, not estimated.
-        let config = match target_config(req, shared) {
-            Ok(config) => config,
-            Err(reason) => return (400, Vec::new(), error_body(&reason)),
-        };
-        let (body, mut headers) = characterize_circuit(&circuit, &config, shared);
-        headers.push(("X-Afp-Estimate", "fallback".to_string()));
-        Counters::add(&shared.counters().requests_served, 1);
-        return (200, headers, body.as_bytes().to_vec());
-    };
-
-    // Rendered-body cache: a hot (spec, target) pair skips even the
-    // feature extraction. Bodies are byte-stable, so serving the cached
-    // bytes is indistinguishable from recomputing them.
-    let cache_key = (spec.to_string(), target_name.to_string());
-    {
-        let cache = shared
-            .estimate_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(body) = cache.get(&cache_key) {
-            Counters::add(&shared.counters().requests_served, 1);
-            Counters::add(&shared.counters().estimates_served, 1);
-            Counters::add(&shared.counters().model_cache_hits, 1);
-            return (
-                200,
-                vec![
-                    ("X-Afp-Estimate", "model".to_string()),
-                    ("X-Afp-Model-Cache", "hit".to_string()),
-                ],
-                body.as_ref().clone(),
-            );
-        }
-    }
-
+/// The rendered `/estimate` body of `circuit` under `zoo`.
+fn render_estimate(circuit: &ArithCircuit, target: &str, zoo: &LoadedZoo) -> String {
     let features = estimate_features(
-        &circuit,
+        circuit,
         &afp_asic::AsicConfig::default(),
         zoo.saved.zoo.layout(),
     );
@@ -836,7 +799,7 @@ fn estimate_spec(req: &Request, shared: &Shared) -> Response {
         .field("name", Value::Str(circuit.name().to_string()))
         .field("kind", Value::Str(circuit.kind().mnemonic().to_string()))
         .field("width", Value::UInt(circuit.width() as u64))
-        .field("target", Value::Str(target_name.to_string()))
+        .field("target", Value::Str(target.to_string()))
         .field("source", Value::Str("model".to_string()));
     for &(param, model) in &zoo.best {
         let value = zoo
@@ -851,27 +814,74 @@ fn estimate_spec(req: &Request, shared: &Shared) -> Response {
     }
     let mut report = RunReport::new();
     report.push_section(section);
-    let mut body = report.to_json().into_bytes();
-    body.push(b'\n');
-    {
-        let mut cache = shared
-            .estimate_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if cache.len() >= ESTIMATE_CACHE_CAP {
-            cache.clear();
+    let mut body = report.to_json();
+    body.push('\n');
+    body
+}
+
+/// `GET /estimate?spec=add8:rca[&target=NAME]` — score the circuit with
+/// the persisted trained zoo instead of running the characterization
+/// pipeline: structural features plus one (uncounted, analytic) ASIC
+/// pass feed the best model per FPGA parameter. Microseconds, zero
+/// `asic_synths`/`fpga_synths` counter movement. When no loaded zoo
+/// covers the `(kind, width, target)`, falls back to the full
+/// `/characterize` path (flagged `X-Afp-Estimate: fallback`) — or
+/// answers `404` under estimate-only mode.
+fn estimate_spec(req: &Request, shared: &Shared) -> Response {
+    let (circuit, config) = match spec_request(req, shared) {
+        Ok(parsed) => parsed,
+        Err(response) => return response,
+    };
+    let target = config.fpga.target.as_str();
+    let zoo = shared
+        .zoos
+        .iter()
+        .find(|z| z.saved.target == target && z.saved.covers(circuit.kind(), circuit.width()));
+    let Some(zoo) = zoo else {
+        if shared.estimate_only {
+            let spec = req.query_param("spec").unwrap_or_default();
+            return error(
+                404,
+                &format!(
+                    "no loaded model zoo covers `{spec}` on target `{target}` \
+                     (estimate-only mode; no characterization fallback)"
+                ),
+            );
         }
-        cache.insert(cache_key, Arc::new(body.clone()));
-    }
+        // Fall back to the full measured path, flagged so the client
+        // can tell this answer was characterized, not estimated.
+        let (body, mut headers) = characterize_circuit(&circuit, config, shared);
+        headers.push(("X-Afp-Estimate", "fallback".to_string()));
+        Counters::add(&shared.counters().requests_served, 1);
+        return (200, headers, Body::Shared(body));
+    };
+
+    // A hot estimate skips even the feature extraction. Bodies are
+    // byte-stable, so serving the cached bytes is indistinguishable
+    // from recomputing them.
+    let body_key = BodyKey::new(Endpoint::Estimate, config.key(&circuit), circuit.name());
+    let (body, model_cache) = match shared.bodies.get(body_key, shared.counters()) {
+        Some(body) => {
+            Counters::add(&shared.counters().model_cache_hits, 1);
+            (body, "hit")
+        }
+        None => {
+            let body = Arc::new(render_estimate(&circuit, target, zoo));
+            shared
+                .bodies
+                .insert(body_key, Arc::clone(&body), shared.counters());
+            (body, "miss")
+        }
+    };
     Counters::add(&shared.counters().requests_served, 1);
     Counters::add(&shared.counters().estimates_served, 1);
     (
         200,
         vec![
             ("X-Afp-Estimate", "model".to_string()),
-            ("X-Afp-Model-Cache", "miss".to_string()),
+            ("X-Afp-Model-Cache", model_cache.to_string()),
         ],
-        body,
+        Body::Shared(body),
     )
 }
 
@@ -881,98 +891,64 @@ fn characterize_bristol(req: &Request, shared: &Shared) -> Response {
     let kind = match req.query_param("kind") {
         Some("add") => ArithKind::Adder,
         Some("mul") => ArithKind::Multiplier,
-        Some(other) => {
-            return (
-                400,
-                Vec::new(),
-                error_body(&format!("unknown kind `{other}`")),
-            )
-        }
-        None => {
-            return (
-                400,
-                Vec::new(),
-                error_body("missing `kind` query parameter"),
-            )
-        }
+        Some(other) => return error(400, &format!("unknown kind `{other}`")),
+        None => return error(400, "missing `kind` query parameter"),
     };
     let width: usize = match req.query_param("width").map(str::parse) {
         Some(Ok(w)) => w,
-        _ => {
-            return (
-                400,
-                Vec::new(),
-                error_body("missing or malformed `width` query parameter"),
-            )
-        }
+        _ => return error(400, "missing or malformed `width` query parameter"),
     };
     let max_width = match kind {
         ArithKind::Adder => 32,
         ArithKind::Multiplier => 16,
     };
     if width == 0 || width > max_width {
-        return (
+        return error(
             400,
-            Vec::new(),
-            error_body(&format!(
+            &format!(
                 "width {width} out of range 1..={max_width} for kind `{}`",
                 kind.mnemonic()
-            )),
+            ),
         );
     }
     let config = match target_config(req, shared) {
         Ok(config) => config,
-        Err(reason) => return (400, Vec::new(), error_body(&reason)),
+        Err(response) => return response,
     };
-    let source = match std::str::from_utf8(&req.body) {
-        Ok(s) => s,
-        Err(_) => {
-            return (
-                400,
-                Vec::new(),
-                error_body("body is not UTF-8 Bristol text"),
-            )
-        }
+    let Ok(source) = std::str::from_utf8(&req.body) else {
+        return error(400, "body is not UTF-8 Bristol text");
     };
     let netlist = match afp_netlist::bristol::from_bristol(source) {
         Ok(netlist) => netlist,
-        Err(e) => {
-            return (
-                400,
-                Vec::new(),
-                error_body(&format!("bad Bristol netlist: {e}")),
-            )
-        }
+        Err(e) => return error(400, &format!("bad Bristol netlist: {e}")),
     };
     // `ArithCircuit::new` asserts the word-level interface; check it
     // here so a mismatched payload is a 400, not a worker panic.
     if netlist.num_inputs() != 2 * width {
-        return (
+        return error(
             400,
-            Vec::new(),
-            error_body(&format!(
+            &format!(
                 "netlist has {} inputs, expected {} for width {width}",
                 netlist.num_inputs(),
                 2 * width
-            )),
+            ),
         );
     }
     if netlist.num_outputs() != kind.out_width(width) {
-        return (
+        return error(
             400,
-            Vec::new(),
-            error_body(&format!(
+            &format!(
                 "netlist has {} outputs, expected {} for a width-{width} `{}`",
                 netlist.num_outputs(),
                 kind.out_width(width),
                 kind.mnemonic()
-            )),
+            ),
         );
     }
     let circuit = ArithCircuit::new(kind, width, netlist);
-    let (body, headers) = characterize_circuit(&circuit, &config, shared);
+    let (body, headers) = characterize_circuit(&circuit, config, shared);
     Counters::add(&shared.counters().requests_served, 1);
-    (200, headers, body.as_bytes().to_vec())
+    (200, headers, Body::Shared(body))
 }
 
 /// `POST /characterize/batch[?target=NAME]` with an `.afps` library
@@ -980,14 +956,10 @@ fn characterize_bristol(req: &Request, shared: &Shared) -> Response {
 fn characterize_batch(req: &Request, shared: &Shared) -> Response {
     let config = match target_config(req, shared) {
         Ok(config) => config,
-        Err(reason) => return (400, Vec::new(), error_body(&reason)),
+        Err(response) => return response,
     };
     if req.body.is_empty() {
-        return (
-            400,
-            Vec::new(),
-            error_body("empty batch body; expected .afps bytes"),
-        );
+        return error(400, "empty batch body; expected .afps bytes");
     }
     // The streaming reader wants a file; spill the payload to a
     // uniquely-named temp path and clean it up on every exit.
@@ -1001,7 +973,7 @@ fn characterize_batch(req: &Request, shared: &Shared) -> Response {
         let mut first = true;
         for item in stream {
             let circuit = item.map_err(|e| format!("bad .afps payload: {e}"))?;
-            let (body, _) = characterize_circuit(&circuit, &config, shared);
+            let (body, _) = characterize_circuit(&circuit, config, shared);
             if !first {
                 out.push(b',');
             }
@@ -1015,9 +987,9 @@ fn characterize_batch(req: &Request, shared: &Shared) -> Response {
     match result {
         Ok(body) => {
             Counters::add(&shared.counters().requests_served, 1);
-            (200, Vec::new(), body)
+            (200, Vec::new(), Body::Owned(body))
         }
-        Err(reason) => (400, Vec::new(), error_body(&reason)),
+        Err(reason) => error(400, &reason),
     }
 }
 
@@ -1035,7 +1007,11 @@ fn stats_report(shared: &Shared) -> RunReport {
     report.push_section(
         counter_section(ReportSection::Serve, &snap)
             .field("queue_depth", Value::UInt(shared.queue_depth as u64))
-            .field("threads", Value::UInt(shared.threads as u64)),
+            .field("threads", Value::UInt(shared.threads as u64))
+            .field(
+                "body_cache_entries",
+                Value::UInt(shared.bodies.len() as u64),
+            ),
     );
     let model_targets = shared
         .zoos
@@ -1456,8 +1432,7 @@ mod tests {
         assert!(body.contains("\"power_mw\":"), "{body}");
         assert!(body.contains("\"area_luts\":"), "{body}");
 
-        // Second ask: served from the rendered-estimate cache,
-        // byte-identical.
+        // Second ask: served from the body cache, byte-identical.
         let (status, headers, again) = get(addr, "/estimate?spec=add8:rca");
         assert_eq!(status, 200);
         assert_eq!(again, body);

@@ -2,8 +2,10 @@
 //! coalescing contract (N identical concurrent requests, one
 //! characterization, byte-identical bodies), bounded-queue backpressure
 //! (429, never a panic or a hang), graceful drain (an accepted
-//! request is never dropped by shutdown), and the persisted-zoo
-//! estimate fast path over a kept-alive connection.
+//! request is never dropped by shutdown), the persisted-zoo estimate
+//! fast path over a kept-alive connection, and the rendered-body cache
+//! (byte-identical hits, canonical keys, warm-only admission, a byte
+//! budget that holds).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,7 +14,30 @@ use std::time::Duration;
 
 use afp_circuits::ArithKind;
 use afp_ml::MlModelId;
-use afp_serve::{serve, ServeConfig, ServerHandle};
+use afp_serve::{serve, ServeConfig, ServerHandle, BODY_CACHE_BYTES};
+
+/// The `serve_load` vocabulary: every spec is asked on every target.
+const SPECS: [&str; 13] = [
+    "add8:rca",
+    "add8:cla",
+    "add8:csel",
+    "add8:cskip",
+    "add8:loa:2",
+    "add8:trunc:3",
+    "add8:nocarry:2",
+    "add8:gear:2:2",
+    "mul8:array",
+    "mul8:wallace",
+    "mul8:trunc:4",
+    "mul8:broken:6:4",
+    "mul8:compressor:3",
+];
+const TARGETS: [&str; 4] = [
+    "lut4-ice40",
+    "lut6-7series",
+    "lut6-ultrascale",
+    "alm-stratix",
+];
 
 fn start(threads: usize, queue_depth: usize) -> ServerHandle {
     serve(ServeConfig {
@@ -64,6 +89,51 @@ fn read_keepalive_response(reader: &mut BufReader<TcpStream>) -> (u16, Vec<Strin
     (status, headers, String::from_utf8(body).expect("utf-8"))
 }
 
+/// Send one request on a kept-alive connection and read its response.
+fn ask(reader: &mut BufReader<TcpStream>, target: &str) -> (u16, Vec<String>, String) {
+    reader
+        .get_mut()
+        .write_all(format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+        .expect("send");
+    read_keepalive_response(reader)
+}
+
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    BufReader::new(TcpStream::connect(addr).expect("connect"))
+}
+
+/// A numeric field of the `/stats` document, e.g. `body_cache_entries`.
+fn stat(stats: &str, key: &str) -> u64 {
+    let open = format!("\"{key}\":");
+    let at = stats
+        .find(&open)
+        .unwrap_or_else(|| panic!("no {key}: {stats}"))
+        + open.len();
+    let digits: String = stats[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("numeric stat")
+}
+
+/// The body `afp serve` must send for `spec` on `target`: the
+/// in-process report of a fresh, uncached characterization.
+fn direct_report(spec: &str, target: &str) -> String {
+    let circuit = afp_circuits::from_spec_ref(spec).unwrap();
+    let profile = afp_fpga::target::named(target).unwrap();
+    let config = approxfpgas::RequestConfig::for_target_config(
+        profile.apply(&afp_fpga::FpgaConfig::default()),
+    );
+    let record = approxfpgas::characterize_request(
+        &circuit,
+        &config,
+        &afp_runtime::Runtime::serial(),
+        None,
+        &mut approxfpgas::record::CharacterizeScratch::default(),
+    );
+    format!("{}\n", approxfpgas::request_report(&record).to_json())
+}
+
 fn read_response(stream: &mut TcpStream) -> (u16, String) {
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("recv");
@@ -102,27 +172,18 @@ fn concurrent_identical_requests_characterize_once_with_identical_bodies() {
     });
 
     // Byte-identical bodies, equal to the direct library-level report.
-    let circuit = afp_circuits::from_spec_ref("mul8:wallace").unwrap();
-    let profile = afp_fpga::target::named("lut4-ice40").unwrap();
-    let config = approxfpgas::RequestConfig::for_target_config(
-        profile.apply(&afp_fpga::FpgaConfig::default()),
-    );
-    let record = approxfpgas::characterize_request(
-        &circuit,
-        &config,
-        &afp_runtime::Runtime::serial(),
-        None,
-        &mut approxfpgas::record::CharacterizeScratch::default(),
-    );
-    let want = format!("{}\n", approxfpgas::request_report(&record).to_json());
+    let want = direct_report("mul8:wallace", "lut4-ice40");
     for body in &bodies {
         assert_eq!(body, &want);
     }
 
     // The counters prove coalescing: exactly one characterization ran,
     // and every non-leader either joined the in-flight computation or
-    // hit the cache it populated — no third path.
-    let snap = server.shutdown();
+    // hit the cache it populated — no third path. A body-cache hit
+    // counts as the cache hit it stands in for. The body is admitted by
+    // the first warm answer only, so it is held exactly when some
+    // request was a hit.
+    let snap = server.snapshot();
     assert_eq!(snap.asic_synths, 1, "identical requests recharacterized");
     assert_eq!(snap.fpga_synths, 1);
     assert_eq!(snap.error_analyses, 1);
@@ -133,6 +194,29 @@ fn concurrent_identical_requests_characterize_once_with_identical_bodies() {
         N as u64 - 1,
         "every non-leader must be a coalesced joiner or a cache hit"
     );
+    let (_, stats) = get(addr, "/stats");
+    assert_eq!(
+        stat(&stats, "body_cache_entries"),
+        u64::from(snap.cache_hits > 0),
+        "{stats}"
+    );
+    assert!(snap.body_cache_hits < snap.cache_hits.max(1));
+
+    // A second identical wave is all hits, warm or body, and the
+    // invariant holds over both waves.
+    std::thread::scope(|scope| {
+        for _ in 0..N {
+            scope.spawn(|| {
+                let (status, body) = get(addr, "/characterize?spec=mul8:wallace&target=lut4-ice40");
+                assert_eq!((status, body.as_str()), (200, want.as_str()));
+            });
+        }
+    });
+    let snap = server.shutdown();
+    assert_eq!(snap.asic_synths, 1);
+    assert_eq!(snap.cache_misses, 1);
+    assert_eq!(snap.requests_coalesced + snap.cache_hits, 2 * N as u64 - 1);
+    assert!(snap.body_cache_bytes > 0, "a warm wave admits the body");
 }
 
 #[test]
@@ -241,8 +325,9 @@ fn shutdown_drains_every_accepted_request() {
     assert!(refused, "listener still answering after join");
 }
 
-/// Train a tiny adder zoo, persist it as `.afpm`, and return the path.
-fn save_small_zoo(name: &str) -> std::path::PathBuf {
+/// Train a tiny adder zoo, persist it as `.afpm` claiming the `covers`
+/// shapes, and return the path.
+fn save_small_zoo(name: &str, covers: &[(ArithKind, usize)]) -> std::path::PathBuf {
     let lib = afp_circuits::build_library(&afp_circuits::LibrarySpec::new(ArithKind::Adder, 8, 40));
     let records = approxfpgas::dataset::characterize_library(
         &lib,
@@ -260,19 +345,14 @@ fn save_small_zoo(name: &str) -> std::path::PathBuf {
         0.01,
     );
     let path = std::env::temp_dir().join(format!("afp-it-{name}-{}.afpm", std::process::id()));
-    approxfpgas::save_zoo(
-        &path,
-        &zoo,
-        afp_fpga::target::DEFAULT_TARGET,
-        &[(ArithKind::Adder, 8)],
-    )
-    .expect("zoo saves");
+    approxfpgas::save_zoo(&path, &zoo, afp_fpga::target::DEFAULT_TARGET, covers)
+        .expect("zoo saves");
     path
 }
 
 #[test]
 fn estimate_fast_path_over_keepalive_answers_without_synthesis() {
-    let path = save_small_zoo("estimate");
+    let path = save_small_zoo("estimate", &[(ArithKind::Adder, 8)]);
     let server = serve(ServeConfig {
         threads: 2,
         models: vec![path.clone()],
@@ -348,5 +428,191 @@ fn estimate_fast_path_over_keepalive_answers_without_synthesis() {
     );
     let snap2 = server2.shutdown();
     assert_eq!(snap2.asic_synths, 0);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn body_cache_hits_are_byte_identical_to_fresh_reports() {
+    let path = save_small_zoo(
+        "bodies",
+        &[(ArithKind::Adder, 8), (ArithKind::Multiplier, 8)],
+    );
+    let server = serve(ServeConfig {
+        threads: 2,
+        models: vec![path.clone()],
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr().unwrap();
+    let mut conn = connect(addr);
+
+    // Each pair: a miss, a warm hit that admits the body, a body hit.
+    for spec in SPECS {
+        for target in TARGETS {
+            let path = format!("/characterize?spec={spec}&target={target}");
+            let want = direct_report(spec, target);
+            for (round, source) in ["miss", "hit", "hit"].into_iter().enumerate() {
+                let (status, headers, body) = ask(&mut conn, &path);
+                assert_eq!(status, 200, "{path}: {body}");
+                assert!(
+                    headers
+                        .iter()
+                        .any(|h| *h == format!("X-Afp-Cache: {source}")),
+                    "{path} round {round}: {headers:?}"
+                );
+                assert_eq!(body, want, "{path} round {round}");
+            }
+        }
+    }
+    let pairs = (SPECS.len() * TARGETS.len()) as u64;
+    let snap = server.snapshot();
+    assert_eq!(snap.body_cache_hits, pairs);
+    assert_eq!(
+        snap.cache_hits,
+        2 * pairs,
+        "a body hit counts as a cache hit"
+    );
+
+    // Each estimate: the rendered miss, then a body hit of the same bytes.
+    for spec in SPECS {
+        let path = format!("/estimate?spec={spec}");
+        let (status, headers, fresh) = ask(&mut conn, &path);
+        assert_eq!(status, 200, "{path}: {fresh}");
+        assert!(
+            headers.iter().any(|h| h == "X-Afp-Model-Cache: miss"),
+            "{headers:?}"
+        );
+        let (status, headers, hit) = ask(&mut conn, &path);
+        assert_eq!(status, 200);
+        assert!(
+            headers.iter().any(|h| h == "X-Afp-Model-Cache: hit"),
+            "{headers:?}"
+        );
+        assert_eq!(hit, fresh, "{path}");
+    }
+    let (_, _, stats) = ask(&mut conn, "/stats");
+    let estimates = SPECS.len() as u64;
+    assert_eq!(
+        stat(&stats, "body_cache_entries"),
+        pairs + estimates,
+        "{stats}"
+    );
+    assert_eq!(
+        stat(&stats, "body_cache_hits"),
+        pairs + estimates,
+        "{stats}"
+    );
+    assert_eq!(stat(&stats, "body_cache_evictions"), 0, "{stats}");
+    assert_eq!(stat(&stats, "model_cache_hits"), estimates, "{stats}");
+    drop(conn);
+    let snap = server.shutdown();
+    assert_eq!(snap.asic_synths, pairs, "hits never recharacterize");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn equivalent_spellings_share_one_body() {
+    let path = save_small_zoo("spellings", &[(ArithKind::Multiplier, 8)]);
+    let server = serve(ServeConfig {
+        threads: 1,
+        models: vec![path.clone()],
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let mut conn = connect(server.addr().unwrap());
+    for endpoint in ["/characterize", "/estimate"] {
+        let (_, _, first) = ask(&mut conn, &format!("{endpoint}?spec=mul8:udm:0ff"));
+        let (_, _, warm) = ask(&mut conn, &format!("{endpoint}?spec=mul8:udm:0ff"));
+        let before = server.snapshot().body_cache_hits;
+        let (status, _, other) = ask(&mut conn, &format!("{endpoint}?spec=mul8:udm:ff"));
+        assert_eq!(status, 200, "{other}");
+        assert_eq!((&warm, &other), (&first, &first), "{endpoint}");
+        assert_eq!(
+            server.snapshot().body_cache_hits,
+            before + 1,
+            "{endpoint}: the other spelling must hit the same entry"
+        );
+    }
+    let (_, _, stats) = ask(&mut conn, "/stats");
+    assert_eq!(stat(&stats, "body_cache_entries"), 2, "{stats}");
+    drop(conn);
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn only_a_warm_answer_admits_a_characterize_body() {
+    let server = start(2, 16);
+    let addr = server.addr().unwrap();
+    let entries = || stat(&get(addr, "/stats").1, "body_cache_entries");
+
+    // A cold miss admits nothing.
+    let (status, _) = get(addr, "/characterize?spec=add8:cla");
+    assert_eq!(status, 200);
+    assert_eq!(entries(), 0);
+    // The first warm hit admits the body; the next is a body hit.
+    get(addr, "/characterize?spec=add8:cla");
+    assert_eq!(entries(), 1);
+    get(addr, "/characterize?spec=add8:cla");
+    assert_eq!(server.snapshot().body_cache_hits, 1);
+
+    // Concurrent twins of a fresh key: one miss, the other a coalesced
+    // join (admits nothing) or a warm hit (admits one body).
+    let before = server.snapshot();
+    let barrier = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                barrier.wait();
+                assert_eq!(get(addr, "/characterize?spec=mul8:trunc:4").0, 200);
+            });
+        }
+    });
+    let twins = server.snapshot().since(&before);
+    assert_eq!(twins.cache_misses, 1);
+    assert_eq!(twins.requests_coalesced + twins.cache_hits, 1);
+    assert_eq!(entries(), 1 + twins.cache_hits);
+    server.shutdown();
+}
+
+#[test]
+fn distinct_estimates_never_outgrow_the_byte_budget() {
+    // 20,000 distinct specs: 2-bit underdesigned multipliers whose
+    // masks differ (the high bits name the circuit but select no block).
+    // Their bodies total well over the budget, so the cache must evict.
+    const SPECS: u64 = 20_000;
+    let path = save_small_zoo("budget", &[(ArithKind::Multiplier, 2)]);
+    let server = serve(ServeConfig {
+        threads: 1,
+        models: vec![path.clone()],
+        keepalive_requests: 2 * SPECS as usize,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let mut conn = connect(server.addr().unwrap());
+    let mut peak = 0;
+    for mask in 0..SPECS {
+        let (status, _, body) = ask(&mut conn, &format!("/estimate?spec=mul2:udm:{mask:x}"));
+        assert_eq!(status, 200, "{body}");
+        let bytes = server.snapshot().body_cache_bytes;
+        assert!(
+            bytes <= BODY_CACHE_BYTES as u64,
+            "mask {mask:x}: {bytes} bytes"
+        );
+        peak = peak.max(bytes);
+    }
+    let (_, _, stats) = ask(&mut conn, "/stats");
+    let (entries, evictions) = (
+        stat(&stats, "body_cache_entries"),
+        stat(&stats, "body_cache_evictions"),
+    );
+    assert!(evictions > 0, "{stats}");
+    assert_eq!(entries + evictions, SPECS, "{stats}");
+    assert!(
+        peak > BODY_CACHE_BYTES as u64 * 9 / 10,
+        "the budget was reached: {peak}"
+    );
+    drop(conn);
+    server.shutdown();
     let _ = std::fs::remove_file(&path);
 }
