@@ -9,44 +9,37 @@
 //! Usage: `cargo run --release -p afp-bench --bin ablation_jitter [--quick]`
 
 use afp_bench::render::table;
-use afp_bench::{write_csv, Scale};
+use afp_bench::{run_flow, write_csv, Scale};
 use afp_ml::MlModelId;
-use approxfpgas::dataset::{characterize_library, sample_subset, train_validate_split};
-use approxfpgas::fidelity::train_zoo;
 use approxfpgas::record::FpgaParam;
+use approxfpgas::FlowConfig;
 
 fn main() {
     let scale = Scale::from_args();
-    let mut spec = scale.mul8_spec();
-    spec.target_size = spec.target_size.min(1500);
+    let mut library = scale.mul8_spec();
+    library.target_size = library.target_size.min(1500);
     println!(
-        "ablation_jitter: building {} 8x8 multipliers...",
-        spec.target_size
+        "ablation_jitter: characterizing {} 8x8 multipliers per jitter level...",
+        library.target_size
     );
-    let library = afp_circuits::build_library(&spec);
-    let models = [
-        MlModelId::Ml4,
-        MlModelId::Ml11,
-        MlModelId::Ml14,
-        MlModelId::Ml5,
-    ];
+    let config = FlowConfig {
+        library,
+        models: vec![
+            MlModelId::Ml4,
+            MlModelId::Ml11,
+            MlModelId::Ml14,
+            MlModelId::Ml5,
+        ],
+        seed: 0x717,
+        ..FlowConfig::default()
+    };
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for jitter in [0.0f64, 0.04, 0.08, 0.16] {
-        let fpga_cfg = afp_fpga::FpgaConfig {
-            pnr_jitter: jitter,
-            ..afp_fpga::FpgaConfig::default()
-        };
-        let records = characterize_library(
-            &library,
-            &afp_asic::AsicConfig::default(),
-            &fpga_cfg,
-            &afp_error::ErrorConfig::default(),
-        );
-        let subset = sample_subset(records.len(), 0.10, 40, 0x717);
-        let (train, validate) = train_validate_split(&subset, 0.80, 0x717);
-        let zoo = train_zoo(&records, &train, &validate, &models, 0.01);
+        let mut config = config.clone();
+        config.fpga.pnr_jitter = jitter;
+        let zoo = run_flow(&config).zoo;
         for param in FpgaParam::ALL {
             let best = zoo
                 .fidelities

@@ -6,55 +6,48 @@
 //! Usage: `cargo run --release -p afp-bench --bin crossbw [--quick]`
 
 use afp_bench::render::table;
-use afp_bench::{write_csv, Scale};
+use afp_bench::{run_flow, write_csv, Scale};
 use afp_circuits::{ArithKind, LibrarySpec};
 use afp_ml::metrics::fidelity;
 use afp_ml::MlModelId;
-use approxfpgas::dataset::{characterize_library, sample_subset, train_validate_split};
-use approxfpgas::fidelity::train_zoo;
-use approxfpgas::record::{CircuitRecord, FpgaParam};
-
-fn characterize(spec: &LibrarySpec) -> Vec<CircuitRecord> {
-    let library = afp_circuits::build_library(spec);
-    characterize_library(
-        &library,
-        &afp_asic::AsicConfig::default(),
-        &afp_fpga::FpgaConfig::default(),
-        &afp_error::ErrorConfig::default(),
-    )
-}
+use approxfpgas::record::FpgaParam;
+use approxfpgas::FlowConfig;
 
 fn main() {
     let scale = Scale::from_args();
     // The comparison models: a representative strong subset.
-    let models = [
-        MlModelId::Ml4,
-        MlModelId::Ml11,
-        MlModelId::Ml13,
-        MlModelId::Ml14,
-        MlModelId::Ml18,
-    ];
+    let config = FlowConfig {
+        models: vec![
+            MlModelId::Ml4,
+            MlModelId::Ml11,
+            MlModelId::Ml13,
+            MlModelId::Ml14,
+            MlModelId::Ml18,
+        ],
+        ..FlowConfig::default()
+    };
+    let tolerance = config.fidelity_tolerance;
     println!("crossbw: characterizing mult8/mult12/mult16 libraries...");
-    let recs8 = characterize(&scale.mul8_spec());
-    let recs12 = characterize(&LibrarySpec::new(ArithKind::Multiplier, 12, scale.mul12));
-    let recs16 = characterize(&scale.mul16_spec());
-
-    // Zoo trained on the 8-bit library.
-    let subset8 = sample_subset(recs8.len(), 0.10, 40, 0xDAC_2020);
-    let (train8, val8) = train_validate_split(&subset8, 0.80, 0xDAC_2020);
-    let zoo8 = train_zoo(&recs8, &train8, &val8, &models, 0.01);
+    let explore = |library: LibrarySpec| {
+        run_flow(&FlowConfig {
+            library,
+            ..config.clone()
+        })
+    };
+    // Zoo trained on the 8-bit library; each other width also gets its
+    // native-width zoo for the same models.
+    let zoo8 = explore(scale.mul8_spec()).zoo;
+    let flow12 = explore(LibrarySpec::new(ArithKind::Multiplier, 12, scale.mul12));
+    let flow16 = explore(scale.mul16_spec());
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     let mut same_sum = 0.0;
     let mut cross_sum = 0.0;
     let mut n = 0usize;
-    for (label, recs) in [("mult12", &recs12), ("mult16", &recs16)] {
-        // Native-width zoo for the same models.
-        let subset = sample_subset(recs.len(), 0.10, 40, 0xDAC_2020);
-        let (train, val) = train_validate_split(&subset, 0.80, 0xDAC_2020);
-        let zoo_native = train_zoo(recs, &train, &val, &models, 0.01);
-        for &model in &models {
+    for (label, flow) in [("mult12", &flow12), ("mult16", &flow16)] {
+        let (recs, val) = (&flow.records, &flow.validate);
+        for &model in &config.models {
             for param in FpgaParam::ALL {
                 // Cross: 8-bit-trained model estimating this library's
                 // validation circuits.
@@ -63,13 +56,8 @@ fn main() {
                     .iter()
                     .map(|&i| zoo8.estimate(model, param, &recs[i]))
                     .collect();
-                let f_cross = fidelity(&est_cross, &mes, 0.01);
-                let f_native = zoo_native
-                    .fidelities
-                    .iter()
-                    .find(|f| f.model == model && f.param == param)
-                    .map(|f| f.fidelity)
-                    .unwrap_or(0.0);
+                let f_cross = fidelity(&est_cross, &mes, tolerance);
+                let f_native = flow.zoo.fidelity(model, param).map_or(0.0, |f| f.fidelity);
                 same_sum += f_native;
                 cross_sum += f_cross;
                 n += 1;

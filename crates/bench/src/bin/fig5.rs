@@ -5,45 +5,33 @@
 //! Usage: `cargo run --release -p afp-bench --bin fig5 [--quick]`
 
 use afp_bench::render::table;
-use afp_bench::{write_csv, Scale};
+use afp_bench::{run_flow, write_csv, Scale};
 use afp_ml::MlModelId;
-use approxfpgas::dataset::{characterize_library, sample_subset, train_validate_split};
-use approxfpgas::fidelity::train_zoo;
 use approxfpgas::record::FpgaParam;
+use approxfpgas::FlowConfig;
 
 fn main() {
     let scale = Scale::from_args();
     let spec = scale.mul8_spec();
     println!(
-        "Fig. 5: characterizing {} 8x8 multipliers...",
+        "Fig. 5: characterizing {} 8x8 multipliers and training the 18-model zoo...",
         spec.target_size
     );
-    let library = afp_circuits::build_library(&spec);
-    let records = characterize_library(
-        &library,
-        &afp_asic::AsicConfig::default(),
-        &afp_fpga::FpgaConfig::default(),
-        &afp_error::ErrorConfig::default(),
-    );
-    let subset = sample_subset(records.len(), 0.10, 40, 0xDAC_2020);
-    let (train, validate) = train_validate_split(&subset, 0.80, 0xDAC_2020);
+    let outcome = run_flow(&FlowConfig {
+        library: spec,
+        ..FlowConfig::default()
+    });
     println!(
-        "training the 18-model zoo on {} circuits, validating on {}...",
-        train.len(),
-        validate.len()
+        "trained on {} circuits, validated on {}",
+        outcome.train.len(),
+        outcome.validate.len()
     );
-    let zoo = train_zoo(&records, &train, &validate, &MlModelId::ALL, 0.01);
+    let zoo = &outcome.zoo;
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for id in MlModelId::ALL {
-        let get = |param: FpgaParam| -> f64 {
-            zoo.fidelities
-                .iter()
-                .find(|f| f.model == id && f.param == param)
-                .map(|f| f.fidelity)
-                .unwrap_or(0.0)
-        };
+        let get = |param: FpgaParam| zoo.fidelity(id, param).map_or(0.0, |f| f.fidelity);
         let (lat, pow, area) = (
             get(FpgaParam::Latency),
             get(FpgaParam::Power),

@@ -5,12 +5,10 @@
 //! Usage: `cargo run --release -p afp-bench --bin fig6 [--quick]`
 
 use afp_bench::render::{scatter, table, Series};
-use afp_bench::{write_csv, Scale};
+use afp_bench::{run_flow, write_csv, Scale};
 use afp_ml::metrics::pearson;
-use afp_ml::MlModelId;
-use approxfpgas::dataset::{characterize_library, sample_subset, train_validate_split};
-use approxfpgas::fidelity::train_zoo;
 use approxfpgas::record::FpgaParam;
+use approxfpgas::FlowConfig;
 
 fn main() {
     let scale = Scale::from_args();
@@ -19,16 +17,11 @@ fn main() {
         "Fig. 6: characterizing {} 16x16 multipliers...",
         spec.target_size
     );
-    let library = afp_circuits::build_library(&spec);
-    let records = characterize_library(
-        &library,
-        &afp_asic::AsicConfig::default(),
-        &afp_fpga::FpgaConfig::default(),
-        &afp_error::ErrorConfig::default(),
-    );
-    let subset = sample_subset(records.len(), 0.10, 40, 0xDAC_2020);
-    let (train, validate) = train_validate_split(&subset, 0.80, 0xDAC_2020);
-    let zoo = train_zoo(&records, &train, &validate, &MlModelId::ALL, 0.01);
+    let outcome = run_flow(&FlowConfig {
+        library: spec,
+        ..FlowConfig::default()
+    });
+    let (records, zoo) = (&outcome.records, &outcome.zoo);
 
     let mut summary_rows = Vec::new();
     let mut csv = Vec::new();
@@ -38,7 +31,7 @@ fn main() {
             top.push(asic_model);
         }
         for model in top {
-            let est = zoo.estimate_all(model, param, &records);
+            let est = zoo.estimate_all(model, param, records);
             let mes: Vec<f64> = records.iter().map(|r| r.fpga_param(param)).collect();
             let corr = pearson(&est, &mes);
             let bias: f64 = est

@@ -8,12 +8,14 @@
 use std::collections::BTreeSet;
 
 use afp_bench::render::table;
-use afp_bench::{write_csv, Scale};
+use afp_bench::{run_flow, write_csv, Scale};
 use afp_ml::MlModelId;
-use approxfpgas::dataset::{characterize_library, sample_subset, train_validate_split};
-use approxfpgas::fidelity::train_zoo;
-use approxfpgas::pareto::{coverage, pareto_front, peel_fronts};
+use approxfpgas::pareto::{measured_front, pseudo_pareto};
 use approxfpgas::record::FpgaParam;
+use approxfpgas::FlowConfig;
+
+/// Front counts of the figure (n = 1, 2, 3).
+const FRONTS: [usize; 3] = [1, 2, 3];
 
 fn main() {
     let scale = Scale::from_args();
@@ -22,115 +24,82 @@ fn main() {
         "Fig. 7: characterizing {} 8x8 multipliers...",
         spec.target_size
     );
-    let library = afp_circuits::build_library(&spec);
-    let records = characterize_library(
-        &library,
-        &afp_asic::AsicConfig::default(),
-        &afp_fpga::FpgaConfig::default(),
-        &afp_error::ErrorConfig::default(),
-    );
-    let subset = sample_subset(records.len(), 0.10, 40, 0xDAC_2020);
-    let (train, validate) = train_validate_split(&subset, 0.80, 0xDAC_2020);
-    let zoo = train_zoo(&records, &train, &validate, &MlModelId::ALL, 0.01);
+    let outcome = run_flow(&FlowConfig {
+        library: spec,
+        ..FlowConfig::default()
+    });
+    let (records, subset, zoo) = (&outcome.records, &outcome.subset, &outcome.zoo);
 
     let param = FpgaParam::Latency;
-    let true_points: Vec<(f64, f64)> = records
-        .iter()
-        .map(|r| (r.fpga_param(param), r.error.med))
-        .collect();
-    let truth = pareto_front(&true_points);
+    let true_points = outcome.points(param);
+    let subset_set: BTreeSet<usize> = subset.iter().copied().collect();
+    // What re-synthesizing `candidates` buys on top of the subset: the
+    // extra circuits synthesized and the true-front coverage.
+    let score = |candidates: &BTreeSet<usize>| {
+        let new_synth = candidates.difference(&subset_set).count();
+        let synthesized: BTreeSet<usize> = candidates.union(&subset_set).copied().collect();
+        (
+            new_synth,
+            measured_front(&true_points, &synthesized).coverage,
+        )
+    };
 
     // Models of the paper's figure: top-3 by latency fidelity + the plain
-    // ASIC-latency regression (ML2).
+    // ASIC-latency regression (ML2). Each is estimated once; its
+    // candidates at n fronts are the first n peeled fronts.
     let mut models = zoo.top_models(param, 3, false);
     models.push(MlModelId::Ml2);
-
-    let subset_set: BTreeSet<usize> = subset.iter().copied().collect();
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    let mut union_per_n: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); 3];
-    for &model in &models {
-        let est = zoo.estimate_all(model, param, &records);
-        let est_points: Vec<(f64, f64)> = est
-            .iter()
-            .zip(&records)
-            .map(|(&e, r)| (e, r.error.med))
-            .collect();
-        let fronts = peel_fronts(&est_points, 3);
-        let mut cumulative: BTreeSet<usize> = BTreeSet::new();
-        for (n, union) in union_per_n.iter_mut().enumerate() {
-            if let Some(front) = fronts.get(n) {
-                cumulative.extend(front.iter().copied());
-            }
-            union.extend(cumulative.iter().copied());
-            let new_synth = cumulative
+    let candidates: Vec<(MlModelId, Vec<BTreeSet<usize>>)> = models
+        .iter()
+        .map(|&model| {
+            let est = zoo.estimate_all(model, param, records);
+            let points: Vec<(f64, f64)> = est
                 .iter()
-                .filter(|i| !subset_set.contains(i))
-                .count();
-            let found: Vec<usize> = cumulative
-                .iter()
-                .copied()
-                .chain(subset.iter().copied())
-                .collect();
-            let synth_points: Vec<(f64, f64)> = found.iter().map(|&i| true_points[i]).collect();
-            let measured_front = pareto_front(&synth_points);
-            let measured: Vec<usize> = measured_front.iter().map(|&k| found[k]).collect();
-            let cov = coverage(&truth, &measured, &true_points);
-            rows.push(vec![
-                model.label().to_string(),
-                format!("{}", n + 1),
-                format!("{new_synth}"),
-                format!("{:.0}%", 100.0 * cov),
-            ]);
-            csv.push(vec![
-                model.label().to_string(),
-                format!("{}", n + 1),
-                format!("{new_synth}"),
-                format!("{cov:.4}"),
-            ]);
-        }
-    }
-    // Union across the ML models (excluding the plain ASIC regression),
-    // the paper's "combine the pseudo-pareto fronts of multiple models".
-    for n in 0..3 {
-        let mut union: BTreeSet<usize> = BTreeSet::new();
-        for &model in models.iter().filter(|m| !m.is_asic_regression()) {
-            let est = zoo.estimate_all(model, param, &records);
-            let est_points: Vec<(f64, f64)> = est
-                .iter()
-                .zip(&records)
+                .zip(records)
                 .map(|(&e, r)| (e, r.error.med))
                 .collect();
-            for front in peel_fronts(&est_points, n + 1) {
-                union.extend(front);
-            }
-        }
-        let new_synth = union.iter().filter(|i| !subset_set.contains(i)).count();
-        let found: Vec<usize> = union
-            .iter()
-            .copied()
-            .chain(subset.iter().copied())
-            .collect();
-        let synth_points: Vec<(f64, f64)> = found.iter().map(|&i| true_points[i]).collect();
-        let measured: Vec<usize> = pareto_front(&synth_points)
-            .iter()
-            .map(|&k| found[k])
-            .collect();
-        let cov = coverage(&truth, &measured, &true_points);
-        let total_synth = subset.len() + new_synth;
+            let per_n = FRONTS
+                .iter()
+                .map(|&n| pseudo_pareto(&points, n).candidates)
+                .collect();
+            (model, per_n)
+        })
+        .collect();
+
+    let mut rows = Vec::new();
+    let mut csv = Vec::new();
+    let mut push = |model: &str, shown: &str, n: usize, new_synth: usize, cov: f64| {
         rows.push(vec![
-            "union(ML)".to_string(),
-            format!("{}", n + 1),
+            shown.to_string(),
+            format!("{n}"),
             format!("{new_synth}"),
             format!("{:.0}%", 100.0 * cov),
         ]);
         csv.push(vec![
-            "union".to_string(),
-            format!("{}", n + 1),
+            model.to_string(),
+            format!("{n}"),
             format!("{new_synth}"),
             format!("{cov:.4}"),
         ]);
-        if n == 2 {
+    };
+    for (model, per_n) in &candidates {
+        for (&n, set) in FRONTS.iter().zip(per_n) {
+            let (new_synth, cov) = score(set);
+            push(model.label(), model.label(), n, new_synth, cov);
+        }
+    }
+    // Union across the ML models (excluding the plain ASIC regression),
+    // the paper's "combine the pseudo-pareto fronts of multiple models".
+    for (k, &n) in FRONTS.iter().enumerate() {
+        let union: BTreeSet<usize> = candidates
+            .iter()
+            .filter(|(m, _)| !m.is_asic_regression())
+            .flat_map(|(_, per_n)| per_n[k].iter().copied())
+            .collect();
+        let (new_synth, cov) = score(&union);
+        push("union", "union(ML)", n, new_synth, cov);
+        if n == 3 {
+            let total_synth = subset.len() + new_synth;
             println!("\n=== Fig. 7 summary (3 fronts, ML union) ===");
             println!("library size:               {}", records.len());
             println!("subset synthesized:         {}", subset.len());

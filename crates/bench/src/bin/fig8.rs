@@ -6,10 +6,10 @@
 //! Usage: `cargo run --release -p afp-bench --bin fig8 [--quick]`
 
 use afp_bench::render::{scatter, table, Series};
-use afp_bench::{human_time, write_csv, Scale};
-use afp_circuits::{ArithKind, LibrarySource, LibrarySpec};
+use afp_bench::{human_time, run_flow, write_csv, Scale};
+use afp_circuits::{ArithKind, LibrarySpec};
 use approxfpgas::record::FpgaParam;
-use approxfpgas::{Flow, FlowConfig};
+use approxfpgas::FlowConfig;
 
 fn main() {
     let scale = Scale::from_args();
@@ -26,13 +26,10 @@ fn main() {
     for spec in libs {
         let label = format!("{}{}", spec.kind.mnemonic(), spec.width);
         println!("flow on {label} ({} circuits)...", spec.target_size);
-        let source = LibrarySource::Generated(spec.clone());
-        let outcome = Flow::new(FlowConfig {
+        let outcome = run_flow(&FlowConfig {
             library: spec,
             ..FlowConfig::default()
-        })
-        .run_source(&source)
-        .expect("generated libraries stream");
+        });
         for (&param, front) in &outcome.final_fronts {
             let cov = outcome.coverage[&param];
             cov_sum += cov;

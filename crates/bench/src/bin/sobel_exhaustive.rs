@@ -22,7 +22,7 @@ use afp_bench::write_csv;
 use afp_ml::forest::RandomForest;
 use afp_ml::linear::Ridge;
 use afp_ml::{Matrix, Regressor};
-use approxfpgas::pareto::{coverage, pareto_front, peel_fronts};
+use approxfpgas::pareto::{measured_front, pareto_front, pseudo_pareto};
 
 fn features(cfg: &SobelConfig, n_adders: usize) -> Vec<f64> {
     let mut f = vec![0.0; 5 * n_adders];
@@ -99,13 +99,9 @@ fn main() {
     let mut csv = Vec::new();
     for fronts in 1..=3usize {
         let mut selected: std::collections::BTreeSet<usize> = train_idx.iter().copied().collect();
-        for front in peel_fronts(&est, fronts) {
-            selected.extend(front);
-        }
-        let sel: Vec<usize> = selected.iter().copied().collect();
-        let sel_pts: Vec<(f64, f64)> = sel.iter().map(|&i| measured[i]).collect();
-        let found: Vec<usize> = pareto_front(&sel_pts).iter().map(|&k| sel[k]).collect();
-        let cov = coverage(&truth, &found, &measured);
+        selected.extend(pseudo_pareto(&est, fronts).candidates);
+        let scored = measured_front(&measured, &selected);
+        let (found, cov) = (scored.front, scored.coverage);
         // Near-coverage: a true-front point counts when some found point
         // is within 2% cost and 0.002 of its error — the practically
         //-equivalent-design notion a dense space calls for.
@@ -121,14 +117,14 @@ fn main() {
             / truth.len().max(1) as f64;
         rows_out.push(vec![
             format!("{fronts}"),
-            format!("{}", sel.len()),
-            format!("{:.1}%", 100.0 * sel.len() as f64 / all.len() as f64),
+            format!("{}", selected.len()),
+            format!("{:.1}%", 100.0 * selected.len() as f64 / all.len() as f64),
             format!("{:.0}%", 100.0 * cov),
             format!("{:.0}%", 100.0 * near),
         ]);
         csv.push(vec![
             format!("{fronts}"),
-            format!("{}", sel.len()),
+            format!("{}", selected.len()),
             format!("{cov:.4}"),
             format!("{near:.4}"),
         ]);

@@ -4,11 +4,10 @@
 //! Usage: `cargo run --release -p afp-bench --bin table2 [--quick]`
 
 use afp_bench::render::table;
-use afp_bench::{write_csv, Scale};
+use afp_bench::{run_flow, write_csv, Scale};
 use afp_ml::MlModelId;
-use approxfpgas::dataset::{characterize_library, sample_subset, train_validate_split};
-use approxfpgas::fidelity::train_zoo;
 use approxfpgas::record::FpgaParam;
+use approxfpgas::FlowConfig;
 
 fn main() {
     let scale = Scale::from_args();
@@ -17,24 +16,12 @@ fn main() {
         "Table II: characterizing {} 8x8 multipliers...",
         spec.target_size
     );
-    let library = afp_circuits::build_library(&spec);
-    let records = characterize_library(
-        &library,
-        &afp_asic::AsicConfig::default(),
-        &afp_fpga::FpgaConfig::default(),
-        &afp_error::ErrorConfig::default(),
-    );
-    let subset = sample_subset(records.len(), 0.10, 40, 0xDAC_2020);
-    let (train, validate) = train_validate_split(&subset, 0.80, 0xDAC_2020);
-    let zoo = train_zoo(&records, &train, &validate, &MlModelId::ALL, 0.01);
-
-    let fid = |m: MlModelId, p: FpgaParam| -> f64 {
-        zoo.fidelities
-            .iter()
-            .find(|f| f.model == m && f.param == p)
-            .map(|f| f.fidelity)
-            .unwrap_or(0.0)
-    };
+    let zoo = run_flow(&FlowConfig {
+        library: spec,
+        ..FlowConfig::default()
+    })
+    .zoo;
+    let fid = |m: MlModelId, p: FpgaParam| zoo.fidelity(m, p).map_or(0.0, |f| f.fidelity);
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();

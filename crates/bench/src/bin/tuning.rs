@@ -5,48 +5,45 @@
 //! Usage: `cargo run --release -p afp-bench --bin tuning [--quick]`
 
 use afp_bench::render::table;
-use afp_bench::{write_csv, Scale};
+use afp_bench::{run_flow, write_csv, Scale};
 use afp_ml::MlModelId;
-use approxfpgas::dataset::{characterize_library, sample_subset, train_validate_split};
-use approxfpgas::fidelity::{train_zoo, train_zoo_tuned};
+use approxfpgas::fidelity::{train_zoo_tuned, TrainedZoo};
 use approxfpgas::record::FpgaParam;
+use approxfpgas::FlowConfig;
 
 fn main() {
     let scale = Scale::from_args();
     let mut spec = scale.mul8_spec();
     spec.target_size = spec.target_size.min(2000); // tuning multiplies training cost
     println!(
-        "tuning: characterizing {} 8x8 multipliers...",
+        "tuning: characterizing {} 8x8 multipliers and training the untuned zoo...",
         spec.target_size
     );
-    let library = afp_circuits::build_library(&spec);
-    let records = characterize_library(
-        &library,
-        &afp_asic::AsicConfig::default(),
-        &afp_fpga::FpgaConfig::default(),
-        &afp_error::ErrorConfig::default(),
-    );
-    let subset = sample_subset(records.len(), 0.10, 40, 0x7ED);
-    let (train, validate) = train_validate_split(&subset, 0.80, 0x7ED);
-
-    println!("training untuned zoo...");
-    let base = train_zoo(&records, &train, &validate, &MlModelId::ALL, 0.01);
+    let config = FlowConfig {
+        library: spec,
+        seed: 0x7ED,
+        ..FlowConfig::default()
+    };
+    let outcome = run_flow(&config);
+    let base = &outcome.zoo;
     println!("training tuned zoo (full hyperparameter grids)...");
-    let (tuned, labels) = train_zoo_tuned(&records, &train, &validate, &MlModelId::ALL, 0.01);
+    let (tuned, labels) = train_zoo_tuned(
+        &outcome.records,
+        &outcome.train,
+        &outcome.validate,
+        &MlModelId::ALL,
+        config.fidelity_tolerance,
+    );
 
-    let fid = |zoo: &approxfpgas::fidelity::TrainedZoo, m: MlModelId, p: FpgaParam| {
-        zoo.fidelities
-            .iter()
-            .find(|f| f.model == m && f.param == p)
-            .map(|f| f.fidelity)
-            .unwrap_or(0.0)
+    let fid = |zoo: &TrainedZoo, m: MlModelId, p: FpgaParam| {
+        zoo.fidelity(m, p).map_or(0.0, |f| f.fidelity)
     };
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     let mut improved = 0usize;
     for id in MlModelId::ALL {
         for param in FpgaParam::ALL {
-            let b = fid(&base, id, param);
+            let b = fid(base, id, param);
             let t = fid(&tuned, id, param);
             if t > b + 1e-12 {
                 improved += 1;
@@ -92,11 +89,11 @@ fn main() {
             &rows
         )
     );
-    let mean = |zoo: &approxfpgas::fidelity::TrainedZoo| -> f64 {
+    let mean = |zoo: &TrainedZoo| -> f64 {
         zoo.fidelities.iter().map(|f| f.fidelity).sum::<f64>() / zoo.fidelities.len().max(1) as f64
     };
     println!("\n=== tuning summary ===");
-    println!("mean fidelity untuned: {:.1}%", 100.0 * mean(&base));
+    println!("mean fidelity untuned: {:.1}%", 100.0 * mean(base));
     println!("mean fidelity tuned:   {:.1}%", 100.0 * mean(&tuned));
     println!("(model, param) pairs improved: {improved}/54");
     println!("\nreading: the Fig. 2 feedback loop buys a consistent but modest gain —\ntuning never hurts (the default is in every grid) and mostly helps the\nkernel/tree models whose bandwidth/depth actually bind.");

@@ -19,7 +19,19 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use afp_circuits::{ArithKind, LibrarySpec};
+use afp_circuits::{ArithKind, LibrarySource, LibrarySpec};
+use approxfpgas::{Flow, FlowConfig, FlowOutcome};
+
+/// Run the exploration flow on the generated library of `config`. This
+/// is the one front end (build, characterize, subset, split, zoo) the
+/// experiment binaries share; they read `records`, `subset`, `train`,
+/// `validate` and `zoo` from the outcome.
+pub fn run_flow(config: &FlowConfig) -> FlowOutcome {
+    let source = LibrarySource::Generated(config.library.clone());
+    Flow::new(config.clone())
+        .run_source(&source)
+        .expect("generated libraries stream")
+}
 
 /// Library sizing for a run (see DESIGN.md "Library sizing").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,6 +1,7 @@
 //! Training and fidelity evaluation of the model zoo (Fig. 5 / Table II).
 
 use afp_ml::metrics::{fidelity, mae, pearson, r2};
+use afp_ml::zoo::AsicColumns;
 use afp_ml::{build_model, Matrix, MlModelId, Regressor};
 use afp_obs::Recorder;
 use afp_runtime::Runtime;
@@ -27,6 +28,9 @@ pub struct FidelityRecord {
 /// The hyperparameter-grid label chosen per trained (model, parameter),
 /// as returned by the tuned training entry points.
 pub type ChosenLabels = Vec<((MlModelId, FpgaParam), String)>;
+
+/// A (model, parameter) pair of the training grid.
+type Pair = (MlModelId, FpgaParam);
 
 /// A zoo of trained models: one regressor per (model id, FPGA parameter).
 pub struct TrainedZoo {
@@ -71,6 +75,15 @@ impl TrainedZoo {
         self.models
             .iter()
             .any(|((m, p), _)| *m == model && *p == param)
+    }
+
+    /// The validation scores of the (model, param) pair; `None` when the
+    /// pair was not in the training grid. A pair whose fit failed is
+    /// present, scored zero fidelity.
+    pub fn fidelity(&self, model: MlModelId, param: FpgaParam) -> Option<&FidelityRecord> {
+        self.fidelities
+            .iter()
+            .find(|f| f.model == model && f.param == param)
     }
 
     /// Estimate `param` with `model` from an already-extracted feature
@@ -136,18 +149,6 @@ impl TrainedZoo {
         let mut span = recorder.span(&name);
         span.add_items(records.len() as u64);
         self.estimate_all(model, param, records)
-    }
-
-    /// [`TrainedZoo::estimate_all`] on an explicit [`Runtime`]: records are
-    /// estimated in parallel, results stay in record order.
-    pub fn estimate_all_with(
-        &self,
-        model: MlModelId,
-        param: FpgaParam,
-        records: &[CircuitRecord],
-        rt: &Runtime,
-    ) -> Vec<f64> {
-        rt.par_map(records, |_, r| self.estimate(model, param, r))
     }
 
     /// The `k` models with the highest validation fidelity for `param`,
@@ -285,7 +286,6 @@ pub fn train_zoo(
 /// Per-model `train/<model>` spans are recorded into `recorder`; workers
 /// running concurrently each add their own wall time, so a stage's total
 /// measures *work*, not latency.
-#[allow(clippy::too_many_arguments)]
 pub fn train_zoo_with(
     records: &[CircuitRecord],
     train: &[usize],
@@ -295,6 +295,41 @@ pub fn train_zoo_with(
     rt: &Runtime,
     recorder: &Recorder,
 ) -> TrainedZoo {
+    train_grid(
+        records,
+        train,
+        validate,
+        models,
+        tolerance,
+        rt,
+        recorder,
+        |id, asic_cols| vec![(build_model(id, asic_cols), ())],
+    )
+    .0
+}
+
+/// The one zoo trainer behind [`train_zoo_with`] and
+/// [`train_zoo_tuned_with`]: every (model, parameter) pair of the
+/// `params × models` grid fits each of its `candidates` (built fresh per
+/// pair from the model id and the ASIC feature columns) and keeps the
+/// first with the best validation fidelity, with that candidate's
+/// label. A pair whose every fit fails scores zero fidelity instead of
+/// aborting the flow and has no trained model.
+///
+/// Each pair is one parallel task and independent of the others, so the
+/// zoo, including the order of its fidelity table, is identical to the
+/// serial build for any thread count.
+#[allow(clippy::too_many_arguments)]
+fn train_grid<L: Send>(
+    records: &[CircuitRecord],
+    train: &[usize],
+    validate: &[usize],
+    models: &[MlModelId],
+    tolerance: f64,
+    rt: &Runtime,
+    recorder: &Recorder,
+    candidates: impl Fn(MlModelId, AsicColumns) -> Vec<(Box<dyn Regressor>, L)> + Sync,
+) -> (TrainedZoo, Vec<(Pair, L)>) {
     let layout = FeatureLayout::standard();
     let x_train = feature_matrix(records, train, &layout);
     let x_val = feature_matrix(records, validate, &layout);
@@ -303,38 +338,51 @@ pub fn train_zoo_with(
         .iter()
         .flat_map(|&param| models.iter().map(move |&id| (param, id)))
         .collect();
-    let results = rt.par_map(&jobs, |_, &(param, id)| {
+    type Best<L> = Option<(FidelityRecord, Box<dyn Regressor>, L)>;
+    let results: Vec<Best<L>> = rt.par_map(&jobs, |_, &(param, id)| {
         let (y_train, y_val) = &targets[&param];
-        let mut model = build_model(id, layout.asic_columns());
-        if afp_ml::zoo::fit_traced(model.as_mut(), id, &x_train, y_train, recorder).is_err() {
-            // A singular fit (degenerate subset) scores zero fidelity
-            // rather than aborting the flow.
-            return (None, failed_fit(id, param));
+        let mut best: Best<L> = None;
+        for (mut model, label) in candidates(id, layout.asic_columns()) {
+            if afp_ml::zoo::fit_traced(model.as_mut(), id, &x_train, y_train, recorder).is_err() {
+                continue;
+            }
+            let pred = model.predict(&x_val);
+            let record = FidelityRecord {
+                model: id,
+                param,
+                fidelity: fidelity(&pred, y_val, tolerance),
+                r2: r2(&pred, y_val),
+                mae: mae(&pred, y_val),
+                pearson: pearson(&pred, y_val),
+            };
+            if best
+                .as_ref()
+                .is_none_or(|(b, _, _)| record.fidelity > b.fidelity)
+            {
+                best = Some((record, model, label));
+            }
         }
-        let pred = model.predict(&x_val);
-        let record = FidelityRecord {
-            model: id,
-            param,
-            fidelity: fidelity(&pred, y_val, tolerance),
-            r2: r2(&pred, y_val),
-            mae: mae(&pred, y_val),
-            pearson: pearson(&pred, y_val),
-        };
-        (Some(((id, param), model)), record)
+        best
     });
     let mut trained = Vec::new();
     let mut fidelities = Vec::with_capacity(results.len());
-    for (model, record) in results {
-        if let Some(m) = model {
-            trained.push(m);
+    let mut labels = Vec::new();
+    for (&(param, id), best) in jobs.iter().zip(results) {
+        match best {
+            Some((record, model, label)) => {
+                trained.push(((id, param), model));
+                labels.push(((id, param), label));
+                fidelities.push(record);
+            }
+            None => fidelities.push(failed_fit(id, param)),
         }
-        fidelities.push(record);
     }
-    TrainedZoo {
+    let zoo = TrainedZoo {
         layout,
         models: trained,
         fidelities,
-    }
+    };
+    (zoo, labels)
 }
 
 /// The per-parameter (train, validation) target vectors.
@@ -399,7 +447,6 @@ pub fn train_zoo_tuned(
 /// [`train_zoo_tuned`] on an explicit [`Runtime`]: one parallel task per
 /// (model, parameter) pair, each sweeping its hyperparameter grid. Every
 /// grid fit adds to the model's `train/<model>` span.
-#[allow(clippy::too_many_arguments)]
 pub fn train_zoo_tuned_with(
     records: &[CircuitRecord],
     train: &[usize],
@@ -409,64 +456,20 @@ pub fn train_zoo_tuned_with(
     rt: &Runtime,
     recorder: &Recorder,
 ) -> (TrainedZoo, ChosenLabels) {
-    let layout = FeatureLayout::standard();
-    let x_train = feature_matrix(records, train, &layout);
-    let x_val = feature_matrix(records, validate, &layout);
-    let targets = target_vectors(records, train, validate);
-    let jobs: Vec<(FpgaParam, MlModelId)> = FpgaParam::ALL
-        .iter()
-        .flat_map(|&param| models.iter().map(move |&id| (param, id)))
-        .collect();
-    type Tuned = (
-        Option<((MlModelId, FpgaParam), Box<dyn Regressor>, String)>,
-        FidelityRecord,
-    );
-    let results: Vec<Tuned> = rt.par_map(&jobs, |_, &(param, id)| {
-        let (y_train, y_val) = &targets[&param];
-        let mut best: Option<(FidelityRecord, Box<dyn Regressor>, String)> = None;
-        for candidate in afp_ml::tuning::hyper_grid(id, layout.asic_columns()) {
-            let mut model = candidate.model;
-            if afp_ml::zoo::fit_traced(model.as_mut(), id, &x_train, y_train, recorder).is_err() {
-                continue;
-            }
-            let pred = model.predict(&x_val);
-            let record = FidelityRecord {
-                model: id,
-                param,
-                fidelity: fidelity(&pred, y_val, tolerance),
-                r2: r2(&pred, y_val),
-                mae: mae(&pred, y_val),
-                pearson: pearson(&pred, y_val),
-            };
-            let better = best
-                .as_ref()
-                .is_none_or(|(b, _, _)| record.fidelity > b.fidelity);
-            if better {
-                best = Some((record, model, candidate.label));
-            }
-        }
-        match best {
-            Some((record, model, label)) => (Some(((id, param), model, label)), record),
-            None => (None, failed_fit(id, param)),
-        }
-    });
-    let mut trained = Vec::new();
-    let mut fidelities = Vec::with_capacity(results.len());
-    let mut chosen_labels = Vec::new();
-    for (best, record) in results {
-        if let Some((key, model, label)) = best {
-            trained.push((key, model));
-            chosen_labels.push((key, label));
-        }
-        fidelities.push(record);
-    }
-    (
-        TrainedZoo {
-            layout,
-            models: trained,
-            fidelities,
+    train_grid(
+        records,
+        train,
+        validate,
+        models,
+        tolerance,
+        rt,
+        recorder,
+        |id, asic_cols| {
+            afp_ml::tuning::hyper_grid(id, asic_cols)
+                .into_iter()
+                .map(|c| (c.model, c.label))
+                .collect()
         },
-        chosen_labels,
     )
 }
 
@@ -540,13 +543,7 @@ mod tests {
         let top = zoo.top_models(FpgaParam::Area, 3, false);
         assert_eq!(top.len(), 3);
         assert!(top.iter().all(|m| !m.is_asic_regression()));
-        let fid_of = |m: MlModelId| {
-            zoo.fidelities
-                .iter()
-                .find(|f| f.model == m && f.param == FpgaParam::Area)
-                .unwrap()
-                .fidelity
-        };
+        let fid_of = |m: MlModelId| zoo.fidelity(m, FpgaParam::Area).unwrap().fidelity;
         assert!(fid_of(top[0]) >= fid_of(top[1]));
         assert!(fid_of(top[1]) >= fid_of(top[2]));
     }
@@ -580,9 +577,7 @@ mod tests {
         assert_eq!(labels.len(), models.len() * FpgaParam::ALL.len());
         for f_base in &base.fidelities {
             let f_tuned = tuned
-                .fidelities
-                .iter()
-                .find(|f| f.model == f_base.model && f.param == f_base.param)
+                .fidelity(f_base.model, f_base.param)
                 .expect("same grid");
             // The default config is in every grid, so tuning can't lose.
             assert!(
@@ -650,6 +645,12 @@ mod tests {
         );
         // No rows at all for another parameter.
         assert_eq!(zoo.best_asic_regression(FpgaParam::Power), None);
+        assert!(zoo.fidelity(MlModelId::Ml3, FpgaParam::Power).is_none());
+        assert_eq!(
+            zoo.fidelity(MlModelId::Ml14, FpgaParam::Area)
+                .map(|f| f.fidelity),
+            Some(0.7)
+        );
     }
 
     #[test]

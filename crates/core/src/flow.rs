@@ -13,7 +13,7 @@ use afp_runtime::{CounterSnapshot, Counters, Runtime};
 use crate::cache::CharacterizationCache;
 use crate::dataset::{characterize_shards_traced, sample_subset, train_validate_split};
 use crate::fidelity::{train_zoo_tuned_with, train_zoo_with, TrainedZoo};
-use crate::pareto::{coverage, pareto_front, peel_fronts};
+use crate::pareto::{measured_front, pseudo_pareto, PseudoPareto};
 use crate::record::{CircuitRecord, FpgaParam};
 
 /// Default [`FlowConfig::shard_circuits`]: large enough to keep the
@@ -393,14 +393,14 @@ impl Flow {
         // 3+4. Model selection, whole-library estimation and pseudo-pareto
         //    peeling, with estimate quarantine. Selection walks each
         //    parameter's fidelity ranking: the top-k models are estimated
-        //    in parallel; non-finite estimates are quarantined (excluded
-        //    from peeling and counted), and a model whose estimates are
-        //    *all* non-finite is dropped with the next-ranked model
-        //    promoted in a subsequent wave. With finite estimates (the
-        //    default) wave one accepts everything and this reduces to the
-        //    plain top-k selection. Promotion order follows the fidelity
-        //    ranking, never completion order, so outcomes are
-        //    thread-invariant.
+        //    in parallel; `pseudo_pareto` quarantines non-finite
+        //    estimates (excluded from peeling and counted), and a model
+        //    whose estimates are *all* non-finite is dropped with the
+        //    next-ranked model promoted in a subsequent wave. With finite
+        //    estimates (the default) wave one accepts everything and this
+        //    reduces to the plain top-k selection. Promotion order
+        //    follows the fidelity ranking, never completion order, so
+        //    outcomes are thread-invariant.
         let ranked: BTreeMap<FpgaParam, Vec<MlModelId>> = FpgaParam::ALL
             .iter()
             .map(|&param| (param, zoo.top_models(param, usize::MAX, false)))
@@ -452,41 +452,33 @@ impl Flow {
                 break;
             }
             // Estimate + quarantine + peel, one parallel task per model.
-            type Peeled = (BTreeSet<usize>, usize, u64);
-            let results: Vec<Peeled> = rt.par_map(&jobs, |_, &(param, model, _)| {
+            let results: Vec<PseudoPareto> = rt.par_map(&jobs, |_, &(param, model, _)| {
                 let est = zoo.estimate_all_traced(model, param, &records, recorder);
-                let mut keep: Vec<usize> = Vec::with_capacity(est.len());
-                let mut points: Vec<(f64, f64)> = Vec::with_capacity(est.len());
-                let mut quarantined = 0u64;
-                for (i, (&e, r)) in est.iter().zip(&records).enumerate() {
-                    if e.is_finite() {
-                        keep.push(i);
-                        points.push((e, r.error.med));
-                    } else {
-                        quarantined += 1;
-                    }
-                }
-                let mut set = BTreeSet::new();
-                for front in peel_fronts(&points, cfg.fronts) {
-                    set.extend(front.into_iter().map(|li| keep[li]));
-                }
-                (set, keep.len(), quarantined)
+                let points: Vec<(f64, f64)> = est
+                    .iter()
+                    .zip(&records)
+                    .map(|(&e, r)| (e, r.error.med))
+                    .collect();
+                pseudo_pareto(&points, cfg.fronts)
             });
-            for (&(param, model, asic_slot), (set, finite, quarantined)) in jobs.iter().zip(results)
-            {
-                Counters::add(&rt.counters().estimates_quarantined, quarantined);
-                if finite == 0 {
+            for (&(param, model, asic_slot), picked) in jobs.iter().zip(results) {
+                Counters::add(
+                    &rt.counters().estimates_quarantined,
+                    picked.quarantined as u64,
+                );
+                if picked.quarantined == n {
                     dropped_models
                         .get_mut(&param)
                         .expect("param initialized")
                         .push(model);
                 } else if asic_slot {
-                    *asic_accepted.get_mut(&param).expect("param initialized") = Some((model, set));
+                    *asic_accepted.get_mut(&param).expect("param initialized") =
+                        Some((model, picked.candidates));
                 } else {
                     accepted
                         .get_mut(&param)
                         .expect("param initialized")
-                        .push((model, set));
+                        .push((model, picked.candidates));
                 }
             }
         }
@@ -518,18 +510,14 @@ impl Flow {
         let mut true_fronts = BTreeMap::new();
         let mut cov = BTreeMap::new();
         for &param in &FpgaParam::ALL {
-            let all_points: Vec<(f64, f64)> = records
+            let points: Vec<(f64, f64)> = records
                 .iter()
                 .map(|r| (r.fpga_param(param), r.error.med))
                 .collect();
-            let synth_list: Vec<usize> = synthesized.iter().copied().collect();
-            let synth_points: Vec<(f64, f64)> = synth_list.iter().map(|&i| all_points[i]).collect();
-            let local_front = pareto_front(&synth_points);
-            let found: Vec<usize> = local_front.iter().map(|&li| synth_list[li]).collect();
-            let truth = pareto_front(&all_points);
-            cov.insert(param, coverage(&truth, &found, &all_points));
-            final_fronts.insert(param, found);
-            true_fronts.insert(param, truth);
+            let measured = measured_front(&points, &synthesized);
+            cov.insert(param, measured.coverage);
+            final_fronts.insert(param, measured.front);
+            true_fronts.insert(param, measured.true_front);
         }
         fronts_span.add_items(FpgaParam::ALL.len() as u64);
         drop(fronts_span);

@@ -61,7 +61,9 @@ pub mod zoo_store;
 pub use cache::{CachedCharacterization, CharacterizationCache};
 pub use fidelity::FidelityRecord;
 pub use flow::{ChaosSpec, Flow, FlowConfig, FlowOutcome, TimeAccounting, DEFAULT_SHARD_CIRCUITS};
-pub use pareto::{coverage, pareto_front, peel_fronts};
+pub use pareto::{
+    coverage, measured_front, pareto_front, peel_fronts, pseudo_pareto, MeasuredFront, PseudoPareto,
+};
 pub use record::{CircuitRecord, FeatureLayout, FpgaParam};
 pub use report::run_report;
 pub use request::{characterize_request, request_report, RequestConfig};

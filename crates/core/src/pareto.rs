@@ -5,10 +5,18 @@
 //! minimized; a point is pareto-optimal when no other point is at least as
 //! good in both objectives and strictly better in one.
 //!
+//! [`pseudo_pareto`] and [`measured_front`] are the two exploration
+//! stages built on these: candidate selection with the estimate
+//! quarantine, and scoring of what was synthesized. The flow, the
+//! cross-target transfer experiment and the figure regenerators all go
+//! through them.
+//!
 //! Numeric policy: all orderings go through the workspace total-order
 //! helpers ([`afp_ord`]), so NaN points can never panic a sort or corrupt
 //! the peeling. A point with a NaN coordinate is **never** a front
 //! member; `±inf` behaves as an ordinary extreme value.
+
+use std::collections::BTreeSet;
 
 /// Indices of the pareto-optimal points of `points = (cost, error)`.
 ///
@@ -104,6 +112,96 @@ pub fn peel_fronts(points: &[(f64, f64)], n: usize) -> Vec<Vec<usize>> {
         fronts.push(global);
     }
     fronts
+}
+
+/// The pseudo-pareto candidates of one model (§II): the union of its
+/// first `fronts` peeled fronts in estimate space.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PseudoPareto {
+    /// Candidate library indices, ascending.
+    pub candidates: BTreeSet<usize>,
+    /// Points dropped before peeling because their estimate was not
+    /// finite (the estimate quarantine).
+    pub quarantined: usize,
+}
+
+/// Select one model's re-synthesis candidates from its `(estimate,
+/// error)` points, one per library circuit in library order.
+///
+/// Every point whose estimate is NaN or `±inf` is quarantined: dropped
+/// and counted, never peeled. The remaining points are peeled into
+/// `fronts` pseudo-pareto fronts whose union, mapped back to library
+/// indices, is the candidate set.
+///
+/// # Example
+///
+/// ```
+/// use approxfpgas::pseudo_pareto;
+///
+/// let pts = [(1.0, 3.0), (f64::NAN, 0.0), (2.0, 2.0), (2.5, 2.5), (3.0, 1.0)];
+/// let one = pseudo_pareto(&pts, 1);
+/// assert_eq!(one.candidates.into_iter().collect::<Vec<_>>(), vec![0, 2, 4]);
+/// assert_eq!(one.quarantined, 1);
+/// assert!(pseudo_pareto(&pts, 2).candidates.contains(&3));
+/// ```
+pub fn pseudo_pareto(points: &[(f64, f64)], fronts: usize) -> PseudoPareto {
+    let keep: Vec<usize> = (0..points.len())
+        .filter(|&i| points[i].0.is_finite())
+        .collect();
+    let finite: Vec<(f64, f64)> = keep.iter().map(|&i| points[i]).collect();
+    let candidates = peel_fronts(&finite, fronts)
+        .into_iter()
+        .flatten()
+        .map(|li| keep[li])
+        .collect();
+    PseudoPareto {
+        candidates,
+        quarantined: points.len() - keep.len(),
+    }
+}
+
+/// What re-synthesizing a candidate set reveals: the measured front and
+/// how much of the true front it recovers.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MeasuredFront {
+    /// Pareto front over the synthesized points only, as ascending
+    /// library indices — what the flow can see.
+    pub front: Vec<usize>,
+    /// Pareto front over every point (the ground truth).
+    pub true_front: Vec<usize>,
+    /// [`coverage`] of `true_front` by `front`.
+    pub coverage: f64,
+}
+
+/// Score a synthesized set against the ground truth: `points` holds the
+/// measured `(cost, error)` of every library circuit, `synthesized` the
+/// indices that were actually synthesized.
+///
+/// # Example
+///
+/// ```
+/// use approxfpgas::measured_front;
+///
+/// let pts = [(1.0, 3.0), (2.0, 2.0), (2.5, 2.5), (3.0, 1.0)];
+/// let m = measured_front(&pts, &[0, 2].into_iter().collect());
+/// assert_eq!(m.front, vec![0, 2]);
+/// assert_eq!(m.true_front, vec![0, 1, 3]);
+/// assert!((m.coverage - 1.0 / 3.0).abs() < 1e-12);
+/// ```
+pub fn measured_front(points: &[(f64, f64)], synthesized: &BTreeSet<usize>) -> MeasuredFront {
+    let synth: Vec<usize> = synthesized.iter().copied().collect();
+    let synth_points: Vec<(f64, f64)> = synth.iter().map(|&i| points[i]).collect();
+    let front: Vec<usize> = pareto_front(&synth_points)
+        .into_iter()
+        .map(|li| synth[li])
+        .collect();
+    let true_front = pareto_front(points);
+    let coverage = coverage(&true_front, &front, points);
+    MeasuredFront {
+        front,
+        true_front,
+        coverage,
+    }
 }
 
 /// Fraction of the true pareto front recovered by `found` (the paper's
@@ -302,6 +400,117 @@ mod tests {
         assert_eq!(coverage(&[0, 1, 2], &[1, 2], &pts), 1.0);
         assert_eq!(coverage(&[0, 2], &[0], &pts), 0.5);
         assert_eq!(coverage(&[], &[], &pts), 1.0);
+    }
+
+    #[test]
+    fn pseudo_pareto_quarantines_every_non_finite_estimate() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // -inf would dominate everything and +inf still ranks on a
+        // front with a tiny error; both must be dropped, not peeled.
+        let pts = [(-inf, 9.0), (1.0, 3.0), (nan, 0.0), (2.0, 1.0), (inf, 0.0)];
+        let picked = pseudo_pareto(&pts, 3);
+        assert_eq!(picked.quarantined, 3);
+        assert_eq!(picked.candidates, [1, 3].into_iter().collect());
+        // Nothing finite: nothing selected, everything counted.
+        let none = pseudo_pareto(&[(nan, 1.0), (inf, 1.0), (-inf, 1.0)], 3);
+        assert!(none.candidates.is_empty());
+        assert_eq!(none.quarantined, 3);
+        // A NaN *error* is not a quarantined estimate; it just never
+        // makes a front.
+        let err_nan = pseudo_pareto(&[(1.0, nan), (2.0, 1.0)], 1);
+        assert_eq!(err_nan.quarantined, 0);
+        assert_eq!(err_nan.candidates, [1].into_iter().collect());
+    }
+
+    #[test]
+    fn pseudo_pareto_maps_candidates_back_to_library_order() {
+        let mut s = 31u64;
+        let pts: Vec<(f64, f64)> = (0..80)
+            .map(|i| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                // Every 7th estimate is non-finite, shifting the local
+                // indices of everything after it.
+                let est = if i % 7 == 3 {
+                    f64::NAN
+                } else {
+                    ((s >> 20) & 0xFF) as f64
+                };
+                (est, ((s >> 40) & 0xFF) as f64)
+            })
+            .collect();
+        let picked = pseudo_pareto(&pts, 2);
+        assert_eq!(picked.quarantined, (0..80).filter(|i| i % 7 == 3).count());
+        // The same selection done by hand on the finite points.
+        let keep: Vec<usize> = (0..80).filter(|i| i % 7 != 3).collect();
+        let finite: Vec<(f64, f64)> = keep.iter().map(|&i| pts[i]).collect();
+        let by_hand: BTreeSet<usize> = peel_fronts(&finite, 2)
+            .into_iter()
+            .flatten()
+            .map(|li| keep[li])
+            .collect();
+        assert_eq!(picked.candidates, by_hand);
+        for &i in &picked.candidates {
+            assert!(pts[i].0.is_finite(), "quarantined point {i} selected");
+        }
+        // The first front's members are non-dominated in library terms.
+        let first = pseudo_pareto(&pts, 1).candidates;
+        for &a in &first {
+            assert!(keep.iter().all(|&b| !dominates(pts[b], pts[a])));
+        }
+    }
+
+    #[test]
+    fn measured_front_is_drawn_from_the_synthesized_set() {
+        let mut s = 5u64;
+        let pts: Vec<(f64, f64)> = (0..120)
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (((s >> 20) & 0x3F) as f64, ((s >> 40) & 0x3F) as f64)
+            })
+            .collect();
+        let synthesized: BTreeSet<usize> = (0..120).filter(|i| i % 3 != 0).collect();
+        let m = measured_front(&pts, &synthesized);
+        assert!(!m.front.is_empty());
+        assert!(m.front.iter().all(|i| synthesized.contains(i)));
+        assert!(m.front.windows(2).all(|w| w[0] < w[1]), "not ascending");
+        assert_eq!(m.true_front, pareto_front(&pts));
+        // Synthesizing everything recovers the whole true front.
+        let all = measured_front(&pts, &(0..120).collect());
+        assert_eq!(all.front, all.true_front);
+        assert_eq!(all.coverage, 1.0);
+    }
+
+    #[test]
+    fn measured_coverage_matches_the_inline_computation() {
+        let pts = [
+            (1.0, 6.0),
+            (2.0, 4.0),
+            (2.0, 4.0),
+            (3.0, 3.5),
+            (4.0, 2.0),
+            (5.0, 2.5),
+            (6.0, 0.0),
+            (7.0, 0.0),
+        ];
+        let synthesized: BTreeSet<usize> = [0, 2, 3, 5, 7].into_iter().collect();
+        // The scoring every caller used to spell out by hand.
+        let synth_list: Vec<usize> = synthesized.iter().copied().collect();
+        let synth_points: Vec<(f64, f64)> = synth_list.iter().map(|&i| pts[i]).collect();
+        let found: Vec<usize> = pareto_front(&synth_points)
+            .iter()
+            .map(|&li| synth_list[li])
+            .collect();
+        let truth = pareto_front(&pts);
+        let inline = coverage(&truth, &found, &pts);
+
+        let m = measured_front(&pts, &synthesized);
+        assert_eq!(m.front, found);
+        assert_eq!(m.true_front, truth);
+        assert_eq!(m.coverage.to_bits(), inline.to_bits());
+        // Truth {0,1,2,3,4,6}; found {0,2,3,5,7}: 0, 2 and 3 by index,
+        // 1 by value (a duplicate of 2); 4 and 6 missed.
+        assert_eq!(truth, vec![0, 1, 2, 3, 4, 6]);
+        assert_eq!(m.coverage, 4.0 / 6.0);
     }
 
     proptest::proptest! {

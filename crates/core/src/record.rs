@@ -228,7 +228,7 @@ pub fn characterize(
     fpga_config: &afp_fpga::FpgaConfig,
     error_config: &afp_error::ErrorConfig,
 ) -> CircuitRecord {
-    characterize_with(
+    characterize_with_scratch(
         id,
         circuit,
         asic_config,
@@ -236,33 +236,6 @@ pub fn characterize(
         error_config,
         &afp_runtime::Runtime::serial(),
         None,
-    )
-}
-
-/// [`characterize`] on an explicit runtime, optionally through the
-/// characterization cache.
-///
-/// On a cache hit the three reports are reused and no synthesis or error
-/// analysis runs (only the cheap netlist statistics are recomputed); on a
-/// miss the reports are computed, counted on the runtime's counters, and
-/// inserted into the cache.
-pub fn characterize_with(
-    id: usize,
-    circuit: &ArithCircuit,
-    asic_config: &afp_asic::AsicConfig,
-    fpga_config: &afp_fpga::FpgaConfig,
-    error_config: &afp_error::ErrorConfig,
-    rt: &afp_runtime::Runtime,
-    cache: Option<&crate::cache::CharacterizationCache>,
-) -> CircuitRecord {
-    characterize_with_scratch(
-        id,
-        circuit,
-        asic_config,
-        fpga_config,
-        error_config,
-        rt,
-        cache,
         &mut CharacterizeScratch::default(),
     )
 }
@@ -278,8 +251,14 @@ pub struct CharacterizeScratch {
     asic: afp_asic::AsicScratch,
 }
 
-/// [`characterize_with`] through caller-owned scratch state (warm mapper
+/// [`characterize`] on an explicit runtime, optionally through the
+/// characterization cache, with caller-owned scratch state (warm mapper
 /// and ASIC buffers).
+///
+/// On a cache hit the three reports are reused and no synthesis or error
+/// analysis runs (only the cheap netlist statistics are recomputed); on a
+/// miss the reports are computed, counted on the runtime's counters, and
+/// inserted into the cache.
 #[allow(clippy::too_many_arguments)]
 pub fn characterize_with_scratch(
     id: usize,
@@ -291,64 +270,13 @@ pub fn characterize_with_scratch(
     cache: Option<&crate::cache::CharacterizationCache>,
     scratch: &mut CharacterizeScratch,
 ) -> CircuitRecord {
-    let CharacterizeScratch { mapper, asic } = scratch;
-    characterize_inner(
-        id,
-        circuit,
-        asic_config,
-        fpga_config,
-        error_config,
-        rt,
-        cache,
-        mapper,
-        asic,
-    )
-}
-
-/// [`characterize_with`] through a caller-owned [`afp_fpga::Mapper`].
-///
-/// The mapper's work counters are drained into the runtime's shared
-/// counters after each synthesis. Results are identical to
-/// [`characterize_with`] — warm state only recycles scratch buffers.
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_with_mapper(
-    id: usize,
-    circuit: &ArithCircuit,
-    asic_config: &afp_asic::AsicConfig,
-    fpga_config: &afp_fpga::FpgaConfig,
-    error_config: &afp_error::ErrorConfig,
-    rt: &afp_runtime::Runtime,
-    cache: Option<&crate::cache::CharacterizationCache>,
-    mapper: &mut afp_fpga::Mapper,
-) -> CircuitRecord {
-    characterize_inner(
-        id,
-        circuit,
-        asic_config,
-        fpga_config,
-        error_config,
-        rt,
-        cache,
-        mapper,
-        &mut afp_asic::AsicScratch::new(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn characterize_inner(
-    id: usize,
-    circuit: &ArithCircuit,
-    asic_config: &afp_asic::AsicConfig,
-    fpga_config: &afp_fpga::FpgaConfig,
-    error_config: &afp_error::ErrorConfig,
-    rt: &afp_runtime::Runtime,
-    cache: Option<&crate::cache::CharacterizationCache>,
-    mapper: &mut afp_fpga::Mapper,
-    asic_scratch: &mut afp_asic::AsicScratch,
-) -> CircuitRecord {
     use crate::cache::{CachedCharacterization, CharacterizationCache};
     use afp_runtime::Counters;
 
+    let CharacterizeScratch {
+        mapper,
+        asic: asic_scratch,
+    } = scratch;
     let netlist = circuit.netlist();
     let key =
         cache.map(|_| CharacterizationCache::key(circuit, asic_config, fpga_config, error_config));

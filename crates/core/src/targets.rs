@@ -31,7 +31,7 @@ use afp_runtime::Runtime;
 use crate::dataset::{characterize_library_with, sample_subset, train_validate_split};
 use crate::fidelity::train_zoo_with;
 use crate::flow::{Flow, FlowConfig, FlowOutcome};
-use crate::pareto::{coverage, pareto_front, peel_fronts};
+use crate::pareto::{measured_front, pseudo_pareto};
 use crate::record::FpgaParam;
 
 /// A named target could not be resolved against the registry.
@@ -270,36 +270,20 @@ pub fn transfer_experiment(
             let points: Vec<(f64, f64)> = est
                 .iter()
                 .zip(&train_records)
-                .filter(|(e, _)| e.is_finite())
                 .map(|(&e, r)| (e, r.error.med))
                 .collect();
-            let keep: Vec<usize> = est
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.is_finite())
-                .map(|(i, _)| i)
-                .collect();
-            for front in peel_fronts(&points, base.fronts) {
-                candidates.extend(front.into_iter().map(|li| keep[li]));
-            }
+            candidates.extend(pseudo_pareto(&points, base.fronts).candidates);
         }
         // Score on the eval fabric: the front the flow would measure
         // after re-synthesizing the candidates (plus the subset it
         // already paid for) on the new target.
         let mut synthesized: std::collections::BTreeSet<usize> = subset.iter().copied().collect();
         synthesized.extend(candidates.iter().copied());
-        let all_points: Vec<(f64, f64)> = eval_records
+        let eval_points: Vec<(f64, f64)> = eval_records
             .iter()
             .map(|r| (r.fpga_param(param), r.error.med))
             .collect();
-        let synth_list: Vec<usize> = synthesized.iter().copied().collect();
-        let synth_points: Vec<(f64, f64)> = synth_list.iter().map(|&i| all_points[i]).collect();
-        let found: Vec<usize> = pareto_front(&synth_points)
-            .into_iter()
-            .map(|li| synth_list[li])
-            .collect();
-        let truth_front = pareto_front(&all_points);
-        cov.insert(param, coverage(&truth_front, &found, &all_points));
+        cov.insert(param, measured_front(&eval_points, &synthesized).coverage);
         union.extend(candidates);
     }
 

@@ -32,12 +32,7 @@ fn main() {
     println!("\nvalidation fidelity of the winners:");
     for (param, models) in &outcome.selected_models {
         for model in models {
-            if let Some(f) = outcome
-                .zoo
-                .fidelities
-                .iter()
-                .find(|f| f.model == *model && f.param == *param)
-            {
+            if let Some(f) = outcome.zoo.fidelity(*model, *param) {
                 println!(
                     "  {param:?} / {}: fidelity {:.1}%, r2 {:.3}",
                     model.label(),

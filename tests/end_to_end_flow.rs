@@ -109,3 +109,77 @@ fn records_expose_consistent_views() {
         assert!(r.asic.delay_ns >= 0.0);
     }
 }
+
+/// The experiment binaries read their records, split and zoo from
+/// `Flow::run_source` instead of chaining the stages by hand. This pins
+/// that the two are the same computation, bit for bit, with the flow's
+/// own configuration values.
+#[test]
+fn flow_front_end_equals_the_hand_built_chain() {
+    use approxfpgas_suite::flow::dataset::{
+        characterize_library, sample_subset, train_validate_split,
+    };
+    use approxfpgas_suite::flow::fidelity::{train_zoo, TrainedZoo};
+    use approxfpgas_suite::flow::FidelityRecord;
+
+    let library = LibrarySpec::new(ArithKind::Multiplier, 8, 150);
+    let config = FlowConfig {
+        library: library.clone(),
+        models: fast_models(),
+        ..FlowConfig::default()
+    };
+    let outcome = Flow::new(config.clone())
+        .run_source(&LibrarySource::Generated(library.clone()))
+        .expect("generated libraries stream");
+
+    let records = characterize_library(
+        &approxfpgas_suite::circuits::build_library(&library),
+        &config.asic,
+        &config.fpga,
+        &config.error,
+    );
+    let subset = sample_subset(
+        records.len(),
+        config.subset_fraction,
+        config.min_subset,
+        config.seed,
+    );
+    let (train, validate) = train_validate_split(&subset, config.train_fraction, config.seed);
+    let zoo = train_zoo(
+        &records,
+        &train,
+        &validate,
+        &config.models,
+        config.fidelity_tolerance,
+    );
+
+    // `Debug` prints every field, floats as their shortest round-trip
+    // form, so equal text means equal bits.
+    assert_eq!(outcome.records.len(), records.len());
+    for (a, b) in outcome.records.iter().zip(&records) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+    assert_eq!(outcome.subset, subset);
+    assert_eq!(outcome.train, train);
+    assert_eq!(outcome.validate, validate);
+    assert_eq!(outcome.zoo.fidelities.len(), zoo.fidelities.len());
+    for (a, b) in outcome.zoo.fidelities.iter().zip(&zoo.fidelities) {
+        assert_eq!((a.model, a.param), (b.model, b.param));
+        let bits = |f: &FidelityRecord| [f.fidelity, f.r2, f.mae, f.pearson].map(f64::to_bits);
+        assert_eq!(bits(a), bits(b), "{} {:?}", a.model, a.param);
+    }
+    // Every estimate agrees too: the two zoos are the same models.
+    let estimate_bits = |z: &TrainedZoo, f: &FidelityRecord| {
+        let est = z.estimate_all(f.model, f.param, &records);
+        est.into_iter().map(f64::to_bits).collect::<Vec<u64>>()
+    };
+    for f in &zoo.fidelities {
+        assert_eq!(
+            estimate_bits(&outcome.zoo, f),
+            estimate_bits(&zoo, f),
+            "{} {:?}",
+            f.model,
+            f.param
+        );
+    }
+}
