@@ -270,6 +270,30 @@ pub fn synthesize_asic_with(
     config: &AsicConfig,
     scratch: &mut AsicScratch,
 ) -> AsicReport {
+    let mut probs = std::mem::take(&mut scratch.probs);
+    scratch
+        .sim
+        .signal_probabilities(netlist, config.activity_passes, config.seed, &mut probs);
+    let report = synthesize_asic_from_probs(netlist, config, scratch, &probs);
+    scratch.probs = probs;
+    report
+}
+
+/// [`synthesize_asic_with`] on given signal probabilities: `probs[i]` is
+/// net `i`'s estimate from [`SimScratch::signal_probabilities`] at
+/// `config.activity_passes` and `config.seed`. A simulation batch
+/// estimates them once on its hash-consed DAG and gathers each member's.
+///
+/// # Panics
+///
+/// Panics if `probs` has fewer entries than `netlist` has nets.
+pub fn synthesize_asic_from_probs(
+    netlist: &Netlist,
+    config: &AsicConfig,
+    scratch: &mut AsicScratch,
+    probs: &[f64],
+) -> AsicReport {
+    assert!(probs.len() >= netlist.len(), "one probability per net");
     let lib = &config.library;
     let fanout = analyze::fanout(netlist);
 
@@ -357,13 +381,6 @@ pub fn synthesize_asic_with(
         .fold(0.0f64, f64::max);
 
     // Switching activity from zero-delay signal probabilities.
-    scratch.sim.signal_probabilities(
-        netlist,
-        config.activity_passes,
-        config.seed,
-        &mut scratch.probs,
-    );
-    let probs = &scratch.probs;
     let mut dynamic_fj_per_cycle = 0.0f64;
     for (i, gate) in netlist.gates().iter().enumerate() {
         if !gate.is_logic() {

@@ -453,6 +453,7 @@ sim_scaling mul8_bam analyze_us <= 855.50
 sim_scaling add16_loa8 analyze_us <= 1810.50
 sim_scaling mul16_bam analyze_us <= 2269.00
 sim_scaling activity_mul8_wallace activity_us <= 47.25
+sim_scaling batch_mul8 per_circuit_us >= 1.50x loop_mul8
 store_scaling warm_start_mul8 store_us <= 523.00
 store_scaling stream_mul8 store_us <= 4490.25
 store_scaling stream_mul8 size_ratio >= 5.00

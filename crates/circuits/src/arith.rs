@@ -1,7 +1,9 @@
 //! Word-level wrapper around gate-level netlists for two-operand arithmetic
 //! circuits, plus batch evaluation helpers.
 
-use afp_netlist::{Netlist, SimTape, LANES, LANE_WORDS};
+use std::borrow::Borrow;
+
+use afp_netlist::{Netlist, NetlistBatch, SimTape, LANES, LANE_WORDS, SIM_BATCH_NODES};
 
 /// The arithmetic function a circuit is *supposed* to compute.
 // Safe total order (`Eq + Ord`, no float keys): the clippy.toml
@@ -199,9 +201,11 @@ enum TapeRef<'c> {
 /// ```
 #[derive(Debug)]
 pub struct BatchEvaluator<'c> {
-    circuit: &'c ArithCircuit,
+    /// Operand width in bits.
+    width: usize,
     tape: TapeRef<'c>,
-    /// Net indices of the primary outputs, LSB-first.
+    /// Net indices of the primary outputs, LSB-first (empty for a
+    /// simulation-batch DAG, whose members' outputs are read per member).
     outputs: Vec<usize>,
     /// One `[u64; LANE_WORDS]` block per primary input.
     inputs: Vec<u64>,
@@ -249,6 +253,22 @@ impl<'c> BatchEvaluator<'c> {
         Self::build(circuit, TapeRef::Shared(tape))
     }
 
+    /// Create an evaluator over the DAG of a simulation batch (see
+    /// [`crate::plan_batches`]): `tape` was compiled from the DAG,
+    /// whose first `2 * width` inputs carry the operands. Load a block
+    /// with [`BatchEvaluator::load_pairs`] or
+    /// [`BatchEvaluator::load_exhaustive`], then read each member's
+    /// output nets with [`BatchEvaluator::lane_words`].
+    pub fn for_dag(tape: &'c SimTape, width: usize) -> BatchEvaluator<'c> {
+        BatchEvaluator {
+            width,
+            inputs: vec![0u64; tape.num_inputs() * LANE_WORDS],
+            tape: TapeRef::Shared(tape),
+            values: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
     fn build(circuit: &'c ArithCircuit, tape: TapeRef<'c>) -> BatchEvaluator<'c> {
         let outputs: Vec<usize> = circuit
             .netlist()
@@ -261,7 +281,7 @@ impl<'c> BatchEvaluator<'c> {
             "batch evaluation supports at most 64 output bits"
         );
         BatchEvaluator {
-            circuit,
+            width: circuit.width(),
             tape,
             inputs: vec![0u64; circuit.netlist().num_inputs() * LANE_WORDS],
             values: Vec::new(),
@@ -276,13 +296,25 @@ impl<'c> BatchEvaluator<'c> {
     ///
     /// Panics if `pairs.len() > LANES`.
     pub fn eval_block_into(&mut self, pairs: &[(u64, u64)], out: &mut Vec<u64>) {
+        self.load_pairs(pairs);
+        self.unpack_into(pairs.len(), out);
+    }
+
+    /// Pack a block of at most [`LANES`] operand pairs and run the wide
+    /// kernel over it: lane `l` of every net's
+    /// [`BatchEvaluator::lane_words`] then belongs to `pairs[l]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pairs.len() > LANES`.
+    pub fn load_pairs(&mut self, pairs: &[(u64, u64)]) {
         assert!(pairs.len() <= LANES, "a block is at most LANES lanes");
-        match 2 * self.circuit.width() {
+        match 2 * self.width {
             0..=16 => self.pack::<16>(pairs),
             17..=32 => self.pack::<32>(pairs),
             _ => self.pack::<64>(pairs),
         }
-        self.exec_wide_and_unpack(pairs.len(), out);
+        self.execute();
     }
 
     /// Pack `pairs` into the input blocks through `F`-bit field
@@ -293,7 +325,7 @@ impl<'c> BatchEvaluator<'c> {
     fn pack<const F: usize>(&mut self, pairs: &[(u64, u64)]) {
         const W: usize = LANE_WORDS;
         let words = 64 / F;
-        let w = self.circuit.width();
+        let w = self.width;
         let mask = (1u64 << w) - 1;
         for (t, group) in pairs.chunks(64 * words).enumerate() {
             let mut m = [0u64; 64];
@@ -324,9 +356,21 @@ impl<'c> BatchEvaluator<'c> {
     ///
     /// Panics if `n > LANES`.
     pub fn eval_exhaustive_block_into(&mut self, start: u64, n: usize, out: &mut Vec<u64>) {
+        self.load_exhaustive(start, n);
+        self.unpack_into(n, out);
+    }
+
+    /// [`BatchEvaluator::load_pairs`] for `n` consecutive pairs of the
+    /// exhaustive enumeration starting at pair index `start` (see
+    /// [`BatchEvaluator::eval_exhaustive_block_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > LANES`.
+    pub fn load_exhaustive(&mut self, start: u64, n: usize) {
         assert!(n <= LANES, "a block is at most LANES lanes");
         const W: usize = LANE_WORDS;
-        let w = self.circuit.width();
+        let w = self.width;
         let mask = (1u64 << w) - 1;
         if start.is_multiple_of(64) {
             for o in 0..2 * w {
@@ -349,18 +393,30 @@ impl<'c> BatchEvaluator<'c> {
                 afp_netlist::pack_operand_wide(&mut self.inputs, w, w, l, p & mask);
             }
         }
-        self.exec_wide_and_unpack(n, out);
+        self.execute();
     }
 
-    /// Run the wide kernel over the packed input blocks and append the
-    /// first `n` lane results to `out`, extracted through the narrowest
-    /// field transpose that holds the output width.
-    fn exec_wide_and_unpack(&mut self, n: usize, out: &mut Vec<u64>) {
+    /// Run the wide kernel over the packed input blocks.
+    fn execute(&mut self) {
         let tape = match &self.tape {
             TapeRef::Owned(t) => t,
             TapeRef::Shared(t) => t,
         };
         tape.execute_wide(&self.inputs, &mut self.values);
+    }
+
+    /// The wide-kernel value block of net `net` after the last load: bit
+    /// `l % 64` of word `l / 64` is the net's value on lane `l`.
+    pub fn lane_words(&self, net: u32) -> &[u64; LANE_WORDS] {
+        self.values[net as usize * LANE_WORDS..][..LANE_WORDS]
+            .try_into()
+            .expect("one block per net")
+    }
+
+    /// Append the first `n` lane results of the loaded block to `out`,
+    /// extracted through the narrowest field transpose that holds the
+    /// output width.
+    fn unpack_into(&self, n: usize, out: &mut Vec<u64>) {
         match self.outputs.len() {
             0..=16 => self.unpack::<16>(n, out),
             17..=32 => self.unpack::<32>(n, out),
@@ -444,6 +500,64 @@ pub fn behavioral_signature(circuit: &ArithCircuit) -> u64 {
     h
 }
 
+/// Split `circuits` into simulation batches: each batch's indices into
+/// `circuits`, in member order.
+///
+/// A batch holds circuits of one kind and width, in slice order, while
+/// their gates and the shared primary inputs add up to at most
+/// [`SIM_BATCH_NODES`] (a circuit over that is a batch alone). That
+/// bounds the batch's hash-consed DAG without hashing anything, so the
+/// plan is cheap and each batch can be built where it is simulated (see
+/// [`simulation_batch`]).
+pub fn plan_batches<C: Borrow<ArithCircuit>>(circuits: &[C]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<((ArithKind, usize), Vec<usize>)> = Vec::new();
+    for (i, c) in circuits.iter().enumerate() {
+        let c = c.borrow();
+        let shape = (c.kind(), c.width());
+        match groups.iter_mut().find(|(s, _)| *s == shape) {
+            Some((_, group)) => group.push(i),
+            None => groups.push((shape, vec![i])),
+        }
+    }
+    let mut batches = Vec::new();
+    for (_, group) in groups {
+        let mut batch: Vec<usize> = Vec::new();
+        let mut nodes = 0;
+        for i in group {
+            let netlist = circuits[i].borrow().netlist();
+            let gates = netlist.len() - netlist.num_inputs();
+            if !batch.is_empty() && nodes + gates > SIM_BATCH_NODES {
+                batches.push(std::mem::take(&mut batch));
+            }
+            if batch.is_empty() {
+                nodes = netlist.num_inputs();
+            }
+            nodes += gates;
+            batch.push(i);
+        }
+        batches.push(batch);
+    }
+    batches
+}
+
+/// The simulation batch of `members` (circuits of one kind and width, as
+/// planned by [`plan_batches`]): hash-consed into one DAG, or for a lone
+/// circuit its own netlist, with nothing hashed.
+///
+/// # Panics
+///
+/// Panics if `members` is empty.
+pub fn simulation_batch<'a>(members: &[&'a ArithCircuit]) -> NetlistBatch<'a> {
+    match members {
+        [] => panic!("a simulation batch has a member"),
+        [one] => NetlistBatch::single(one.netlist()),
+        [first, ..] => NetlistBatch::hash_cons(
+            first.netlist().num_inputs(),
+            members.iter().map(|c| c.netlist()),
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,6 +574,29 @@ mod tests {
         outs.push(zero);
         n.set_outputs(outs);
         ArithCircuit::new(ArithKind::Adder, width, n)
+    }
+
+    #[test]
+    fn batches_group_by_shape_and_split_at_the_node_budget() {
+        let add = crate::adders::ripple_carry(8);
+        let mul = crate::multipliers::array_multiplier(8);
+        let gates = mul.netlist().len() - mul.netlist().num_inputs();
+        // One multiplier more than fit a batch, around two adders.
+        let fit = (SIM_BATCH_NODES - 16) / gates;
+        let mut circuits = vec![add.clone(), mul.clone(), add.clone()];
+        circuits.extend((0..fit).map(|_| mul.clone()));
+        let plan = plan_batches(&circuits);
+        let muls: Vec<usize> = std::iter::once(1).chain(3..fit + 2).collect();
+        assert_eq!(plan, [vec![0, 2], muls, vec![fit + 2]]);
+
+        let members: Vec<&ArithCircuit> = plan[1].iter().map(|&i| &circuits[i]).collect();
+        let batch = simulation_batch(&members);
+        assert_eq!(batch.len(), fit);
+        assert!(batch.dag().len() <= SIM_BATCH_NODES);
+        // Identical members fold into the first one's nodes.
+        assert_eq!(batch.dag().len(), mul.netlist().len());
+        let lone = simulation_batch(&[&circuits[fit + 2]]);
+        assert_eq!(lone.dag(), mul.netlist());
     }
 
     #[test]

@@ -693,8 +693,8 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "sim: {} tape reuses, {} structural dedup hits",
-        rt.sim_tape_reuses, rt.structural_dedup_hits
+        "sim: {} tape reuses, {} structural dedup hits, {} nodes shared",
+        rt.sim_tape_reuses, rt.structural_dedup_hits, rt.sim_nodes_shared
     );
     if rt.shards_streamed > 0 {
         let _ = writeln!(

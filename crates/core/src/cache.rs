@@ -15,7 +15,7 @@
 use std::path::Path;
 
 use afp_asic::AsicReport;
-use afp_circuits::ArithCircuit;
+use afp_circuits::{ArithCircuit, ArithKind};
 use afp_error::ErrorMetrics;
 use afp_fpga::FpgaReport;
 use afp_runtime::{Counters, Fingerprint, Key128, MemoCache, StableHasher};
@@ -227,11 +227,32 @@ impl CharacterizationCache {
         fpga: &afp_fpga::FpgaConfig,
         error: &afp_error::ErrorConfig,
     ) -> Key128 {
+        CharacterizationCache::key_hashed(
+            circuit.kind(),
+            circuit.width(),
+            circuit.netlist().structural_hash(),
+            asic,
+            fpga,
+            error,
+        )
+    }
+
+    /// [`CharacterizationCache::key`] of a `kind`/`width` circuit whose
+    /// netlist's [`afp_netlist::Netlist::structural_hash`] is
+    /// `structural_hash`, for callers that already hashed it.
+    pub fn key_hashed(
+        kind: ArithKind,
+        width: usize,
+        structural_hash: u64,
+        asic: &afp_asic::AsicConfig,
+        fpga: &afp_fpga::FpgaConfig,
+        error: &afp_error::ErrorConfig,
+    ) -> Key128 {
         let mut h = StableHasher::new();
         h.write_str("characterization");
-        h.write_str(circuit.kind().mnemonic());
-        h.write_usize(circuit.width());
-        h.write_u64(circuit.netlist().structural_hash());
+        h.write_str(kind.mnemonic());
+        h.write_usize(width);
+        h.write_u64(structural_hash);
         asic.fingerprint(&mut h);
         fpga.fingerprint(&mut h);
         error.fingerprint(&mut h);

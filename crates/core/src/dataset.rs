@@ -4,14 +4,14 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
-use afp_circuits::{ArithCircuit, ArithKind};
+use afp_circuits::{plan_batches, ArithCircuit, ArithKind};
 use afp_obs::Recorder;
 use afp_runtime::{Counters, Runtime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::CharacterizationCache;
-use crate::record::{characterize_with_scratch, CharacterizeScratch, CircuitRecord};
+use crate::record::{assemble_record, characterize_batch, CharacterizeScratch, CircuitRecord};
 
 /// Characterize every circuit in `library` in parallel (one worker per
 /// available core, work-stealing).
@@ -63,10 +63,13 @@ pub fn characterize_library_with(
 /// yields circuits, owned or borrowed: a resident library is a single
 /// shard, and a sealed `.afps` corpus streams through
 /// [`afp_circuits::LibrarySource::shards`]. Shards are pulled one at a
-/// time, each shard's not-yet-seen structures are characterized through
-/// the work-stealing runtime (one [`afp_fpga::Mapper`] per worker, so
-/// repeated FPGA synthesis reuses warm buffers), and the shard's
-/// netlists are dropped before the next shard is pulled — peak circuit
+/// time. Each shard's not-yet-seen structures are looked up in the cache
+/// in parallel, and the misses are characterized as simulation batches
+/// ([`afp_circuits::plan_batches`]) through the work-stealing runtime: a
+/// worker hash-conses a batch, runs error analysis and both power models'
+/// signal probabilities once on its DAG, then synthesizes each member (one [`afp_fpga::Mapper`] per worker, so repeated FPGA
+/// synthesis reuses warm buffers). The shard's netlists are dropped
+/// before the next shard is pulled — peak circuit
 /// residency is one shard, tracked by the `peak_resident_circuits`
 /// gauge, with `shards_streamed` counting the pulls. Only the
 /// per-circuit [`CircuitRecord`]s (and the structural-dedup index) stay
@@ -111,20 +114,17 @@ where
     for shard in shards {
         let first = fanout.len();
         // Representatives new in this shard, each with its global library
-        // index (which becomes its record id).
-        let mut fresh: Vec<(usize, C)> = Vec::new();
+        // index (which becomes its record id) and its structural hash.
+        let mut fresh: Vec<(usize, C, u64)> = Vec::new();
         for c in shard? {
             let circuit = c.borrow();
-            let key = (
-                circuit.kind(),
-                circuit.width(),
-                circuit.netlist().structural_hash(),
-            );
+            let hash = circuit.netlist().structural_hash();
+            let key = (circuit.kind(), circuit.width(), hash);
             let next = rep_records.len() + fresh.len();
             let rep = *seen.entry(key).or_insert(next);
             fanout.push((circuit.name().to_string(), rep));
             if rep == next {
-                fresh.push((fanout.len() - 1, c));
+                fresh.push((fanout.len() - 1, c, hash));
             }
         }
         let len = fanout.len() - first;
@@ -139,22 +139,64 @@ where
             Counters::add(&rt.counters().structural_dedup_hits, dedup_hits);
         }
 
-        rep_records.extend(rt.par_map_init(
-            &fresh,
+        // Netlist statistics and cache lookups, per representative.
+        let mut looked_up = rt.par_map(&fresh, |_, (_, c, hash)| {
+            let circuit = c.borrow();
+            let key = cache.map(|_| {
+                CharacterizationCache::key_hashed(
+                    circuit.kind(),
+                    circuit.width(),
+                    *hash,
+                    asic_config,
+                    fpga_config,
+                    error_config,
+                )
+            });
+            let hit = key.and_then(|k| cache.and_then(|cache| cache.get(k, rt.counters())));
+            (afp_netlist::analyze::stats(circuit.netlist()), key, hit)
+        });
+        // The misses, characterized in parallel batch by batch, one
+        // scratch per worker.
+        let misses: Vec<usize> = (0..fresh.len())
+            .filter(|&i| looked_up[i].2.is_none())
+            .collect();
+        let miss_circuits: Vec<&ArithCircuit> =
+            misses.iter().map(|&i| fresh[i].1.borrow()).collect();
+        let batches = plan_batches(&miss_circuits);
+        let computed = rt.par_map_init(
+            &batches,
             CharacterizeScratch::default,
-            |scratch, _, (id, c)| {
-                characterize_with_scratch(
-                    *id,
-                    c.borrow(),
+            |scratch, _, members| {
+                let circuits: Vec<&ArithCircuit> =
+                    members.iter().map(|&m| miss_circuits[m]).collect();
+                characterize_batch(
+                    &circuits,
                     asic_config,
                     fpga_config,
                     error_config,
                     rt,
-                    cache,
                     scratch,
                 )
             },
-        ));
+        );
+        for (members, reports) in batches.iter().zip(computed) {
+            for (&m, reports) in members.iter().zip(reports) {
+                let (_, key, slot) = &mut looked_up[misses[m]];
+                if let (Some(cache), Some(key)) = (cache, *key) {
+                    cache.insert(key, reports);
+                }
+                *slot = Some(reports);
+            }
+        }
+        rep_records.extend(
+            fresh
+                .iter()
+                .zip(looked_up)
+                .map(|((id, c, _), (stats, _, reports))| {
+                    let reports = reports.expect("every miss was characterized");
+                    assemble_record(*id, c.borrow(), fpga_config, stats, reports)
+                }),
+        );
         // Dropping `fresh` here releases this shard's netlists before the
         // next shard is pulled.
     }

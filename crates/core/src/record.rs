@@ -5,7 +5,10 @@ use afp_circuits::{ArithCircuit, ArithKind};
 use afp_error::ErrorMetrics;
 use afp_fpga::FpgaReport;
 use afp_netlist::analyze::NetlistStats;
-use afp_netlist::GateKind;
+use afp_netlist::{GateKind, SimScratch};
+use afp_runtime::Counters;
+
+use crate::cache::{CachedCharacterization, CharacterizationCache};
 
 /// The FPGA parameter a model estimates (the paper's three targets).
 // Safe total order (`Eq + Ord`, no float keys): the clippy.toml
@@ -241,14 +244,21 @@ pub fn characterize(
 }
 
 /// Per-worker scratch state for sweeping a library through
-/// [`characterize_with_scratch`]: a warm FPGA mapper (cut arenas, simulator
-/// buffers) plus ASIC activity-estimation buffers. One of these per worker
-/// thread makes the whole characterization loop allocation-free in steady
-/// state; results are bit-identical to fresh-state calls.
+/// [`characterize_with_scratch`] or simulation batches: a warm FPGA mapper
+/// (cut arenas, simulator buffers), ASIC buffers and signal-probability
+/// buffers. One of these per worker thread makes the whole
+/// characterization loop allocation-free in steady state; results are
+/// bit-identical to fresh-state calls.
 #[derive(Debug, Default)]
 pub struct CharacterizeScratch {
     mapper: afp_fpga::Mapper,
     asic: afp_asic::AsicScratch,
+    sim: SimScratch,
+    /// Each power model's signal probabilities on the current batch's DAG.
+    asic_probs: Vec<f64>,
+    fpga_probs: Vec<f64>,
+    /// One member's signal probabilities, gathered from the DAG's.
+    member_probs: Vec<f64>,
 }
 
 /// [`characterize`] on an explicit runtime, optionally through the
@@ -257,7 +267,8 @@ pub struct CharacterizeScratch {
 ///
 /// On a cache hit the three reports are reused and no synthesis or error
 /// analysis runs (only the cheap netlist statistics are recomputed); on a
-/// miss the reports are computed, counted on the runtime's counters, and
+/// miss the reports are computed as a batch of one (see
+/// [`characterize_batch`]), counted on the runtime's counters, and
 /// inserted into the cache.
 #[allow(clippy::too_many_arguments)]
 pub fn characterize_with_scratch(
@@ -267,54 +278,130 @@ pub fn characterize_with_scratch(
     fpga_config: &afp_fpga::FpgaConfig,
     error_config: &afp_error::ErrorConfig,
     rt: &afp_runtime::Runtime,
-    cache: Option<&crate::cache::CharacterizationCache>,
+    cache: Option<&CharacterizationCache>,
     scratch: &mut CharacterizeScratch,
 ) -> CircuitRecord {
-    use crate::cache::{CachedCharacterization, CharacterizationCache};
-    use afp_runtime::Counters;
-
-    let CharacterizeScratch {
-        mapper,
-        asic: asic_scratch,
-    } = scratch;
     let netlist = circuit.netlist();
     let key =
         cache.map(|_| CharacterizationCache::key(circuit, asic_config, fpga_config, error_config));
     let cached = key.and_then(|k| cache.and_then(|c| c.get(k, rt.counters())));
-    let reports = match cached {
-        Some(hit) => hit,
-        None => {
-            let counters = rt.counters();
-            Counters::add(&counters.asic_synths, 1);
-            Counters::add(&counters.fpga_synths, 1);
-            Counters::add(&counters.error_analyses, 1);
-            let computed = CachedCharacterization {
-                asic: afp_asic::synthesize_asic_with(netlist, asic_config, asic_scratch),
-                error: afp_error::analyze_with(circuit, error_config, rt),
-                fpga: mapper.synthesize(netlist, fpga_config),
-            };
-            let st = mapper.take_stats();
-            Counters::add(&counters.cuts_merged, st.cuts_merged);
-            Counters::add(&counters.cuts_sig_rejected, st.cuts_sig_rejected);
-            Counters::add(&counters.cuts_dominance_pruned, st.cuts_dominance_pruned);
-            Counters::add(&counters.mapper_reuses, st.mapper_reuses);
-            if let (Some(cache), Some(key)) = (cache, key) {
-                cache.insert(key, computed);
-            }
-            computed
+    let reports = cached.unwrap_or_else(|| {
+        let computed = characterize_batch(
+            &[circuit],
+            asic_config,
+            fpga_config,
+            error_config,
+            rt,
+            scratch,
+        )[0];
+        if let (Some(cache), Some(key)) = (cache, key) {
+            cache.insert(key, computed);
         }
-    };
+        computed
+    });
+    assemble_record(
+        id,
+        circuit,
+        fpga_config,
+        afp_netlist::analyze::stats(netlist),
+        reports,
+    )
+}
+
+/// A circuit's record from its statistics and reports.
+pub(crate) fn assemble_record(
+    id: usize,
+    circuit: &ArithCircuit,
+    fpga_config: &afp_fpga::FpgaConfig,
+    stats: NetlistStats,
+    reports: CachedCharacterization,
+) -> CircuitRecord {
     CircuitRecord {
         id,
         name: circuit.name().to_string(),
         kind: circuit.kind(),
         width: circuit.width(),
         target: fpga_config.target.clone(),
-        stats: afp_netlist::analyze::stats(netlist),
+        stats,
         asic: reports.asic,
         error: reports.error,
         fpga: reports.fpga,
     }
+}
+
+/// Compute the reports of the circuits of one simulation batch (see
+/// [`afp_circuits::plan_batches`]), in order, each bit-identical to
+/// characterizing that circuit alone, and count the work on the
+/// runtime's counters.
+///
+/// Error analysis runs once on the batch's DAG, in parallel over lane
+/// blocks when called outside a pool worker. The ASIC and FPGA power
+/// models' signal probabilities are estimated once on the DAG for each
+/// model's stimulus, and each circuit is synthesized on its gathered
+/// share.
+pub(crate) fn characterize_batch(
+    members: &[&ArithCircuit],
+    asic_config: &afp_asic::AsicConfig,
+    fpga_config: &afp_fpga::FpgaConfig,
+    error_config: &afp_error::ErrorConfig,
+    rt: &afp_runtime::Runtime,
+    scratch: &mut CharacterizeScratch,
+) -> Vec<CachedCharacterization> {
+    let batch = afp_circuits::simulation_batch(members);
+    let counters = rt.counters();
+    let n = members.len() as u64;
+    Counters::add(&counters.asic_synths, n);
+    Counters::add(&counters.fpga_synths, n);
+    Counters::add(&counters.error_analyses, n);
+    Counters::add(&counters.sim_nodes_shared, batch.shared_nodes());
+    let errors = afp_error::analyze_batch(
+        members[0].kind(),
+        members[0].width(),
+        &batch,
+        error_config,
+        rt,
+    );
+
+    let CharacterizeScratch {
+        mapper,
+        asic: asic_scratch,
+        sim,
+        asic_probs,
+        fpga_probs,
+        member_probs,
+    } = scratch;
+    let dag = batch.dag();
+    sim.signal_probabilities(
+        dag,
+        asic_config.activity_passes,
+        asic_config.seed,
+        asic_probs,
+    );
+    sim.signal_probabilities(
+        dag,
+        fpga_config.activity_passes,
+        fpga_config.seed,
+        fpga_probs,
+    );
+    members
+        .iter()
+        .zip(errors)
+        .enumerate()
+        .map(|(m, (circuit, error))| {
+            let netlist = circuit.netlist();
+            let probs = batch.gather(m, asic_probs, member_probs);
+            let asic =
+                afp_asic::synthesize_asic_from_probs(netlist, asic_config, asic_scratch, probs);
+            let probs = batch.gather(m, fpga_probs, member_probs);
+            let fpga = mapper.synthesize_from_probs(netlist, fpga_config, probs);
+            let st = mapper.take_stats();
+            Counters::add(&counters.cuts_merged, st.cuts_merged);
+            Counters::add(&counters.cuts_sig_rejected, st.cuts_sig_rejected);
+            Counters::add(&counters.cuts_dominance_pruned, st.cuts_dominance_pruned);
+            Counters::add(&counters.mapper_reuses, st.mapper_reuses);
+            CachedCharacterization { asic, error, fpga }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -242,6 +242,7 @@ mod tests {
         assert_eq!(
             zeroed,
             [
+                "tasks_executed",
                 "steals",
                 "mapper_reuses",
                 "shards_streamed",

@@ -30,7 +30,7 @@
 #![warn(missing_docs)]
 
 use afp_circuits::{ArithCircuit, ArithKind, BatchEvaluator};
-use afp_netlist::{SimTape, LANES};
+use afp_netlist::{transpose, NetlistBatch, SimTape, LANES, LANE_WORDS};
 use afp_runtime::{Counters, Runtime};
 
 /// Configuration for [`analyze`].
@@ -131,65 +131,97 @@ pub fn analyze(circuit: &ArithCircuit, config: &ErrorConfig) -> ErrorMetrics {
 /// function of the input and the result is identical for any parallelism.
 const BLOCK_PAIRS: usize = 4096;
 
-/// [`analyze`] on an explicit [`Runtime`].
-///
-/// The input space is split into fixed-size blocks evaluated in parallel;
-/// per-block partial sums use exact integer arithmetic and are merged in
-/// block order, so the metrics are bit-identical for any thread count.
+/// [`analyze`] on an explicit [`Runtime`]: [`analyze_batch`] on a batch
+/// of one (the circuit's own netlist, nothing hashed).
 pub fn analyze_with(circuit: &ArithCircuit, config: &ErrorConfig, rt: &Runtime) -> ErrorMetrics {
-    let w = circuit.width();
-    assert!(w <= 32, "operand width limited to 32 bits");
-    let exhaustive = 2 * w <= config.max_exhaustive_bits;
-    let kind = circuit.kind();
-    let mut total = Sums::<u128>::default();
+    let batch = NetlistBatch::single(circuit.netlist());
+    analyze_batch(circuit.kind(), circuit.width(), &batch, config, rt)[0]
+}
+
+/// Analyze every member of a simulation batch (see
+/// [`afp_circuits::plan_batches`]) of `kind`/`width` circuits, returning
+/// one [`ErrorMetrics`] per member, in member order.
+///
+/// The input space is split into fixed-size blocks evaluated in parallel.
+/// Each block simulates the batch's DAG once per lane block, computes the
+/// golden results once, and accumulates every member's sums from its own
+/// output nodes. Per-block sums use exact integer arithmetic and are
+/// merged in block order, so each member's metrics are bit-identical to
+/// analyzing it alone, for any batch and any thread count.
+pub fn analyze_batch(
+    kind: ArithKind,
+    width: usize,
+    batch: &NetlistBatch,
+    config: &ErrorConfig,
+    rt: &Runtime,
+) -> Vec<ErrorMetrics> {
+    assert!(width <= 32, "operand width limited to 32 bits");
+    assert!(
+        (0..batch.len()).all(|m| batch.outputs(m).len() == kind.out_width(width)),
+        "every member has the outputs of its kind and width"
+    );
+    let exhaustive = 2 * width <= config.max_exhaustive_bits;
+    let mut totals: Vec<Sums<u128>> = (0..batch.len()).map(|_| Sums::default()).collect();
     // A block's squared error fits 64 bits while outputs are at most 16
     // bits wide (2^15 pairs · 2^32 < 2^64); wider outputs sum in u128.
-    if kind.out_width(w) <= 16 {
-        for block in block_sums::<u64>(circuit, config, exhaustive, rt) {
-            block.merge_into(&mut total);
+    if kind.out_width(width) <= 16 {
+        for block in block_sums::<u64>(kind, width, batch, config, exhaustive, rt) {
+            for (sums, total) in block.iter().zip(&mut totals) {
+                sums.merge_into(total);
+            }
         }
     } else {
-        for block in block_sums::<u128>(circuit, config, exhaustive, rt) {
-            block.merge_into(&mut total);
+        for block in block_sums::<u128>(kind, width, batch, config, exhaustive, rt) {
+            for (sums, total) in block.iter().zip(&mut totals) {
+                sums.merge_into(total);
+            }
         }
     }
-    total.finish(exhaustive, kind.max_output(w) as f64)
+    let max_out = kind.max_output(width) as f64;
+    totals
+        .into_iter()
+        .map(|total| total.finish(exhaustive, max_out))
+        .collect()
 }
 
 /// Evaluate every block of the input space (exhaustive or sampled) and
-/// return the per-block sums in block order.
+/// return, in block order, each block's sums per batch member.
 fn block_sums<S: BlockSum>(
-    circuit: &ArithCircuit,
+    kind: ArithKind,
+    w: usize,
+    batch: &NetlistBatch,
     config: &ErrorConfig,
     exhaustive: bool,
     rt: &Runtime,
-) -> Vec<Sums<S>> {
-    let w = circuit.width();
-    let kind = circuit.kind();
+) -> Vec<Vec<Sums<S>>> {
     let mask = (1u64 << w) - 1;
-    // Lower the netlist once; every block worker shares the same tape.
-    let tape = SimTape::compile(circuit.netlist());
-    let finish_block = |sums: Sums<S>| {
-        Counters::add(&rt.counters().sim_tape_reuses, 1);
-        // 16 bytes of operand data per evaluated pair.
-        Counters::add(&rt.counters().bytes_simulated, sums.n * 16);
+    let members = batch.len();
+    let out_width = kind.out_width(w);
+    // Lower the DAG once; every block worker shares the same tape.
+    let tape = SimTape::compile(batch.dag());
+    let finish_block = |sums: Vec<Sums<S>>| {
+        // Per member: one tape reuse, 16 bytes of operand data per pair.
+        Counters::add(&rt.counters().sim_tape_reuses, members as u64);
+        let pairs: u64 = sums.iter().map(|s| s.n).sum();
+        Counters::add(&rt.counters().bytes_simulated, pairs * 16);
         sums
     };
+    let fresh = || (0..members).map(|_| Sums::default()).collect::<Vec<_>>();
     // Per-worker buffers, reused across every block the worker evaluates.
-    let scratch = || {
-        (
-            BatchEvaluator::with_tape(circuit, &tape),
-            Vec::with_capacity(LANES),
-            Vec::with_capacity(LANES),
-        )
+    let scratch = || (BatchEvaluator::for_dag(&tape, w), Golden::default());
+    // Every member's sums over the loaded lane block.
+    let accumulate = |eval: &BatchEvaluator, golden: &Golden, sums: &mut [Sums<S>]| {
+        for (m, sums) in sums.iter_mut().enumerate() {
+            sums.add_block(eval, batch.outputs(m), golden);
+        }
     };
     if exhaustive {
         // Blocks are ranges of `a` rows; each row is `mask + 1` pairs.
         let rows_per_block = (BLOCK_PAIRS >> w).max(1) as u64;
         let row_starts: Vec<u64> = (0..=mask).step_by(rows_per_block as usize).collect();
-        rt.par_map_init(&row_starts, scratch, |(batch, got, exact), _, &a_start| {
+        rt.par_map_init(&row_starts, scratch, |(eval, golden), _, &a_start| {
             let a_end = (a_start + rows_per_block - 1).min(mask);
-            let mut sums = Sums::default();
+            let mut sums = fresh();
             // The block's pairs are the consecutive pair indices
             // `a_start·2^w .. (a_end+1)·2^w` in the row-major order
             // `p = (a << w) | b`.
@@ -197,11 +229,10 @@ fn block_sums<S: BlockSum>(
             let mut p = a_start << w;
             while p < end {
                 let n = ((end - p) as usize).min(LANES);
-                got.clear();
-                exact.clear();
-                batch.eval_exhaustive_block_into(p, n, got);
-                exact_into(kind, (p..p + n as u64).map(|q| (q >> w, q & mask)), exact);
-                sums.add(exact, got);
+                eval.load_exhaustive(p, n);
+                let pairs = (p..p + n as u64).map(|q| (q >> w, q & mask));
+                golden.load(kind, pairs, out_width);
+                accumulate(eval, golden, &mut sums);
                 p += n as u64;
             }
             finish_block(sums)
@@ -209,17 +240,77 @@ fn block_sums<S: BlockSum>(
     } else {
         let pairs = stratified_pairs(w, config.samples, config.seed);
         let blocks: Vec<&[(u64, u64)]> = pairs.chunks(BLOCK_PAIRS).collect();
-        rt.par_map_init(&blocks, scratch, |(batch, got, exact), _, block| {
-            let mut sums = Sums::default();
+        rt.par_map_init(&blocks, scratch, |(eval, golden), _, block| {
+            let mut sums = fresh();
             for chunk in block.chunks(LANES) {
-                got.clear();
-                exact.clear();
-                batch.eval_block_into(chunk, got);
-                exact_into(kind, chunk.iter().copied(), exact);
-                sums.add(exact, got);
+                eval.load_pairs(chunk);
+                golden.load(kind, chunk.iter().copied(), out_width);
+                accumulate(eval, golden, &mut sums);
             }
             finish_block(sums)
         })
+    }
+}
+
+/// Erroneous lanes of a 64-lane word from which [`Sums::add_lanes`]
+/// accumulates the whole word in one loop instead of visiting the
+/// erroneous lanes one by one. Visiting a lane costs more than a lane of
+/// the whole-word loop, so the two break even at most of the word; on the
+/// scale-0.1 paper corpus, characterization ran about 5% slower with the
+/// whole-word loop for every word and about 15% slower with lane visits
+/// only (EXPERIMENTS.md, "Shard-batched simulation").
+const DENSE_LANES: u32 = 40;
+
+/// The golden side of one loaded lane block, shared by every member.
+#[derive(Default)]
+struct Golden {
+    /// The golden result of each lane.
+    exact: Vec<u64>,
+    /// The same results as bit planes: bit `l % 64` of word
+    /// `b * LANE_WORDS + l / 64` is bit `b` of lane `l`'s result.
+    planes: Vec<u64>,
+    /// Lanes whose golden result is non-zero.
+    nonzero: u64,
+}
+
+impl Golden {
+    /// The golden results of `pairs` (at most [`LANES`]) for outputs of
+    /// `out_width` bits, and their bit planes.
+    fn load(&mut self, kind: ArithKind, pairs: impl Iterator<Item = (u64, u64)>, out_width: usize) {
+        self.exact.clear();
+        exact_into(kind, pairs, &mut self.exact);
+        self.nonzero = self.exact.iter().filter(|&&e| e != 0).count() as u64;
+        match out_width {
+            0..=16 => self.transpose_planes::<16>(out_width),
+            17..=32 => self.transpose_planes::<32>(out_width),
+            _ => self.transpose_planes::<64>(out_width),
+        }
+    }
+
+    /// Build the bit planes through `F`-bit field transposes, the inverse
+    /// of the layout [`Sums::add_lanes`] reads results in: lane `l` of
+    /// lane word `j` is row `(j mod 64/F)·F + l mod F`, field `l / F`.
+    fn transpose_planes<const F: usize>(&mut self, out_width: usize) {
+        const W: usize = LANE_WORDS;
+        let words = 64 / F;
+        self.planes.clear();
+        self.planes.resize(out_width * W, 0);
+        for (t, group) in self.exact.chunks(64 * words).enumerate() {
+            let mut m = [0u64; 64];
+            for (rows, lanes) in m.chunks_exact_mut(F).zip(group.chunks(64)) {
+                for (f, field) in lanes.chunks(F).enumerate() {
+                    for (row, &e) in rows.iter_mut().zip(field) {
+                        *row |= e << (f * F);
+                    }
+                }
+            }
+            transpose::<F>(&mut m);
+            for g in 0..group.len().div_ceil(64) {
+                for b in 0..out_width {
+                    self.planes[b * W + t * words + g] = m[g * F + b];
+                }
+            }
+        }
     }
 }
 
@@ -326,37 +417,106 @@ struct Sums<S> {
 }
 
 impl<S: BlockSum> Sums<S> {
-    /// Accumulate one slice of pairs: `got[i]` against `exact[i]`.
+    /// Accumulate one member's results on the loaded lane block, read
+    /// from its output nets `outputs`, against `golden`.
+    fn add_block(&mut self, eval: &BatchEvaluator, outputs: &[u32], golden: &Golden) {
+        match outputs.len() {
+            0..=16 => self.add_lanes::<16>(eval, outputs, golden),
+            17..=32 => self.add_lanes::<32>(eval, outputs, golden),
+            _ => self.add_lanes::<64>(eval, outputs, golden),
+        }
+    }
+
+    /// [`Sums::add_block`] through `F`-bit field transposes
+    /// (`outputs.len() <= F`).
     ///
-    /// `sum_rel` only adds the terms with a non-zero error. That is
-    /// bit-exact against adding every `exact != 0` term: the sum starts at
-    /// `+0.0` and every term is `>= +0.0`, so adding a `+0.0` term never
-    /// changes its bits.
-    fn add(&mut self, exact: &[u64], got: &[u64]) {
-        let (mut sum_abs, mut sum_neg, mut sum_sq) = (S::default(), S::default(), S::default());
-        let (mut wce, mut nonzero, mut rel_n) = (self.wce, 0u64, 0u64);
-        let mut sum_rel = self.sum_rel;
-        for (&e, &g) in exact.iter().zip(got) {
-            let err = (g as i64).wrapping_sub(e as i64);
-            let abs = err.unsigned_abs();
-            sum_abs += S::of(abs);
-            sum_neg += S::of(if err < 0 { abs } else { 0 });
-            sum_sq += S::square(abs);
-            wce = wce.max(abs);
-            nonzero += (abs != 0) as u64;
-            rel_n += (e != 0) as u64;
-            if abs != 0 && e != 0 {
-                sum_rel += S::float(abs) / S::float(e);
+    /// A lane whose output bits all equal the golden planes has no error:
+    /// it only counts towards `n` and `rel_n`. The lanes that differ are
+    /// read out of the transposed output planes and accumulated in lane
+    /// order: one at a time, or, once a lane word has [`DENSE_LANES`] of
+    /// them, the whole word in one loop. Either way the relative-error
+    /// chain adds the terms the per-pair definition adds, in the same
+    /// order, plus `+0.0` terms. The term is branch-free:
+    /// `abs / exact` where `exact != 0`, else `+0.0`, and a `+0.0` term
+    /// never changes the bits of a sum that starts at `+0.0` and only adds
+    /// terms `>= +0.0`.
+    fn add_lanes<const F: usize>(
+        &mut self,
+        eval: &BatchEvaluator,
+        outputs: &[u32],
+        golden: &Golden,
+    ) {
+        const W: usize = LANE_WORDS;
+        let n = golden.exact.len();
+        self.n += n as u64;
+        self.rel_n += golden.nonzero;
+        // Lanes whose result differs from the golden one; lanes past the
+        // block's end hold stale values and are masked off.
+        let mut diff = [0; W];
+        for (b, &o) in outputs.iter().enumerate() {
+            let got = eval.lane_words(o);
+            for (d, (g, e)) in diff.iter_mut().zip(got.iter().zip(&golden.planes[b * W..])) {
+                *d |= g ^ e;
             }
         }
-        self.n += got.len() as u64;
-        self.sum_abs += sum_abs;
-        self.sum_neg += sum_neg;
-        self.sum_sq += sum_sq;
-        self.wce = wce;
-        self.nonzero += nonzero;
-        self.rel_n += rel_n;
-        self.sum_rel = sum_rel;
+        for (j, d) in diff.iter_mut().enumerate() {
+            let live = n.saturating_sub(j * 64).min(64);
+            *d &= u64::MAX.checked_shr(64 - live as u32).unwrap_or(0);
+        }
+
+        let words = 64 / F;
+        let field = u64::MAX >> (64 - F);
+        let mut acc = LaneSums {
+            sum_abs: S::default(),
+            sum_neg: S::default(),
+            sum_sq: S::default(),
+            wce: self.wce,
+            nonzero: 0,
+            sum_rel: self.sum_rel,
+        };
+        for (t, diffs) in diff.chunks(words).enumerate() {
+            if diffs.iter().all(|&d| d == 0) {
+                continue;
+            }
+            // Row `g·F + b` holds output bit `b` of lane word `t·words + g`;
+            // after transposing, field `l / F` of row `g·F + l mod F` is
+            // lane `l`'s result.
+            let mut m = [0u64; 64];
+            for g in 0..words {
+                for (b, &o) in outputs.iter().enumerate() {
+                    m[g * F + b] = eval.lane_words(o)[t * words + g];
+                }
+            }
+            transpose::<F>(&mut m);
+            for (g, &d) in diffs.iter().enumerate() {
+                if d == 0 {
+                    continue;
+                }
+                let base = (t * words + g) * 64;
+                let rows = &m[g * F..][..F];
+                let exact = &golden.exact[base..];
+                if base + 64 > n || d.count_ones() < DENSE_LANES {
+                    let mut lanes = d;
+                    while lanes != 0 {
+                        let l = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        acc.lane((rows[l % F] >> (l / F * F)) & field, exact[l]);
+                    }
+                } else {
+                    for f in 0..words {
+                        for (r, &row) in rows.iter().enumerate() {
+                            acc.lane((row >> (f * F)) & field, exact[f * F + r]);
+                        }
+                    }
+                }
+            }
+        }
+        self.sum_abs += acc.sum_abs;
+        self.sum_neg += acc.sum_neg;
+        self.sum_sq += acc.sum_sq;
+        self.wce = acc.wce;
+        self.nonzero += acc.nonzero;
+        self.sum_rel = acc.sum_rel;
     }
 
     fn merge_into(&self, total: &mut Sums<u128>) {
@@ -368,6 +528,31 @@ impl<S: BlockSum> Sums<S> {
         total.nonzero += self.nonzero;
         total.sum_rel += self.sum_rel;
         total.rel_n += self.rel_n;
+    }
+}
+
+/// Running sums over the lanes of one block, kept in registers.
+struct LaneSums<S> {
+    sum_abs: S,
+    sum_neg: S,
+    sum_sq: S,
+    wce: u64,
+    nonzero: u64,
+    sum_rel: f64,
+}
+
+impl<S: BlockSum> LaneSums<S> {
+    /// Accumulate one lane: result `got` against the golden `e`.
+    #[inline(always)]
+    fn lane(&mut self, got: u64, e: u64) {
+        let err = (got as i64).wrapping_sub(e as i64);
+        let abs = err.unsigned_abs();
+        self.sum_abs += S::of(abs);
+        self.sum_neg += S::of(if err < 0 { abs } else { 0 });
+        self.sum_sq += S::square(abs);
+        self.wce = self.wce.max(abs);
+        self.nonzero += (abs != 0) as u64;
+        self.sum_rel += S::float(if e != 0 { abs } else { 0 }) / S::float(e.max(1));
     }
 }
 

@@ -116,9 +116,43 @@ impl Mapper {
     /// Equivalent to [`crate::synthesize_fpga`] but allocation-free after
     /// the first call.
     pub fn synthesize(&mut self, netlist: &Netlist, config: &FpgaConfig) -> FpgaReport {
+        self.estimate_probabilities(netlist, config);
+        let probs = std::mem::take(&mut self.probs);
+        let report = self.synthesize_from_probs(netlist, config, &probs);
+        self.probs = probs;
+        report
+    }
+
+    /// [`Mapper::synthesize`] on given signal probabilities: `probs[i]` is
+    /// net `i`'s estimate from [`SimScratch::signal_probabilities`] at
+    /// `config.activity_passes` and `config.seed`. A simulation batch
+    /// estimates them once on its hash-consed DAG and gathers each
+    /// member's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probs` has fewer entries than `netlist` has nets.
+    pub fn synthesize_from_probs(
+        &mut self,
+        netlist: &Netlist,
+        config: &FpgaConfig,
+        probs: &[f64],
+    ) -> FpgaReport {
+        assert!(probs.len() >= netlist.len(), "one probability per net");
         self.note_use();
         let depth = self.cover(netlist, config);
-        self.evaluate_flat(netlist, config, depth)
+        self.evaluate_flat(netlist, config, depth, probs)
+    }
+
+    /// The power model's signal probabilities of `netlist`, into
+    /// `self.probs`.
+    fn estimate_probabilities(&mut self, netlist: &Netlist, config: &FpgaConfig) {
+        self.sim.signal_probabilities(
+            netlist,
+            config.activity_passes,
+            config.seed,
+            &mut self.probs,
+        );
     }
 
     /// Map `netlist` onto K-input LUTs: depth-optimal covering over
@@ -159,7 +193,11 @@ impl Mapper {
             self.lut_leaves.extend(lut.leaves.iter().map(|&l| l as u32));
         }
         self.lut_leaf_off.push(self.lut_leaves.len() as u32);
-        self.evaluate_flat(netlist, config, mapping.depth)
+        self.estimate_probabilities(netlist, config);
+        let probs = std::mem::take(&mut self.probs);
+        let report = self.evaluate_flat(netlist, config, mapping.depth, &probs);
+        self.probs = probs;
+        report
     }
 
     /// Enumerate priority cuts for every node, returning an owned
@@ -446,7 +484,13 @@ impl Mapper {
     /// Packing, timing, power and synthesis-time models over the flat
     /// mapped network (same arithmetic, in the same order, as the
     /// original `map::evaluate`).
-    fn evaluate_flat(&mut self, netlist: &Netlist, config: &FpgaConfig, depth: u32) -> FpgaReport {
+    fn evaluate_flat(
+        &mut self,
+        netlist: &Netlist,
+        config: &FpgaConfig,
+        depth: u32,
+        probs: &[f64],
+    ) -> FpgaReport {
         let arch = &config.arch;
         let n = netlist.len();
         let luts = self.lut_roots.len();
@@ -484,16 +528,10 @@ impl Mapper {
             .fold(0.0f64, f64::max);
 
         // Power: switching activities of the LUT output nets.
-        self.sim.signal_probabilities(
-            netlist,
-            config.activity_passes,
-            config.seed,
-            &mut self.probs,
-        );
         let mut dyn_pj_per_cycle = 0.0f64;
         for li in 0..luts {
             let root = self.lut_roots[li] as usize;
-            let p = self.probs[root];
+            let p = probs[root];
             let activity = 2.0 * p * (1.0 - p);
             dyn_pj_per_cycle += activity
                 * (arch.lut_energy_pj + arch.route_energy_pj * self.net_fanout[root] as f64);
@@ -503,17 +541,15 @@ impl Mapper {
         let static_uw = luts as f64 * arch.lut_static_uw;
         let raw_power_mw = (dynamic_uw + static_uw) * 1e-3;
 
-        // Deterministic per-circuit P&R jitter.
-        let (dj, pj) = crate::map::pnr_jitter(netlist, config.pnr_jitter);
+        // Deterministic per-circuit P&R jitter and synthesis-time noise,
+        // both seeded by one structural hash.
+        let hash = crate::map::structural_hash(netlist);
+        let (dj, pj) = crate::map::pnr_jitter(hash, config.pnr_jitter);
         let delay_ns = raw_delay * dj;
         let power_mw = raw_power_mw * pj;
 
-        let synth_time_s = crate::synth_time::estimate(
-            netlist.num_logic_gates(),
-            luts,
-            depth,
-            crate::map::structural_hash(netlist),
-        );
+        let synth_time_s =
+            crate::synth_time::estimate(netlist.num_logic_gates(), luts, depth, hash);
 
         FpgaReport {
             luts,

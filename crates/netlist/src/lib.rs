@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+mod batch;
 pub mod bristol;
 pub mod export;
 mod gate;
@@ -50,6 +51,7 @@ pub mod opt;
 pub mod parse;
 mod sim;
 
+pub use batch::{NetlistBatch, SIM_BATCH_BYTES, SIM_BATCH_NODES};
 pub use gate::{Gate, GateKind};
 pub use netlist::{NetId, Netlist, NetlistError};
 pub use sim::{

@@ -145,8 +145,11 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Tasks executed by `par_map` (inline or on a worker).
-    tasks_executed: Count, stable, Runtime;
+    /// Tasks executed by `par_map` (inline or on a worker). Error
+    /// analysis runs one task per lane block of a simulation batch, and
+    /// batches form within one shard, so the count depends on the shard
+    /// size (never on the thread count).
+    tasks_executed: Count, unstable, Runtime;
     /// Successful thefts: an idle worker taking work from a peer's deque.
     steals: Count, unstable, Runtime;
     /// Characterization cache hits.
@@ -162,6 +165,11 @@ counters! {
     /// Bytes of operand data pushed through the bit-parallel simulator
     /// (16 bytes per evaluated input pair).
     bytes_simulated: Count, stable, Unreported;
+    /// Logic gates folded into an existing node of a hash-consed
+    /// simulation batch (simulated once for all the circuits sharing
+    /// it). Batches form within one shard, so the count depends on the
+    /// shard size.
+    sim_nodes_shared: Count, unstable, Unreported;
     /// Cut-pair merges performed by the LUT mapper (post signature filter).
     cuts_merged: Count, stable, Unreported;
     /// Cut merges rejected O(1) by the leaf-signature popcount filter.
@@ -287,7 +295,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), COUNTERS.len());
-        assert_eq!(COUNTERS.len(), 28);
+        assert_eq!(COUNTERS.len(), 29);
         // `rows` pairs each row with its own field, in table order.
         let c = Counters::default();
         Counters::add(&c.structural_dedup_hits, 7);

@@ -11,15 +11,22 @@
 //! library circuits of every paper kind/width; and the signal-probability
 //! estimate pinned the same way. If a deliberate kernel change moves the
 //! goldens, re-capture them and say why in the commit message.
+//!
+//! Shard-batched simulation analyzes many circuits on one hash-consed
+//! DAG. The per-circuit analysis it replaced is kept below as its
+//! oracle, and random batches must match it bit for bit, along with each
+//! member's own signal probabilities.
 
 use approxfpgas_suite::circuits::{
-    adders, build_library, multipliers, paper_full_specs, ArithCircuit, LibrarySpec,
+    adders, build_library, multipliers, paper_full_specs, plan_batches, simulation_batch,
+    ArithCircuit, ArithKind, BatchEvaluator, LibrarySpec,
 };
 use approxfpgas_suite::error::{
-    analyze, analyze_with, stratified_pairs, ErrorConfig, ErrorMetrics,
+    analyze, analyze_batch, analyze_with, stratified_pairs, ErrorConfig, ErrorMetrics,
 };
 use approxfpgas_suite::netlist::{
-    pack_operand, unpack_result, Gate, NetId, Netlist, SimScratch, SimTape, Simulator, LANE_WORDS,
+    pack_operand, unpack_result, Gate, NetId, Netlist, SimScratch, SimTape, Simulator, LANES,
+    LANE_WORDS, SIM_BATCH_NODES,
 };
 use approxfpgas_suite::runtime::Runtime;
 use proptest::prelude::*;
@@ -560,4 +567,356 @@ proptest! {
             }
         }
     }
+}
+
+/// Integer type of a block's sums in the per-circuit oracle: `u64` for
+/// outputs of at most 16 bits, `u128` otherwise.
+trait OracleSum: Copy + Default + Send + std::ops::AddAssign + Into<u128> {
+    fn of(x: u64) -> Self;
+    fn square(x: u64) -> Self;
+    fn float(x: u64) -> f64;
+}
+
+impl OracleSum for u64 {
+    fn of(x: u64) -> u64 {
+        x
+    }
+
+    fn square(x: u64) -> u64 {
+        x * x
+    }
+
+    fn float(x: u64) -> f64 {
+        x as i64 as f64
+    }
+}
+
+impl OracleSum for u128 {
+    fn of(x: u64) -> u128 {
+        x as u128
+    }
+
+    fn square(x: u64) -> u128 {
+        (x as u128) * (x as u128)
+    }
+
+    fn float(x: u64) -> f64 {
+        x as f64
+    }
+}
+
+/// One block's sums, accumulated slice by slice exactly as the
+/// per-circuit analysis did before batching (the relative error only
+/// summed over pairs with a non-zero error).
+#[derive(Default)]
+struct OracleSums<S> {
+    n: u64,
+    sum_abs: S,
+    sum_neg: S,
+    sum_sq: S,
+    wce: u64,
+    nonzero: u64,
+    sum_rel: f64,
+    rel_n: u64,
+}
+
+impl<S: OracleSum> OracleSums<S> {
+    fn add(&mut self, exact: &[u64], got: &[u64]) {
+        let (mut sum_abs, mut sum_neg, mut sum_sq) = (S::default(), S::default(), S::default());
+        for (&e, &g) in exact.iter().zip(got) {
+            let err = (g as i64).wrapping_sub(e as i64);
+            let abs = err.unsigned_abs();
+            sum_abs += S::of(abs);
+            sum_neg += S::of(if err < 0 { abs } else { 0 });
+            sum_sq += S::square(abs);
+            self.wce = self.wce.max(abs);
+            self.nonzero += (abs != 0) as u64;
+            self.rel_n += (e != 0) as u64;
+            if abs != 0 && e != 0 {
+                self.sum_rel += S::float(abs) / S::float(e);
+            }
+        }
+        self.n += got.len() as u64;
+        self.sum_abs += sum_abs;
+        self.sum_neg += sum_neg;
+        self.sum_sq += sum_sq;
+    }
+}
+
+/// The per-circuit analysis: the circuit's own tape, one block of
+/// `BLOCK_PAIRS` pairs per task, results unpacked lane by lane block and
+/// accumulated per slice, blocks merged in order.
+fn per_circuit_analyze(circuit: &ArithCircuit, config: &ErrorConfig, rt: &Runtime) -> ErrorMetrics {
+    let w = circuit.width();
+    if circuit.kind().out_width(w) <= 16 {
+        per_circuit_sums::<u64>(circuit, config, rt)
+    } else {
+        per_circuit_sums::<u128>(circuit, config, rt)
+    }
+}
+
+fn per_circuit_sums<S: OracleSum>(
+    circuit: &ArithCircuit,
+    config: &ErrorConfig,
+    rt: &Runtime,
+) -> ErrorMetrics {
+    let w = circuit.width();
+    let mask = (1u64 << w) - 1;
+    let exhaustive = 2 * w <= config.max_exhaustive_bits;
+    let tape = SimTape::compile(circuit.netlist());
+    let scratch = || {
+        (
+            BatchEvaluator::with_tape(circuit, &tape),
+            Vec::with_capacity(LANES),
+            Vec::with_capacity(LANES),
+        )
+    };
+    let blocks: Vec<OracleSums<S>> = if exhaustive {
+        let rows_per_block = (BLOCK_PAIRS >> w).max(1) as u64;
+        let row_starts: Vec<u64> = (0..=mask).step_by(rows_per_block as usize).collect();
+        rt.par_map_init(&row_starts, scratch, |(batch, got, exact), _, &a_start| {
+            let mut sums = OracleSums::default();
+            let end = ((a_start + rows_per_block - 1).min(mask) + 1) << w;
+            let mut p = a_start << w;
+            while p < end {
+                let n = ((end - p) as usize).min(LANES);
+                got.clear();
+                exact.clear();
+                batch.eval_exhaustive_block_into(p, n, got);
+                exact.extend((p..p + n as u64).map(|q| circuit.exact(q >> w, q & mask)));
+                sums.add(exact, got);
+                p += n as u64;
+            }
+            sums
+        })
+    } else {
+        let pairs = stratified_pairs(w, config.samples, config.seed);
+        let blocks: Vec<&[(u64, u64)]> = pairs.chunks(BLOCK_PAIRS).collect();
+        rt.par_map_init(&blocks, scratch, |(batch, got, exact), _, block| {
+            let mut sums = OracleSums::default();
+            for chunk in block.chunks(LANES) {
+                got.clear();
+                exact.clear();
+                batch.eval_block_into(chunk, got);
+                exact.extend(chunk.iter().map(|&(a, b)| circuit.exact(a, b)));
+                sums.add(exact, got);
+            }
+            sums
+        })
+    };
+    let mut total = OracleSums::<u128>::default();
+    for b in &blocks {
+        total.n += b.n;
+        total.sum_abs += b.sum_abs.into();
+        total.sum_neg += b.sum_neg.into();
+        total.sum_sq += b.sum_sq.into();
+        total.wce = total.wce.max(b.wce);
+        total.nonzero += b.nonzero;
+        total.sum_rel += b.sum_rel;
+        total.rel_n += b.rel_n;
+    }
+    let max_out = circuit.kind().max_output(w) as f64;
+    let n = total.n.max(1) as f64;
+    let signed = total.sum_abs as i128 - 2 * total.sum_neg as i128;
+    ErrorMetrics {
+        samples: total.n,
+        exhaustive,
+        med: total.sum_abs as f64 / n / max_out,
+        mae: total.sum_abs as f64 / n,
+        wce: total.wce,
+        wce_rel: total.wce as f64 / max_out,
+        mre: total.sum_rel / total.rel_n.max(1) as f64,
+        error_prob: total.nonzero as f64 / n,
+        mse: total.sum_sq as f64 / n,
+        bias: signed as f64 / n,
+    }
+}
+
+/// xorshift64* draws for building batch members.
+fn draws(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+/// Append `gates` random gates of every kind (constants, `Mux` and `Maj`
+/// included) over all earlier nets of `n`, and point each output at a
+/// random net with probability 1/2 (the outputs stay in range for any
+/// operand width, since the analysis reads only the output nets).
+fn grow(n: &mut Netlist, gates: usize, next: &mut impl FnMut() -> u64) {
+    for _ in 0..gates {
+        let len = n.len() as u64;
+        let mut pick = || NetId::from_index((next() % len) as usize);
+        let (x, y, z) = (pick(), pick(), pick());
+        let gate = match next() % 12 {
+            0 => Gate::Const(false),
+            1 => Gate::Const(true),
+            2 => Gate::Buf(x),
+            3 => Gate::Not(x),
+            4 => Gate::And(x, y),
+            5 => Gate::Or(x, y),
+            6 => Gate::Xor(x, y),
+            7 => Gate::Nand(x, y),
+            8 => Gate::Nor(x, y),
+            9 => Gate::Xnor(x, y),
+            10 => Gate::Mux(x, y, z),
+            _ => Gate::Maj(x, y, z),
+        };
+        n.add_gate(gate);
+    }
+    let len = n.len() as u64;
+    let outputs: Vec<NetId> = n
+        .outputs()
+        .iter()
+        .map(|&o| {
+            if next().is_multiple_of(2) {
+                o
+            } else {
+                NetId::from_index((next() % len) as usize)
+            }
+        })
+        .collect();
+    n.set_outputs(outputs);
+}
+
+/// One batch member from a recipe `(what, pick, size, seed)`: a library
+/// circuit, a duplicate of an earlier member, a library circuit grown by
+/// up to 60 random gates (its whole netlist is a shared subgraph), or a
+/// random netlist of `size` gates over the operand inputs.
+fn member(
+    kind: ArithKind,
+    width: usize,
+    library: &[ArithCircuit],
+    built: &[ArithCircuit],
+    (what, pick, size, seed): (u8, usize, usize, u64),
+) -> ArithCircuit {
+    let mut next = draws(seed);
+    let base = &library[pick % library.len()];
+    match what % 4 {
+        0 => base.clone(),
+        1 if !built.is_empty() => built[pick % built.len()].clone(),
+        2 => {
+            let mut n = base.netlist().clone();
+            grow(&mut n, size % 60, &mut next);
+            ArithCircuit::new(kind, width, n)
+        }
+        _ => {
+            let mut n = Netlist::new("random");
+            n.add_inputs(2 * width);
+            let outputs: Vec<NetId> = (0..kind.out_width(width))
+                .map(|b| NetId::from_index(b % (2 * width)))
+                .collect();
+            n.set_outputs(outputs);
+            grow(&mut n, size.max(1), &mut next);
+            ArithCircuit::new(kind, width, n)
+        }
+    }
+}
+
+/// Check every batch of `circuits` against the per-circuit oracle at 1,
+/// 2, 4 and 8 threads, and each member's gathered signal probabilities
+/// against its own estimate. Returns each batch's member count.
+fn check_batches(circuits: &[ArithCircuit], config: &ErrorConfig) -> Vec<usize> {
+    let oracle: Vec<[u64; 10]> = circuits
+        .iter()
+        .map(|c| metric_bits(&per_circuit_analyze(c, config, &Runtime::serial())))
+        .collect();
+    let mut batches = Vec::new();
+    let mut scratch = SimScratch::new();
+    let (mut dag, mut own, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+    for members in plan_batches(circuits) {
+        batches.push(members.len());
+        let c0 = &circuits[members[0]];
+        let batch = simulation_batch(&members.iter().map(|&m| &circuits[m]).collect::<Vec<_>>());
+        if batch.len() > 1 {
+            assert!(batch.dag().len() <= SIM_BATCH_NODES, "batch over budget");
+        }
+        for threads in [1, 2, 4, 8] {
+            let got = Runtime::install(threads, |rt| {
+                analyze_batch(c0.kind(), c0.width(), &batch, config, rt)
+            });
+            assert_eq!(got.len(), members.len());
+            for (m, metrics) in members.iter().zip(&got) {
+                assert_eq!(
+                    metric_bits(metrics),
+                    oracle[*m],
+                    "member {m} at {threads} threads: {metrics:?}"
+                );
+            }
+        }
+        for (passes, seed) in [(32, 0xA51C), (9, 0xF96A)] {
+            scratch.signal_probabilities(batch.dag(), passes, seed, &mut dag);
+            for (i, &m) in members.iter().enumerate() {
+                scratch.signal_probabilities(circuits[m].netlist(), passes, seed, &mut own);
+                let gathered = batch.gather(i, &dag, &mut buf);
+                let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(gathered), bits(&own), "member {m} probabilities");
+            }
+        }
+    }
+    batches
+}
+
+/// Default analysis, with fewer stratified samples (three blocks, the
+/// last one and its last lane block partial) to keep debug runs short.
+fn batch_config() -> ErrorConfig {
+    ErrorConfig {
+        samples: 10_000,
+        ..ErrorConfig::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random batches of library circuits, duplicates, grown mutants and
+    /// random netlists — exhaustive 8-bit and sampled 12/16-bit — give
+    /// every member the per-circuit oracle's metrics bit for bit.
+    #[test]
+    fn batched_analysis_matches_the_per_circuit_oracle(
+        kind in 0u8..2,
+        width in 0usize..3,
+        recipes in prop::collection::vec(
+            (0u8..4, 0usize..1 << 20, 0usize..1200, 0u64..=u64::MAX),
+            1..10,
+        ),
+    ) {
+        let kind = if kind == 0 { ArithKind::Adder } else { ArithKind::Multiplier };
+        let width = [8, 12, 16][width];
+        let library = build_library(&LibrarySpec::new(kind, width, 12));
+        let mut circuits: Vec<ArithCircuit> = Vec::new();
+        for &recipe in &recipes {
+            let c = member(kind, width, &library, &circuits, recipe);
+            circuits.push(c);
+        }
+        check_batches(&circuits, &batch_config());
+    }
+}
+
+#[test]
+fn batches_split_at_the_node_budget_and_stay_exact() {
+    // Random multipliers of a quarter budget each between mutants of a
+    // library: several fit in one batch, but not all of them.
+    let (kind, width) = (ArithKind::Multiplier, 8);
+    let library = build_library(&LibrarySpec::new(kind, width, 12));
+    let mut circuits: Vec<ArithCircuit> = Vec::new();
+    for i in 0..16u64 {
+        let recipe = if i % 2 == 0 {
+            (3, 0, SIM_BATCH_NODES / 4, i)
+        } else {
+            (2, i as usize, 40, i)
+        };
+        let c = member(kind, width, &library, &circuits, recipe);
+        circuits.push(c);
+    }
+    let batches = check_batches(&circuits, &batch_config());
+    assert!(batches.len() >= 2, "one batch: {batches:?}");
+    assert!(
+        batches.iter().any(|&m| m > 2),
+        "no shared batch: {batches:?}"
+    );
 }
