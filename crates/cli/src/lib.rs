@@ -142,7 +142,9 @@ USAGE:
       foreign-version corpus is a loud error, never a smaller run.
       --cache-dir persists the characterization cache across runs as
       the binary store DIR/characterization.afps (an unusable directory
-      is an error). --no-cache disables memoization. --target retargets
+      is an error) and keeps the trained zoo in DIR/zoo.afpm, which a
+      re-run with the same training inputs loads instead of training.
+      --no-cache disables memoization. --target retargets
       the FPGA model to a named device profile (see `afp targets`;
       default lut6-7series);
       --all-targets sweeps every registry profile and prints a
@@ -695,6 +697,11 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
         out,
         "sim: {} tape reuses, {} structural dedup hits, {} nodes shared",
         rt.sim_tape_reuses, rt.structural_dedup_hits, rt.sim_nodes_shared
+    );
+    let _ = writeln!(
+        out,
+        "zoo memo: {} hits / {} misses, {} save errors",
+        rt.zoo_memo_hits, rt.zoo_memo_misses, rt.zoo_memo_errors
     );
     if rt.shards_streamed > 0 {
         let _ = writeln!(
@@ -1420,6 +1427,11 @@ mod tests {
         assert!(out.contains("sim:"), "missing sim summary:\n{out}");
         assert!(out.contains("tape reuses"), "{out}");
         assert!(out.contains("structural dedup hits"), "{out}");
+        // No cache dir: no memo slot, so nothing hit or missed.
+        assert!(
+            out.contains("zoo memo: 0 hits / 0 misses, 0 save errors"),
+            "{out}"
+        );
         // The flow actually did mapping work, so the counters are live.
         assert!(!out.contains("0 cut merges"), "{out}");
         assert!(!out.contains(" 0 tape reuses"), "{out}");

@@ -1,10 +1,12 @@
 //! Training and fidelity evaluation of the model zoo (Fig. 5 / Table II).
 
+use std::collections::BTreeMap;
+
 use afp_ml::metrics::{fidelity, mae, pearson, r2};
 use afp_ml::zoo::AsicColumns;
 use afp_ml::{build_model, Matrix, MlModelId, Regressor};
 use afp_obs::Recorder;
-use afp_runtime::Runtime;
+use afp_runtime::{Key128, Runtime, StableHasher};
 
 use crate::record::{extract_features, CircuitRecord, FeatureLayout, FpgaParam};
 
@@ -28,9 +30,6 @@ pub struct FidelityRecord {
 /// The hyperparameter-grid label chosen per trained (model, parameter),
 /// as returned by the tuned training entry points.
 pub type ChosenLabels = Vec<((MlModelId, FpgaParam), String)>;
-
-/// A (model, parameter) pair of the training grid.
-type Pair = (MlModelId, FpgaParam);
 
 /// A zoo of trained models: one regressor per (model id, FPGA parameter).
 pub struct TrainedZoo {
@@ -72,9 +71,15 @@ impl TrainedZoo {
 
     /// Whether the (model, param) pair has a trained regressor.
     pub fn has_model(&self, model: MlModelId, param: FpgaParam) -> bool {
+        self.regressor(model, param).is_some()
+    }
+
+    /// The trained regressor of the (model, param) pair.
+    fn regressor(&self, model: MlModelId, param: FpgaParam) -> Option<&dyn Regressor> {
         self.models
             .iter()
-            .any(|((m, p), _)| *m == model && *p == param)
+            .find(|((m, p), _)| *m == model && *p == param)
+            .map(|(_, reg)| reg.as_ref())
     }
 
     /// The validation scores of the (model, param) pair; `None` when the
@@ -96,10 +101,8 @@ impl TrainedZoo {
         param: FpgaParam,
         features: &[f64],
     ) -> Option<f64> {
-        self.models
-            .iter()
-            .find(|((m, p), _)| *m == model && *p == param)
-            .map(|(_, reg)| reg.predict_row(features))
+        self.regressor(model, param)
+            .map(|reg| reg.predict_row(features))
     }
 
     /// Estimate `param` for `record` with `model`.
@@ -110,10 +113,7 @@ impl TrainedZoo {
     pub fn estimate(&self, model: MlModelId, param: FpgaParam, record: &CircuitRecord) -> f64 {
         let features = extract_features(record, &self.layout);
         let reg = self
-            .models
-            .iter()
-            .find(|((m, p), _)| *m == model && *p == param)
-            .map(|(_, r)| r)
+            .regressor(model, param)
             .expect("model/param pair was trained");
         reg.predict_row(&features)
     }
@@ -295,94 +295,252 @@ pub fn train_zoo_with(
     rt: &Runtime,
     recorder: &Recorder,
 ) -> TrainedZoo {
-    train_grid(
-        records,
-        train,
-        validate,
-        models,
-        tolerance,
-        rt,
-        recorder,
-        |id, asic_cols| vec![(build_model(id, asic_cols), ())],
-    )
-    .0
+    TrainingSet::new(records, train, validate)
+        .train(models, false, tolerance, rt, recorder)
+        .0
 }
 
-/// The one zoo trainer behind [`train_zoo_with`] and
-/// [`train_zoo_tuned_with`]: every (model, parameter) pair of the
-/// `params × models` grid fits each of its `candidates` (built fresh per
-/// pair from the model id and the ASIC feature columns) and keeps the
-/// first with the best validation fidelity, with that candidate's
-/// label. A pair whose every fit fails scores zero fidelity instead of
-/// aborting the flow and has no trained model.
-///
-/// Each pair is one parallel task and independent of the others, so the
-/// zoo, including the order of its fidelity table, is identical to the
-/// serial build for any thread count.
-#[allow(clippy::too_many_arguments)]
-fn train_grid<L: Send>(
-    records: &[CircuitRecord],
-    train: &[usize],
-    validate: &[usize],
-    models: &[MlModelId],
-    tolerance: f64,
-    rt: &Runtime,
-    recorder: &Recorder,
-    candidates: impl Fn(MlModelId, AsicColumns) -> Vec<(Box<dyn Regressor>, L)> + Sync,
-) -> (TrainedZoo, Vec<(Pair, L)>) {
-    let layout = FeatureLayout::standard();
-    let x_train = feature_matrix(records, train, &layout);
-    let x_val = feature_matrix(records, validate, &layout);
-    let targets = target_vectors(records, train, validate);
-    let jobs: Vec<(FpgaParam, MlModelId)> = FpgaParam::ALL
+/// The inputs of one zoo training run, built once from the records and
+/// the split: the feature matrices and per-parameter target vectors the
+/// trainer reads. The flow keys its zoo memo on exactly these
+/// ([`TrainingSet::memo_key`]) and checks a loaded zoo against them
+/// ([`TrainingSet::reproduces`]).
+pub(crate) struct TrainingSet {
+    layout: FeatureLayout,
+    x_train: Matrix,
+    x_val: Matrix,
+    targets: BTreeMap<FpgaParam, (Vec<f64>, Vec<f64>)>,
+}
+
+/// The fresh, unfitted candidates of one model id, with their labels:
+/// the model's default alone, or its whole hyperparameter grid when
+/// tuning (Fig. 2).
+fn candidates(
+    id: MlModelId,
+    asic_cols: AsicColumns,
+    tune: bool,
+) -> Vec<(Box<dyn Regressor>, String)> {
+    if tune {
+        afp_ml::tuning::hyper_grid(id, asic_cols)
+            .into_iter()
+            .map(|c| (c.model, c.label))
+            .collect()
+    } else {
+        vec![(build_model(id, asic_cols), "default".to_string())]
+    }
+}
+
+/// The `params × models` grid, parameter-major: the order of the fidelity
+/// table.
+fn pairs(models: &[MlModelId]) -> Vec<(FpgaParam, MlModelId)> {
+    FpgaParam::ALL
         .iter()
         .flat_map(|&param| models.iter().map(move |&id| (param, id)))
-        .collect();
-    type Best<L> = Option<(FidelityRecord, Box<dyn Regressor>, L)>;
-    let results: Vec<Best<L>> = rt.par_map(&jobs, |_, &(param, id)| {
-        let (y_train, y_val) = &targets[&param];
-        let mut best: Best<L> = None;
-        for (mut model, label) in candidates(id, layout.asic_columns()) {
-            if afp_ml::zoo::fit_traced(model.as_mut(), id, &x_train, y_train, recorder).is_err() {
-                continue;
-            }
-            let pred = model.predict(&x_val);
-            let record = FidelityRecord {
-                model: id,
-                param,
-                fidelity: fidelity(&pred, y_val, tolerance),
-                r2: r2(&pred, y_val),
-                mae: mae(&pred, y_val),
-                pearson: pearson(&pred, y_val),
-            };
-            if best
-                .as_ref()
-                .is_none_or(|(b, _, _)| record.fidelity > b.fidelity)
-            {
-                best = Some((record, model, label));
-            }
-        }
-        best
-    });
-    let mut trained = Vec::new();
-    let mut fidelities = Vec::with_capacity(results.len());
-    let mut labels = Vec::new();
-    for (&(param, id), best) in jobs.iter().zip(results) {
-        match best {
-            Some((record, model, label)) => {
-                trained.push(((id, param), model));
-                labels.push(((id, param), label));
-                fidelities.push(record);
-            }
-            None => fidelities.push(failed_fit(id, param)),
+        .collect()
+}
+
+/// The validation scores of `pred` against `y_val`.
+fn score(
+    model: MlModelId,
+    param: FpgaParam,
+    pred: &[f64],
+    y_val: &[f64],
+    tolerance: f64,
+) -> FidelityRecord {
+    FidelityRecord {
+        model,
+        param,
+        fidelity: fidelity(pred, y_val, tolerance),
+        r2: r2(pred, y_val),
+        mae: mae(pred, y_val),
+        pearson: pearson(pred, y_val),
+    }
+}
+
+/// Domain tag of [`TrainingSet::memo_key`].
+const MEMO_DOMAIN: &str = "approxfpgas/zoo-memo";
+
+impl TrainingSet {
+    /// Extract the features and targets of the `train` and `validate`
+    /// records.
+    pub(crate) fn new(records: &[CircuitRecord], train: &[usize], validate: &[usize]) -> Self {
+        let layout = FeatureLayout::standard();
+        TrainingSet {
+            x_train: feature_matrix(records, train, &layout),
+            x_val: feature_matrix(records, validate, &layout),
+            targets: target_vectors(records, train, validate),
+            layout,
         }
     }
-    let zoo = TrainedZoo {
-        layout,
-        models: trained,
-        fidelities,
-    };
-    (zoo, labels)
+
+    /// Train and score every pair of the `params × models` grid: each
+    /// pair fits each of its candidates (see [`candidates`]) and keeps
+    /// the first with the best validation fidelity, with that candidate's
+    /// label. A pair whose every fit fails scores zero fidelity instead
+    /// of aborting the flow and has no trained model.
+    ///
+    /// Each pair is one parallel task and independent of the others, so
+    /// the zoo, including the order of its fidelity table, is identical
+    /// to the serial build for any thread count.
+    pub(crate) fn train(
+        &self,
+        models: &[MlModelId],
+        tune: bool,
+        tolerance: f64,
+        rt: &Runtime,
+        recorder: &Recorder,
+    ) -> (TrainedZoo, ChosenLabels) {
+        let jobs = pairs(models);
+        type Best = Option<(FidelityRecord, Box<dyn Regressor>, String)>;
+        let results: Vec<Best> = rt.par_map(&jobs, |_, &(param, id)| {
+            let (y_train, y_val) = &self.targets[&param];
+            let mut best: Best = None;
+            for (mut model, label) in candidates(id, self.layout.asic_columns(), tune) {
+                if afp_ml::zoo::fit_traced(model.as_mut(), id, &self.x_train, y_train, recorder)
+                    .is_err()
+                {
+                    continue;
+                }
+                let record = score(id, param, &model.predict(&self.x_val), y_val, tolerance);
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, _, _)| record.fidelity > b.fidelity)
+                {
+                    best = Some((record, model, label));
+                }
+            }
+            best
+        });
+        let mut trained = Vec::new();
+        let mut fidelities = Vec::with_capacity(results.len());
+        let mut labels = Vec::new();
+        for (&(param, id), best) in jobs.iter().zip(results) {
+            match best {
+                Some((record, model, label)) => {
+                    trained.push(((id, param), model));
+                    labels.push(((id, param), label));
+                    fidelities.push(record);
+                }
+                None => fidelities.push(failed_fit(id, param)),
+            }
+        }
+        let zoo = TrainedZoo {
+            layout: self.layout.clone(),
+            models: trained,
+            fidelities,
+        };
+        (zoo, labels)
+    }
+
+    /// The 128-bit key of a training run over this set: a domain tag and
+    /// `version`, the layout's column names, the bits of every feature
+    /// and target in split order, the model ids in order, the tuning flag,
+    /// the tolerance's bits and each candidate's *unfitted* saved state
+    /// (its hyperparameters), plus the `target` and `coverage` metadata a
+    /// memo carries. Two runs with equal keys train bit-identical zoos as
+    /// long as the trainers do not change (see
+    /// [`crate::zoo_store::ZOO_MEMO_VERSION`]). `None` when a candidate
+    /// cannot save its state.
+    pub(crate) fn memo_key(
+        &self,
+        version: u32,
+        models: &[MlModelId],
+        tune: bool,
+        tolerance: f64,
+        target: &str,
+        coverage: &[(afp_circuits::ArithKind, usize)],
+    ) -> Option<Key128> {
+        let mut h = StableHasher::new();
+        h.write_str(MEMO_DOMAIN);
+        h.write_u64(u64::from(version));
+        h.write_usize(self.layout.names().len());
+        for name in self.layout.names() {
+            h.write_str(name);
+        }
+        for x in [&self.x_train, &self.x_val] {
+            h.write_usize(x.rows());
+            h.write_usize(x.cols());
+            for r in 0..x.rows() {
+                for &v in x.row(r) {
+                    h.write_f64(v);
+                }
+            }
+        }
+        for (param, (y_train, y_val)) in &self.targets {
+            h.write_str(param.label());
+            for y in [y_train, y_val] {
+                h.write_usize(y.len());
+                for &v in y {
+                    h.write_f64(v);
+                }
+            }
+        }
+        h.write_usize(models.len());
+        for id in models {
+            h.write_str(id.label());
+        }
+        h.write_bool(tune);
+        h.write_f64(tolerance);
+        for &id in models {
+            let grid = candidates(id, self.layout.asic_columns(), tune);
+            h.write_usize(grid.len());
+            for (model, label) in grid {
+                let state = model.save_state()?;
+                h.write_str(&label);
+                h.write_u8(state.tag);
+                h.write_usize(state.payload.len());
+                h.write_bytes(&state.payload);
+            }
+        }
+        h.write_str(target);
+        h.write_usize(coverage.len());
+        for &(kind, width) in coverage {
+            h.write_str(kind.mnemonic());
+            h.write_usize(width);
+        }
+        Some(h.finish())
+    }
+
+    /// Whether `zoo` is what [`TrainingSet::train`] would build from this
+    /// set for `models`: its fidelity table lists the grid's pairs in
+    /// order, every trained model re-predicts the validation rows to
+    /// scores bit-equal to its table row, and every untrained pair holds
+    /// the failed-fit row.
+    pub(crate) fn reproduces(
+        &self,
+        zoo: &TrainedZoo,
+        models: &[MlModelId],
+        tolerance: f64,
+    ) -> bool {
+        let jobs = pairs(models);
+        if zoo.fidelities.len() != jobs.len() {
+            return false;
+        }
+        let mut trained = 0;
+        for (&(param, id), stored) in jobs.iter().zip(&zoo.fidelities) {
+            let want = match zoo.regressor(id, param) {
+                Some(model) => {
+                    trained += 1;
+                    let y_val = &self.targets[&param].1;
+                    score(id, param, &model.predict(&self.x_val), y_val, tolerance)
+                }
+                None => failed_fit(id, param),
+            };
+            if !same_bits(&want, stored) {
+                return false;
+            }
+        }
+        trained == zoo.models.len()
+    }
+}
+
+/// Whether two fidelity rows name the same pair with bit-equal scores.
+fn same_bits(a: &FidelityRecord, b: &FidelityRecord) -> bool {
+    (a.model, a.param) == (b.model, b.param)
+        && [a.fidelity, a.r2, a.mae, a.pearson]
+            .iter()
+            .zip([b.fidelity, b.r2, b.mae, b.pearson])
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The per-parameter (train, validation) target vectors.
@@ -390,7 +548,7 @@ fn target_vectors(
     records: &[CircuitRecord],
     train: &[usize],
     validate: &[usize],
-) -> std::collections::BTreeMap<FpgaParam, (Vec<f64>, Vec<f64>)> {
+) -> BTreeMap<FpgaParam, (Vec<f64>, Vec<f64>)> {
     FpgaParam::ALL
         .iter()
         .map(|&param| {
@@ -456,21 +614,7 @@ pub fn train_zoo_tuned_with(
     rt: &Runtime,
     recorder: &Recorder,
 ) -> (TrainedZoo, ChosenLabels) {
-    train_grid(
-        records,
-        train,
-        validate,
-        models,
-        tolerance,
-        rt,
-        recorder,
-        |id, asic_cols| {
-            afp_ml::tuning::hyper_grid(id, asic_cols)
-                .into_iter()
-                .map(|c| (c.model, c.label))
-                .collect()
-        },
-    )
+    TrainingSet::new(records, train, validate).train(models, true, tolerance, rt, recorder)
 }
 
 /// Assemble the feature matrix of the selected records.
@@ -674,6 +818,83 @@ mod tests {
             zoo.top_models(FpgaParam::Area, 5, false),
             vec![MlModelId::Ml11, MlModelId::Ml14]
         );
+    }
+
+    #[test]
+    fn the_memo_key_covers_every_training_input_and_nothing_else() {
+        let lib = build_library(&LibrarySpec::new(ArithKind::Adder, 8, 60));
+        let mut records = characterize_library(
+            &lib,
+            &afp_asic::AsicConfig::default(),
+            &afp_fpga::FpgaConfig::default(),
+            &afp_error::ErrorConfig::default(),
+        );
+        let subset = sample_subset(records.len(), 0.4, 20, 3);
+        let (train, val) = train_validate_split(&subset, 0.8, 3);
+        let models = [MlModelId::Ml1, MlModelId::Ml16];
+        let cov = [(ArithKind::Adder, 8)];
+        let key = |records: &[CircuitRecord]| {
+            TrainingSet::new(records, &train, &val)
+                .memo_key(1, &models, false, 0.01, "t", &cov)
+                .expect("every Table I model saves its unfitted state")
+        };
+        let set = TrainingSet::new(&records, &train, &val);
+        let base = key(&records);
+        assert_eq!(base, key(&records), "the key is deterministic");
+        let variants = [
+            set.memo_key(2, &models, false, 0.01, "t", &cov),
+            set.memo_key(1, &models[..1], false, 0.01, "t", &cov),
+            set.memo_key(1, &[models[1], models[0]], false, 0.01, "t", &cov),
+            set.memo_key(1, &models, true, 0.01, "t", &cov),
+            set.memo_key(1, &models, false, 0.02, "t", &cov),
+            set.memo_key(1, &models, false, 0.01, "u", &cov),
+            set.memo_key(1, &models, false, 0.01, "t", &[(ArithKind::Adder, 16)]),
+        ];
+        for (i, variant) in variants.iter().enumerate() {
+            assert_ne!(variant.unwrap(), base, "variant {i}");
+        }
+        // One bit of one feature of one training row, and one bit of one
+        // validation target, each change the key.
+        let mut flipped = records.clone();
+        let area = &mut flipped[train[0]].asic.area_um2;
+        *area = f64::from_bits(area.to_bits() ^ 1);
+        assert_ne!(key(&flipped), base);
+        let mut flipped = records.clone();
+        let delay = &mut flipped[val[0]].fpga.delay_ns;
+        *delay = f64::from_bits(delay.to_bits() ^ 1);
+        assert_ne!(key(&flipped), base);
+        // A record outside the split is not a training input.
+        let outside = (0..records.len()).find(|i| !subset.contains(i)).unwrap();
+        records[outside].asic.area_um2 += 1.0;
+        assert_eq!(key(&records), base);
+    }
+
+    #[test]
+    fn a_trained_zoo_reproduces_itself_and_nothing_else() {
+        let lib = build_library(&LibrarySpec::new(ArithKind::Adder, 8, 60));
+        let records = characterize_library(
+            &lib,
+            &afp_asic::AsicConfig::default(),
+            &afp_fpga::FpgaConfig::default(),
+            &afp_error::ErrorConfig::default(),
+        );
+        let subset = sample_subset(records.len(), 0.4, 20, 3);
+        let (train, val) = train_validate_split(&subset, 0.8, 3);
+        let models = [MlModelId::Ml1, MlModelId::Ml16];
+        let set = TrainingSet::new(&records, &train, &val);
+        let rt = Runtime::serial();
+        let zoo = set
+            .train(&models, false, 0.01, &rt, &Recorder::disabled())
+            .0;
+        assert!(set.reproduces(&zoo, &models, 0.01));
+        assert!(!set.reproduces(&zoo, &models[..1], 0.01));
+        let mut stale = set
+            .train(&models, false, 0.01, &rt, &Recorder::disabled())
+            .0;
+        stale.fidelities[1].mae = f64::from_bits(stale.fidelities[1].mae.to_bits() ^ 1);
+        assert!(!set.reproduces(&stale, &models, 0.01));
+        let other = TrainingSet::new(&records, &val, &train);
+        assert!(!other.reproduces(&zoo, &models, 0.01));
     }
 
     #[test]

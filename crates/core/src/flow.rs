@@ -12,9 +12,10 @@ use afp_runtime::{CounterSnapshot, Counters, Runtime};
 
 use crate::cache::CharacterizationCache;
 use crate::dataset::{characterize_shards_traced, sample_subset, train_validate_split};
-use crate::fidelity::{train_zoo_tuned_with, train_zoo_with, TrainedZoo};
+use crate::fidelity::{TrainedZoo, TrainingSet};
 use crate::pareto::{measured_front, pseudo_pareto, PseudoPareto};
 use crate::record::{CircuitRecord, FpgaParam};
+use crate::zoo_store::{load_zoo, read_memo_key, write_zoo, ZOO_MEMO_FILE, ZOO_MEMO_VERSION};
 
 /// Default [`FlowConfig::shard_circuits`]: large enough to keep the
 /// work-stealing pool saturated, small enough that a paper-full corpus
@@ -349,36 +350,16 @@ impl Flow {
         };
 
         // 2. Train and score the model zoo (optionally with the Fig. 2
-        //    hyperparameter-modification loop).
+        //    hyperparameter-modification loop), or load it from the memo.
         let zoo = {
             let mut span = recorder.span("flow/train_zoo");
             span.add_items(cfg.models.len() as u64);
-            if cfg.tune_models {
-                train_zoo_tuned_with(
-                    &records,
-                    &train,
-                    &validate,
-                    &cfg.models,
-                    cfg.fidelity_tolerance,
-                    rt,
-                    recorder,
-                )
-                .0
-            } else {
-                train_zoo_with(
-                    &records,
-                    &train,
-                    &validate,
-                    &cfg.models,
-                    cfg.fidelity_tolerance,
-                    rt,
-                    recorder,
-                )
-            }
+            self.zoo(&records, &train, &validate, rt, recorder)
         };
 
         // Fault injection (numeric-robustness harness): corrupt model
-        // estimates only — training and validation fidelities stay clean.
+        // estimates only — training and validation fidelities stay clean,
+        // and the memo holds the clean zoo.
         let zoo = {
             let mut zoo = zoo;
             if let Some(spec) = &cfg.chaos {
@@ -575,6 +556,72 @@ impl Flow {
             runtime: rt.snapshot(),
             cache_last_error,
         }
+    }
+
+    /// The trained zoo of this run. With a persistent cache (`use_cache`
+    /// and a `cache_dir`), the zoo memo at `cache_dir/`[`ZOO_MEMO_FILE`]
+    /// is tried first: it is used when its key equals this run's training
+    /// key and every loaded model re-predicts the validation rows to the
+    /// stored fidelity table, bit for bit. Anything else — no memo, a
+    /// corrupt or foreign one, other training inputs — is a miss: the zoo
+    /// is trained and saved over the memo, and a failed save is counted,
+    /// never fatal.
+    fn zoo(
+        &self,
+        records: &[CircuitRecord],
+        train: &[usize],
+        validate: &[usize],
+        rt: &Runtime,
+        recorder: &Recorder,
+    ) -> TrainedZoo {
+        let cfg = &self.config;
+        let set = TrainingSet::new(records, train, validate);
+        let train = || {
+            set.train(
+                &cfg.models,
+                cfg.tune_models,
+                cfg.fidelity_tolerance,
+                rt,
+                recorder,
+            )
+            .0
+        };
+        let Some(dir) = cfg.cache_dir.as_ref().filter(|_| cfg.use_cache) else {
+            return train();
+        };
+        let coverage: Vec<(afp_circuits::ArithKind, usize)> = records
+            .iter()
+            .map(|r| (r.kind, r.width))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let target = &cfg.fpga.target;
+        let Some(key) = set.memo_key(
+            ZOO_MEMO_VERSION,
+            &cfg.models,
+            cfg.tune_models,
+            cfg.fidelity_tolerance,
+            target,
+            &coverage,
+        ) else {
+            return train();
+        };
+        let path = dir.join(ZOO_MEMO_FILE);
+        let counters = rt.counters();
+        if read_memo_key(&path) == Some(key) {
+            if let Ok(saved) = load_zoo(&path) {
+                if set.reproduces(&saved.zoo, &cfg.models, cfg.fidelity_tolerance) {
+                    Counters::add(&counters.zoo_memo_hits, 1);
+                    return saved.zoo;
+                }
+            }
+        }
+        Counters::add(&counters.zoo_memo_misses, 1);
+        let zoo = train();
+        if write_zoo(&path, &zoo, target, &coverage, Some(key)).is_err() {
+            Counters::add(&counters.zoo_memo_errors, 1);
+        }
+        zoo
     }
 }
 

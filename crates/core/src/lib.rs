@@ -71,7 +71,10 @@ pub use targets::{
     sweep_targets, transfer_experiment, transfer_matrix, TargetRun, TargetSet, TargetSweep,
     TransferOutcome, UnknownTargetError,
 };
-pub use zoo_store::{load_zoo, save_zoo, SavedZoo, ZooStoreError, AFPM_RECORD_VERSION};
+pub use zoo_store::{
+    load_zoo, save_zoo, SavedZoo, ZooStoreError, AFPM_RECORD_VERSION, ZOO_MEMO_FILE,
+    ZOO_MEMO_VERSION,
+};
 
 /// Structured tracing and run reports (re-export of [`afp_obs`]).
 ///

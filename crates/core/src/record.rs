@@ -268,7 +268,7 @@ pub struct CharacterizeScratch {
 /// On a cache hit the three reports are reused and no synthesis or error
 /// analysis runs (only the cheap netlist statistics are recomputed); on a
 /// miss the reports are computed as a batch of one (see
-/// [`characterize_batch`]), counted on the runtime's counters, and
+/// `characterize_batch`), counted on the runtime's counters, and
 /// inserted into the cache.
 #[allow(clippy::too_many_arguments)]
 pub fn characterize_with_scratch(

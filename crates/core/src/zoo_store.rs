@@ -13,6 +13,13 @@
 //!   is the model's codec tag byte followed by its
 //!   [`afp_ml::ModelState`] payload.
 //!
+//! A zoo saved as a flow's memo ([`ZOO_MEMO_FILE`] beside the
+//! characterization store) carries one more record, first in the file:
+//! the **memo key** (`Key128 { hi: 2, lo: 0 }`), the 128-bit hash of the
+//! training inputs the zoo was trained from. [`load_zoo`] skips that
+//! reserved key space, so a memo is also a plain `.afpm` for
+//! `afp serve --models`.
+//!
 //! Loading is deliberately loud: a record-version mismatch, an unsealed
 //! (interrupted) file, a layout whose column names drifted from
 //! [`FeatureLayout::standard`], or a payload the codec rejects all fail
@@ -36,6 +43,17 @@ use crate::record::{FeatureLayout, FpgaParam};
 /// Record-payload version of the `.afpm` container. Bump when the meta
 /// or model payload encoding changes; readers refuse other versions.
 pub const AFPM_RECORD_VERSION: u32 = 1;
+
+/// File name of a flow's zoo memo inside its `cache_dir`, beside the
+/// characterization store. The file holds at most one zoo: a flow that
+/// trains replaces it.
+pub const ZOO_MEMO_FILE: &str = "zoo.afpm";
+
+/// Version hashed into every zoo memo key: bumping it turns every memo on
+/// disk into a miss. Bump it whenever a trainer fits different bits from
+/// the same inputs — `tests/zoo_golden.rs` pins it next to the digest of
+/// its per-model goldens, so re-capturing those forces the bump.
+pub const ZOO_MEMO_VERSION: u32 = 1;
 
 /// Errors from saving or loading a `.afpm` model container.
 #[derive(Debug)]
@@ -96,6 +114,7 @@ impl SavedZoo {
 
 const META_KEY: Key128 = Key128 { hi: 0, lo: 0 };
 const MODEL_KEY_HI: u64 = 1;
+const MEMO_KEY: Key128 = Key128 { hi: 2, lo: 0 };
 
 fn model_index(model: MlModelId) -> u64 {
     MlModelId::ALL.iter().position(|&m| m == model).unwrap_or(0) as u64
@@ -240,7 +259,40 @@ pub fn save_zoo(
     target: &str,
     coverage: &[(ArithKind, usize)],
 ) -> Result<u64, ZooStoreError> {
+    write_zoo(path, zoo, target, coverage, None)
+}
+
+/// The memo key stored first in the `.afpm` at `path`; `None` when the
+/// file is missing, unreadable, or carries no memo key.
+pub(crate) fn read_memo_key(path: &Path) -> Option<Key128> {
+    let first = FrameStream::open(path).ok()?.next()?;
+    if first.key != MEMO_KEY {
+        return None;
+    }
+    let mut r = ByteReader::new(&first.payload);
+    let key = Key128 {
+        hi: r.u64_le()?,
+        lo: r.u64_le()?,
+    };
+    r.is_empty().then_some(key)
+}
+
+/// [`save_zoo`], with the flow's `memo` key first in the file when
+/// given, where [`read_memo_key`] finds it without decoding a model.
+pub(crate) fn write_zoo(
+    path: &Path,
+    zoo: &TrainedZoo,
+    target: &str,
+    coverage: &[(ArithKind, usize)],
+    memo: Option<Key128>,
+) -> Result<u64, ZooStoreError> {
     let mut writer = StoreWriter::create_atomic(path, AFPM_RECORD_VERSION)?;
+    if let Some(key) = memo {
+        let mut payload = Vec::with_capacity(16);
+        payload.extend_from_slice(&key.hi.to_le_bytes());
+        payload.extend_from_slice(&key.lo.to_le_bytes());
+        writer.append(MEMO_KEY, &payload)?;
+    }
     writer.append(META_KEY, &encode_meta(zoo, target, coverage))?;
     let mut saved = 0u64;
     for (model, param, reg) in zoo.trained_models() {
@@ -289,7 +341,8 @@ pub fn load_zoo(path: &Path) -> Result<SavedZoo, ZooStoreError> {
     }
     let mut meta: Option<Meta> = None;
     let mut models: Vec<((MlModelId, FpgaParam), Box<dyn Regressor>)> = Vec::new();
-    for record in FrameStream::open(path)? {
+    let mut stream = FrameStream::open(path)?;
+    for record in stream.by_ref() {
         if record.key == META_KEY {
             meta = Some(decode_meta(&record.payload)?);
             continue;
@@ -320,6 +373,12 @@ pub fn load_zoo(path: &Path) -> Result<SavedZoo, ZooStoreError> {
             ))
         })?;
         models.push(((model, param), reg));
+    }
+    if stream.truncated() {
+        return Err(ZooStoreError::Format(format!(
+            "{} has a corrupt record frame; retrain and re-save the zoo",
+            path.display()
+        )));
     }
     let Some(meta) = meta else {
         return Err(ZooStoreError::Format(

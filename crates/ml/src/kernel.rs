@@ -1,6 +1,8 @@
 //! Kernel methods: kernel ridge regression (ML10) and Gaussian-process
 //! regression (ML8), both with an RBF kernel on standardized features.
 
+use std::sync::OnceLock;
+
 use afp_store::bytes::put_f64;
 use afp_store::ByteReader;
 
@@ -173,7 +175,12 @@ pub struct GaussianProcess {
     gamma: f64,
     noise: f64,
     state: KernelState,
-    chol: Option<Matrix>,
+    /// Cholesky factor of `K + σ²I`, read only by
+    /// [`GaussianProcess::predict_with_std`]. `None` before `fit`. `fit`
+    /// fills it with the factor it solved with; a decoded model leaves it
+    /// empty and rebuilds it on first use, so loading a zoo does not pay
+    /// an O(n³) factorization that plain estimates never read.
+    chol: Option<OnceLock<Result<Matrix, MlError>>>,
 }
 
 impl GaussianProcess {
@@ -189,7 +196,7 @@ impl GaussianProcess {
 
     /// Rebuild the noise-augmented kernel Cholesky from the training
     /// rows — the same computation `fit` performs, so a decoded model is
-    /// bit-identical to the one that was saved. Only `decode_state` needs
+    /// bit-identical to the one that was saved. Only a decoded model needs
     /// it: `fit` keeps the factor it solved with.
     fn rebuild_chol(train: &[Vec<f64>], gamma: f64, noise: f64) -> Result<Matrix, MlError> {
         let n = train.len();
@@ -211,7 +218,7 @@ impl GaussianProcess {
         let state = KernelState::decode(r)?;
         let chol = match r.u8()? {
             0 => None,
-            1 => Some(GaussianProcess::rebuild_chol(&state.train, gamma, noise).ok()?),
+            1 => Some(OnceLock::new()),
             _ => return None,
         };
         Some(GaussianProcess {
@@ -224,12 +231,20 @@ impl GaussianProcess {
 
     /// Predictive mean and standard deviation for one row.
     ///
+    /// A decoded model whose kernel matrix has no Cholesky factor (a
+    /// payload `fit` never wrote) reports a NaN deviation.
+    ///
     /// # Panics
     ///
     /// Panics if called before [`Regressor::fit`].
     pub fn predict_with_std(&self, row: &[f64]) -> (f64, f64) {
         let mean = self.state.predict_row(row, self.gamma);
-        let l = self.chol.as_ref().expect("model must be fitted first");
+        let factor = self.chol.as_ref().expect("model must be fitted first");
+        let Ok(l) = factor.get_or_init(|| {
+            GaussianProcess::rebuild_chol(&self.state.train, self.gamma, self.noise)
+        }) else {
+            return (mean, f64::NAN);
+        };
         let scaler = self.state.scaler.as_ref().expect("fitted");
         let z = scaler.transform_row(row);
         let kstar: Vec<f64> = self
@@ -258,7 +273,7 @@ impl Regressor for GaussianProcess {
         // `decode_state` replays the same computation when restoring.
         let (state, chol) = KernelState::fit(x, y, self.gamma, self.noise.max(1e-10))?;
         self.state = state;
-        self.chol = Some(chol);
+        self.chol = Some(OnceLock::from(Ok(chol)));
         Ok(())
     }
 
@@ -326,6 +341,30 @@ mod tests {
         let (_, s_in) = gp.predict_with_std(x.row(10));
         let (_, s_out) = gp.predict_with_std(&[100.0]);
         assert!(s_out > s_in * 2.0, "in {s_in} out {s_out}");
+    }
+
+    #[test]
+    fn decoded_gp_rebuilds_the_same_factor_on_first_use() {
+        let (x, y) = quad(30);
+        let mut gp = GaussianProcess::new(0.4, 1e-3);
+        gp.fit(&x, &y).unwrap();
+        let state = gp.save_state().unwrap();
+        let decoded = GaussianProcess::decode_state(&mut ByteReader::new(&state.payload)).unwrap();
+        let lazy = decoded
+            .chol
+            .as_ref()
+            .expect("fitted flag survives decoding");
+        assert!(lazy.get().is_none(), "decoding must not factorize");
+        for q in [[0.3], [1.7], [3.9], [25.0]] {
+            let (m0, s0) = gp.predict_with_std(&q);
+            let (m1, s1) = decoded.predict_with_std(&q);
+            assert_eq!((m0.to_bits(), s0.to_bits()), (m1.to_bits(), s1.to_bits()));
+        }
+        assert!(lazy.get().is_some_and(|l| l.is_ok()));
+        // An unfitted model saves and decodes as unfitted.
+        let bare = GaussianProcess::default().save_state().unwrap();
+        let bare = GaussianProcess::decode_state(&mut ByteReader::new(&bare.payload)).unwrap();
+        assert!(bare.chol.is_none());
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! K-nearest-neighbour regression — ML16.
 
+use std::cell::RefCell;
+use std::cmp::Ordering;
+
 use afp_store::ByteReader;
 
 use crate::codec::{self, ModelState};
@@ -55,6 +58,53 @@ impl KNearest {
     }
 }
 
+/// `predict_row` buffers: the standardized query row and the kept
+/// `(distance, target)` neighbours.
+type Scratch = (Vec<f64>, Vec<(f64, f64)>);
+
+thread_local! {
+    /// Per-thread [`Scratch`], so estimating a library allocates nothing
+    /// per row.
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The inverse-distance-weighted mean of the `k` nearest `(distance,
+/// target)` pairs, in the order a stable ascending sort on
+/// [`afp_ord::asc`] would rank them: ties keep training order and NaN
+/// distances rank last. `top` holds at most `k` pairs, kept sorted by
+/// insertion, and the weights are summed nearest first — the same bits
+/// as sorting every pair and summing the first `k`.
+fn nearest_weighted_mean(
+    dist: impl Iterator<Item = (f64, f64)>,
+    k: usize,
+    top: &mut Vec<(f64, f64)>,
+) -> f64 {
+    top.clear();
+    for (d, y) in dist {
+        if top.len() == k {
+            // Full: only a strictly nearer pair displaces the farthest;
+            // an equal one ranks after it in training order.
+            match top.last() {
+                Some(&(worst, _)) if afp_ord::asc(d, worst) == Ordering::Less => {
+                    top.pop();
+                }
+                _ => continue,
+            }
+        }
+        let at = top.partition_point(|&(e, _)| afp_ord::asc(e, d) != Ordering::Greater);
+        top.insert(at, (d, y));
+    }
+    // Inverse-distance weights; exact hits dominate.
+    let mut num = 0.0;
+    let mut den = 0.0;
+    for &(d, y) in top.iter() {
+        let w = 1.0 / (d + 1e-9);
+        num += w * y;
+        den += w;
+    }
+    num / den
+}
+
 impl Default for KNearest {
     fn default() -> KNearest {
         KNearest::new(5)
@@ -74,27 +124,15 @@ impl Regressor for KNearest {
 
     fn predict_row(&self, row: &[f64]) -> f64 {
         let scaler = self.scaler.as_ref().expect("model must be fitted first");
-        let z = scaler.transform_row(row);
-        let mut dist: Vec<(f64, f64)> = self
-            .train
-            .iter()
-            .zip(&self.targets)
-            .map(|(t, &y)| {
-                let d2: f64 = t.iter().zip(&z).map(|(a, b)| (a - b) * (a - b)).sum();
+        SCRATCH.with(|scratch| {
+            let (z, top) = &mut *scratch.borrow_mut();
+            scaler.transform_row_into(row, z);
+            let dist = self.train.iter().zip(&self.targets).map(|(t, &y)| {
+                let d2: f64 = t.iter().zip(z.iter()).map(|(a, b)| (a - b) * (a - b)).sum();
                 (d2.sqrt(), y)
-            })
-            .collect();
-        dist.sort_by(|a, b| afp_ord::asc(a.0, b.0));
-        let k = self.k.min(dist.len());
-        // Inverse-distance weights; exact hits dominate.
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for &(d, y) in &dist[..k] {
-            let w = 1.0 / (d + 1e-9);
-            num += w * y;
-            den += w;
-        }
-        num / den
+            });
+            nearest_weighted_mean(dist, self.k, top)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -137,6 +175,77 @@ mod tests {
         m.fit(&x, &y).unwrap();
         let p = m.predict_row(&[1.0]);
         assert!((p - 1.0).abs() < 1e-9, "midpoint should average: {p}");
+    }
+
+    /// The sort-based selection `nearest_weighted_mean` replaced: rank
+    /// every pair with a stable sort, sum the first `k`.
+    fn sorted_oracle(pairs: &[(f64, f64)], k: usize) -> f64 {
+        let mut dist = pairs.to_vec();
+        dist.sort_by(|a, b| afp_ord::asc(a.0, b.0));
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for &(d, y) in &dist[..k.min(dist.len())] {
+            let w = 1.0 / (d + 1e-9);
+            num += w * y;
+            den += w;
+        }
+        num / den
+    }
+
+    proptest::proptest! {
+        /// Bounded top-k equals the full sort bit for bit: distances come
+        /// from a small pool (so ties are common) that includes NaN, and
+        /// `k` ranges past the number of pairs.
+        #[test]
+        fn bounded_top_k_matches_the_sort_oracle(
+            picks in proptest::collection::vec((0usize..6, -50i32..50), 0..40),
+            k in 1usize..48,
+        ) {
+            let pool = [0.0, 0.5, 1.0, 1.0 + f64::EPSILON, 3.0, f64::NAN];
+            let pairs: Vec<(f64, f64)> = picks
+                .iter()
+                .map(|&(d, y)| (pool[d], f64::from(y) * 0.25))
+                .collect();
+            let mut top = Vec::new();
+            let got = nearest_weighted_mean(pairs.iter().copied(), k, &mut top);
+            proptest::prop_assert_eq!(got.to_bits(), sorted_oracle(&pairs, k).to_bits());
+            proptest::prop_assert!(top.len() <= k);
+        }
+    }
+
+    #[test]
+    fn predictions_match_the_sort_oracle_on_fitted_data() {
+        // Duplicate rows give exact distance ties between training rows.
+        let x = Matrix::from_rows(&[
+            &[0.0, 1.0],
+            &[1.0, 0.0],
+            &[0.0, 1.0],
+            &[2.0, 2.0],
+            &[1.0, 0.0],
+        ]);
+        let y = [1.0, 2.0, 3.0, 4.0, 5.0];
+        for k in [1, 2, 3, 5, 9] {
+            let mut m = KNearest::new(k);
+            m.fit(&x, &y).unwrap();
+            let scaler = m.scaler.as_ref().unwrap();
+            for q in [[0.0, 1.0], [0.5, 0.5], [9.0, -3.0]] {
+                let z = scaler.transform_row(&q);
+                let pairs: Vec<(f64, f64)> = m
+                    .train
+                    .iter()
+                    .zip(&m.targets)
+                    .map(|(t, &y)| {
+                        let d2: f64 = t.iter().zip(&z).map(|(a, b)| (a - b) * (a - b)).sum();
+                        (d2.sqrt(), y)
+                    })
+                    .collect();
+                assert_eq!(
+                    m.predict_row(&q).to_bits(),
+                    sorted_oracle(&pairs, k).to_bits(),
+                    "k={k} q={q:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -71,10 +71,20 @@ impl Standardizer {
 
     /// Standardize one row.
     pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
-        row.iter()
-            .zip(self.means.iter().zip(&self.stds))
-            .map(|(v, (m, s))| (v - m) / s)
-            .collect()
+        let mut out = Vec::with_capacity(row.len());
+        self.transform_row_into(row, &mut out);
+        out
+    }
+
+    /// [`Standardizer::transform_row`] into a caller-owned buffer
+    /// (cleared first), so a per-row predictor can reuse one allocation.
+    pub fn transform_row_into(&self, row: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(
+            row.iter()
+                .zip(self.means.iter().zip(&self.stds))
+                .map(|(v, (m, s))| (v - m) / s),
+        );
     }
 
     /// Reassemble a standardizer from previously extracted `means` and

@@ -225,6 +225,14 @@ counters! {
     body_cache_evictions: Count, stable, Serve;
     /// Bytes the rendered-body cache holds now (a level, not a peak).
     body_cache_bytes: Gauge, stable, Serve;
+    /// Flows whose trained zoo was loaded from the memo beside the
+    /// characterization store (no model was trained).
+    zoo_memo_hits: Count, stable, Unreported;
+    /// Flows with a memo slot whose zoo was trained: no memo yet, or one
+    /// that was corrupt, foreign or keyed by other training inputs.
+    zoo_memo_misses: Count, stable, Unreported;
+    /// Trained zoos the memo failed to save (the flow still succeeded).
+    zoo_memo_errors: Count, stable, Unreported;
 }
 
 impl Counters {
@@ -295,7 +303,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), COUNTERS.len());
-        assert_eq!(COUNTERS.len(), 29);
+        assert_eq!(COUNTERS.len(), 32);
         // `rows` pairs each row with its own field, in table order.
         let c = Counters::default();
         Counters::add(&c.structural_dedup_hits, 7);

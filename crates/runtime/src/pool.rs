@@ -283,7 +283,7 @@ fn next_item(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn results_are_ordered_for_any_thread_count() {
@@ -347,8 +347,25 @@ mod tests {
         let items: Vec<usize> = (0..64).collect();
         for threads in [2, 4, 8] {
             let rt = Runtime::new(threads);
+            // Peers hold their first item until the caller has run one:
+            // otherwise peers that start while the caller is still
+            // spawning can drain every deque first. Blocked peers hold
+            // one item each, so the caller always finds work — unless it
+            // never joins as a worker, which the deadline reports.
+            let caller_ran = AtomicBool::new(false);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
             let ran = rt.par_map(&items, |_, &x| {
                 let outer = std::thread::current().id();
+                if outer == caller {
+                    caller_ran.store(true, Ordering::Release);
+                }
+                while !caller_ran.load(Ordering::Acquire) {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "threads={threads}: peers waited 60 s and the caller ran no item"
+                    );
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
                 // A nested call runs inline on whichever thread runs the
                 // outer item, the caller included.
                 let inner = rt.par_map(&[1usize, 2, 3], |_, &y| {

@@ -7,7 +7,8 @@
 //! two output widths, integer gate counts), which is where the tree
 //! fitters' split order matters. The digests were captured before the
 //! training kernels were rewritten; any change to a fitted model's bits
-//! fails here. One full `train_zoo` fidelity table is pinned the same way.
+//! fails here. One full `train_zoo` fidelity table is pinned the same way,
+//! and the zoo memo version is pinned to the digest of both.
 
 use std::sync::OnceLock;
 
@@ -15,6 +16,7 @@ use approxfpgas_suite::circuits::{build_library, ArithKind, LibrarySpec};
 use approxfpgas_suite::flow::dataset::{characterize_library, sample_subset};
 use approxfpgas_suite::flow::fidelity::{feature_matrix, train_zoo};
 use approxfpgas_suite::flow::record::{CircuitRecord, FeatureLayout, FpgaParam};
+use approxfpgas_suite::flow::ZOO_MEMO_VERSION;
 use approxfpgas_suite::ml::{build_model, Matrix, MlModelId};
 use approxfpgas_suite::runtime::StableHasher;
 
@@ -139,4 +141,27 @@ fn train_zoo_fidelity_table_is_bit_identical() {
         }
     }
     assert_eq!(hex(&h), GOLDEN_FIDELITY_TABLE);
+}
+
+/// The zoo memo version and the digest of the goldens above, pinned as a
+/// pair. A memo key hashes the training inputs but not the trainers, so
+/// a trainer that fits new bits must bump `ZOO_MEMO_VERSION` or warm
+/// flows would keep loading zoos the old trainer fitted. Re-capturing the
+/// goldens changes the digest and fails here until the version moves
+/// with it.
+const MEMO_VERSION_PIN: (u32, &str) = (1, "1471d863dec231b80f72b86ae31f2be1");
+
+#[test]
+fn recaptured_goldens_force_a_zoo_memo_version_bump() {
+    let mut h = StableHasher::new();
+    for (label, digest) in GOLDEN {
+        h.write_str(label);
+        h.write_str(digest);
+    }
+    h.write_str(GOLDEN_FIDELITY_TABLE);
+    assert_eq!(
+        (ZOO_MEMO_VERSION, hex(&h).as_str()),
+        MEMO_VERSION_PIN,
+        "the model goldens changed: bump ZOO_MEMO_VERSION and re-pin both"
+    );
 }
