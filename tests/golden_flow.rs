@@ -9,7 +9,8 @@
 
 use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::record::FpgaParam;
-use approxfpgas_suite::flow::{Flow, FlowConfig, FlowOutcome};
+use approxfpgas_suite::flow::{ChaosSpec, Flow, FlowConfig, FlowOutcome};
+use approxfpgas_suite::ml::chaos::{ChaosConfig, ChaosKind};
 use approxfpgas_suite::ml::MlModelId;
 use approxfpgas_suite::obs::Recorder;
 
@@ -155,4 +156,67 @@ fn tracing_enabled_flow_matches_the_same_goldens_bit_exactly() {
             }
         }
     }
+}
+
+#[test]
+fn asic_slot_with_a_quarantine_promotion_matches_its_golden() {
+    // The ASIC-regression slot and a promotion in one run: Ml4, the best
+    // Area model, estimates only NaN for Area, so it is dropped there and
+    // Ml14 promoted, while every parameter also fills its ML1–ML3 slot.
+    // Captured before the selection maps became one list of ranked pools.
+    let config = FlowConfig {
+        include_asic_regression: true,
+        chaos: Some(ChaosSpec {
+            config: ChaosConfig::always(ChaosKind::Nan, 77),
+            only: Some((MlModelId::Ml4, FpgaParam::Area)),
+        }),
+        ..golden_config()
+    };
+    let outcome = run(&Flow::new(config));
+    use MlModelId::{Ml11, Ml13, Ml14, Ml2, Ml4};
+    assert_eq!(
+        outcome.selected_models,
+        [
+            (FpgaParam::Latency, vec![Ml13, Ml14, Ml4, Ml2]),
+            (FpgaParam::Power, vec![Ml4, Ml11, Ml13, Ml2]),
+            (FpgaParam::Area, vec![Ml11, Ml13, Ml14, Ml2]),
+        ]
+        .into_iter()
+        .collect()
+    );
+    assert_eq!(
+        outcome.dropped_models,
+        [
+            (FpgaParam::Latency, vec![]),
+            (FpgaParam::Power, vec![]),
+            (FpgaParam::Area, vec![Ml4]),
+        ]
+        .into_iter()
+        .collect()
+    );
+    // Every parameter shares this candidate core; Power and Area add a
+    // few of their own.
+    let core = [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 15, 16, 17, 18, 20, 21, 23, 25, 26, 27, 28, 30,
+        31, 32, 33, 35, 36, 37, 38, 39, 40, 41, 42, 44, 46, 49, 59, 60, 61, 62, 63, 64, 65, 67, 71,
+        72, 73, 74, 75, 77, 85, 88, 89, 90, 91, 94, 95, 97,
+    ];
+    let with = |extra: &[usize]| {
+        let mut v: Vec<usize> = core.iter().chain(extra).copied().collect();
+        v.sort_unstable();
+        v
+    };
+    assert_eq!(outcome.candidates[&FpgaParam::Latency], with(&[]));
+    assert_eq!(outcome.candidates[&FpgaParam::Power], with(&[22, 24, 82, 83]));
+    assert_eq!(
+        outcome.candidates[&FpgaParam::Area],
+        with(&[19, 22, 24, 82, 83])
+    );
+    assert_eq!(
+        outcome.synthesized.iter().copied().collect::<Vec<_>>(),
+        with(&[19, 22, 24, 34, 58, 68, 80, 81, 82, 83, 98])
+    );
+    assert_eq!(outcome.time.flow_count, 72);
+    assert_eq!(outcome.time.subset_s.to_bits(), 0x40a449c36929cf90);
+    assert_eq!(outcome.time.candidates_s.to_bits(), 0x40b3857d604a2d15);
 }
