@@ -8,6 +8,8 @@ use afp_ml::{build_model, Matrix, MlModelId, Regressor};
 use afp_obs::Recorder;
 use afp_runtime::{Key128, Runtime, StableHasher};
 
+use afp_fpga::FpgaReport;
+
 use crate::record::{extract_features, CircuitRecord, FeatureLayout, FpgaParam};
 
 /// Evaluation result of one model for one FPGA parameter.
@@ -110,7 +112,12 @@ impl TrainedZoo {
     /// # Panics
     ///
     /// Panics if the (model, param) pair was not trained.
-    pub fn estimate(&self, model: MlModelId, param: FpgaParam, record: &CircuitRecord) -> f64 {
+    pub fn estimate<F>(
+        &self,
+        model: MlModelId,
+        param: FpgaParam,
+        record: &CircuitRecord<F>,
+    ) -> f64 {
         let features = extract_features(record, &self.layout);
         let reg = self
             .regressor(model, param)
@@ -119,36 +126,16 @@ impl TrainedZoo {
     }
 
     /// Estimate `param` for every record with `model`.
-    pub fn estimate_all(
+    pub fn estimate_all<F>(
         &self,
         model: MlModelId,
         param: FpgaParam,
-        records: &[CircuitRecord],
+        records: &[CircuitRecord<F>],
     ) -> Vec<f64> {
         records
             .iter()
             .map(|r| self.estimate(model, param, r))
             .collect()
-    }
-
-    /// [`TrainedZoo::estimate_all`] with a per-model `estimate/<model>`
-    /// tracing span (items = records estimated). With a disabled recorder
-    /// this is exactly [`TrainedZoo::estimate_all`] — no span name is even
-    /// allocated.
-    pub fn estimate_all_traced(
-        &self,
-        model: MlModelId,
-        param: FpgaParam,
-        records: &[CircuitRecord],
-        recorder: &Recorder,
-    ) -> Vec<f64> {
-        if !recorder.is_enabled() {
-            return self.estimate_all(model, param, records);
-        }
-        let name = format!("estimate/{}", model.label());
-        let mut span = recorder.span(&name);
-        span.add_items(records.len() as u64);
-        self.estimate_all(model, param, records)
     }
 
     /// The `k` models with the highest validation fidelity for `param`,
@@ -295,7 +282,7 @@ pub fn train_zoo_with(
     rt: &Runtime,
     recorder: &Recorder,
 ) -> TrainedZoo {
-    TrainingSet::new(records, train, validate)
+    TrainingSet::new(records, train, validate, |i| records[i].fpga)
         .train(models, false, tolerance, rt, recorder)
         .0
 }
@@ -361,14 +348,26 @@ fn score(
 const MEMO_DOMAIN: &str = "approxfpgas/zoo-memo";
 
 impl TrainingSet {
-    /// Extract the features and targets of the `train` and `validate`
-    /// records.
-    pub(crate) fn new(records: &[CircuitRecord], train: &[usize], validate: &[usize]) -> Self {
+    /// Extract the features of the `train` and `validate` records and
+    /// their targets from `fpga`, the FPGA report of a library index.
+    pub(crate) fn new<F>(
+        records: &[CircuitRecord<F>],
+        train: &[usize],
+        validate: &[usize],
+        fpga: impl Fn(usize) -> FpgaReport,
+    ) -> Self {
         let layout = FeatureLayout::standard();
+        let targets = FpgaParam::ALL
+            .iter()
+            .map(|&param| {
+                let y = |split: &[usize]| split.iter().map(|&i| param.of(&fpga(i))).collect();
+                (param, (y(train), y(validate)))
+            })
+            .collect();
         TrainingSet {
             x_train: feature_matrix(records, train, &layout),
             x_val: feature_matrix(records, validate, &layout),
-            targets: target_vectors(records, train, validate),
+            targets,
             layout,
         }
     }
@@ -543,28 +542,6 @@ fn same_bits(a: &FidelityRecord, b: &FidelityRecord) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// The per-parameter (train, validation) target vectors.
-fn target_vectors(
-    records: &[CircuitRecord],
-    train: &[usize],
-    validate: &[usize],
-) -> BTreeMap<FpgaParam, (Vec<f64>, Vec<f64>)> {
-    FpgaParam::ALL
-        .iter()
-        .map(|&param| {
-            let y_train: Vec<f64> = train
-                .iter()
-                .map(|&i| records[i].fpga_param(param))
-                .collect();
-            let y_val: Vec<f64> = validate
-                .iter()
-                .map(|&i| records[i].fpga_param(param))
-                .collect();
-            (param, (y_train, y_val))
-        })
-        .collect()
-}
-
 fn failed_fit(model: MlModelId, param: FpgaParam) -> FidelityRecord {
     FidelityRecord {
         model,
@@ -591,35 +568,18 @@ pub fn train_zoo_tuned(
     models: &[MlModelId],
     tolerance: f64,
 ) -> (TrainedZoo, ChosenLabels) {
-    train_zoo_tuned_with(
-        records,
-        train,
-        validate,
+    TrainingSet::new(records, train, validate, |i| records[i].fpga).train(
         models,
+        true,
         tolerance,
         &Runtime::serial(),
         &Recorder::disabled(),
     )
 }
 
-/// [`train_zoo_tuned`] on an explicit [`Runtime`]: one parallel task per
-/// (model, parameter) pair, each sweeping its hyperparameter grid. Every
-/// grid fit adds to the model's `train/<model>` span.
-pub fn train_zoo_tuned_with(
-    records: &[CircuitRecord],
-    train: &[usize],
-    validate: &[usize],
-    models: &[MlModelId],
-    tolerance: f64,
-    rt: &Runtime,
-    recorder: &Recorder,
-) -> (TrainedZoo, ChosenLabels) {
-    TrainingSet::new(records, train, validate).train(models, true, tolerance, rt, recorder)
-}
-
 /// Assemble the feature matrix of the selected records.
-pub fn feature_matrix(
-    records: &[CircuitRecord],
+pub fn feature_matrix<F>(
+    records: &[CircuitRecord<F>],
     indices: &[usize],
     layout: &FeatureLayout,
 ) -> Matrix {
@@ -834,11 +794,11 @@ mod tests {
         let models = [MlModelId::Ml1, MlModelId::Ml16];
         let cov = [(ArithKind::Adder, 8)];
         let key = |records: &[CircuitRecord]| {
-            TrainingSet::new(records, &train, &val)
+            TrainingSet::new(records, &train, &val, |i| records[i].fpga)
                 .memo_key(1, &models, false, 0.01, "t", &cov)
                 .expect("every Table I model saves its unfitted state")
         };
-        let set = TrainingSet::new(&records, &train, &val);
+        let set = TrainingSet::new(&records, &train, &val, |i| records[i].fpga);
         let base = key(&records);
         assert_eq!(base, key(&records), "the key is deterministic");
         let variants = [
@@ -881,7 +841,7 @@ mod tests {
         let subset = sample_subset(records.len(), 0.4, 20, 3);
         let (train, val) = train_validate_split(&subset, 0.8, 3);
         let models = [MlModelId::Ml1, MlModelId::Ml16];
-        let set = TrainingSet::new(&records, &train, &val);
+        let set = TrainingSet::new(&records, &train, &val, |i| records[i].fpga);
         let rt = Runtime::serial();
         let zoo = set
             .train(&models, false, 0.01, &rt, &Recorder::disabled())
@@ -893,7 +853,7 @@ mod tests {
             .0;
         stale.fidelities[1].mae = f64::from_bits(stale.fidelities[1].mae.to_bits() ^ 1);
         assert!(!set.reproduces(&stale, &models, 0.01));
-        let other = TrainingSet::new(&records, &val, &train);
+        let other = TrainingSet::new(&records, &val, &train, |i| records[i].fpga);
         assert!(!other.reproduces(&zoo, &models, 0.01));
     }
 

@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use afp_circuits::{build_library_with, ArithCircuit, LibrarySource, LibrarySpec};
+use afp_fpga::FpgaReport;
 use afp_ml::chaos::ChaosConfig;
 use afp_ml::MlModelId;
 use afp_obs::Recorder;
@@ -13,6 +14,7 @@ use afp_runtime::{CounterSnapshot, Counters, Runtime};
 use crate::cache::CharacterizationCache;
 use crate::dataset::{characterize_shards_traced, sample_subset, train_validate_split};
 use crate::fidelity::{TrainedZoo, TrainingSet};
+use crate::oracle::FpgaOracle;
 use crate::pareto::{measured_front, pseudo_pareto, PseudoPareto};
 use crate::record::{CircuitRecord, FpgaParam};
 use crate::zoo_store::{load_zoo, read_memo_key, write_zoo, ZOO_MEMO_FILE, ZOO_MEMO_VERSION};
@@ -182,7 +184,9 @@ impl TimeAccounting {
 
 /// Result of a flow run.
 pub struct FlowOutcome {
-    /// Every library circuit, fully characterized (ground truth included).
+    /// Every library circuit, fully characterized. The FPGA halves are
+    /// ground truth the method saw only for `synthesized`; the scoring
+    /// step rejoins the rest after the method is done.
     pub records: Vec<CircuitRecord>,
     /// Indices of the synthesized subset.
     pub subset: Vec<usize>,
@@ -201,7 +205,8 @@ pub struct FlowOutcome {
     pub dropped_models: BTreeMap<FpgaParam, Vec<MlModelId>>,
     /// Union of pseudo-pareto candidate indices per parameter.
     pub candidates: BTreeMap<FpgaParam, Vec<usize>>,
-    /// Every index the flow synthesized (subset ∪ all candidates).
+    /// Every index the flow synthesized (subset ∪ all candidates): the
+    /// FPGA oracle's call log, so the method read no other FPGA report.
     pub synthesized: BTreeSet<usize>,
     /// Measured pareto front per parameter, computed over synthesized
     /// circuits only (what the flow can see).
@@ -325,14 +330,18 @@ impl Flow {
             self.cache.as_ref(),
             recorder,
         )?;
-        Ok(self.explore(records, &rt, recorder))
+        let (records, oracle) = FpgaOracle::split(records);
+        Ok(self.explore(records, oracle, &rt, recorder))
     }
 
-    /// Everything downstream of characterization: subset, zoo, estimation,
-    /// fronts and time accounting.
+    /// The method — subset, zoo, estimation and selection — on records
+    /// without their FPGA half: every FPGA report it reads comes from
+    /// `oracle`, which logs and charges it. The scoring step then takes
+    /// the oracle back for fronts, coverage and time accounting.
     fn explore(
         &self,
-        records: Vec<CircuitRecord>,
+        records: Vec<CircuitRecord<()>>,
+        mut oracle: FpgaOracle,
         rt: &Runtime,
         recorder: &Recorder,
     ) -> FlowOutcome {
@@ -340,153 +349,56 @@ impl Flow {
         let n = records.len();
 
         // 1. Subset synthesis (the only FPGA synthesis the flow "pays" for
-        //    up front).
-        let (subset, train, validate) = {
+        //    up front): the training and validation targets.
+        let (subset, train, validate, measured, subset_s) = {
             let mut span = recorder.span("flow/subset_split");
             let subset = sample_subset(n, cfg.subset_fraction, cfg.min_subset, cfg.seed);
             let (train, validate) = train_validate_split(&subset, cfg.train_fraction, cfg.seed);
+            let (reports, subset_s) = oracle.synthesize(&subset);
+            let measured: BTreeMap<usize, FpgaReport> =
+                subset.iter().copied().zip(reports).collect();
             span.add_items(subset.len() as u64);
-            (subset, train, validate)
+            (subset, train, validate, measured, subset_s)
         };
 
         // 2. Train and score the model zoo (optionally with the Fig. 2
         //    hyperparameter-modification loop), or load it from the memo.
-        let zoo = {
+        let mut zoo = {
             let mut span = recorder.span("flow/train_zoo");
             span.add_items(cfg.models.len() as u64);
-            self.zoo(&records, &train, &validate, rt, recorder)
+            let set = TrainingSet::new(&records, &train, &validate, |i| measured[&i]);
+            self.zoo(&set, &records, rt, recorder)
         };
 
         // Fault injection (numeric-robustness harness): corrupt model
         // estimates only — training and validation fidelities stay clean,
         // and the memo holds the clean zoo.
-        let zoo = {
-            let mut zoo = zoo;
-            if let Some(spec) = &cfg.chaos {
-                match spec.only {
-                    Some((model, param)) => zoo.inject_chaos_for(model, param, &spec.config),
-                    None => zoo.inject_chaos(&spec.config),
-                }
+        if let Some(spec) = &cfg.chaos {
+            match spec.only {
+                Some((model, param)) => zoo.inject_chaos_for(model, param, &spec.config),
+                None => zoo.inject_chaos(&spec.config),
             }
-            zoo
-        };
+        }
 
         // 3+4. Model selection, whole-library estimation and pseudo-pareto
-        //    peeling, with estimate quarantine. Selection walks each
-        //    parameter's fidelity ranking: the top-k models are estimated
-        //    in parallel; `pseudo_pareto` quarantines non-finite
-        //    estimates (excluded from peeling and counted), and a model
-        //    whose estimates are *all* non-finite is dropped with the
-        //    next-ranked model promoted in a subsequent wave. With finite
-        //    estimates (the default) wave one accepts everything and this
-        //    reduces to the plain top-k selection. Promotion order
-        //    follows the fidelity ranking, never completion order, so
-        //    outcomes are thread-invariant.
-        let ranked: BTreeMap<FpgaParam, Vec<MlModelId>> = FpgaParam::ALL
-            .iter()
-            .map(|&param| (param, zoo.top_models(param, usize::MAX, false)))
-            .collect();
-        let asic_ranked: BTreeMap<FpgaParam, Vec<MlModelId>> = FpgaParam::ALL
-            .iter()
-            .map(|&param| (param, zoo.ranked_asic_regressions(param)))
-            .collect();
-        // Per-parameter cursors into the ranking pools and accepted
-        // (model, peeled-candidate-set) lists.
-        let mut cursor: BTreeMap<FpgaParam, usize> = Default::default();
-        let mut asic_cursor: BTreeMap<FpgaParam, usize> = Default::default();
-        let mut accepted: BTreeMap<FpgaParam, Vec<(MlModelId, BTreeSet<usize>)>> =
-            Default::default();
-        let mut asic_accepted: BTreeMap<FpgaParam, Option<(MlModelId, BTreeSet<usize>)>> =
-            Default::default();
-        let mut dropped_models: BTreeMap<FpgaParam, Vec<MlModelId>> = Default::default();
-        for &param in &FpgaParam::ALL {
-            cursor.insert(param, 0);
-            asic_cursor.insert(param, 0);
-            accepted.insert(param, Vec::new());
-            asic_accepted.insert(param, None);
-            dropped_models.insert(param, Vec::new());
-        }
-        let mut select_span = recorder.span("flow/select_estimate");
-        loop {
-            // Next wave: per parameter, enough ranked models to fill the
-            // top-k slots, plus the ASIC-regression slot when requested.
-            let mut jobs: Vec<(FpgaParam, MlModelId, bool)> = Vec::new();
-            for &param in &FpgaParam::ALL {
-                let pool = &ranked[&param];
-                let cur = cursor.get_mut(&param).expect("param initialized");
-                let mut missing = cfg.top_models.saturating_sub(accepted[&param].len());
-                while missing > 0 && *cur < pool.len() {
-                    jobs.push((param, pool[*cur], false));
-                    *cur += 1;
-                    missing -= 1;
-                }
-                if cfg.include_asic_regression && asic_accepted[&param].is_none() {
-                    let pool = &asic_ranked[&param];
-                    let cur = asic_cursor.get_mut(&param).expect("param initialized");
-                    if *cur < pool.len() {
-                        jobs.push((param, pool[*cur], true));
-                        *cur += 1;
-                    }
-                }
-            }
-            if jobs.is_empty() {
-                break;
-            }
-            // Estimate + quarantine + peel, one parallel task per model.
-            let results: Vec<PseudoPareto> = rt.par_map(&jobs, |_, &(param, model, _)| {
-                let est = zoo.estimate_all_traced(model, param, &records, recorder);
-                let points: Vec<(f64, f64)> = est
-                    .iter()
-                    .zip(&records)
-                    .map(|(&e, r)| (e, r.error.med))
-                    .collect();
-                pseudo_pareto(&points, cfg.fronts)
-            });
-            for (&(param, model, asic_slot), picked) in jobs.iter().zip(results) {
-                Counters::add(
-                    &rt.counters().estimates_quarantined,
-                    picked.quarantined as u64,
-                );
-                if picked.quarantined == n {
-                    dropped_models
-                        .get_mut(&param)
-                        .expect("param initialized")
-                        .push(model);
-                } else if asic_slot {
-                    *asic_accepted.get_mut(&param).expect("param initialized") =
-                        Some((model, picked.candidates));
-                } else {
-                    accepted
-                        .get_mut(&param)
-                        .expect("param initialized")
-                        .push((model, picked.candidates));
-                }
-            }
-        }
-        let mut selected_models: BTreeMap<FpgaParam, Vec<MlModelId>> = BTreeMap::new();
-        let mut candidates: BTreeMap<FpgaParam, Vec<usize>> = BTreeMap::new();
-        let mut synthesized: BTreeSet<usize> = subset.iter().copied().collect();
-        for &param in &FpgaParam::ALL {
-            let mut chosen: Vec<MlModelId> = Vec::new();
-            let mut union: BTreeSet<usize> = BTreeSet::new();
-            for (model, set) in &accepted[&param] {
-                chosen.push(*model);
-                union.extend(set.iter().copied());
-            }
-            if let Some((model, set)) = &asic_accepted[&param] {
-                chosen.push(*model);
-                union.extend(set.iter().copied());
-            }
-            let list: Vec<usize> = union.iter().copied().collect();
-            synthesized.extend(list.iter().copied());
-            selected_models.insert(param, chosen);
-            candidates.insert(param, list);
-        }
-        select_span.add_items(synthesized.len() as u64);
-        drop(select_span);
+        //    peeling, then one synthesis of every parameter's candidates.
+        let mut span = recorder.span("flow/select_estimate");
+        let asic_slots = usize::from(cfg.include_asic_regression);
+        let (fronts, top) = (cfg.fronts, cfg.top_models);
+        let selection = select(&zoo, &records, fronts, top, asic_slots, rt, recorder);
+        let union: BTreeSet<usize> = selection.candidates.values().flatten().copied().collect();
+        let (_, candidates_s) = oracle.synthesize(&union.into_iter().collect::<Vec<_>>());
+        span.add_items(oracle.log().len() as u64);
+        drop(span);
 
-        // 5. Final measured pareto fronts over what the flow synthesized.
-        let mut fronts_span = recorder.span("flow/fronts");
+        // 5. Scoring, after the method is done: the oracle hands back every
+        //    report for the measured and true fronts, coverage and the
+        //    exhaustive time, and the records get their FPGA half back.
+        let mut span = recorder.span("flow/fronts");
+        let (reports, synthesized) = oracle.reveal();
+        let records: Vec<CircuitRecord> = (records.into_iter().zip(reports))
+            .map(|(r, fpga)| r.replace_fpga(fpga).0)
+            .collect();
         let mut final_fronts = BTreeMap::new();
         let mut true_fronts = BTreeMap::new();
         let mut cov = BTreeMap::new();
@@ -500,28 +412,19 @@ impl Flow {
             final_fronts.insert(param, measured.front);
             true_fronts.insert(param, measured.true_front);
         }
-        fronts_span.add_items(FpgaParam::ALL.len() as u64);
-        drop(fronts_span);
-
-        // 6. Time accounting over the modeled synthesis times.
+        span.add_items(FpgaParam::ALL.len() as u64);
+        drop(span);
         let exhaustive_s: f64 = records.iter().map(|r| r.fpga.synth_time_s).sum();
-        let subset_s: f64 = subset.iter().map(|&i| records[i].fpga.synth_time_s).sum();
-        // Membership set built once: the old per-candidate `subset.contains`
-        // scan was O(subset × synthesized).
-        let subset_set: std::collections::HashSet<usize> = subset.iter().copied().collect();
-        let candidate_extra: f64 = synthesized
-            .iter()
-            .filter(|i| !subset_set.contains(i))
-            .map(|&i| records[i].fpga.synth_time_s)
-            .sum();
-        // Model training/estimation: a flat modeled cost per model-target
-        // plus a per-estimate term — minutes, matching the paper's
-        // "order of seconds" estimation plus training overhead.
+
+        // 6. Time accounting over the modeled synthesis times. Model
+        //    training/estimation: a flat modeled cost per model-target
+        //    plus a per-estimate term — minutes, matching the paper's
+        //    "order of seconds" estimation plus training overhead.
         let ml_s = (cfg.models.len() * FpgaParam::ALL.len()) as f64 * 20.0 + n as f64 * 3.0e-3;
         let time = TimeAccounting {
             exhaustive_s,
             subset_s,
-            candidates_s: candidate_extra,
+            candidates_s,
             ml_s,
             exhaustive_count: n,
             flow_count: synthesized.len(),
@@ -545,9 +448,9 @@ impl Flow {
             train,
             validate,
             zoo,
-            selected_models,
-            dropped_models,
-            candidates,
+            selected_models: selection.selected_models,
+            dropped_models: selection.dropped_models,
+            candidates: selection.candidates,
             synthesized,
             final_fronts,
             true_fronts,
@@ -568,14 +471,12 @@ impl Flow {
     /// never fatal.
     fn zoo(
         &self,
-        records: &[CircuitRecord],
-        train: &[usize],
-        validate: &[usize],
+        set: &TrainingSet,
+        records: &[CircuitRecord<()>],
         rt: &Runtime,
         recorder: &Recorder,
     ) -> TrainedZoo {
         let cfg = &self.config;
-        let set = TrainingSet::new(records, train, validate);
         let train = || {
             set.train(
                 &cfg.models,
@@ -623,6 +524,120 @@ impl Flow {
         }
         zoo
     }
+}
+
+/// What the selection stage chose, per parameter.
+pub(crate) struct Selection {
+    /// Accepted models: the ML ranking's, then the ASIC-regression slot's.
+    pub(crate) selected_models: BTreeMap<FpgaParam, Vec<MlModelId>>,
+    /// Models dropped because every estimate was non-finite, in the
+    /// order they were tried.
+    pub(crate) dropped_models: BTreeMap<FpgaParam, Vec<MlModelId>>,
+    /// Union of the accepted models' pseudo-pareto candidates, ascending.
+    pub(crate) candidates: BTreeMap<FpgaParam, Vec<usize>>,
+}
+
+/// The selection stage: per parameter, fill `top_models` slots from the
+/// ML fidelity ranking and `asic_slots` from the ASIC-regression ranking.
+/// Each model estimates every record and peels `fronts` pseudo-pareto
+/// fronts; [`pseudo_pareto`] quarantines non-finite estimates and counts
+/// them.
+///
+/// Each wave estimates, in parallel, the next untried models of every
+/// pool with open slots. A model whose estimates are *all* non-finite is
+/// dropped, and the next model of its ranking is tried in the next wave.
+/// With finite estimates (the default) wave one accepts everything and
+/// this is the plain top-k. Jobs, promotions and drops follow the
+/// rankings, never completion order, so the selection is
+/// thread-invariant.
+pub(crate) fn select<F: Sync>(
+    zoo: &TrainedZoo,
+    records: &[CircuitRecord<F>],
+    fronts: usize,
+    top_models: usize,
+    asic_slots: usize,
+    rt: &Runtime,
+    recorder: &Recorder,
+) -> Selection {
+    // One pool per parameter and ranking, parameter-major with the ML
+    // ranking first: the job order. `untried` is the rest of the ranking.
+    struct Pool {
+        param: FpgaParam,
+        untried: std::vec::IntoIter<MlModelId>,
+        slots: usize,
+        accepted: Vec<(MlModelId, BTreeSet<usize>)>,
+    }
+    let mut pools: Vec<Pool> = Vec::new();
+    for param in FpgaParam::ALL {
+        for (ranking, slots) in [
+            (zoo.top_models(param, usize::MAX, false), top_models),
+            (zoo.ranked_asic_regressions(param), asic_slots),
+        ] {
+            let (untried, accepted) = (ranking.into_iter(), Vec::new());
+            pools.push(Pool {
+                param,
+                untried,
+                slots,
+                accepted,
+            });
+        }
+    }
+    let mut dropped_models = per_param::<Vec<MlModelId>>();
+    loop {
+        let mut jobs: Vec<(usize, MlModelId)> = Vec::new();
+        for (p, pool) in pools.iter_mut().enumerate() {
+            let open = pool.slots.saturating_sub(pool.accepted.len());
+            jobs.extend(pool.untried.by_ref().take(open).map(|m| (p, m)));
+        }
+        if jobs.is_empty() {
+            break;
+        }
+        let results: Vec<PseudoPareto> = rt.par_map(&jobs, |_, &(p, model)| {
+            let est = {
+                let name = format!("estimate/{}", model.label());
+                let mut span = recorder.span(&name);
+                span.add_items(records.len() as u64);
+                zoo.estimate_all(model, pools[p].param, records)
+            };
+            let points: Vec<(f64, f64)> = (est.iter().zip(records))
+                .map(|(&e, r)| (e, r.error.med))
+                .collect();
+            pseudo_pareto(&points, fronts)
+        });
+        for (&(p, model), picked) in jobs.iter().zip(results) {
+            Counters::add(
+                &rt.counters().estimates_quarantined,
+                picked.quarantined as u64,
+            );
+            let pool = &mut pools[p];
+            if picked.quarantined == records.len() {
+                dropped_models.entry(pool.param).or_default().push(model);
+            } else {
+                pool.accepted.push((model, picked.candidates));
+            }
+        }
+    }
+    let mut selected_models = per_param::<Vec<MlModelId>>();
+    let mut union = per_param::<BTreeSet<usize>>();
+    for pool in pools {
+        for (model, set) in pool.accepted {
+            selected_models.entry(pool.param).or_default().push(model);
+            union.entry(pool.param).or_default().extend(set);
+        }
+    }
+    let candidates = union
+        .into_iter()
+        .map(|(p, set)| (p, set.into_iter().collect()));
+    Selection {
+        selected_models,
+        dropped_models,
+        candidates: candidates.collect(),
+    }
+}
+
+/// An empty value for every parameter.
+fn per_param<T: Default>() -> BTreeMap<FpgaParam, T> {
+    FpgaParam::ALL.iter().map(|&p| (p, T::default())).collect()
 }
 
 #[cfg(test)]
@@ -725,6 +740,73 @@ mod tests {
         for models in with_asic.selected_models.values() {
             assert!(models.iter().any(|m| m.is_asic_regression()));
         }
+    }
+
+    #[test]
+    fn the_method_never_reads_an_unsynthesized_report() {
+        // Rerun the method with every report it did not synthesize
+        // poisoned: what it decides must not move by a bit. The chaos and
+        // ASIC-slot settings cover the drop, promotion and ASIC paths.
+        use afp_ml::chaos::{ChaosConfig, ChaosKind};
+        let config = FlowConfig {
+            include_asic_regression: true,
+            chaos: Some(ChaosSpec {
+                config: ChaosConfig::always(ChaosKind::Nan, 77),
+                only: Some((MlModelId::Ml4, FpgaParam::Area)),
+            }),
+            ..tiny_config(100)
+        };
+        let library = afp_circuits::build_library(&config.library);
+        let records = crate::dataset::characterize_library(
+            &library,
+            &config.asic,
+            &config.fpga,
+            &config.error,
+        );
+        let flow = Flow::new(config);
+        let explore = |records: Vec<CircuitRecord>| {
+            let (records, oracle) = FpgaOracle::split(records);
+            flow.explore(records, oracle, &Runtime::new(0), &Recorder::disabled())
+        };
+        let clean = explore(records.clone());
+        let mut poisoned = records;
+        for r in poisoned
+            .iter_mut()
+            .filter(|r| !clean.synthesized.contains(&r.id))
+        {
+            r.fpga = FpgaReport {
+                luts: usize::MAX,
+                slices: usize::MAX,
+                depth_levels: u32::MAX,
+                delay_ns: f64::NAN,
+                power_mw: f64::NAN,
+                synth_time_s: f64::NAN,
+            };
+        }
+        assert!(poisoned.len() > clean.synthesized.len());
+        let blind = explore(poisoned);
+        let fidelity_bits = |o: &FlowOutcome| -> Vec<_> {
+            o.zoo
+                .fidelities
+                .iter()
+                .map(|f| {
+                    let bits = [f.fidelity, f.r2, f.mae, f.pearson].map(f64::to_bits);
+                    (f.model, f.param, bits)
+                })
+                .collect()
+        };
+        assert!(!clean.dropped_models[&FpgaParam::Area].is_empty());
+        assert_eq!(clean.subset, blind.subset);
+        assert_eq!(fidelity_bits(&clean), fidelity_bits(&blind));
+        assert_eq!(clean.selected_models, blind.selected_models);
+        assert_eq!(clean.dropped_models, blind.dropped_models);
+        assert_eq!(clean.candidates, blind.candidates);
+        assert_eq!(clean.synthesized, blind.synthesized);
+        assert_eq!(clean.time.subset_s.to_bits(), blind.time.subset_s.to_bits());
+        let candidates_s = |o: &FlowOutcome| o.time.candidates_s.to_bits();
+        assert_eq!(candidates_s(&clean), candidates_s(&blind));
+        // The scoring step does see the poison.
+        assert!(blind.time.exhaustive_s.is_nan());
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod cache;
 pub mod dataset;
 pub mod fidelity;
 pub mod flow;
+mod oracle;
 pub mod pareto;
 pub mod record;
 pub mod report;

@@ -8,7 +8,7 @@ use afp_netlist::analyze::NetlistStats;
 use afp_netlist::{GateKind, SimScratch};
 use afp_runtime::Counters;
 
-use crate::cache::{CachedCharacterization, CharacterizationCache};
+use crate::cache::CachedCharacterization;
 
 /// The FPGA parameter a model estimates (the paper's three targets).
 // Safe total order (`Eq + Ord`, no float keys): the clippy.toml
@@ -54,8 +54,12 @@ impl std::fmt::Display for FpgaParam {
 }
 
 /// Everything the flow knows about one circuit in the library.
+///
+/// `F` is the FPGA half. Characterization fills it with the ground-truth
+/// [`FpgaReport`]; the exploration method sees `CircuitRecord<()>`, so it
+/// can only learn an FPGA cost by synthesizing through the flow's oracle.
 #[derive(Clone, Debug)]
-pub struct CircuitRecord {
+pub struct CircuitRecord<F = FpgaReport> {
     /// Dense index within the library.
     pub id: usize,
     /// Circuit name.
@@ -76,9 +80,28 @@ pub struct CircuitRecord {
     /// Behavioural error metrics (cheap; known for every circuit).
     pub error: ErrorMetrics,
     /// FPGA report — in the real flow this is only known once the circuit
-    /// has been synthesized. The reproduction stores the ground truth here
-    /// and lets the flow account which entries it "paid" for.
-    pub fpga: FpgaReport,
+    /// has been synthesized. The reproduction stores the ground truth here;
+    /// the flow hands it to its method only through the oracle, which
+    /// accounts which entries were "paid" for.
+    pub fpga: F,
+}
+
+impl<F> CircuitRecord<F> {
+    /// This record with its FPGA half replaced by `fpga`, and the old half.
+    pub(crate) fn replace_fpga<G>(self, fpga: G) -> (CircuitRecord<G>, F) {
+        let record = CircuitRecord {
+            id: self.id,
+            name: self.name,
+            kind: self.kind,
+            width: self.width,
+            target: self.target,
+            stats: self.stats,
+            asic: self.asic,
+            error: self.error,
+            fpga,
+        };
+        (record, self.fpga)
+    }
 }
 
 impl CircuitRecord {
@@ -171,7 +194,7 @@ fn kind_feature_name(kind: GateKind) -> &'static str {
 }
 
 /// Extract the feature vector of one record under `layout`.
-pub fn extract_features(record: &CircuitRecord, layout: &FeatureLayout) -> Vec<f64> {
+pub fn extract_features<F>(record: &CircuitRecord<F>, layout: &FeatureLayout) -> Vec<f64> {
     features_from_parts(record.width, &record.stats, &record.asic, layout)
 }
 
@@ -231,20 +254,23 @@ pub fn characterize(
     fpga_config: &afp_fpga::FpgaConfig,
     error_config: &afp_error::ErrorConfig,
 ) -> CircuitRecord {
-    characterize_with_scratch(
-        id,
+    let config = crate::RequestConfig {
+        asic: asic_config.clone(),
+        fpga: fpga_config.clone(),
+        error: error_config.clone(),
+    };
+    let record = crate::characterize_request(
         circuit,
-        asic_config,
-        fpga_config,
-        error_config,
+        &config,
         &afp_runtime::Runtime::serial(),
         None,
         &mut CharacterizeScratch::default(),
-    )
+    );
+    CircuitRecord { id, ..record }
 }
 
 /// Per-worker scratch state for sweeping a library through
-/// [`characterize_with_scratch`] or simulation batches: a warm FPGA mapper
+/// [`crate::characterize_request`] or simulation batches: a warm FPGA mapper
 /// (cut arenas, simulator buffers), ASIC buffers and signal-probability
 /// buffers. One of these per worker thread makes the whole
 /// characterization loop allocation-free in steady state; results are
@@ -259,53 +285,6 @@ pub struct CharacterizeScratch {
     fpga_probs: Vec<f64>,
     /// One member's signal probabilities, gathered from the DAG's.
     member_probs: Vec<f64>,
-}
-
-/// [`characterize`] on an explicit runtime, optionally through the
-/// characterization cache, with caller-owned scratch state (warm mapper
-/// and ASIC buffers).
-///
-/// On a cache hit the three reports are reused and no synthesis or error
-/// analysis runs (only the cheap netlist statistics are recomputed); on a
-/// miss the reports are computed as a batch of one (see
-/// `characterize_batch`), counted on the runtime's counters, and
-/// inserted into the cache.
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_with_scratch(
-    id: usize,
-    circuit: &ArithCircuit,
-    asic_config: &afp_asic::AsicConfig,
-    fpga_config: &afp_fpga::FpgaConfig,
-    error_config: &afp_error::ErrorConfig,
-    rt: &afp_runtime::Runtime,
-    cache: Option<&CharacterizationCache>,
-    scratch: &mut CharacterizeScratch,
-) -> CircuitRecord {
-    let netlist = circuit.netlist();
-    let key =
-        cache.map(|_| CharacterizationCache::key(circuit, asic_config, fpga_config, error_config));
-    let cached = key.and_then(|k| cache.and_then(|c| c.get(k, rt.counters())));
-    let reports = cached.unwrap_or_else(|| {
-        let computed = characterize_batch(
-            &[circuit],
-            asic_config,
-            fpga_config,
-            error_config,
-            rt,
-            scratch,
-        )[0];
-        if let (Some(cache), Some(key)) = (cache, key) {
-            cache.insert(key, computed);
-        }
-        computed
-    });
-    assemble_record(
-        id,
-        circuit,
-        fpga_config,
-        afp_netlist::analyze::stats(netlist),
-        reports,
-    )
 }
 
 /// A circuit's record from its statistics and reports.

@@ -22,7 +22,7 @@ use afp_runtime::{Key128, Runtime};
 
 use crate::cache::CharacterizationCache;
 use crate::flow::FlowConfig;
-use crate::record::{characterize_with_scratch, CharacterizeScratch, CircuitRecord};
+use crate::record::{assemble_record, characterize_batch, CharacterizeScratch, CircuitRecord};
 
 /// The characterization configuration of one request — exactly the
 /// pieces of a [`FlowConfig`] that affect a single record.
@@ -66,9 +66,12 @@ impl RequestConfig {
 /// Characterize one circuit under `config`, through `cache` when given.
 ///
 /// This is the flow's own characterization primitive scoped to a single
-/// record: a cache hit reuses all three reports, a miss computes and
-/// inserts them. The record's `id` is fixed to 0 — request-scoped
-/// records have no library position.
+/// record, with caller-owned scratch state (warm mapper and ASIC
+/// buffers). On a cache hit the three reports are reused and no synthesis
+/// or error analysis runs (only the cheap netlist statistics are
+/// recomputed); on a miss they are computed as a batch of one, counted on
+/// the runtime's counters, and inserted. The record's `id` is fixed to 0
+/// — request-scoped records have no library position.
 pub fn characterize_request(
     circuit: &ArithCircuit,
     config: &RequestConfig,
@@ -76,16 +79,18 @@ pub fn characterize_request(
     cache: Option<&CharacterizationCache>,
     scratch: &mut CharacterizeScratch,
 ) -> CircuitRecord {
-    characterize_with_scratch(
-        0,
-        circuit,
-        &config.asic,
-        &config.fpga,
-        &config.error,
-        rt,
-        cache,
-        scratch,
-    )
+    let key = cache.map(|_| config.key(circuit));
+    let cached = key.and_then(|k| cache.and_then(|c| c.get(k, rt.counters())));
+    let reports = cached.unwrap_or_else(|| {
+        let (asic, fpga, error) = (&config.asic, &config.fpga, &config.error);
+        let computed = characterize_batch(&[circuit], asic, fpga, error, rt, scratch)[0];
+        if let (Some(cache), Some(key)) = (cache, key) {
+            cache.insert(key, computed);
+        }
+        computed
+    });
+    let stats = afp_netlist::analyze::stats(circuit.netlist());
+    assemble_record(0, circuit, &config.fpga, stats, reports)
 }
 
 /// Render one record as the per-request [`RunReport`].

@@ -21,7 +21,7 @@
 //! reuse the flow's thread-invariant stages, and the transfer experiment
 //! derives all sampling from the base seed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use afp_circuits::{build_library_with, LibrarySource};
 use afp_fpga::target::{named, registry, TargetProfile};
@@ -30,8 +30,8 @@ use afp_runtime::Runtime;
 
 use crate::dataset::{characterize_library_with, sample_subset, train_validate_split};
 use crate::fidelity::train_zoo_with;
-use crate::flow::{Flow, FlowConfig, FlowOutcome};
-use crate::pareto::{measured_front, pseudo_pareto};
+use crate::flow::{select, Flow, FlowConfig, FlowOutcome};
+use crate::pareto::measured_front;
 use crate::record::FpgaParam;
 
 /// A named target could not be resolved against the registry.
@@ -199,8 +199,8 @@ fn mean<'a>(values: impl Iterator<Item = &'a f64>) -> f64 {
 ///    FPGA ground truths; ASIC and error metrics are fabric-independent),
 /// 2. sample the base configuration's subset and train the zoo on the
 ///    *train* target's reports,
-/// 3. estimate the whole library with the per-parameter top models, peel
-///    `base.fronts` pseudo-pareto fronts and take the candidate union —
+/// 3. run the flow's selection stage (top models, estimate quarantine,
+///    `base.fronts` pseudo-pareto fronts; no ASIC-regression slot) —
 ///    exactly what the flow would re-synthesize on the new fabric,
 /// 4. score the transfer: best-model fidelity against the *eval* target's
 ///    ground truth, and coverage of the eval target's true pareto front
@@ -252,40 +252,39 @@ pub fn transfer_experiment(
         &afp_obs::Recorder::disabled(),
     );
 
+    // Candidate selection happens entirely in estimate space — the
+    // transferred flow has not synthesized anything on the eval fabric
+    // yet.
+    let recorder = afp_obs::Recorder::disabled();
+    let selection = select(
+        &zoo,
+        &train_records,
+        base.fronts,
+        base.top_models,
+        0,
+        &rt,
+        &recorder,
+    );
     let mut fid = BTreeMap::new();
     let mut cov = BTreeMap::new();
-    let mut union: std::collections::BTreeSet<usize> = Default::default();
     for &param in &FpgaParam::ALL {
         let truth_eval: Vec<f64> = eval_records.iter().map(|r| r.fpga_param(param)).collect();
-        let top = zoo.top_models(param, base.top_models, false);
-        // Candidate peeling happens entirely in estimate space — the
-        // transferred flow has not synthesized anything on the eval
-        // fabric yet.
-        let mut candidates: std::collections::BTreeSet<usize> = Default::default();
-        for (rank, &model) in top.iter().enumerate() {
-            let est = zoo.estimate_all(model, param, &train_records);
-            if rank == 0 {
-                fid.insert(param, fidelity(&est, &truth_eval, base.fidelity_tolerance));
-            }
-            let points: Vec<(f64, f64)> = est
-                .iter()
-                .zip(&train_records)
-                .map(|(&e, r)| (e, r.error.med))
-                .collect();
-            candidates.extend(pseudo_pareto(&points, base.fronts).candidates);
+        if let Some(&best) = selection.selected_models[&param].first() {
+            let est = zoo.estimate_all(best, param, &train_records);
+            fid.insert(param, fidelity(&est, &truth_eval, base.fidelity_tolerance));
         }
         // Score on the eval fabric: the front the flow would measure
         // after re-synthesizing the candidates (plus the subset it
         // already paid for) on the new target.
-        let mut synthesized: std::collections::BTreeSet<usize> = subset.iter().copied().collect();
-        synthesized.extend(candidates.iter().copied());
+        let mut synthesized: BTreeSet<usize> = subset.iter().copied().collect();
+        synthesized.extend(&selection.candidates[&param]);
         let eval_points: Vec<(f64, f64)> = eval_records
             .iter()
             .map(|r| (r.fpga_param(param), r.error.med))
             .collect();
         cov.insert(param, measured_front(&eval_points, &synthesized).coverage);
-        union.extend(candidates);
     }
+    let union: BTreeSet<usize> = selection.candidates.into_values().flatten().collect();
 
     Ok(TransferOutcome {
         train_target: train_target.to_string(),

@@ -207,7 +207,10 @@ fn asic_slot_with_a_quarantine_promotion_matches_its_golden() {
         v
     };
     assert_eq!(outcome.candidates[&FpgaParam::Latency], with(&[]));
-    assert_eq!(outcome.candidates[&FpgaParam::Power], with(&[22, 24, 82, 83]));
+    assert_eq!(
+        outcome.candidates[&FpgaParam::Power],
+        with(&[22, 24, 82, 83])
+    );
     assert_eq!(
         outcome.candidates[&FpgaParam::Area],
         with(&[19, 22, 24, 82, 83])
