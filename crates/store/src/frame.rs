@@ -40,6 +40,7 @@ use afp_runtime::Key128;
 use crate::bytes::{put_uvarint, ByteReader};
 use crate::crc::Crc32;
 use crate::lz;
+use crate::stream::FrameStream;
 
 /// File magic, first four bytes of every store file.
 pub const MAGIC: [u8; 4] = *b"AFPS";
@@ -230,95 +231,39 @@ pub fn decode_frame_records(tag: u8, body: &[u8], sink: &mut Vec<RawRecord>) -> 
     }
 }
 
-/// Result of scanning a store file front to back.
-#[derive(Clone, Debug)]
-pub struct Scan {
-    /// Parsed header.
-    pub header: Header,
-    /// All records recovered from valid data frames, in file order.
-    pub records: Vec<RawRecord>,
-    /// Byte offset just past the last valid *data* frame (the index frame
-    /// and trailer of a sealed file are excluded). Reopening for append
-    /// truncates to this offset.
-    pub data_len: u64,
-    /// Number of data frames seen (records + blocks + unknown tags).
-    pub frames: u64,
-    /// Number of `TAG_RECORD` frames (the compaction trigger counts these).
-    pub record_frames: u64,
-    /// Whether a torn or corrupt tail frame was dropped.
-    pub truncated: bool,
-}
+/// Refuse to allocate for frames claiming bodies beyond this size; real
+/// frames are a few hundred KB at most, so anything larger is corruption.
+const MAX_FRAME_BODY: usize = 1 << 30;
 
-/// Scan an in-memory store image. Stops at the first torn or corrupt
-/// frame; everything before it is kept (torn-tail recovery).
-pub fn scan_bytes(bytes: &[u8]) -> Option<Scan> {
-    let header = Header::parse(bytes.get(0..HEADER_LEN as usize)?)?;
-    let mut records = Vec::new();
-    let mut pos = HEADER_LEN as usize;
-    let mut data_len = pos as u64;
-    let mut frames = 0u64;
-    let mut record_frames = 0u64;
-    let mut truncated = false;
-
-    while pos < bytes.len() {
-        let Some((tag, body, next)) = read_frame_at(bytes, pos) else {
-            truncated = true;
-            break;
-        };
-        if tag == TAG_INDEX {
-            // Sealed footer: data frames end here. Anything after it other
-            // than the trailer is unexpected but harmless to ignore.
-            break;
-        }
-        if decode_frame_records(tag, body, &mut records).is_none() {
-            truncated = true;
-            break;
-        }
-        frames += 1;
-        if tag == TAG_RECORD {
-            record_frames += 1;
-        }
-        pos = next;
-        data_len = pos as u64;
+/// Read and CRC-check the next frame of `r` as `(tag, body)`. `Ok(None)`
+/// is a clean end of input; a torn or corrupt frame is an error.
+pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
+    let mut head = [0u8; 5];
+    if r.read(&mut head[..1])? == 0 {
+        return Ok(None);
     }
-
-    Some(Scan {
-        header,
-        records,
-        data_len,
-        frames,
-        record_frames,
-        truncated,
-    })
-}
-
-/// Read and CRC-check the frame at `pos`. Returns `(tag, body, next_pos)`
-/// or `None` for a torn or corrupt frame.
-fn read_frame_at(bytes: &[u8], pos: usize) -> Option<(u8, &[u8], usize)> {
-    let tag = *bytes.get(pos)?;
-    let len_bytes = bytes.get(pos + 1..pos + 5)?;
-    let body_len =
-        u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
-    let body_start = pos + 5;
-    let body_end = body_start.checked_add(body_len)?;
-    let crc_end = body_end.checked_add(4)?;
-    if crc_end > bytes.len() {
-        return None;
+    r.read_exact(&mut head[1..])?;
+    let body_len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
+    if body_len > MAX_FRAME_BODY {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame too large",
+        ));
     }
-    let body = &bytes[body_start..body_end];
-    let want = u32::from_le_bytes([
-        bytes[body_end],
-        bytes[body_end + 1],
-        bytes[body_end + 2],
-        bytes[body_end + 3],
-    ]);
+    let mut body = vec![0u8; body_len];
+    r.read_exact(&mut body)?;
+    let mut want = [0u8; 4];
+    r.read_exact(&mut want)?;
     let mut crc = Crc32::new();
-    crc.update(&[tag]);
-    crc.update(body);
-    if crc.finish() != want {
-        return None;
+    crc.update(&head[..1]);
+    crc.update(&body);
+    if crc.finish() != u32::from_le_bytes(want) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame CRC mismatch",
+        ));
     }
-    Some((tag, body, crc_end))
+    Ok(Some((head[0], body)))
 }
 
 /// One entry of the sealed-file index: where a data frame starts and how
@@ -405,13 +350,11 @@ pub fn read_index(file: &mut File) -> io::Result<Option<IndexSummary>> {
     if frame[0] != TAG_INDEX {
         return Ok(None);
     }
-    let Some((tag, body, next)) = read_frame_at(&frame, 0) else {
-        return Ok(None);
-    };
-    if tag != TAG_INDEX || next != frame.len() {
-        return Ok(None);
-    }
-    Ok(parse_index_body(body))
+    let mut rest = frame.as_slice();
+    Ok(match read_frame(&mut rest) {
+        Ok(Some((TAG_INDEX, body))) if rest.is_empty() => parse_index_body(&body),
+        _ => None,
+    })
 }
 
 /// Streaming store writer: batches records into compressed block frames
@@ -422,7 +365,8 @@ pub fn read_index(file: &mut File) -> io::Result<Option<IndexSummary>> {
 /// flushed — readers recover those and drop the unwritten tail, the same
 /// crash story as the append path. Writers opened with
 /// [`StoreWriter::create_atomic`] instead leave the destination untouched
-/// until a `finish*` call renames the finished temp sibling over it.
+/// until a `finish*` call renames the finished temp sibling over it; a
+/// failed `finish*` removes the temp sibling.
 pub struct StoreWriter {
     file: File,
     /// Pre-concatenated block entries awaiting the next flush (the
@@ -464,7 +408,8 @@ impl StoreWriter {
     /// go to a `.tmp` sibling and `path` is only replaced — atomically,
     /// via rename — when [`StoreWriter::finish`] or
     /// [`StoreWriter::finish_sealed`] succeeds. A crash mid-write leaves
-    /// any existing file at `path` exactly as it was.
+    /// any existing file at `path` exactly as it was, and a failed finish
+    /// removes the `.tmp` sibling.
     pub fn create_atomic(path: &Path, record_version: u32) -> io::Result<StoreWriter> {
         let name = path.file_name().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "store path has no file name")
@@ -513,39 +458,48 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Rename the finished temp sibling over the destination (atomic mode
-    /// only; a plain `create` writer has nothing to do here).
-    fn persist(&mut self) -> io::Result<()> {
-        if let Some((tmp, dest)) = self.persist_to.take() {
+    /// Finish through `tail`, then (atomic mode) rename the temp sibling
+    /// over the destination. If either step fails, the temp sibling is
+    /// removed rather than left behind.
+    fn complete(mut self, tail: impl FnOnce(&mut Self) -> io::Result<()>) -> io::Result<()> {
+        let result = tail(&mut self).and_then(|()| match &self.persist_to {
             // Durability before visibility: the rename must only ever
             // expose fully-flushed bytes.
-            self.file.sync_all()?;
-            std::fs::rename(tmp, dest)?;
+            Some((tmp, dest)) => self
+                .file
+                .sync_all()
+                .and_then(|()| std::fs::rename(tmp, dest)),
+            None => Ok(()),
+        });
+        if let (Err(_), Some((tmp, _))) = (&result, &self.persist_to) {
+            let _ = std::fs::remove_file(tmp);
         }
-        Ok(())
+        result
     }
 
     /// Flush remaining records and finish as an *unsealed* file (valid for
     /// later appends).
-    pub fn finish(mut self) -> io::Result<()> {
-        self.flush_block()?;
-        self.file.flush()?;
-        self.persist()
+    pub fn finish(self) -> io::Result<()> {
+        self.complete(|w| {
+            w.flush_block()?;
+            w.file.flush()
+        })
     }
 
     /// Flush remaining records, write the index footer and trailer, and
     /// set the sealed header flag.
-    pub fn finish_sealed(mut self) -> io::Result<()> {
-        self.flush_block()?;
-        let mut buf = Vec::new();
-        put_index_and_trailer(&mut buf, &self.entries);
-        self.file.write_all(&buf)?;
-        // Patch the sealed bit into the already-written header; done last
-        // so a crash mid-seal leaves a readable unsealed file.
-        self.file.seek(SeekFrom::Start(6))?;
-        self.file.write_all(&FLAG_SEALED.to_le_bytes())?;
-        self.file.flush()?;
-        self.persist()
+    pub fn finish_sealed(self) -> io::Result<()> {
+        self.complete(|w| {
+            w.flush_block()?;
+            let mut buf = Vec::new();
+            put_index_and_trailer(&mut buf, &w.entries);
+            w.file.write_all(&buf)?;
+            // Patch the sealed bit into the already-written header; done
+            // last so a crash mid-seal leaves a readable unsealed file.
+            w.file.seek(SeekFrom::Start(6))?;
+            w.file.write_all(&FLAG_SEALED.to_le_bytes())?;
+            w.file.flush()
+        })
     }
 }
 
@@ -570,8 +524,8 @@ pub struct StoreInfo {
 ///
 /// Sealed files are answered from the header and the index footer alone
 /// (three small reads, O(1) in file size); only unsealed files — or
-/// sealed files whose footer turns out damaged — fall back to a full
-/// frame scan.
+/// sealed files whose footer turns out damaged — fall back to reading
+/// every frame through [`FrameStream`].
 pub fn inspect(path: &Path) -> io::Result<StoreInfo> {
     let mut file = File::open(path)?;
     let mut header_bytes = [0u8; HEADER_LEN as usize];
@@ -598,17 +552,14 @@ pub fn inspect(path: &Path) -> io::Result<StoreInfo> {
             });
         }
     }
-    let bytes = std::fs::read(path)?;
-    let scan = scan_bytes(&bytes).ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "not a store file (bad header)")
-    })?;
+    let mut stream = FrameStream::open(path)?;
     Ok(StoreInfo {
-        format_version: scan.header.format_version,
-        record_version: scan.header.record_version,
-        sealed: scan.header.sealed(),
-        records: scan.records.len() as u64,
-        bytes: bytes.len() as u64,
-        truncated: scan.truncated,
+        format_version: header.format_version,
+        record_version: header.record_version,
+        sealed: header.sealed(),
+        records: stream.by_ref().count() as u64,
+        bytes: file.seek(SeekFrom::End(0))?,
+        truncated: stream.truncated(),
     })
 }
 
@@ -621,6 +572,18 @@ mod tests {
             hi: i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             lo: !i,
         }
+    }
+
+    /// Every record of the store image `bytes`, read back through
+    /// [`FrameStream`], and the finished stream.
+    fn stream_bytes(tag: &str, bytes: &[u8]) -> (Vec<RawRecord>, FrameStream) {
+        let name = format!("afp-store-frame-{tag}-{}.afps", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let mut stream = FrameStream::open(&path).unwrap();
+        let records = stream.by_ref().collect();
+        std::fs::remove_file(&path).unwrap();
+        (records, stream)
     }
 
     fn header_bytes() -> Vec<u8> {
@@ -652,13 +615,12 @@ mod tests {
         for i in 0..5u64 {
             put_record_frame(&mut bytes, key(i), format!("payload-{i}").as_bytes());
         }
-        let scan = scan_bytes(&bytes).unwrap();
-        assert_eq!(scan.records.len(), 5);
-        assert_eq!(scan.record_frames, 5);
-        assert!(!scan.truncated);
-        assert_eq!(scan.data_len, bytes.len() as u64);
-        assert_eq!(scan.records[3].key, key(3));
-        assert_eq!(scan.records[3].payload, b"payload-3");
+        let (records, stream) = stream_bytes("records", &bytes);
+        assert_eq!(records.len(), 5);
+        assert_eq!(stream.record_frames(), 5);
+        assert!(!stream.truncated());
+        assert_eq!(records[3].key, key(3));
+        assert_eq!(records[3].payload, b"payload-3");
     }
 
     #[test]
@@ -674,9 +636,10 @@ mod tests {
             "block should compress: {} vs {raw_total}",
             bytes.len()
         );
-        let scan = scan_bytes(&bytes).unwrap();
-        assert_eq!(scan.records.len(), 200);
-        for (i, rec) in scan.records.iter().enumerate() {
+        let (back, stream) = stream_bytes("block", &bytes);
+        assert_eq!(back.len(), 200);
+        assert_eq!(stream.record_frames(), 0);
+        for (i, rec) in back.iter().enumerate() {
             assert_eq!(rec.key, records[i].0);
             assert_eq!(rec.payload, records[i].1);
         }
@@ -686,13 +649,13 @@ mod tests {
     fn torn_tail_is_dropped_but_prefix_survives() {
         let mut bytes = header_bytes();
         put_record_frame(&mut bytes, key(1), b"first");
-        let good_len = bytes.len();
+        let tear = bytes.len() + 7; // mid-way through the next frame
         put_record_frame(&mut bytes, key(2), b"second-to-be-torn");
-        bytes.truncate(good_len + 7); // tear mid-frame
-        let scan = scan_bytes(&bytes).unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert!(scan.truncated);
-        assert_eq!(scan.data_len, good_len as u64);
+        bytes.truncate(tear);
+        let (records, stream) = stream_bytes("torn", &bytes);
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].payload, b"first");
+        assert!(stream.truncated());
     }
 
     #[test]
@@ -703,9 +666,9 @@ mod tests {
         put_record_frame(&mut bytes, key(2), b"will corrupt");
         let idx = keep + 10;
         bytes[idx] ^= 0xFF;
-        let scan = scan_bytes(&bytes).unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert!(scan.truncated);
+        let (records, stream) = stream_bytes("crc", &bytes);
+        assert_eq!(records.len(), 1);
+        assert!(stream.truncated());
     }
 
     #[test]
@@ -714,11 +677,10 @@ mod tests {
         put_record_frame(&mut bytes, key(1), b"a");
         put_frame(&mut bytes, 0x7E, b"future frame kind");
         put_record_frame(&mut bytes, key(2), b"b");
-        let scan = scan_bytes(&bytes).unwrap();
-        assert_eq!(scan.records.len(), 2);
-        assert!(!scan.truncated);
-        assert_eq!(scan.frames, 3);
-        assert_eq!(scan.record_frames, 2);
+        let (records, stream) = stream_bytes("unknown", &bytes);
+        assert_eq!(records.len(), 2);
+        assert!(!stream.truncated());
+        assert_eq!(stream.record_frames(), 2);
     }
 
     #[test]
@@ -735,9 +697,11 @@ mod tests {
         ];
         let mut out = Vec::new();
         put_index_and_trailer(&mut out, &entries);
-        let (tag, body, _) = read_frame_at(&out, 0).unwrap();
+        let mut rest = out.as_slice();
+        let (tag, body) = read_frame(&mut rest).unwrap().unwrap();
         assert_eq!(tag, TAG_INDEX);
-        let summary = parse_index_body(body).unwrap();
+        assert_eq!(rest.len(), TRAILER_LEN as usize, "the trailer follows");
+        let summary = parse_index_body(&body).unwrap();
         assert_eq!(summary.records, 300);
         assert_eq!(summary.entries, entries);
     }
@@ -758,12 +722,11 @@ mod tests {
         assert_eq!(index.records, 600);
         assert_eq!(index.entries.len(), 3); // 256 + 256 + 88
 
-        let bytes = std::fs::read(&path).unwrap();
-        let scan = scan_bytes(&bytes).unwrap();
-        assert!(scan.header.sealed());
-        assert_eq!(scan.header.record_version, 9);
-        assert_eq!(scan.records.len(), 600);
-        assert!(!scan.truncated);
+        let mut stream = FrameStream::open(&path).unwrap();
+        assert!(stream.header().sealed());
+        assert_eq!(stream.header().record_version, 9);
+        assert_eq!(stream.by_ref().count(), 600);
+        assert!(!stream.truncated());
 
         let info = inspect(&path).unwrap();
         assert!(info.sealed);
@@ -821,8 +784,18 @@ mod tests {
         let info = inspect(&path).unwrap();
         assert!(info.sealed);
         assert_eq!(info.records, 1);
-        let scan = scan_bytes(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(scan.records[0].payload, b"gen2");
+        let records: Vec<RawRecord> = FrameStream::open(&path).unwrap().collect();
+        assert_eq!(records[0].payload, b"gen2");
+
+        // A finish that fails at the rename (a directory holds the
+        // destination) removes the temp sibling instead of leaving it.
+        let blocked = dir.join("blocked.afps");
+        std::fs::create_dir_all(blocked.join("occupied")).unwrap();
+        let mut w = StoreWriter::create_atomic(&blocked, 3).unwrap();
+        w.append(key(3), b"never lands").unwrap();
+        assert!(w.finish_sealed().is_err());
+        assert!(!dir.join("blocked.afps.tmp").exists());
+        assert!(blocked.join("occupied").is_dir());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

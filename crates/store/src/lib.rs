@@ -10,10 +10,11 @@
 //! Three layers build on the format:
 //!
 //! * [`frame`] — header/frame/index encode + decode, [`StoreWriter`]
-//!   (batching, compressing, sealing), full-file [`frame::scan_bytes`]
-//!   recovery, and [`inspect`] for cheap file stats.
-//! * [`stream`] — [`FrameStream`], a lazy iterator decoding one frame at
-//!   a time so corpora never need to be fully resident.
+//!   (batching, compressing, sealing), and [`inspect`] for cheap file
+//!   stats.
+//! * [`stream`] — [`FrameStream`], the one reader: a lazy iterator
+//!   decoding one frame at a time so corpora never need to be fully
+//!   resident, stopping at the first torn or corrupt frame.
 //! * [`tier`] — [`StoreTier`], the persistent tier of the
 //!   characterization cache (load-on-open, append-and-flush, torn-tail
 //!   repair, block compaction).

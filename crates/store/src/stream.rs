@@ -12,12 +12,9 @@ use std::fs::File;
 use std::io::{self, BufReader, Read};
 use std::path::Path;
 
-use crate::crc::Crc32;
-use crate::frame::{decode_frame_records, Header, RawRecord, FORMAT_VERSION, TAG_INDEX};
-
-/// Refuse to allocate for frames claiming bodies beyond this size; real
-/// frames are a few hundred KB at most, so anything larger is corruption.
-const MAX_FRAME_BODY: usize = 1 << 30;
+use crate::frame::{
+    decode_frame_records, read_frame, Header, RawRecord, FORMAT_VERSION, TAG_INDEX, TAG_RECORD,
+};
 
 /// An iterator over the records of a store file, decoding lazily.
 #[derive(Debug)]
@@ -27,6 +24,7 @@ pub struct FrameStream {
     buffered: VecDeque<RawRecord>,
     done: bool,
     truncated: bool,
+    record_frames: u64,
 }
 
 impl FrameStream {
@@ -50,6 +48,7 @@ impl FrameStream {
             buffered: VecDeque::new(),
             done: false,
             truncated: false,
+            record_frames: 0,
         })
     }
 
@@ -64,56 +63,31 @@ impl FrameStream {
         self.truncated
     }
 
-    /// Read and decode the next frame into the buffer. Returns `false`
-    /// when the stream is finished.
-    fn refill(&mut self) -> bool {
-        let mut tag = [0u8; 1];
-        match self.reader.read(&mut tag) {
-            Ok(0) => {
-                self.done = true; // clean EOF
-                return false;
-            }
-            Ok(_) => {}
-            Err(_) => return self.stop_torn(),
-        }
-        let mut len = [0u8; 4];
-        if self.reader.read_exact(&mut len).is_err() {
-            return self.stop_torn();
-        }
-        let body_len = u32::from_le_bytes(len) as usize;
-        if body_len > MAX_FRAME_BODY {
-            return self.stop_torn();
-        }
-        let mut body = vec![0u8; body_len];
-        if self.reader.read_exact(&mut body).is_err() {
-            return self.stop_torn();
-        }
-        let mut crc_bytes = [0u8; 4];
-        if self.reader.read_exact(&mut crc_bytes).is_err() {
-            return self.stop_torn();
-        }
-        let mut crc = Crc32::new();
-        crc.update(&tag);
-        crc.update(&body);
-        if crc.finish() != u32::from_le_bytes(crc_bytes) {
-            return self.stop_torn();
-        }
-        if tag[0] == TAG_INDEX {
-            self.done = true; // sealed footer: no data frames follow
-            return false;
-        }
-        let mut sink = Vec::new();
-        if decode_frame_records(tag[0], &body, &mut sink).is_none() {
-            return self.stop_torn();
-        }
-        self.buffered.extend(sink);
-        true
+    /// Single-record (`TAG_RECORD`) frames read so far — loose appends
+    /// that a compaction would fold into blocks.
+    pub fn record_frames(&self) -> u64 {
+        self.record_frames
     }
 
-    fn stop_torn(&mut self) -> bool {
+    /// Read and decode the next frame into the buffer; the stream ends at
+    /// a clean end of file, at the index footer of a sealed file, or
+    /// (truncated) at the first torn or corrupt frame.
+    fn refill(&mut self) {
+        let torn = match read_frame(&mut self.reader) {
+            Ok(None) | Ok(Some((TAG_INDEX, _))) => false,
+            Ok(Some((tag, body))) => {
+                let mut sink = Vec::new();
+                if decode_frame_records(tag, &body, &mut sink).is_some() {
+                    self.record_frames += u64::from(tag == TAG_RECORD);
+                    self.buffered.extend(sink);
+                    return;
+                }
+                true
+            }
+            Err(_) => true,
+        };
         self.done = true;
-        self.truncated = true;
-        false
+        self.truncated = torn;
     }
 }
 

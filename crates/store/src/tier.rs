@@ -17,7 +17,8 @@ use std::sync::{Mutex, PoisonError};
 use afp_runtime::Key128;
 
 use crate::bytes::ByteReader;
-use crate::frame::{put_record_frame, scan_bytes, Header, StoreWriter, FORMAT_VERSION};
+use crate::frame::{put_record_frame, Header, StoreWriter, FORMAT_VERSION};
+use crate::stream::FrameStream;
 
 /// A value that can round-trip through the binary store tier.
 ///
@@ -61,17 +62,10 @@ impl<V: BinRecord> StoreTier<V> {
         let path = dir.join(name);
         let mut loaded: Vec<(Key128, V)> = Vec::new();
 
-        let scan = match fs::read(&path) {
-            Ok(bytes) => scan_bytes(&bytes).filter(|s| {
-                s.header.format_version == FORMAT_VERSION && s.header.record_version == V::VERSION
-            }),
-            Err(_) => None,
-        };
-
-        match scan {
+        // A missing file, a foreign one or a stale version starts fresh.
+        let stream = FrameStream::open(&path).ok();
+        match stream.filter(|s| s.header().record_version == V::VERSION) {
             None => {
-                // Missing file, foreign file, or stale version: start
-                // fresh.
                 let mut file = File::create(&path)?;
                 file.write_all(
                     &Header {
@@ -83,14 +77,14 @@ impl<V: BinRecord> StoreTier<V> {
                 )?;
                 file.flush()?;
             }
-            Some(scan) => {
+            Some(mut stream) => {
                 // A key re-appended before the compaction threshold leaves
                 // several live frames; keep first-seen positions but let
                 // later frames overwrite earlier values, so the load is
                 // last-write-wins no matter how appends interleaved.
                 let mut first_seen: HashMap<Key128, usize> = HashMap::new();
                 let mut duplicates = false;
-                for raw in &scan.records {
+                for raw in stream.by_ref() {
                     let mut r = ByteReader::new(&raw.payload);
                     if let Some(v) = V::decode(&mut r) {
                         if r.is_empty() {
@@ -112,11 +106,12 @@ impl<V: BinRecord> StoreTier<V> {
                 // index), duplicate frames shadow stale values, or enough
                 // loose record frames accumulated to be worth compacting
                 // into compressed blocks.
-                if scan.truncated
-                    || scan.header.sealed()
+                if stream.truncated()
+                    || stream.header().sealed()
                     || duplicates
-                    || scan.record_frames >= COMPACT_AT
+                    || stream.record_frames() >= COMPACT_AT
                 {
+                    drop(stream);
                     Self::rewrite(&path, &loaded)?;
                 }
             }

@@ -294,6 +294,9 @@ fn a_failed_save_is_counted_and_the_flow_succeeds() {
     std::fs::create_dir_all(dir.join(ZOO_MEMO_FILE).join("occupied")).unwrap();
     let outcome = run(&cfg);
     assert_eq!(memo(&outcome), (0, 1, 1));
+    // The failed save leaves no temp sibling behind.
+    let tmp = dir.join(format!("{ZOO_MEMO_FILE}.tmp"));
+    assert!(!tmp.exists(), "{} left behind", tmp.display());
     let reference = run(&FlowConfig {
         cache_dir: None,
         ..cfg.clone()
