@@ -2,13 +2,12 @@
 
 use std::collections::BTreeMap;
 
+use afp_fpga::FpgaReport;
 use afp_ml::metrics::{fidelity, mae, pearson, r2};
 use afp_ml::zoo::AsicColumns;
 use afp_ml::{build_model, Matrix, MlModelId, Regressor};
 use afp_obs::Recorder;
 use afp_runtime::{Key128, Runtime, StableHasher};
-
-use afp_fpga::FpgaReport;
 
 use crate::record::{extract_features, CircuitRecord, FeatureLayout, FpgaParam};
 

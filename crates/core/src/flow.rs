@@ -350,15 +350,15 @@ impl Flow {
 
         // 1. Subset synthesis (the only FPGA synthesis the flow "pays" for
         //    up front): the training and validation targets.
-        let (subset, train, validate, measured, subset_s) = {
+        let (subset, train, validate, observed, subset_s) = {
             let mut span = recorder.span("flow/subset_split");
             let subset = sample_subset(n, cfg.subset_fraction, cfg.min_subset, cfg.seed);
             let (train, validate) = train_validate_split(&subset, cfg.train_fraction, cfg.seed);
             let (reports, subset_s) = oracle.synthesize(&subset);
-            let measured: BTreeMap<usize, FpgaReport> =
+            let observed: BTreeMap<usize, FpgaReport> =
                 subset.iter().copied().zip(reports).collect();
             span.add_items(subset.len() as u64);
-            (subset, train, validate, measured, subset_s)
+            (subset, train, validate, observed, subset_s)
         };
 
         // 2. Train and score the model zoo (optionally with the Fig. 2
@@ -366,7 +366,7 @@ impl Flow {
         let mut zoo = {
             let mut span = recorder.span("flow/train_zoo");
             span.add_items(cfg.models.len() as u64);
-            let set = TrainingSet::new(&records, &train, &validate, |i| measured[&i]);
+            let set = TrainingSet::new(&records, &train, &validate, |i| observed[&i]);
             self.zoo(&set, &records, rt, recorder)
         };
 
