@@ -412,9 +412,9 @@ impl Flow {
             final_fronts.insert(param, measured.front);
             true_fronts.insert(param, measured.true_front);
         }
+        let exhaustive_s: f64 = records.iter().map(|r| r.fpga.synth_time_s).sum();
         span.add_items(FpgaParam::ALL.len() as u64);
         drop(span);
-        let exhaustive_s: f64 = records.iter().map(|r| r.fpga.synth_time_s).sum();
 
         // 6. Time accounting over the modeled synthesis times. Model
         //    training/estimation: a flat modeled cost per model-target
