@@ -384,8 +384,15 @@ impl Flow {
         //    peeling, then one synthesis of every parameter's candidates.
         let mut span = recorder.span("flow/select_estimate");
         let asic_slots = usize::from(cfg.include_asic_regression);
-        let (fronts, top) = (cfg.fronts, cfg.top_models);
-        let selection = select(&zoo, &records, fronts, top, asic_slots, rt, recorder);
+        let selection = select(
+            &zoo,
+            &records,
+            cfg.fronts,
+            cfg.top_models,
+            asic_slots,
+            rt,
+            recorder,
+        );
         let union: BTreeSet<usize> = selection.candidates.values().flatten().copied().collect();
         let (_, candidates_s) = oracle.synthesize(&union.into_iter().collect::<Vec<_>>());
         span.add_items(oracle.log().len() as u64);
