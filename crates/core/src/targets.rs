@@ -255,7 +255,6 @@ pub fn transfer_experiment(
     // Candidate selection happens entirely in estimate space — the
     // transferred flow has not synthesized anything on the eval fabric
     // yet.
-    let recorder = afp_obs::Recorder::disabled();
     let selection = select(
         &zoo,
         &train_records,
@@ -263,7 +262,7 @@ pub fn transfer_experiment(
         base.top_models,
         0,
         &rt,
-        &recorder,
+        &afp_obs::Recorder::disabled(),
     );
     let mut fid = BTreeMap::new();
     let mut cov = BTreeMap::new();
