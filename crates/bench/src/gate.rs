@@ -446,13 +446,13 @@ serve_load serve_warm_keepalive_1000 wall_us >= 1.50x serve_warm_1000
 serve_load serve_estimate_1000 wall_us <= 46357.50
 serve_load serve_estimate_1000 errors <= 0.00
 serve_load serve_estimate_1000 wall_us >= 1.50x serve_warm_1000
-sim_scaling add8_rca analyze_us <= 681.00
-sim_scaling add8_loa4 analyze_us <= 668.75
-sim_scaling mul8_wallace analyze_us <= 967.00
-sim_scaling mul8_bam analyze_us <= 855.50
-sim_scaling add16_loa8 analyze_us <= 1810.50
-sim_scaling mul16_bam analyze_us <= 2269.00
-sim_scaling activity_mul8_wallace activity_us <= 47.25
+sim_scaling add8_rca analyze_us <= 266.25
+sim_scaling add8_loa4 analyze_us <= 713.00
+sim_scaling mul8_wallace analyze_us <= 526.50
+sim_scaling mul8_bam analyze_us <= 1007.00
+sim_scaling add16_loa8 analyze_us <= 2006.25
+sim_scaling mul16_bam analyze_us <= 2778.50
+sim_scaling activity_mul8_wallace activity_us <= 44.50
 sim_scaling batch_mul8 per_circuit_us >= 1.50x loop_mul8
 store_scaling warm_start_mul8 store_us <= 523.00
 store_scaling stream_mul8 store_us <= 4490.25

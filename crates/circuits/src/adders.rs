@@ -33,9 +33,9 @@ fn declare_operands(n: &mut Netlist, width: usize) -> (Vec<NetId>, Vec<NetId>) {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `width > 32`.
+/// Panics if `width` is outside the adder width domain.
 pub fn ripple_carry(width: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     let mut n = Netlist::new(format!("add{width}u_rca"));
     let (a, b) = declare_operands(&mut n, width);
     let mut outs = Vec::with_capacity(width + 1);
@@ -89,9 +89,9 @@ fn reduce(
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `width > 32`.
+/// Panics if `width` is outside the adder width domain.
 pub fn carry_lookahead(width: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     let mut n = Netlist::new(format!("add{width}u_cla"));
     let (a, b) = declare_operands(&mut n, width);
     let p: Vec<NetId> = (0..width).map(|i| n.xor(a[i], b[i])).collect();
@@ -129,9 +129,9 @@ pub fn carry_lookahead(width: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `width > 32`.
+/// Panics if `width` is outside the adder width domain.
 pub fn carry_select(width: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     let block = 4usize;
     let mut n = Netlist::new(format!("add{width}u_csel"));
     let (a, b) = declare_operands(&mut n, width);
@@ -178,9 +178,9 @@ pub fn carry_select(width: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `width > 32`.
+/// Panics if `width` is outside the adder width domain.
 pub fn carry_skip(width: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     let block = 4usize;
     let mut n = Netlist::new(format!("add{width}u_cskip"));
     let (a, b) = declare_operands(&mut n, width);
@@ -218,9 +218,9 @@ pub fn carry_skip(width: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 32` or `k > width`.
+/// Panics if `width` is outside the adder width domain, or `k > width`.
 pub fn loa(width: usize, k: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     assert!(k <= width, "approximate part must fit the operand");
     if k == 0 {
         let mut c = ripple_carry(width);
@@ -249,9 +249,9 @@ pub fn loa(width: usize, k: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 32` or `k > width`.
+/// Panics if `width` is outside the adder width domain, or `k > width`.
 pub fn truncated(width: usize, k: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     assert!(k <= width, "truncation must fit the operand");
     let mut n = Netlist::new(format!("add{width}u_trunc{k}"));
     let (a, b) = declare_operands(&mut n, width);
@@ -273,9 +273,9 @@ pub fn truncated(width: usize, k: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 32` or `k > width`.
+/// Panics if `width` is outside the adder width domain, or `k > width`.
 pub fn no_carry(width: usize, k: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     assert!(k <= width, "approximate part must fit the operand");
     let mut n = Netlist::new(format!("add{width}u_nca{k}"));
     let (a, b) = declare_operands(&mut n, width);
@@ -335,9 +335,9 @@ impl ApproxFa {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 32` or `k > width`.
+/// Panics if `width` is outside the adder width domain, or `k > width`.
 pub fn afa_substituted(width: usize, k: usize, variant: ApproxFa) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     assert!(k <= width, "approximate part must fit the operand");
     let mut n = Netlist::new(format!("add{width}u_afa_{}{k}", variant.mnemonic()));
     let (a, b) = declare_operands(&mut n, width);
@@ -365,9 +365,9 @@ pub fn afa_substituted(width: usize, k: usize, variant: ApproxFa) -> ArithCircui
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 32`, `r == 0` or `r + p > width`.
+/// Panics if `width` is outside the adder width domain, `r == 0` or `r + p > width`.
 pub fn gear(width: usize, r: usize, p: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     assert!(r >= 1 && r + p <= width, "invalid GeAr segmentation");
     let mut n = Netlist::new(format!("add{width}u_gear_r{r}p{p}"));
     let (a, b) = declare_operands(&mut n, width);

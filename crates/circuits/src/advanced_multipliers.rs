@@ -18,9 +18,9 @@ use crate::arith::{ArithCircuit, ArithKind};
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `width > 16`.
+/// Panics if `width` is outside the multiplier width domain.
 pub fn dadda_multiplier(width: usize) -> ArithCircuit {
-    assert!((1..=16).contains(&width), "width must be 1..=16");
+    ArithKind::Multiplier.assert_width(width);
     let mut n = Netlist::new(format!("mul{width}u_dadda"));
     let a = n.add_inputs(width);
     let b = n.add_inputs(width);
@@ -251,9 +251,9 @@ fn reduce_to_product(n: &mut Netlist, mut cols: Vec<Vec<NetId>>, out_width: usiz
 ///
 /// # Panics
 ///
-/// Panics if `width > 16`, `k < 2` or `k > width`.
+/// Panics if `width` is outside the multiplier width domain, `k < 2` or `k > width`.
 pub fn drum(width: usize, k: usize) -> ArithCircuit {
-    assert!((1..=16).contains(&width), "width must be 1..=16");
+    ArithKind::Multiplier.assert_width(width);
     assert!((2..=width).contains(&k), "segment must be 2..=width");
     let mut n = Netlist::new(format!("mul{width}u_drum{k}"));
     let a = n.add_inputs(width);

@@ -12,9 +12,9 @@ use afp_netlist::{Netlist, NetlistBatch, SimTape, LANES, LANE_WORDS, SIM_BATCH_N
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ArithKind {
     /// Unsigned addition: `w`-bit + `w`-bit → `w+1`-bit.
-    Adder,
+    Adder = 0,
     /// Unsigned multiplication: `w`-bit × `w`-bit → `2w`-bit.
-    Multiplier,
+    Multiplier = 1,
 }
 
 impl ArithKind {
@@ -24,6 +24,42 @@ impl ArithKind {
             ArithKind::Adder => "add",
             ArithKind::Multiplier => "mul",
         }
+    }
+
+    /// Widest supported operand: generators, spec refs, the CLI, the
+    /// daemon and the circuit store accept widths `1..=max_width()` only.
+    pub fn max_width(&self) -> usize {
+        match self {
+            ArithKind::Adder => 32,
+            ArithKind::Multiplier => 16,
+        }
+    }
+
+    /// [`InterfaceError::Width`] unless `width` is in `1..=self.max_width()`.
+    pub fn check_width(&self, width: usize) -> Result<(), InterfaceError> {
+        if (1..=self.max_width()).contains(&width) {
+            Ok(())
+        } else {
+            Err(InterfaceError::Width(*self, width))
+        }
+    }
+
+    /// [`ArithKind::check_width`] for generators, which panic instead.
+    pub(crate) fn assert_width(&self, width: usize) {
+        self.check_width(width).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// The byte that stands for this kind on disk (`.afps` circuit
+    /// records, `.afpm` zoo coverage).
+    pub fn code(&self) -> u8 {
+        *self as u8
+    }
+
+    /// The kind `code` stands for, or `None` for an unknown byte.
+    pub fn from_code(code: u8) -> Option<ArithKind> {
+        [ArithKind::Adder, ArithKind::Multiplier]
+            .into_iter()
+            .find(|kind| kind.code() == code)
     }
 
     /// Output bus width for operand width `w`.
@@ -67,6 +103,42 @@ impl std::fmt::Display for ArithKind {
     }
 }
 
+/// Why a `(kind, width, netlist)` triple is not a valid [`ArithCircuit`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InterfaceError {
+    /// `(kind, width)`: the width is outside `1..=kind.max_width()`.
+    Width(ArithKind, usize),
+    /// `(width, found)`: the netlist has `found` primary inputs, not `2 * width`.
+    Inputs(usize, usize),
+    /// `(kind, width, found)`: the netlist has `found` primary outputs, not
+    /// `kind.out_width(width)`.
+    Outputs(ArithKind, usize, usize),
+}
+
+impl std::fmt::Display for InterfaceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            InterfaceError::Width(kind, width) => write!(
+                f,
+                "width {width} out of range for {kind}: must be 1..={}",
+                kind.max_width()
+            ),
+            InterfaceError::Inputs(width, found) => write!(
+                f,
+                "netlist has {found} primary inputs, expected {} for width {width}",
+                2 * width
+            ),
+            InterfaceError::Outputs(kind, width, found) => write!(
+                f,
+                "netlist has {found} primary outputs, expected {} for a width-{width} {kind}",
+                kind.out_width(width)
+            ),
+        }
+    }
+}
+
+impl std::error::Error for InterfaceError {}
+
 /// A two-operand arithmetic circuit: a gate-level netlist with a declared
 /// word-level interface (`a[w]`, `b[w]` → `out[kind.out_width(w)]`, all
 /// LSB-first).
@@ -93,26 +165,37 @@ impl ArithCircuit {
     ///
     /// # Panics
     ///
-    /// Panics if the netlist interface does not match `kind`/`width`
-    /// (`2w` inputs, `kind.out_width(w)` outputs).
+    /// Panics where [`ArithCircuit::try_new`] errors; use that for
+    /// netlists that come from outside the program.
     pub fn new(kind: ArithKind, width: usize, netlist: Netlist) -> ArithCircuit {
-        assert_eq!(
-            netlist.num_inputs(),
-            2 * width,
-            "expected {} primary inputs",
-            2 * width
-        );
-        assert_eq!(
-            netlist.num_outputs(),
-            kind.out_width(width),
-            "expected {} primary outputs",
-            kind.out_width(width)
-        );
-        ArithCircuit {
+        Self::try_new(kind, width, netlist).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Wrap a netlist as an arithmetic circuit, checking the word-level
+    /// interface: a width in `1..=kind.max_width()`, `2 * width` inputs
+    /// and `kind.out_width(width)` outputs.
+    ///
+    /// # Errors
+    ///
+    /// The first check that fails, as an [`InterfaceError`].
+    pub fn try_new(
+        kind: ArithKind,
+        width: usize,
+        netlist: Netlist,
+    ) -> Result<ArithCircuit, InterfaceError> {
+        kind.check_width(width)?;
+        let (inputs, outputs) = (netlist.num_inputs(), netlist.num_outputs());
+        if inputs != 2 * width {
+            return Err(InterfaceError::Inputs(width, inputs));
+        }
+        if outputs != kind.out_width(width) {
+            return Err(InterfaceError::Outputs(kind, width, outputs));
+        }
+        Ok(ArithCircuit {
             kind,
             width,
             netlist,
-        }
+        })
     }
 
     /// The intended arithmetic function.

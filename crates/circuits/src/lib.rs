@@ -49,7 +49,9 @@ pub mod source;
 pub mod spec;
 pub mod store;
 
-pub use arith::{plan_batches, simulation_batch, ArithCircuit, ArithKind, BatchEvaluator};
+pub use arith::{
+    plan_batches, simulation_batch, ArithCircuit, ArithKind, BatchEvaluator, InterfaceError,
+};
 pub use library::{build_library, build_library_with, LibrarySpec};
 pub use source::{ensure_library, paper_full_specs, LibraryShards, LibrarySource};
 pub use spec::from_spec_ref;

@@ -110,9 +110,9 @@ fn reduce_columns(n: &mut Netlist, mut cols: Vec<Vec<NetId>>) -> Vec<NetId> {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `width > 16`.
+/// Panics if `width` is outside the multiplier width domain.
 pub fn array_multiplier(width: usize) -> ArithCircuit {
-    assert!((1..=16).contains(&width), "width must be 1..=16");
+    ArithKind::Multiplier.assert_width(width);
     let mut n = Netlist::new(format!("mul{width}u_arr"));
     let (a, b) = declare_operands(&mut n, width);
     // Row-by-row accumulation.
@@ -158,9 +158,9 @@ pub fn array_multiplier(width: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `width > 16`.
+/// Panics if `width` is outside the multiplier width domain.
 pub fn wallace_multiplier(width: usize) -> ArithCircuit {
-    assert!((1..=16).contains(&width), "width must be 1..=16");
+    ArithKind::Multiplier.assert_width(width);
     let mut n = Netlist::new(format!("mul{width}u_wal"));
     let (a, b) = declare_operands(&mut n, width);
     let cols = partial_products(&mut n, &a, &b, |_, _| true);
@@ -174,9 +174,9 @@ pub fn wallace_multiplier(width: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 16` or `k >= 2*width`.
+/// Panics if `width` is outside the multiplier width domain or `k >= 2*width`.
 pub fn truncated(width: usize, k: usize) -> ArithCircuit {
-    assert!((1..=16).contains(&width), "width must be 1..=16");
+    ArithKind::Multiplier.assert_width(width);
     assert!(k < 2 * width, "cannot drop every product column");
     let mut n = Netlist::new(format!("mul{width}u_trunc{k}"));
     let (a, b) = declare_operands(&mut n, width);
@@ -194,9 +194,9 @@ pub fn truncated(width: usize, k: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 16`, or the breaks exceed the array.
+/// Panics if `width` is outside the multiplier width domain, or the breaks exceed the array.
 pub fn broken_array(width: usize, vbl: usize, hbl: usize) -> ArithCircuit {
-    assert!((1..=16).contains(&width), "width must be 1..=16");
+    ArithKind::Multiplier.assert_width(width);
     assert!(vbl < 2 * width && hbl <= width, "break lines out of range");
     let mut n = Netlist::new(format!("mul{width}u_bam_v{vbl}h{hbl}"));
     let (a, b) = declare_operands(&mut n, width);
@@ -265,9 +265,9 @@ pub fn underdesigned(width: usize, approx_mask: u64) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 16` or `k >= 2*width`.
+/// Panics if `width` is outside the multiplier width domain or `k >= 2*width`.
 pub fn approx_compressor(width: usize, k: usize) -> ArithCircuit {
-    assert!((1..=16).contains(&width), "width must be 1..=16");
+    ArithKind::Multiplier.assert_width(width);
     assert!(k < 2 * width, "approximate columns out of range");
     let mut n = Netlist::new(format!("mul{width}u_acmp{k}"));
     let (a, b) = declare_operands(&mut n, width);

@@ -47,9 +47,9 @@ fn sum_from_prefix(
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `width > 32`.
+/// Panics if `width` is outside the adder width domain.
 pub fn kogge_stone(width: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     let mut n = Netlist::new(format!("add{width}u_ks"));
     let a = n.add_inputs(width);
     let b = n.add_inputs(width);
@@ -76,9 +76,9 @@ pub fn kogge_stone(width: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `width > 32`.
+/// Panics if `width` is outside the adder width domain.
 pub fn brent_kung(width: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     let mut n = Netlist::new(format!("add{width}u_bk"));
     let a = n.add_inputs(width);
     let b = n.add_inputs(width);
@@ -121,9 +121,9 @@ pub fn brent_kung(width: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 32` or `block == 0`.
+/// Panics if `width` is outside the adder width domain, or `block == 0`.
 pub fn etaii(width: usize, block: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     assert!(block >= 1, "block must be positive");
     let mut n = Netlist::new(format!("add{width}u_etaii{block}"));
     let a = n.add_inputs(width);
@@ -167,9 +167,9 @@ pub fn etaii(width: usize, block: usize) -> ArithCircuit {
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `width > 32` or `k` is 0 or `> width`.
+/// Panics if `width` is outside the adder width domain, or `k` is 0 or `> width`.
 pub fn truncated_compensated(width: usize, k: usize) -> ArithCircuit {
-    assert!((1..=32).contains(&width), "width must be 1..=32");
+    ArithKind::Adder.assert_width(width);
     assert!((1..=width).contains(&k), "k must be 1..=width");
     let mut n = Netlist::new(format!("add{width}u_trunc{k}c"));
     let a = n.add_inputs(width);

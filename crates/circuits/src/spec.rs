@@ -51,16 +51,7 @@ fn parse_head(head: &str) -> Result<(ArithKind, usize), String> {
             let width: usize = digits
                 .parse()
                 .map_err(|_| format!("bad width in spec head `{head}`"))?;
-            let max = match kind {
-                ArithKind::Adder => 32,
-                ArithKind::Multiplier => 16,
-            };
-            if width < 1 || width > max {
-                return Err(format!(
-                    "width {width} out of range for {}: must be 1..={max}",
-                    kind.mnemonic()
-                ));
-            }
+            kind.check_width(width).map_err(|e| e.to_string())?;
             return Ok((kind, width));
         }
     }
@@ -115,7 +106,7 @@ fn adder(spec: &str, width: usize, family: &str, params: &[&str]) -> Result<Arit
         "gear" => {
             let p2 = usize_params(spec, params, 2)?;
             let (r, p) = (p2[0], p2[1]);
-            if r < 1 || r + p > width {
+            if r < 1 || r > width || p > width - r {
                 return Err(format!(
                     "spec `{spec}`: GeAr needs r >= 1 and r + p <= width ({width})"
                 ));

@@ -53,9 +53,6 @@ use crate::library::{build_library_with, LibrarySpec};
 /// Record version of the circuit payload encoding.
 const CIRCUIT_VERSION: u32 = 1;
 
-const KIND_ADDER: u8 = 0;
-const KIND_MULTIPLIER: u8 = 1;
-
 /// What [`write_library`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WriteSummary {
@@ -80,32 +77,24 @@ fn circuit_key(circuit: &ArithCircuit) -> Key128 {
 }
 
 fn encode_circuit(circuit: &ArithCircuit, out: &mut Vec<u8>) {
-    out.push(match circuit.kind() {
-        ArithKind::Adder => KIND_ADDER,
-        ArithKind::Multiplier => KIND_MULTIPLIER,
-    });
+    out.push(circuit.kind().code());
     put_uvarint(out, circuit.width() as u64);
     encode_netlist(circuit.netlist(), out);
 }
 
-fn decode_circuit(payload: &[u8]) -> Option<ArithCircuit> {
+fn decode_circuit(payload: &[u8]) -> Result<ArithCircuit, String> {
     let mut r = ByteReader::new(payload);
-    let kind = match r.u8()? {
-        KIND_ADDER => ArithKind::Adder,
-        KIND_MULTIPLIER => ArithKind::Multiplier,
-        _ => return None,
+    let kind = r.u8().and_then(ArithKind::from_code);
+    let width = r.uvarint().and_then(|w| usize::try_from(w).ok());
+    let netlist = decode_netlist(&mut r);
+    let (Some(kind), Some(width), Some(netlist), true) = (kind, width, netlist, r.is_empty())
+    else {
+        return Err("store frame does not decode as a circuit".to_string());
     };
-    let width = usize::try_from(r.uvarint()?).ok()?;
-    let netlist = decode_netlist(&mut r)?;
-    if !r.is_empty() {
-        return None;
-    }
-    // Check the interface instead of letting `ArithCircuit::new` panic on
-    // a corrupted or hand-edited record.
-    if netlist.num_inputs() != 2 * width || netlist.num_outputs() != kind.out_width(width) {
-        return None;
-    }
-    Some(ArithCircuit::new(kind, width, netlist))
+    // A corrupted or hand-edited record is an error, never a circuit the
+    // rest of the toolchain would panic on.
+    ArithCircuit::try_new(kind, width, netlist)
+        .map_err(|e| format!("store record is not a valid circuit: {e}"))
 }
 
 fn append_circuits(
@@ -196,12 +185,10 @@ impl Iterator for LibraryStream {
 
     fn next(&mut self) -> Option<io::Result<ArithCircuit>> {
         match self.inner.next() {
-            Some(record) => Some(decode_circuit(&record.payload).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "store frame does not decode as a circuit",
-                )
-            })),
+            Some(record) => Some(
+                decode_circuit(&record.payload)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
+            ),
             None if self.inner.truncated() && !self.torn_reported => {
                 self.torn_reported = true;
                 Some(Err(io::Error::new(

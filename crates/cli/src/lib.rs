@@ -15,7 +15,8 @@
 //! * `cache`    — inspect a characterization cache directory
 //!
 //! The parsing layer is deliberately dependency-free: flags are
-//! `--name value` pairs.
+//! `--name value` pairs, and each subcommand takes only the flags listed
+//! for it — any other flag is an error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,6 +85,97 @@ impl Cli {
             other => Err(format!("--kind must be add|mul, got `{other}`")),
         }
     }
+
+    /// `--width` (default 8), inside `kind`'s operand-width domain.
+    fn width_flag(&self, kind: ArithKind) -> Result<usize, String> {
+        let width = self.usize_flag("width", 8)?;
+        kind.check_width(width)
+            .map_err(|e| format!("--width: {e}"))?;
+        Ok(width)
+    }
+
+    /// A fraction flag in `(0, 1]`, or `default` when absent.
+    fn fraction_flag(&self, name: &str, default: f64) -> Result<f64, String> {
+        let Some(v) = self.flags.get(name) else {
+            return Ok(default);
+        };
+        match v.parse::<f64>() {
+            Ok(f) if f > 0.0 && f <= 1.0 => Ok(f),
+            _ => Err(format!("--{name} expects a fraction in (0, 1], got `{v}`")),
+        }
+    }
+}
+
+/// The flags each subcommand takes, space-separated. [`run`] rejects any
+/// other flag, so a mistyped or misplaced flag is an error instead of a
+/// silent default.
+const FLAGS: [(&str, &str); 10] = [
+    ("library", "kind width size out"),
+    ("synth", "target"),
+    ("error", "kind width"),
+    ("map", "out"),
+    (
+        "flow",
+        "kind width size fronts subset threads no-cache cache-dir target all-targets library \
+         paper-full paper-scale shard report report-out report-normalized",
+    ),
+    (
+        "serve",
+        "addr socket threads queue-depth target-default cache-dir models estimate-only \
+         keepalive-requests idle-timeout-ms",
+    ),
+    (
+        "zoo",
+        "save kind width size target models subset tolerance threads",
+    ),
+    ("cache", ""),
+    ("targets", ""),
+    ("help", ""),
+];
+
+/// Reject the first flag (in name order) that `cli.command` does not
+/// take, naming the subcommands that do take it.
+fn check_flags(cli: &Cli) -> Result<(), String> {
+    let takes = |flags: &str, flag: &str| flags.split(' ').any(|f| f == flag);
+    let Some(&(_, own)) = FLAGS.iter().find(|(command, _)| *command == cli.command) else {
+        // An unknown command is the dispatcher's error to report.
+        return Ok(());
+    };
+    let unknown = cli.flags.keys().filter(|flag| !takes(own, flag)).min();
+    let Some(flag) = unknown else {
+        return Ok(());
+    };
+    if let Some(hint) = flag_hint(&cli.command, flag) {
+        return Err(hint);
+    }
+    let takers: Vec<_> = FLAGS
+        .iter()
+        .filter(|(_, flags)| takes(flags, flag))
+        .map(|(command, _)| format!("`afp {command}`"))
+        .collect();
+    let (command, takers) = (&cli.command, takers.join(", "));
+    Err(if takers.is_empty() {
+        format!("unknown flag --{flag} for `afp {command}` (see `afp help`)")
+    } else {
+        format!("--{flag} is not an `afp {command}` flag; it is taken by {takers}")
+    })
+}
+
+/// Tailored messages for flags that were removed or are easily confused.
+fn flag_hint(command: &str, flag: &str) -> Option<String> {
+    match (command, flag) {
+        (_, "cache-format") => Some(format!(
+            "--cache-format was removed: the binary store ({}) is the only cache format; \
+             a leftover characterization.csv is ignored and the cache rebuilds",
+            approxfpgas::cache::STORE_FILE
+        )),
+        ("serve", "target") => Some(
+            "`afp serve` takes the target per request (?target=NAME); use --target-default \
+             for the fallback profile"
+                .to_string(),
+        ),
+        _ => None,
+    }
 }
 
 /// Top-level dispatch. Returns the text to print, or an error message.
@@ -94,6 +186,7 @@ impl Cli {
 /// failures and parse errors.
 pub fn run(args: &[String]) -> Result<String, String> {
     let cli = Cli::parse(args);
+    check_flags(&cli)?;
     match cli.command.as_str() {
         "library" => cmd_library(&cli),
         "synth" => cmd_synth(&cli),
@@ -111,7 +204,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
 /// The help text.
 pub fn usage() -> String {
-    "afp — ApproxFPGAs reproduction CLI
+    let text = "afp — ApproxFPGAs reproduction CLI
 
 USAGE:
   afp library --kind add|mul --width W --size N [--out DIR]
@@ -201,12 +294,20 @@ USAGE:
   afp help
       This text.
 "
-    .to_string()
+    .to_string();
+    let [add, mul] = [ArithKind::Adder, ArithKind::Multiplier].map(|kind| kind.max_width());
+    text + &format!(
+        "
+Each command takes only the flags listed for it; any other flag is an
+error. Operand widths (--width W) are 1..={add} for adders and 1..={mul} for
+multipliers.
+"
+    )
 }
 
 fn cmd_library(cli: &Cli) -> Result<String, String> {
     let kind = cli.kind_flag()?;
-    let width = cli.usize_flag("width", 8)?;
+    let width = cli.width_flag(kind)?;
     let size = cli.usize_flag("size", 100)?;
     let spec = LibrarySpec::new(kind, width, size);
     let lib = build_library(&spec);
@@ -312,22 +413,8 @@ fn cmd_synth(cli: &Cli) -> Result<String, String> {
 fn cmd_error(cli: &Cli) -> Result<String, String> {
     let netlist = load_netlist(cli)?;
     let kind = cli.kind_flag()?;
-    let width = cli.usize_flag("width", 8)?;
-    if netlist.num_inputs() != 2 * width {
-        return Err(format!(
-            "circuit has {} inputs, expected {} for width {width}",
-            netlist.num_inputs(),
-            2 * width
-        ));
-    }
-    if netlist.num_outputs() != kind.out_width(width) {
-        return Err(format!(
-            "circuit has {} outputs, expected {}",
-            netlist.num_outputs(),
-            kind.out_width(width)
-        ));
-    }
-    let circuit = ArithCircuit::new(kind, width, netlist);
+    let width = cli.width_flag(kind)?;
+    let circuit = ArithCircuit::try_new(kind, width, netlist).map_err(|e| e.to_string())?;
     let m = afp_error::analyze(&circuit, &afp_error::ErrorConfig::default());
     let mut out = String::new();
     let _ = writeln!(
@@ -387,8 +474,7 @@ fn cmd_map(cli: &Cli) -> Result<String, String> {
 fn cmd_targets(cli: &Cli) -> Result<String, String> {
     let mut out = String::new();
     if let Some(name) = cli.positional.first() {
-        let p = afp_fpga::target::named(name)
-            .ok_or_else(|| approxfpgas::UnknownTargetError { name: name.clone() }.to_string())?;
+        let p = afp_fpga::target::resolve(name).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "{}: {}", p.name, p.description);
         let _ = writeln!(out, "  LUT inputs (K):    {}", p.arch.lut_inputs);
         let _ = writeln!(out, "  LUTs per slice:    {}", p.arch.luts_per_slice);
@@ -464,15 +550,7 @@ fn stored_source(cli: &Cli, threads: usize) -> Result<(Option<LibrarySource>, St
         }
         return Ok((library_path.map(LibrarySource::Stored), String::new()));
     }
-    let scale: f64 = cli
-        .flag_or("paper-scale", "1")
-        .parse()
-        .map_err(|_| "--paper-scale expects a fraction in (0, 1]".to_string())?;
-    if !(scale.is_finite() && scale > 0.0 && scale <= 1.0) {
-        return Err(format!(
-            "--paper-scale expects a fraction in (0, 1], got `{scale}`"
-        ));
-    }
+    let scale = cli.fraction_flag("paper-scale", 1.0)?;
     let path = library_path.unwrap_or_else(|| std::path::PathBuf::from(PAPER_FULL_CORPUS));
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
@@ -504,7 +582,7 @@ fn stored_source(cli: &Cli, threads: usize) -> Result<(Option<LibrarySource>, St
 
 fn cmd_flow(cli: &Cli) -> Result<String, String> {
     let kind = cli.kind_flag()?;
-    let width = cli.usize_flag("width", 8)?;
+    let width = cli.width_flag(kind)?;
     let size = cli.usize_flag("size", 300)?;
     let fronts = cli.usize_flag("fronts", 3)?;
     let threads = cli.usize_flag("threads", 0)?;
@@ -515,23 +593,6 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
              the flag for the {}-circuit default",
             approxfpgas::DEFAULT_SHARD_CIRCUITS
         ));
-    }
-    reject_cache_format(cli)?;
-    for serve_only in [
-        "addr",
-        "socket",
-        "queue-depth",
-        "target-default",
-        "models",
-        "estimate-only",
-        "keepalive-requests",
-        "idle-timeout-ms",
-    ] {
-        if cli.flags.contains_key(serve_only) {
-            return Err(format!(
-                "--{serve_only} is an `afp serve` flag; `afp flow` does not accept it"
-            ));
-        }
     }
     let (source, corpus_notes) = stored_source(cli, threads)?;
     if source.is_some() {
@@ -544,10 +605,7 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
             }
         }
     }
-    let subset: f64 = cli
-        .flag_or("subset", "0.1")
-        .parse()
-        .map_err(|_| "--subset expects a fraction".to_string())?;
+    let subset = cli.fraction_flag("subset", 0.1)?;
     let use_cache = cli.flag_or("no-cache", "false") != "true";
     let cache_dir = cli.flags.get("cache-dir").map(std::path::PathBuf::from);
     let report_normalized = cli.flag_or("report-normalized", "false") == "true";
@@ -571,8 +629,7 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
                 .to_string(),
         );
     }
-    let profile = afp_fpga::target::named(&target_name)
-        .ok_or_else(|| approxfpgas::UnknownTargetError { name: target_name }.to_string())?;
+    let profile = afp_fpga::target::resolve(&target_name).map_err(|e| e.to_string())?;
     let mut config = approxfpgas::FlowConfig {
         library: LibrarySpec::new(kind, width, size),
         fronts,
@@ -728,52 +785,7 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     Ok(out)
 }
 
-/// `--cache-format` selected the removed CSV cache tier. `Cli::parse`
-/// accepts any flag, so without this check the flag would be silently
-/// ignored and the run would use the store anyway.
-fn reject_cache_format(cli: &Cli) -> Result<(), String> {
-    if cli.flags.contains_key("cache-format") {
-        return Err(format!(
-            "--cache-format was removed: the binary store ({}) is the only cache format; \
-             a leftover characterization.csv is ignored and the cache rebuilds",
-            approxfpgas::cache::STORE_FILE
-        ));
-    }
-    Ok(())
-}
-
 fn cmd_serve(cli: &Cli) -> Result<String, String> {
-    // Flow-shaped flags on `serve` are a sign the user mixed up the two
-    // subcommands; reject them loudly instead of silently ignoring them.
-    for flow_only in [
-        "library",
-        "paper-full",
-        "paper-scale",
-        "shard",
-        "kind",
-        "width",
-        "size",
-        "fronts",
-        "subset",
-        "all-targets",
-        "no-cache",
-        "report",
-        "report-out",
-        "report-normalized",
-    ] {
-        if cli.flags.contains_key(flow_only) {
-            return Err(format!(
-                "--{flow_only} is an `afp flow` flag; `afp serve` does not accept it"
-            ));
-        }
-    }
-    if cli.flags.contains_key("target") {
-        return Err(
-            "`afp serve` takes the target per request (?target=NAME); use --target-default \
-             for the fallback profile"
-                .to_string(),
-        );
-    }
     if cli.flags.contains_key("addr") && cli.flags.contains_key("socket") {
         return Err("--addr and --socket are mutually exclusive; pick one listener".to_string());
     }
@@ -785,13 +797,6 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
     let default_target = cli
         .flag_or("target-default", afp_fpga::DEFAULT_TARGET)
         .to_string();
-    if afp_fpga::target::named(&default_target).is_none() {
-        return Err(approxfpgas::UnknownTargetError {
-            name: default_target,
-        }
-        .to_string());
-    }
-    reject_cache_format(cli)?;
     let cache_dir = cli.flags.get("cache-dir").map(std::path::PathBuf::from);
     let models: Vec<std::path::PathBuf> = cli
         .flags
@@ -919,24 +924,16 @@ fn cmd_zoo_train(cli: &Cli) -> Result<String, String> {
             .to_string());
     };
     let kind = cli.kind_flag()?;
-    let width = cli.usize_flag("width", 8)?;
+    let width = cli.width_flag(kind)?;
     let size = cli.usize_flag("size", 300)?;
     let threads = cli.usize_flag("threads", 0)?;
-    let subset: f64 = cli
-        .flag_or("subset", "0.5")
-        .parse()
-        .map_err(|_| "--subset expects a fraction".to_string())?;
+    let subset = cli.fraction_flag("subset", 0.5)?;
     let tolerance: f64 = cli
         .flag_or("tolerance", "0.01")
         .parse()
         .map_err(|_| "--tolerance expects a number".to_string())?;
     let target_name = cli.flag_or("target", afp_fpga::DEFAULT_TARGET).to_string();
-    let profile = afp_fpga::target::named(&target_name).ok_or_else(|| {
-        approxfpgas::UnknownTargetError {
-            name: target_name.clone(),
-        }
-        .to_string()
-    })?;
+    let profile = afp_fpga::target::resolve(&target_name).map_err(|e| e.to_string())?;
     let models = match cli.flags.get("models") {
         Some(raw) => parse_model_list(raw)?,
         None => afp_ml::MlModelId::ALL.to_vec(),
@@ -1744,6 +1741,117 @@ mod tests {
         let e = run(&args(&["flow", "--paper-scale", "0.5"])).unwrap_err();
         assert!(e.contains("only applies"), "{e}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_naming_the_flag() {
+        let cases: [&[&str]; 3] = [
+            &[
+                "flow", "--kind", "add", "--width", "8", "--size", "20", "--fornts", "1",
+            ],
+            &[
+                "zoo",
+                "train",
+                "--save",
+                "/tmp/afp-never.afpm",
+                "--size",
+                "20",
+                "--model",
+                "ML1",
+            ],
+            &["synth", "F.v", "--traget", "fpga"],
+        ];
+        for argv in cases {
+            let e = run(&args(argv)).unwrap_err();
+            let flag = argv[argv.len() - 2];
+            assert!(e.contains(flag), "{argv:?}: {e}");
+            assert!(e.contains("unknown flag"), "{argv:?}: {e}");
+        }
+        // A flag of another subcommand names the subcommands that take it.
+        let e = run(&args(&["library", "--fronts", "2"])).unwrap_err();
+        assert!(e.contains("--fronts") && e.contains("`afp flow`"), "{e}");
+        let e = run(&args(&["serve", "--subset", "0.5"])).unwrap_err();
+        assert!(e.contains("`afp flow`, `afp zoo`"), "{e}");
+        assert!(!std::path::Path::new("/tmp/afp-never.afpm").exists());
+    }
+
+    #[test]
+    fn out_of_domain_widths_are_errors_not_panics() {
+        // A netlist with the interface of a 33-bit adder: 66 inputs, 34
+        // outputs, so only the width domain can reject it.
+        let dir = std::env::temp_dir().join(format!("afp_cli_width_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut n = Netlist::new("add33");
+        let ins = n.add_inputs(66);
+        let zero = n.constant(false);
+        n.set_outputs(ins[..33].iter().copied().chain([zero]).collect());
+        let path = dir.join("add33.bristol");
+        std::fs::write(&path, afp_netlist::bristol::to_bristol(&n)).unwrap();
+        let p = path.to_string_lossy().to_string();
+        let cases: [&[&str]; 6] = [
+            &["library", "--kind", "add", "--width", "40"],
+            &["library", "--kind", "mul", "--width", "0"],
+            &["flow", "--kind", "mul", "--width", "24"],
+            &[
+                "zoo",
+                "train",
+                "--save",
+                "/tmp/afp-never.afpm",
+                "--kind",
+                "mul",
+                "--width",
+                "17",
+            ],
+            &["error", &p, "--kind", "add", "--width", "33"],
+            &["error", &p, "--kind", "mul", "--width", "33"],
+        ];
+        for argv in cases {
+            let outcome = std::panic::catch_unwind(|| run(&args(argv)));
+            let e = outcome
+                .unwrap_or_else(|_| panic!("{argv:?} panicked"))
+                .unwrap_err();
+            assert!(
+                e.contains("--width") && e.contains("out of range"),
+                "{argv:?}: {e}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn subset_and_paper_scale_must_be_fractions() {
+        for bad in ["-1", "nan", "2", "0", "inf", "x"] {
+            let argvs: [&[&str]; 3] = [
+                &[
+                    "flow", "--kind", "add", "--width", "8", "--size", "20", "--subset", bad,
+                ],
+                &[
+                    "zoo",
+                    "train",
+                    "--save",
+                    "/tmp/afp-never.afpm",
+                    "--size",
+                    "20",
+                    "--subset",
+                    bad,
+                ],
+                &["flow", "--paper-full", "--paper-scale", bad],
+            ];
+            for argv in argvs {
+                let outcome = std::panic::catch_unwind(|| run(&args(argv)));
+                let e = outcome
+                    .unwrap_or_else(|_| panic!("{argv:?} panicked"))
+                    .unwrap_err();
+                assert!(e.contains("expects a fraction in (0, 1]"), "{argv:?}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn help_states_the_flag_rule_and_the_width_domain() {
+        let text = run(&args(&["help"])).unwrap();
+        assert!(text.contains("any other flag is an\nerror"), "{text}");
+        assert!(text.contains("1..=32 for adders and 1..=16"), "{text}");
     }
 
     #[test]

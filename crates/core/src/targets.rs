@@ -24,7 +24,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use afp_circuits::{build_library_with, LibrarySource};
-use afp_fpga::target::{named, registry, TargetProfile};
+pub use afp_fpga::target::UnknownTargetError;
+use afp_fpga::target::{registry, resolve, TargetProfile};
 use afp_ml::metrics::fidelity;
 use afp_runtime::Runtime;
 
@@ -33,27 +34,6 @@ use crate::fidelity::train_zoo_with;
 use crate::flow::{select, Flow, FlowConfig, FlowOutcome};
 use crate::pareto::measured_front;
 use crate::record::FpgaParam;
-
-/// A named target could not be resolved against the registry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownTargetError {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl std::fmt::Display for UnknownTargetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let known: Vec<&str> = registry().iter().map(|p| p.name).collect();
-        write!(
-            f,
-            "unknown target `{}` (known targets: {})",
-            self.name,
-            known.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownTargetError {}
 
 /// A validated, ordered set of device profiles to sweep.
 #[derive(Clone, Debug)]
@@ -71,13 +51,10 @@ impl TargetSet {
 
     /// Resolve `names` against the registry, preserving order.
     pub fn from_names<S: AsRef<str>>(names: &[S]) -> Result<TargetSet, UnknownTargetError> {
-        let mut profiles = Vec::with_capacity(names.len());
-        for name in names {
-            let name = name.as_ref();
-            profiles.push(named(name).ok_or_else(|| UnknownTargetError {
-                name: name.to_string(),
-            })?);
-        }
+        let profiles = names
+            .iter()
+            .map(|name| resolve(name.as_ref()))
+            .collect::<Result<_, _>>()?;
         Ok(TargetSet { profiles })
     }
 
@@ -214,12 +191,8 @@ pub fn transfer_experiment(
     train_target: &str,
     eval_target: &str,
 ) -> Result<TransferOutcome, UnknownTargetError> {
-    let train_profile = named(train_target).ok_or_else(|| UnknownTargetError {
-        name: train_target.to_string(),
-    })?;
-    let eval_profile = named(eval_target).ok_or_else(|| UnknownTargetError {
-        name: eval_target.to_string(),
-    })?;
+    let train_profile = resolve(train_target)?;
+    let eval_profile = resolve(eval_target)?;
     let rt = Runtime::new(base.threads);
     let library = build_library_with(&base.library, &rt);
     let characterize = |profile: &TargetProfile| {

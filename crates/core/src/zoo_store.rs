@@ -124,21 +124,6 @@ fn param_index(param: FpgaParam) -> u64 {
     FpgaParam::ALL.iter().position(|&p| p == param).unwrap_or(0) as u64
 }
 
-fn kind_code(kind: ArithKind) -> u8 {
-    match kind {
-        ArithKind::Adder => 0,
-        ArithKind::Multiplier => 1,
-    }
-}
-
-fn kind_from_code(code: u8) -> Option<ArithKind> {
-    match code {
-        0 => Some(ArithKind::Adder),
-        1 => Some(ArithKind::Multiplier),
-        _ => None,
-    }
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_uvarint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
@@ -162,7 +147,7 @@ fn encode_meta(zoo: &TrainedZoo, target: &str, coverage: &[(ArithKind, usize)]) 
     put_str(&mut out, target);
     put_uvarint(&mut out, coverage.len() as u64);
     for &(kind, width) in coverage {
-        out.push(kind_code(kind));
+        out.push(kind.code());
         put_uvarint(&mut out, width as u64);
     }
     put_uvarint(&mut out, zoo.fidelities.len() as u64);
@@ -208,7 +193,7 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, ZooStoreError> {
     let n_cov = r.uvarint().ok_or_else(|| bad("truncated coverage"))? as usize;
     let mut coverage = Vec::with_capacity(n_cov.min(r.remaining()));
     for _ in 0..n_cov {
-        let kind = kind_from_code(r.u8().ok_or_else(|| bad("truncated coverage"))?)
+        let kind = ArithKind::from_code(r.u8().ok_or_else(|| bad("truncated coverage"))?)
             .ok_or_else(|| bad("unknown circuit kind code"))?;
         let width = usize::try_from(r.uvarint().ok_or_else(|| bad("truncated coverage"))?)
             .map_err(|_| bad("coverage width overflows"))?;

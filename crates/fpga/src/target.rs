@@ -129,6 +129,33 @@ pub fn named(name: &str) -> Option<&'static TargetProfile> {
     REGISTRY.iter().find(|p| p.name == name)
 }
 
+/// A named target could not be resolved against the registry.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownTargetError {
+    /// The name that failed to resolve.
+    pub name: String,
+}
+
+impl std::fmt::Display for UnknownTargetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let known: Vec<&str> = REGISTRY.iter().map(|p| p.name).collect();
+        write!(
+            f,
+            "unknown target `{}` (known targets: {})",
+            self.name,
+            known.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownTargetError {}
+
+/// [`named`] for user-supplied names: an unknown name is an
+/// [`UnknownTargetError`], which lists the known targets.
+pub fn resolve(name: &str) -> Result<&'static TargetProfile, UnknownTargetError> {
+    named(name).ok_or_else(|| UnknownTargetError { name: name.into() })
+}
+
 /// The default profile (`lut6-7series`).
 pub fn default_profile() -> &'static TargetProfile {
     named(DEFAULT_TARGET).expect("default profile is registered")

@@ -278,7 +278,9 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// `s` as a quoted JSON string literal, escaping quotes, backslashes and
+/// control characters.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -321,21 +321,7 @@ pub fn write_response(
 
 /// `{"error":"..."}` with proper JSON string escaping.
 pub fn error_body(message: &str) -> Vec<u8> {
-    let mut out = String::with_capacity(message.len() + 16);
-    out.push_str("{\"error\":\"");
-    for c in message.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push_str("\"}\n");
-    out.into_bytes()
+    format!("{{\"error\":{}}}\n", afp_obs::json_str(message)).into_bytes()
 }
 
 #[cfg(test)]

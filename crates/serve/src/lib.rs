@@ -355,18 +355,10 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
             "queue depth must be at least 1",
         ));
     }
-    if afp_fpga::target::named(&config.default_target).is_none() {
-        let known: Vec<&str> = afp_fpga::target::registry()
-            .iter()
-            .map(|p| p.name)
-            .collect();
+    if let Err(e) = afp_fpga::target::resolve(&config.default_target) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!(
-                "unknown default target `{}` (known: {})",
-                config.default_target,
-                known.join(", ")
-            ),
+            format!("unknown default target: {e}"),
         ));
     }
     if config.keepalive_requests == 0 {
@@ -674,7 +666,10 @@ fn target_config<'a>(req: &Request, shared: &'a Shared) -> Result<&'a RequestCon
         .configs
         .iter()
         .find(|config| config.fpga.target == name)
-        .ok_or_else(|| error(400, &format!("unknown target `{name}`")))
+        .ok_or_else(|| {
+            let unknown = afp_fpga::target::UnknownTargetError { name: name.into() };
+            error(400, &unknown.to_string())
+        })
 }
 
 /// The `spec` query parameter, its target's configuration and the
@@ -898,19 +893,6 @@ fn characterize_bristol(req: &Request, shared: &Shared) -> Response {
         Some(Ok(w)) => w,
         _ => return error(400, "missing or malformed `width` query parameter"),
     };
-    let max_width = match kind {
-        ArithKind::Adder => 32,
-        ArithKind::Multiplier => 16,
-    };
-    if width == 0 || width > max_width {
-        return error(
-            400,
-            &format!(
-                "width {width} out of range 1..={max_width} for kind `{}`",
-                kind.mnemonic()
-            ),
-        );
-    }
     let config = match target_config(req, shared) {
         Ok(config) => config,
         Err(response) => return response,
@@ -922,30 +904,10 @@ fn characterize_bristol(req: &Request, shared: &Shared) -> Response {
         Ok(netlist) => netlist,
         Err(e) => return error(400, &format!("bad Bristol netlist: {e}")),
     };
-    // `ArithCircuit::new` asserts the word-level interface; check it
-    // here so a mismatched payload is a 400, not a worker panic.
-    if netlist.num_inputs() != 2 * width {
-        return error(
-            400,
-            &format!(
-                "netlist has {} inputs, expected {} for width {width}",
-                netlist.num_inputs(),
-                2 * width
-            ),
-        );
-    }
-    if netlist.num_outputs() != kind.out_width(width) {
-        return error(
-            400,
-            &format!(
-                "netlist has {} outputs, expected {} for a width-{width} `{}`",
-                netlist.num_outputs(),
-                kind.out_width(width),
-                kind.mnemonic()
-            ),
-        );
-    }
-    let circuit = ArithCircuit::new(kind, width, netlist);
+    let circuit = match ArithCircuit::try_new(kind, width, netlist) {
+        Ok(circuit) => circuit,
+        Err(e) => return error(400, &e.to_string()),
+    };
     let (body, headers) = characterize_circuit(&circuit, config, shared);
     Counters::add(&shared.counters().requests_served, 1);
     (200, headers, Body::Shared(body))
