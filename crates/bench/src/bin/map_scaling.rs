@@ -41,6 +41,14 @@ fn main() {
     println!("map_scaling: {iters} iters x {runs} runs (median)\n");
     let mut rows = Vec::new();
     let mut mapper = Mapper::new();
+    // One untimed pass first, so no case pays the process's warm-up; its
+    // mapper counters are discarded.
+    for (_, nl) in &cases {
+        std::hint::black_box(cuts::enumerate(nl, 6, 8));
+        std::hint::black_box(map::map_luts(nl, &cfg));
+        std::hint::black_box(mapper.map_luts(nl, &cfg));
+    }
+    mapper.take_stats();
     for (name, nl) in &cases {
         let enum_us = time_us(iters, runs, || {
             std::hint::black_box(cuts::enumerate(std::hint::black_box(nl), 6, 8));

@@ -41,6 +41,11 @@ fn main() {
     ];
 
     println!("sim_scaling: {iters} iters x {runs} runs (median)\n");
+    // One untimed pass first: the first timed case of a fresh process
+    // read about 2x its steady state.
+    for (_, circuit) in &cases {
+        std::hint::black_box(analyze(circuit, &cfg));
+    }
     let mut rows = Vec::new();
     for (name, circuit) in &cases {
         let m = analyze(circuit, &cfg);

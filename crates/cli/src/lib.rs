@@ -791,9 +791,6 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
     }
     let threads = cli.usize_flag("threads", 0)?;
     let queue_depth = cli.usize_flag("queue-depth", 64)?;
-    if queue_depth == 0 {
-        return Err("--queue-depth must be at least 1 (0 would reject every request)".to_string());
-    }
     let default_target = cli
         .flag_or("target-default", afp_fpga::DEFAULT_TARGET)
         .to_string();
@@ -810,21 +807,8 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
         })
         .unwrap_or_default();
     let estimate_only = cli.flag_or("estimate-only", "false") == "true";
-    if estimate_only && models.is_empty() {
-        return Err(
-            "--estimate-only without --models would answer 404 to every estimate; \
-             pass at least one .afpm (see `afp zoo train`)"
-                .to_string(),
-        );
-    }
     let keepalive_requests = cli.usize_flag("keepalive-requests", 1000)?;
-    if keepalive_requests == 0 {
-        return Err("--keepalive-requests must be at least 1".to_string());
-    }
     let idle_timeout_ms = cli.usize_flag("idle-timeout-ms", 5000)?;
-    if idle_timeout_ms == 0 {
-        return Err("--idle-timeout-ms must be at least 1".to_string());
-    }
     let bind = match cli.flags.get("socket") {
         Some(path) => {
             #[cfg(unix)]

@@ -1,12 +1,14 @@
 //! Per-circuit records and the feature extraction feeding the ML models.
 
+use std::sync::Mutex;
+
 use afp_asic::AsicReport;
 use afp_circuits::{ArithCircuit, ArithKind};
-use afp_error::ErrorMetrics;
+use afp_error::{BlockPlan, BlockSums, ErrorMetrics};
 use afp_fpga::FpgaReport;
 use afp_netlist::analyze::NetlistStats;
-use afp_netlist::{GateKind, SimScratch};
-use afp_runtime::Counters;
+use afp_netlist::{GateKind, NetlistBatch, SimScratch};
+use afp_runtime::{Counters, Runtime};
 
 use crate::cache::CachedCharacterization;
 
@@ -279,12 +281,42 @@ pub fn characterize(
 pub struct CharacterizeScratch {
     mapper: afp_fpga::Mapper,
     asic: afp_asic::AsicScratch,
+    /// The simulator both power models' sweeps run on, one at a time.
     sim: SimScratch,
-    /// Each power model's signal probabilities on the current batch's DAG.
-    asic_probs: Vec<f64>,
-    fpga_probs: Vec<f64>,
+    asic_probs: Probs,
+    fpga_probs: Probs,
+}
+
+/// One power model's signal-probability buffers.
+#[derive(Debug, Default)]
+struct Probs {
+    /// The model's signal probabilities on the current batch's DAG.
+    dag: Vec<f64>,
     /// One member's signal probabilities, gathered from the DAG's.
-    member_probs: Vec<f64>,
+    member: Vec<f64>,
+}
+
+impl Probs {
+    /// Estimate the probabilities on `batch`'s DAG for one model's
+    /// stimulus on `sim`, then hand each member's share to `synth` in
+    /// member order.
+    fn per_member<R>(
+        &mut self,
+        sim: &Mutex<&mut SimScratch>,
+        batch: &NetlistBatch,
+        members: &[&ArithCircuit],
+        (passes, seed): (usize, u64),
+        mut synth: impl FnMut(&ArithCircuit, &[f64]) -> R,
+    ) -> Vec<R> {
+        sim.lock()
+            .expect("simulator poisoned")
+            .signal_probabilities(batch.dag(), passes, seed, &mut self.dag);
+        members
+            .iter()
+            .enumerate()
+            .map(|(m, circuit)| synth(circuit, batch.gather(m, &self.dag, &mut self.member)))
+            .collect()
+    }
 }
 
 /// A circuit's record from its statistics and reports.
@@ -313,17 +345,21 @@ pub(crate) fn assemble_record(
 /// characterizing that circuit alone, and count the work on the
 /// runtime's counters.
 ///
-/// Error analysis runs once on the batch's DAG, in parallel over lane
-/// blocks when called outside a pool worker. The ASIC and FPGA power
-/// models' signal probabilities are estimated once on the DAG for each
-/// model's stimulus, and each circuit is synthesized on its gathered
-/// share.
+/// The batch is one job list for [`Runtime::par_map_init`]: the FPGA
+/// half (the FPGA power model's probability sweep on the batch's DAG,
+/// then each member's LUT mapping on its gathered share), the ASIC half
+/// (likewise) and the error analysis's lane blocks. Called outside a
+/// pool worker on a runtime of several threads, the jobs run on those
+/// threads and stealing keeps each busy until both halves and every
+/// block are done; on one thread or inside a worker they run inline, in
+/// list order. The blocks' sums merge in block order, so the reports do
+/// not depend on where or when a job ran.
 pub(crate) fn characterize_batch(
     members: &[&ArithCircuit],
     asic_config: &afp_asic::AsicConfig,
     fpga_config: &afp_fpga::FpgaConfig,
     error_config: &afp_error::ErrorConfig,
-    rt: &afp_runtime::Runtime,
+    rt: &Runtime,
     scratch: &mut CharacterizeScratch,
 ) -> Vec<CachedCharacterization> {
     let batch = afp_circuits::simulation_batch(members);
@@ -333,54 +369,94 @@ pub(crate) fn characterize_batch(
     Counters::add(&counters.fpga_synths, n);
     Counters::add(&counters.error_analyses, n);
     Counters::add(&counters.sim_nodes_shared, batch.shared_nodes());
-    let errors = afp_error::analyze_batch(
-        members[0].kind(),
-        members[0].width(),
-        &batch,
-        error_config,
-        rt,
-    );
+    let plan = BlockPlan::new(members[0].kind(), members[0].width(), &batch, error_config);
 
+    // Each half takes its share of the caller's scratch, which only its
+    // own job locks. The halves share the simulator, held for a sweep.
     let CharacterizeScratch {
         mapper,
-        asic: asic_scratch,
+        asic,
         sim,
         asic_probs,
         fpga_probs,
-        member_probs,
     } = scratch;
-    let dag = batch.dag();
-    sim.signal_probabilities(
-        dag,
-        asic_config.activity_passes,
-        asic_config.seed,
-        asic_probs,
+    let sim = Mutex::new(sim);
+    let fpga_half = Mutex::new((mapper, fpga_probs));
+    let asic_half = Mutex::new((asic, asic_probs));
+    let jobs: Vec<Job> = [Job::Fpga, Job::Asic]
+        .into_iter()
+        .chain((0..plan.blocks()).map(Job::Block))
+        .collect();
+    let done = rt.par_map_init(
+        &jobs,
+        || None,
+        |block_scratch, _, job| match *job {
+            Job::Fpga => {
+                let mut half = fpga_half.lock().expect("FPGA scratch poisoned");
+                let (mapper, probs) = &mut *half;
+                let model = (fpga_config.activity_passes, fpga_config.seed);
+                Done::Fpga(
+                    probs.per_member(&sim, &batch, members, model, |circuit, probs| {
+                        let fpga =
+                            mapper.synthesize_from_probs(circuit.netlist(), fpga_config, probs);
+                        let st = mapper.take_stats();
+                        Counters::add(&counters.cuts_merged, st.cuts_merged);
+                        Counters::add(&counters.cuts_sig_rejected, st.cuts_sig_rejected);
+                        Counters::add(&counters.cuts_dominance_pruned, st.cuts_dominance_pruned);
+                        Counters::add(&counters.mapper_reuses, st.mapper_reuses);
+                        fpga
+                    }),
+                )
+            }
+            Job::Asic => {
+                let mut half = asic_half.lock().expect("ASIC scratch poisoned");
+                let (asic, probs) = &mut *half;
+                let model = (asic_config.activity_passes, asic_config.seed);
+                Done::Asic(
+                    probs.per_member(&sim, &batch, members, model, |circuit, probs| {
+                        afp_asic::synthesize_asic_from_probs(
+                            circuit.netlist(),
+                            asic_config,
+                            asic,
+                            probs,
+                        )
+                    }),
+                )
+            }
+            Job::Block(block) => {
+                let block_scratch = block_scratch.get_or_insert_with(|| plan.scratch());
+                Done::Block(plan.block(block_scratch, block, counters))
+            }
+        },
     );
-    sim.signal_probabilities(
-        dag,
-        fpga_config.activity_passes,
-        fpga_config.seed,
-        fpga_probs,
-    );
-    members
-        .iter()
+
+    let mut done = done.into_iter();
+    let (Some(Done::Fpga(fpga)), Some(Done::Asic(asic))) = (done.next(), done.next()) else {
+        unreachable!("the synthesis jobs lead the list");
+    };
+    let errors = plan.merge(done.map(|block| match block {
+        Done::Block(sums) => sums,
+        _ => unreachable!("only blocks follow the synthesis jobs"),
+    }));
+    asic.into_iter()
         .zip(errors)
-        .enumerate()
-        .map(|(m, (circuit, error))| {
-            let netlist = circuit.netlist();
-            let probs = batch.gather(m, asic_probs, member_probs);
-            let asic =
-                afp_asic::synthesize_asic_from_probs(netlist, asic_config, asic_scratch, probs);
-            let probs = batch.gather(m, fpga_probs, member_probs);
-            let fpga = mapper.synthesize_from_probs(netlist, fpga_config, probs);
-            let st = mapper.take_stats();
-            Counters::add(&counters.cuts_merged, st.cuts_merged);
-            Counters::add(&counters.cuts_sig_rejected, st.cuts_sig_rejected);
-            Counters::add(&counters.cuts_dominance_pruned, st.cuts_dominance_pruned);
-            Counters::add(&counters.mapper_reuses, st.mapper_reuses);
-            CachedCharacterization { asic, error, fpga }
-        })
+        .zip(fpga)
+        .map(|((asic, error), fpga)| CachedCharacterization { asic, error, fpga })
         .collect()
+}
+
+/// One job of [`characterize_batch`].
+enum Job {
+    Fpga,
+    Asic,
+    Block(usize),
+}
+
+/// What a [`Job`] produced.
+enum Done {
+    Fpga(Vec<FpgaReport>),
+    Asic(Vec<AsicReport>),
+    Block(BlockSums),
 }
 
 #[cfg(test)]
@@ -445,6 +521,69 @@ mod tests {
             &afp_error::ErrorConfig::default(),
         );
         assert_eq!(rec.target, "lut4-ice40");
+    }
+
+    /// The store encoding of `reports`: every field's raw bits or an
+    /// exact reconstruction of them, so equal bytes mean bit-equal reports.
+    fn report_bytes(reports: &[CachedCharacterization]) -> Vec<u8> {
+        use afp_store::BinRecord;
+        let mut out = Vec::new();
+        for r in reports {
+            r.encode(&mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn batches_are_bit_identical_on_any_runtime_inside_or_outside_a_worker() {
+        use afp_circuits::{build_library, LibrarySpec};
+        let (asic, fpga) = (
+            afp_asic::AsicConfig::default(),
+            afp_fpga::FpgaConfig::default(),
+        );
+        // Three sampled blocks for the 16-bit libraries, the last one
+        // partial, to keep debug runs short.
+        let error = afp_error::ErrorConfig {
+            samples: 10_000,
+            ..afp_error::ErrorConfig::default()
+        };
+        let characterize = |members: &[&ArithCircuit], rt: &Runtime| {
+            characterize_batch(members, &asic, &fpga, &error, rt, &mut Default::default())
+        };
+        for (kind, width) in [
+            (ArithKind::Adder, 8),
+            (ArithKind::Multiplier, 8),
+            (ArithKind::Adder, 16),
+            (ArithKind::Multiplier, 16),
+        ] {
+            let library = build_library(&LibrarySpec::new(kind, width, 3));
+            let alone: Vec<CachedCharacterization> = library
+                .iter()
+                .map(|c| characterize(&[c], &Runtime::serial())[0])
+                .collect();
+            for n in 1..=library.len() {
+                let members: Vec<&ArithCircuit> = library[..n].iter().collect();
+                let want = report_bytes(&alone[..n]);
+                for threads in [1, 2, 4, 8] {
+                    let rt = Runtime::new(threads);
+                    let outside = characterize(&members, &rt);
+                    assert_eq!(
+                        report_bytes(&outside),
+                        want,
+                        "{kind:?}{width} n={n} t={threads}"
+                    );
+                    // Two items, so each runs on a pool worker when the
+                    // runtime has more than one thread.
+                    for inside in rt.par_map(&[0, 1], |_, _| characterize(&members, &rt)) {
+                        assert_eq!(
+                            report_bytes(&inside),
+                            want,
+                            "{kind:?}{width} n={n} t={threads}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -142,12 +142,10 @@ pub fn analyze_with(circuit: &ArithCircuit, config: &ErrorConfig, rt: &Runtime) 
 /// [`afp_circuits::plan_batches`]) of `kind`/`width` circuits, returning
 /// one [`ErrorMetrics`] per member, in member order.
 ///
-/// The input space is split into fixed-size blocks evaluated in parallel.
-/// Each block simulates the batch's DAG once per lane block, computes the
-/// golden results once, and accumulates every member's sums from its own
-/// output nodes. Per-block sums use exact integer arithmetic and are
-/// merged in block order, so each member's metrics are bit-identical to
-/// analyzing it alone, for any batch and any thread count.
+/// This is the batch's [`BlockPlan`] run through the runtime: its blocks
+/// are evaluated in parallel and their sums merged in block order, so
+/// each member's metrics are bit-identical to analyzing it alone, for any
+/// batch and any thread count.
 pub fn analyze_batch(
     kind: ArithKind,
     width: usize,
@@ -155,76 +153,150 @@ pub fn analyze_batch(
     config: &ErrorConfig,
     rt: &Runtime,
 ) -> Vec<ErrorMetrics> {
-    assert!(width <= 32, "operand width limited to 32 bits");
-    assert!(
-        (0..batch.len()).all(|m| batch.outputs(m).len() == kind.out_width(width)),
-        "every member has the outputs of its kind and width"
+    let plan = BlockPlan::new(kind, width, batch, config);
+    let blocks: Vec<usize> = (0..plan.blocks()).collect();
+    let sums = rt.par_map_init(
+        &blocks,
+        || plan.scratch(),
+        |scratch, _, &block| plan.block(scratch, block, rt.counters()),
     );
-    let exhaustive = 2 * width <= config.max_exhaustive_bits;
-    let mut totals: Vec<Sums<u128>> = (0..batch.len()).map(|_| Sums::default()).collect();
-    // A block's squared error fits 64 bits while outputs are at most 16
-    // bits wide (2^15 pairs · 2^32 < 2^64); wider outputs sum in u128.
-    if kind.out_width(width) <= 16 {
-        for block in block_sums::<u64>(kind, width, batch, config, exhaustive, rt) {
-            for (sums, total) in block.iter().zip(&mut totals) {
-                sums.merge_into(total);
-            }
-        }
-    } else {
-        for block in block_sums::<u128>(kind, width, batch, config, exhaustive, rt) {
-            for (sums, total) in block.iter().zip(&mut totals) {
-                sums.merge_into(total);
-            }
-        }
-    }
-    let max_out = kind.max_output(width) as f64;
-    totals
-        .into_iter()
-        .map(|total| total.finish(exhaustive, max_out))
-        .collect()
+    plan.merge(sums)
 }
 
-/// Evaluate every block of the input space (exhaustive or sampled) and
-/// return, in block order, each block's sums per batch member.
-fn block_sums<S: BlockSum>(
+/// The block partition of one simulation batch's error analysis.
+///
+/// The input space (exhaustive or sampled) is split into fixed-size
+/// blocks. [`BlockPlan::block`] simulates the batch's DAG once per lane
+/// block, computes the golden results once, and accumulates every
+/// member's sums from its own output nodes; [`BlockPlan::merge`] folds
+/// the blocks' sums in block order into each member's [`ErrorMetrics`].
+/// Per-block sums use exact integer arithmetic and the one fractional sum
+/// is merged in that fixed order, so the metrics do not depend on which
+/// thread evaluated which block, or when. A caller may therefore run the
+/// blocks as jobs among other work, as long as it merges them in order.
+pub struct BlockPlan<'b> {
     kind: ArithKind,
-    w: usize,
-    batch: &NetlistBatch,
-    config: &ErrorConfig,
+    width: usize,
+    batch: &'b NetlistBatch<'b>,
+    /// The DAG lowered once; every block's evaluator shares it.
+    tape: SimTape,
     exhaustive: bool,
-    rt: &Runtime,
-) -> Vec<Vec<Sums<S>>> {
-    let mask = (1u64 << w) - 1;
-    let members = batch.len();
-    let out_width = kind.out_width(w);
-    // Lower the DAG once; every block worker shares the same tape.
-    let tape = SimTape::compile(batch.dag());
-    let finish_block = |sums: Vec<Sums<S>>| {
-        // Per member: one tape reuse, 16 bytes of operand data per pair.
-        Counters::add(&rt.counters().sim_tape_reuses, members as u64);
-        let pairs: u64 = sums.iter().map(|s| s.n).sum();
-        Counters::add(&rt.counters().bytes_simulated, pairs * 16);
-        sums
-    };
-    let fresh = || (0..members).map(|_| Sums::default()).collect::<Vec<_>>();
-    // Per-worker buffers, reused across every block the worker evaluates.
-    let scratch = || (BatchEvaluator::for_dag(&tape, w), Golden::default());
-    // Every member's sums over the loaded lane block.
-    let accumulate = |eval: &BatchEvaluator, golden: &Golden, sums: &mut [Sums<S>]| {
-        for (m, sums) in sums.iter_mut().enumerate() {
-            sums.add_block(eval, batch.outputs(m), golden);
+    /// Block sums in `u128` (outputs wider than 16 bits) rather than `u64`.
+    wide: bool,
+    /// The sampled pairs; empty when exhaustive.
+    pairs: Vec<(u64, u64)>,
+}
+
+/// Per-worker buffers of [`BlockPlan::block`], reused across every block
+/// the worker evaluates.
+pub struct BlockScratch<'p> {
+    eval: BatchEvaluator<'p>,
+    golden: Golden,
+}
+
+/// Every batch member's error sums over one block of a [`BlockPlan`].
+pub struct BlockSums(BlockSumsOf);
+
+enum BlockSumsOf {
+    Narrow(Vec<Sums<u64>>),
+    Wide(Vec<Sums<u128>>),
+}
+
+impl<'b> BlockPlan<'b> {
+    /// The plan of analyzing `batch`, whose members are `kind`/`width`
+    /// circuits, under `config`.
+    pub fn new(
+        kind: ArithKind,
+        width: usize,
+        batch: &'b NetlistBatch<'b>,
+        config: &ErrorConfig,
+    ) -> BlockPlan<'b> {
+        assert!(width <= 32, "operand width limited to 32 bits");
+        assert!(
+            (0..batch.len()).all(|m| batch.outputs(m).len() == kind.out_width(width)),
+            "every member has the outputs of its kind and width"
+        );
+        let exhaustive = 2 * width <= config.max_exhaustive_bits;
+        BlockPlan {
+            kind,
+            width,
+            batch,
+            tape: SimTape::compile(batch.dag()),
+            exhaustive,
+            // A block's squared error fits 64 bits while outputs are at
+            // most 16 bits wide (2^15 pairs · 2^32 < 2^64); wider outputs
+            // sum in u128.
+            wide: kind.out_width(width) > 16,
+            pairs: if exhaustive {
+                Vec::new()
+            } else {
+                stratified_pairs(width, config.samples, config.seed)
+            },
         }
-    };
-    if exhaustive {
-        // Blocks are ranges of `a` rows; each row is `mask + 1` pairs.
-        let rows_per_block = (BLOCK_PAIRS >> w).max(1) as u64;
-        let row_starts: Vec<u64> = (0..=mask).step_by(rows_per_block as usize).collect();
-        rt.par_map_init(&row_starts, scratch, |(eval, golden), _, &a_start| {
-            let a_end = (a_start + rows_per_block - 1).min(mask);
-            let mut sums = fresh();
-            // The block's pairs are the consecutive pair indices
-            // `a_start·2^w .. (a_end+1)·2^w` in the row-major order
-            // `p = (a << w) | b`.
+    }
+
+    /// Rows of `a` per exhaustive block; each row is `2^width` pairs.
+    fn rows_per_block(&self) -> u64 {
+        (BLOCK_PAIRS >> self.width).max(1) as u64
+    }
+
+    /// Number of blocks.
+    pub fn blocks(&self) -> usize {
+        if self.exhaustive {
+            (1u64 << self.width).div_ceil(self.rows_per_block()) as usize
+        } else {
+            self.pairs.len().div_ceil(BLOCK_PAIRS)
+        }
+    }
+
+    /// Fresh buffers for [`BlockPlan::block`].
+    pub fn scratch(&self) -> BlockScratch<'_> {
+        BlockScratch {
+            eval: BatchEvaluator::for_dag(&self.tape, self.width),
+            golden: Golden::default(),
+        }
+    }
+
+    /// Every member's sums over block `block` (`< blocks()`), counting
+    /// the simulation on `counters`.
+    pub fn block(
+        &self,
+        scratch: &mut BlockScratch,
+        block: usize,
+        counters: &Counters,
+    ) -> BlockSums {
+        let sums = if self.wide {
+            BlockSumsOf::Wide(self.block_sums(scratch, block, counters))
+        } else {
+            BlockSumsOf::Narrow(self.block_sums(scratch, block, counters))
+        };
+        BlockSums(sums)
+    }
+
+    fn block_sums<S: BlockSum>(
+        &self,
+        scratch: &mut BlockScratch,
+        block: usize,
+        counters: &Counters,
+    ) -> Vec<Sums<S>> {
+        let (kind, w, batch) = (self.kind, self.width, self.batch);
+        let out_width = kind.out_width(w);
+        let BlockScratch { eval, golden } = scratch;
+        let mut sums: Vec<Sums<S>> = (0..batch.len()).map(|_| Sums::default()).collect();
+        // Every member's sums over the loaded lane block.
+        let accumulate = |eval: &BatchEvaluator, golden: &Golden, sums: &mut [Sums<S>]| {
+            for (m, sums) in sums.iter_mut().enumerate() {
+                sums.add_block(eval, batch.outputs(m), golden);
+            }
+        };
+        if self.exhaustive {
+            // Block `block` is a range of `a` rows: the consecutive pair
+            // indices `a_start·2^w .. (a_end+1)·2^w` in the row-major
+            // order `p = (a << w) | b`.
+            let mask = (1u64 << w) - 1;
+            let rows = self.rows_per_block();
+            let a_start = block as u64 * rows;
+            let a_end = (a_start + rows - 1).min(mask);
             let end = (a_end + 1) << w;
             let mut p = a_start << w;
             while p < end {
@@ -235,20 +307,46 @@ fn block_sums<S: BlockSum>(
                 accumulate(eval, golden, &mut sums);
                 p += n as u64;
             }
-            finish_block(sums)
-        })
-    } else {
-        let pairs = stratified_pairs(w, config.samples, config.seed);
-        let blocks: Vec<&[(u64, u64)]> = pairs.chunks(BLOCK_PAIRS).collect();
-        rt.par_map_init(&blocks, scratch, |(eval, golden), _, block| {
-            let mut sums = fresh();
-            for chunk in block.chunks(LANES) {
+        } else {
+            let start = block * BLOCK_PAIRS;
+            let end = (start + BLOCK_PAIRS).min(self.pairs.len());
+            for chunk in self.pairs[start..end].chunks(LANES) {
                 eval.load_pairs(chunk);
                 golden.load(kind, chunk.iter().copied(), out_width);
                 accumulate(eval, golden, &mut sums);
             }
-            finish_block(sums)
-        })
+        }
+        // Per member: one tape reuse, 16 bytes of operand data per pair.
+        Counters::add(&counters.sim_tape_reuses, batch.len() as u64);
+        let pairs: u64 = sums.iter().map(|s| s.n).sum();
+        Counters::add(&counters.bytes_simulated, pairs * 16);
+        sums
+    }
+
+    /// Each member's metrics from the sums of every block, which `blocks`
+    /// must yield in block order.
+    pub fn merge(&self, blocks: impl IntoIterator<Item = BlockSums>) -> Vec<ErrorMetrics> {
+        let mut totals: Vec<Sums<u128>> = (0..self.batch.len()).map(|_| Sums::default()).collect();
+        let mut merged = 0;
+        for BlockSums(block) in blocks {
+            match block {
+                BlockSumsOf::Narrow(sums) => merge_block(&sums, &mut totals),
+                BlockSumsOf::Wide(sums) => merge_block(&sums, &mut totals),
+            }
+            merged += 1;
+        }
+        assert_eq!(merged, self.blocks(), "every block merged once");
+        let max_out = self.kind.max_output(self.width) as f64;
+        totals
+            .into_iter()
+            .map(|total| total.finish(self.exhaustive, max_out))
+            .collect()
+    }
+}
+
+fn merge_block<S: BlockSum>(block: &[Sums<S>], totals: &mut [Sums<u128>]) {
+    for (sums, total) in block.iter().zip(totals) {
+        sums.merge_into(total);
     }
 }
 
@@ -419,6 +517,10 @@ struct Sums<S> {
 impl<S: BlockSum> Sums<S> {
     /// Accumulate one member's results on the loaded lane block, read
     /// from its output nets `outputs`, against `golden`.
+    // Kept out of line: inlined into a block's loop (which the codegen
+    // partition decides), error analysis of erroneous mul8 and add8
+    // circuits ran about 6% slower.
+    #[inline(never)]
     fn add_block(&mut self, eval: &BatchEvaluator, outputs: &[u32], golden: &Golden) {
         match outputs.len() {
             0..=16 => self.add_lanes::<16>(eval, outputs, golden),

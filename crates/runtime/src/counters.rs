@@ -145,10 +145,10 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Tasks executed by `par_map` (inline or on a worker). Error
-    /// analysis runs one task per lane block of a simulation batch, and
-    /// batches form within one shard, so the count depends on the shard
-    /// size (never on the thread count).
+    /// Tasks executed by `par_map` (inline or on a worker).
+    /// Characterization runs two synthesis tasks and one per lane block
+    /// of each simulation batch, and batches form within one shard, so
+    /// the count depends on the shard size (never on the thread count).
     tasks_executed: Count, unstable, Runtime;
     /// Successful thefts: an idle worker taking work from a peer's deque.
     steals: Count, unstable, Runtime;

@@ -348,31 +348,39 @@ fn trigger_shutdown(shared: &Shared) {
 /// Binds the listener, spawns `threads` workers plus one acceptor, and
 /// returns immediately; use the handle to discover the bound address
 /// and to stop the server.
+///
+/// # Errors
+///
+/// This is the one place the `ServeConfig` rules are checked; each
+/// message names the `afp serve` flag that sets the field. An
+/// `InvalidInput` error for a zero `queue_depth`, `keepalive_requests`
+/// or `keepalive_idle`, an unknown `default_target`, or `estimate_only`
+/// without `models`; `InvalidData` for a zoo that fails to load; and any
+/// error binding the listener.
 pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
+    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
     if config.queue_depth == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "queue depth must be at least 1",
-        ));
+        return invalid("--queue-depth must be at least 1 (0 would reject every request)".into());
     }
     if let Err(e) = afp_fpga::target::resolve(&config.default_target) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("unknown default target: {e}"),
-        ));
+        return invalid(format!("unknown default target: {e}"));
     }
     if config.keepalive_requests == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "keep-alive request cap must be at least 1",
-        ));
+        return invalid("--keepalive-requests must be at least 1".into());
+    }
+    if config.keepalive_idle.is_zero() {
+        return invalid(
+            "--idle-timeout-ms must be at least 1 (a zero keep-alive idle window \
+             cannot be set as a read timeout)"
+                .into(),
+        );
     }
     if config.estimate_only && config.models.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "estimate-only mode without any model zoo would answer 404 to every estimate; \
-             pass at least one .afpm via `models`",
-        ));
+        return invalid(
+            "--estimate-only without --models would answer 404 to every estimate; \
+             pass at least one .afpm (see `afp zoo train`)"
+                .into(),
+        );
     }
     let mut zoos = Vec::with_capacity(config.models.len());
     for path in &config.models {
@@ -1539,6 +1547,45 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.to_string().contains("loading model zoo"), "{err}");
+    }
+
+    #[test]
+    fn config_errors_name_the_flag() {
+        let cases = [
+            (
+                ServeConfig {
+                    queue_depth: 0,
+                    ..ServeConfig::default()
+                },
+                "--queue-depth",
+            ),
+            (
+                ServeConfig {
+                    keepalive_requests: 0,
+                    ..ServeConfig::default()
+                },
+                "--keepalive-requests",
+            ),
+            (
+                ServeConfig {
+                    keepalive_idle: Duration::ZERO,
+                    ..ServeConfig::default()
+                },
+                "--idle-timeout-ms",
+            ),
+            (
+                ServeConfig {
+                    estimate_only: true,
+                    ..ServeConfig::default()
+                },
+                "--models",
+            ),
+        ];
+        for (config, flag) in cases {
+            let err = serve(config).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            assert!(err.to_string().contains(flag), "{flag}: {err}");
+        }
     }
 
     #[cfg(unix)]

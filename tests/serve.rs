@@ -616,3 +616,40 @@ fn distinct_estimates_never_outgrow_the_byte_budget() {
     server.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn one_and_two_thread_daemons_answer_cold_requests_byte_identically() {
+    let specs = [
+        "mul8:udm:1",
+        "mul8:udm:a5",
+        "mul8:udm:ffff",
+        "mul8:trunc:4",
+        "add8:loa:2",
+        "mul16:trunc:8",
+        "add16:loa:8",
+    ];
+    let bodies = |threads: usize| -> Vec<String> {
+        let server = start(threads, 64);
+        let mut conn = connect(server.addr().unwrap());
+        let bodies = specs
+            .iter()
+            .map(|spec| {
+                let path = format!("/characterize?spec={spec}");
+                let (status, headers, body) = ask(&mut conn, &path);
+                assert_eq!(status, 200, "{path}: {body}");
+                assert!(
+                    headers.iter().any(|h| h == "X-Afp-Cache: miss"),
+                    "{path} at {threads} threads: {headers:?}"
+                );
+                body
+            })
+            .collect();
+        drop(conn);
+        server.shutdown();
+        bodies
+    };
+    let (one, two) = (bodies(1), bodies(2));
+    for ((spec, a), b) in specs.iter().zip(&one).zip(&two) {
+        assert_eq!(a, b, "{spec}");
+    }
+}
