@@ -422,11 +422,16 @@ mod tests {
     use super::*;
 
     /// Every committed pin with its effective bound: the bounds the five
-    /// per-bench CI checks enforced before the shared schema. Time
-    /// baselines are scaled by 2.5 (`cold_open_mul8`'s baseline is the
-    /// old 25 us noise floor); ceilings, floors and speedup floors are
-    /// exact.
+    /// per-bench CI checks enforced before the shared schema, then the
+    /// batch-estimation pins that came after it. Time baselines are
+    /// scaled by 2.5 (`cold_open_mul8`'s baseline is the old 25 us noise
+    /// floor); ceilings, floors and speedup floors are exact.
     const EFFECTIVE: &str = "\
+estimate_scaling rf predict_us_per_1k <= 3453.25
+estimate_scaling gb predict_us_per_1k <= 3319.25
+estimate_scaling knn predict_us_per_1k <= 15065.50
+estimate_scaling gp predict_us_per_1k <= 19945.00
+estimate_scaling rf predict_us_per_1k >= 1.50x rf_rows
 map_scaling add8_rca map_us <= 11.00
 map_scaling add16_cla map_us <= 179.75
 map_scaling mul8_wallace map_us <= 519.75
@@ -475,7 +480,7 @@ store_scaling cold_open_mul8 store_us <= 62.50
             })
             .collect();
         files.sort();
-        assert_eq!(files.len(), 5, "{files:?}");
+        assert_eq!(files.len(), 6, "{files:?}");
         let mut got = String::new();
         for path in &files {
             let file = read(path, parse_pin_file).unwrap_or_else(|e| panic!("{e}"));

@@ -124,17 +124,46 @@ impl TrainedZoo {
         reg.predict_row(&features)
     }
 
-    /// Estimate `param` for every record with `model`.
+    /// The feature matrix of `records`, one row per record in order: the
+    /// input of [`TrainedZoo::estimate_matrix`]. A flow extracts it once
+    /// and every model estimates from it.
+    pub(crate) fn features<F>(&self, records: &[CircuitRecord<F>]) -> Matrix {
+        records_matrix(records.iter(), &self.layout)
+    }
+
+    /// Estimate `param` with `model` for every row of `features` (from
+    /// [`TrainedZoo::features`]) through the model's batch
+    /// [`Regressor::predict`], bit-equal to [`TrainedZoo::estimate`] on
+    /// each record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the (model, param) pair was not trained.
+    pub(crate) fn estimate_matrix(
+        &self,
+        model: MlModelId,
+        param: FpgaParam,
+        features: &Matrix,
+    ) -> Vec<f64> {
+        self.regressor(model, param)
+            .expect("model/param pair was trained")
+            .predict(features)
+    }
+
+    /// Estimate `param` for every record with `model`: one feature
+    /// matrix through the model's batch [`Regressor::predict`],
+    /// bit-equal to [`TrainedZoo::estimate`] on each record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the (model, param) pair was not trained.
     pub fn estimate_all<F>(
         &self,
         model: MlModelId,
         param: FpgaParam,
         records: &[CircuitRecord<F>],
     ) -> Vec<f64> {
-        records
-            .iter()
-            .map(|r| self.estimate(model, param, r))
-            .collect()
+        self.estimate_matrix(model, param, &self.features(records))
     }
 
     /// The `k` models with the highest validation fidelity for `param`,
@@ -582,12 +611,20 @@ pub fn feature_matrix<F>(
     indices: &[usize],
     layout: &FeatureLayout,
 ) -> Matrix {
-    let rows: Vec<Vec<f64>> = indices
-        .iter()
-        .map(|&i| extract_features(&records[i], layout))
-        .collect();
-    let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-    Matrix::from_rows(&refs)
+    records_matrix(indices.iter().map(|&i| &records[i]), layout)
+}
+
+/// The feature matrix of `records`, one row each in order.
+fn records_matrix<'a, F: 'a>(
+    records: impl ExactSizeIterator<Item = &'a CircuitRecord<F>>,
+    layout: &FeatureLayout,
+) -> Matrix {
+    let rows = records.len();
+    let mut data = Vec::with_capacity(rows * layout.len());
+    for record in records {
+        data.extend(extract_features(record, layout));
+    }
+    Matrix::from_vec(rows, layout.len(), data)
 }
 
 #[cfg(test)]
@@ -617,6 +654,29 @@ mod tests {
         ];
         let zoo = train_zoo(&records, &train, &val, &models, 0.01);
         (records, zoo)
+    }
+
+    #[test]
+    fn estimate_all_is_bit_equal_to_per_record_estimates() {
+        let (records, _) = small_zoo();
+        let subset = sample_subset(records.len(), 0.5, 30, 11);
+        let (train, val) = train_validate_split(&subset, 0.8, 11);
+        let zoo = train_zoo(&records, &train, &val, &MlModelId::ALL, 0.01);
+        let pairs: Vec<(MlModelId, FpgaParam)> =
+            zoo.trained_models().map(|(m, p, _)| (m, p)).collect();
+        assert_eq!(pairs.len(), MlModelId::ALL.len() * FpgaParam::ALL.len());
+        for (model, param) in pairs {
+            let batch: Vec<u64> = zoo
+                .estimate_all(model, param, &records)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let rows: Vec<u64> = records
+                .iter()
+                .map(|r| zoo.estimate(model, param, r).to_bits())
+                .collect();
+            assert_eq!(batch, rows, "{model} {param:?}");
+        }
     }
 
     #[test]

@@ -589,6 +589,8 @@ pub(crate) fn select<F: Sync>(
             });
         }
     }
+    // Every job estimates from one feature matrix of the library.
+    let features = zoo.features(records);
     let mut dropped_models = per_param::<Vec<MlModelId>>();
     loop {
         let mut jobs: Vec<(usize, MlModelId)> = Vec::new();
@@ -604,7 +606,7 @@ pub(crate) fn select<F: Sync>(
                 let name = format!("estimate/{}", model.label());
                 let mut span = recorder.span(&name);
                 span.add_items(records.len() as u64);
-                zoo.estimate_all(model, pools[p].param, records)
+                zoo.estimate_matrix(model, pools[p].param, &features)
             };
             let points: Vec<(f64, f64)> = (est.iter().zip(records))
                 .map(|(&e, r)| (e, r.error.med))

@@ -5,7 +5,7 @@ use afp_store::ByteReader;
 
 use crate::codec::{self, ModelState};
 use crate::tree::{self, DecisionTree, Presorted, TreeConfig};
-use crate::{check_xy, Matrix, MlError, Regressor};
+use crate::{check_xy, sum_start, Matrix, MlError, Regressor};
 
 /// Gradient-boosted regression trees (squared loss) — ML6.
 ///
@@ -83,9 +83,8 @@ impl Regressor for GradientBoosting {
             }
             let mut tree = DecisionTree::new(self.tree_config);
             tree.fit_presorted(&pre, &residual, &ones);
-            for (c, row) in current.iter_mut().zip(0..x.rows()) {
-                *c += self.learning_rate * tree.predict_row(x.row(row));
-            }
+            let lr = self.learning_rate;
+            DecisionTree::predict_each(std::iter::once(&tree), x, |r, _, v| current[r] += lr * v);
             self.stages.push(tree);
         }
         Ok(())
@@ -94,6 +93,20 @@ impl Regressor for GradientBoosting {
     fn predict_row(&self, row: &[f64]) -> f64 {
         assert!(!self.stages.is_empty(), "model must be fitted first");
         self.base + self.learning_rate * self.stages.iter().map(|t| t.predict_row(row)).sum::<f64>()
+    }
+
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        assert!(
+            x.rows() == 0 || !self.stages.is_empty(),
+            "model must be fitted first"
+        );
+        // Per-row sums in stage order: `predict_row`'s additions.
+        let mut sums = vec![sum_start(); x.rows()];
+        DecisionTree::predict_each(self.stages.iter(), x, |r, _, v| sums[r] += v);
+        for s in &mut sums {
+            *s = self.base + self.learning_rate * *s;
+        }
+        sums
     }
 
     fn name(&self) -> &'static str {
@@ -183,7 +196,7 @@ impl Regressor for AdaBoostR2 {
         for _ in 0..self.n_stages {
             let mut tree = DecisionTree::new(self.tree_config);
             tree.fit_presorted(&pre, y, &w);
-            let pred: Vec<f64> = (0..n).map(|i| tree.predict_row(x.row(i))).collect();
+            let pred = tree.predict(x);
             let max_err = pred
                 .iter()
                 .zip(y)
@@ -225,22 +238,34 @@ impl Regressor for AdaBoostR2 {
 
     fn predict_row(&self, row: &[f64]) -> f64 {
         assert!(!self.stages.is_empty(), "model must be fitted first");
-        // Weighted median of the stage predictions.
-        let mut preds: Vec<(f64, f64)> = self
+        let mut votes: Vec<(f64, f64)> = self
             .stages
             .iter()
             .map(|(t, a)| (t.predict_row(row), *a))
             .collect();
-        preds.sort_by(|a, b| afp_ord::asc(a.0, b.0));
-        let total: f64 = preds.iter().map(|(_, a)| a).sum();
-        let mut acc = 0.0;
-        for (p, a) in &preds {
-            acc += a;
-            if acc >= 0.5 * total {
-                return *p;
-            }
-        }
-        preds.last().map(|(p, _)| *p).unwrap_or(0.0)
+        weighted_median(&mut votes)
+    }
+
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        let n = x.rows();
+        assert!(
+            n == 0 || !self.stages.is_empty(),
+            "model must be fitted first"
+        );
+        // `preds[r·stages + s]`: stage `s`'s prediction for row `r`.
+        let stages = self.stages.len();
+        let mut preds = vec![0.0; n * stages];
+        let trees = self.stages.iter().map(|(t, _)| t);
+        DecisionTree::predict_each(trees, x, |r, s, v| preds[r * stages + s] = v);
+        let mut votes = Vec::with_capacity(stages);
+        (0..n)
+            .map(|r| {
+                votes.clear();
+                let row = &preds[r * stages..(r + 1) * stages];
+                votes.extend(row.iter().zip(&self.stages).map(|(&p, (_, a))| (p, *a)));
+                weighted_median(&mut votes)
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {
@@ -261,6 +286,22 @@ impl Regressor for AdaBoostR2 {
             payload,
         })
     }
+}
+
+/// The weighted median of `(prediction, vote)` pairs, given in stage
+/// order: the first prediction, in a stable ascending sort, at which the
+/// running vote reaches half the total.
+fn weighted_median(votes: &mut [(f64, f64)]) -> f64 {
+    votes.sort_by(|a, b| afp_ord::asc(a.0, b.0));
+    let total: f64 = votes.iter().map(|(_, a)| a).sum();
+    let mut acc = 0.0;
+    for (p, a) in votes.iter() {
+        acc += a;
+        if acc >= 0.5 * total {
+            return *p;
+        }
+    }
+    votes.last().map(|(p, _)| *p).unwrap_or(0.0)
 }
 
 #[cfg(test)]

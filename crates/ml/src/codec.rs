@@ -18,7 +18,7 @@ use afp_store::bytes::{put_f64, put_uvarint};
 use afp_store::ByteReader;
 
 use crate::preprocess::Standardizer;
-use crate::Regressor;
+use crate::{Matrix, Regressor};
 
 /// Codec tag for [`crate::linear::SingleFeature`] (ML1–ML3).
 pub const TAG_SINGLE: u8 = 1;
@@ -160,6 +160,29 @@ pub(crate) fn read_rows(r: &mut ByteReader) -> Option<Vec<Vec<f64>>> {
         return None;
     }
     (0..n).map(|_| read_vec(r)).collect()
+}
+
+/// Append the feature-major training rows `train` (`train.row(f)[j]` is
+/// feature `f` of row `j`) in the [`put_rows`] format, row by row.
+pub(crate) fn put_train(out: &mut Vec<u8>, train: &Matrix) {
+    put_uvarint(out, train.cols() as u64);
+    for j in 0..train.cols() {
+        put_uvarint(out, train.rows() as u64);
+        for f in 0..train.rows() {
+            put_f64(out, train.get(f, j));
+        }
+    }
+}
+
+/// Read rows written by [`put_train`] back into feature-major form. Rows
+/// of unequal length are corrupt.
+pub(crate) fn read_train(r: &mut ByteReader) -> Option<Matrix> {
+    let rows = read_rows(r)?;
+    let width = rows.first().map_or(0, Vec::len);
+    if rows.iter().any(|row| row.len() != width) {
+        return None;
+    }
+    Some(Matrix::from_vec(rows.len(), width, rows.concat()).transpose())
 }
 
 /// Append an optional fitted standardizer (flag byte + means + stds).

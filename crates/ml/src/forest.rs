@@ -4,7 +4,7 @@ use afp_store::ByteReader;
 
 use crate::codec::{self, ModelState};
 use crate::tree::{self, DecisionTree, Presorted, TreeConfig};
-use crate::{check_xy, Matrix, MlError, Regressor};
+use crate::{check_xy, sum_start, Matrix, MlError, Regressor};
 
 /// Bagged ensemble of randomized CART trees.
 ///
@@ -109,6 +109,21 @@ impl Regressor for RandomForest {
     fn predict_row(&self, row: &[f64]) -> f64 {
         assert!(!self.trees.is_empty(), "model must be fitted first");
         self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>() / self.trees.len() as f64
+    }
+
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        assert!(
+            x.rows() == 0 || !self.trees.is_empty(),
+            "model must be fitted first"
+        );
+        // Per-row sums in tree order: `predict_row`'s additions.
+        let mut sums = vec![sum_start(); x.rows()];
+        DecisionTree::predict_each(self.trees.iter(), x, |r, _, v| sums[r] += v);
+        let n = self.trees.len() as f64;
+        for s in &mut sums {
+            *s /= n;
+        }
+        sums
     }
 
     fn name(&self) -> &'static str {

@@ -7,7 +7,7 @@ use afp_store::bytes::put_f64;
 use afp_store::ByteReader;
 
 use crate::codec::{self, ModelState};
-use crate::linalg::{chol_solve, cholesky};
+use crate::linalg::{chol_solve, cholesky, sq_dists};
 use crate::preprocess::Standardizer;
 use crate::{check_xy, Matrix, MlError, Regressor};
 
@@ -16,11 +16,29 @@ fn rbf(a: &[f64], b: &[f64], gamma: f64) -> f64 {
     (-gamma * d2).exp()
 }
 
+/// The noise- or penalty-augmented RBF kernel matrix of the row-major
+/// standardized training rows `z`.
+fn kernel_matrix(z: &Matrix, gamma: f64, diag_add: f64) -> Matrix {
+    let n = z.rows();
+    let mut k = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in i..n {
+            let v = rbf(z.row(i), z.row(j), gamma);
+            k.set(i, j, v);
+            k.set(j, i, v);
+        }
+        k.set(i, i, k.get(i, i) + diag_add);
+    }
+    k
+}
+
 /// Shared fitted state of the RBF kernel models.
 #[derive(Clone, Debug, Default)]
 struct KernelState {
     scaler: Option<Standardizer>,
-    train: Vec<Vec<f64>>,
+    /// Standardized training rows, feature-major: `train.row(f)[j]` is
+    /// feature `f` of row `j`.
+    train: Matrix,
     dual: Vec<f64>,
     y_mean: f64,
 }
@@ -39,42 +57,39 @@ impl KernelState {
         let n = z.rows();
         let y_mean = y.iter().sum::<f64>() / n as f64;
         let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
-        let rows: Vec<Vec<f64>> = (0..n).map(|r| z.row(r).to_vec()).collect();
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = rbf(&rows[i], &rows[j], gamma);
-                k.set(i, j, v);
-                k.set(j, i, v);
-            }
-            k.set(i, i, k.get(i, i) + diag_add);
-        }
-        let l = cholesky(&k)?;
+        let l = cholesky(&kernel_matrix(&z, gamma, diag_add))?;
         let dual = chol_solve(&l, &yc);
         let state = KernelState {
             scaler: Some(scaler),
-            train: rows,
+            train: z.transpose(),
             dual,
             y_mean,
         };
         Ok((state, l))
     }
 
+    /// The kernel row `k(z, t_j)` of the standardized query `z` against
+    /// every training row, into `out`.
+    fn kernel_row(&self, z: &[f64], gamma: f64, out: &mut Vec<f64>) {
+        sq_dists::<false>(&self.train, z, out);
+        for v in out.iter_mut() {
+            *v = (-gamma * *v).exp();
+        }
+    }
+
     fn predict_row(&self, row: &[f64], gamma: f64) -> f64 {
         let scaler = self.scaler.as_ref().expect("model must be fitted first");
         let z = scaler.transform_row(row);
-        let k: f64 = self
-            .train
-            .iter()
-            .zip(&self.dual)
-            .map(|(t, a)| a * rbf(&z, t, gamma))
-            .sum();
+        let mut kz = Vec::new();
+        self.kernel_row(&z, gamma, &mut kz);
+        // Summed in training order, as `sum()` over the rows did.
+        let k: f64 = kz.iter().zip(&self.dual).map(|(k, a)| a * k).sum();
         k + self.y_mean
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
         codec::put_scaler(out, &self.scaler);
-        codec::put_rows(out, &self.train);
+        codec::put_train(out, &self.train);
         codec::put_vec(out, &self.dual);
         put_f64(out, self.y_mean);
     }
@@ -82,7 +97,7 @@ impl KernelState {
     fn decode(r: &mut ByteReader) -> Option<KernelState> {
         Some(KernelState {
             scaler: codec::read_scaler(r)?,
-            train: codec::read_rows(r)?,
+            train: codec::read_train(r)?,
             dual: codec::read_vec(r)?,
             y_mean: r.f64_le()?,
         })
@@ -198,18 +213,8 @@ impl GaussianProcess {
     /// rows — the same computation `fit` performs, so a decoded model is
     /// bit-identical to the one that was saved. Only a decoded model needs
     /// it: `fit` keeps the factor it solved with.
-    fn rebuild_chol(train: &[Vec<f64>], gamma: f64, noise: f64) -> Result<Matrix, MlError> {
-        let n = train.len();
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = rbf(&train[i], &train[j], gamma);
-                k.set(i, j, v);
-                k.set(j, i, v);
-            }
-            k.set(i, i, k.get(i, i) + noise.max(1e-10));
-        }
-        cholesky(&k)
+    fn rebuild_chol(train: &Matrix, gamma: f64, noise: f64) -> Result<Matrix, MlError> {
+        cholesky(&kernel_matrix(&train.transpose(), gamma, noise.max(1e-10)))
     }
 
     pub(crate) fn decode_state(r: &mut ByteReader) -> Option<GaussianProcess> {
@@ -247,12 +252,8 @@ impl GaussianProcess {
         };
         let scaler = self.state.scaler.as_ref().expect("fitted");
         let z = scaler.transform_row(row);
-        let kstar: Vec<f64> = self
-            .state
-            .train
-            .iter()
-            .map(|t| rbf(&z, t, self.gamma))
-            .collect();
+        let mut kstar = Vec::new();
+        self.state.kernel_row(&z, self.gamma, &mut kstar);
         let v = chol_solve(l, &kstar);
         let var =
             (1.0 + self.noise - kstar.iter().zip(&v).map(|(a, b)| a * b).sum::<f64>()).max(0.0);

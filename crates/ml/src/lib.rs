@@ -145,6 +145,14 @@ pub trait Regressor: Send + Sync {
     }
 }
 
+/// The value [`Iterator::sum`] starts an `f64` sum from. A batch kernel
+/// that keeps one running sum per row starts each from it and adds in the
+/// same order as `predict_row`'s `sum()`, so both give the same bits.
+#[inline]
+pub(crate) fn sum_start() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
 pub(crate) fn check_xy(x: &Matrix, y: &[f64]) -> Result<(), MlError> {
     if x.rows() == 0 || x.rows() != y.len() {
         Err(MlError::ShapeMismatch {

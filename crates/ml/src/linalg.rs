@@ -15,7 +15,7 @@ use crate::MlError;
 /// assert_eq!(m.get(1, 0), 3.0);
 /// assert_eq!(m.transpose().get(0, 1), 3.0);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -111,6 +111,11 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// All elements, row-major.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Copy column `c` out as a vector.
     ///
     /// # Panics
@@ -204,6 +209,52 @@ impl Matrix {
     pub fn vec_mul(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols, "vector length mismatch");
         (0..self.rows).map(|r| dot(self.row(r), v)).collect()
+    }
+}
+
+/// Training rows whose distance sums [`sq_dists`] keeps in registers at
+/// once.
+const DIST_BLOCK: usize = 16;
+
+/// Squared Euclidean distance from the query `q` to every training row of
+/// the feature-major `train` (`train.row(f)[j]` is feature `f` of row `j`),
+/// into `out` (cleared first).
+///
+/// A block of [`DIST_BLOCK`] training rows walks the features together,
+/// so their sums are independent chains the CPU overlaps, yet each pair's
+/// sum still adds its squared differences in feature order from
+/// [`crate::sum_start`]: the additions `Iterator::sum` makes on one row
+/// pair. `TRAIN_FIRST` picks the operand order of each difference (`t - q`
+/// or `q - t`), so even NaN payloads match the row-pair form. Features
+/// past the shorter of `q` and the rows are skipped, as a `zip` would.
+#[inline(never)]
+pub(crate) fn sq_dists<const TRAIN_FIRST: bool>(train: &Matrix, q: &[f64], out: &mut Vec<f64>) {
+    let (n, q) = (train.cols, &q[..q.len().min(train.rows)]);
+    let diff = |t: f64, qf: f64| if TRAIN_FIRST { t - qf } else { qf - t };
+    out.clear();
+    out.resize(n, crate::sum_start());
+    let mut blocks = out.chunks_exact_mut(DIST_BLOCK);
+    for (b, chunk) in blocks.by_ref().enumerate() {
+        let j0 = b * DIST_BLOCK;
+        let mut acc = [crate::sum_start(); DIST_BLOCK];
+        for (f, &qf) in q.iter().enumerate() {
+            let t = &train.data[f * n + j0..][..DIST_BLOCK];
+            for (a, &t) in acc.iter_mut().zip(t) {
+                let d = diff(t, qf);
+                *a += d * d;
+            }
+        }
+        chunk.copy_from_slice(&acc);
+    }
+    let j0 = n - blocks.into_remainder().len();
+    for (f, &qf) in q.iter().enumerate() {
+        for (a, &t) in out[j0..]
+            .iter_mut()
+            .zip(&train.data[f * n + j0..(f + 1) * n])
+        {
+            let d = diff(t, qf);
+            *a += d * d;
+        }
     }
 }
 

@@ -6,6 +6,7 @@ use std::cmp::Ordering;
 use afp_store::ByteReader;
 
 use crate::codec::{self, ModelState};
+use crate::linalg::sq_dists;
 use crate::preprocess::Standardizer;
 use crate::{check_xy, Matrix, MlError, Regressor};
 
@@ -29,7 +30,9 @@ use crate::{check_xy, Matrix, MlError, Regressor};
 pub struct KNearest {
     k: usize,
     scaler: Option<Standardizer>,
-    train: Vec<Vec<f64>>,
+    /// Standardized training rows, feature-major: `train.row(f)[j]` is
+    /// feature `f` of row `j`.
+    train: Matrix,
     targets: Vec<f64>,
 }
 
@@ -39,7 +42,7 @@ impl KNearest {
         KNearest {
             k: k.max(1),
             scaler: None,
-            train: Vec::new(),
+            train: Matrix::default(),
             targets: Vec::new(),
         }
     }
@@ -48,61 +51,77 @@ impl KNearest {
         let m = KNearest {
             k: codec::read_usize(r)?,
             scaler: codec::read_scaler(r)?,
-            train: codec::read_rows(r)?,
+            train: codec::read_train(r)?,
             targets: codec::read_vec(r)?,
         };
-        if m.train.len() != m.targets.len() {
+        if m.train.cols() != m.targets.len() {
             return None;
         }
         Some(m)
     }
 }
 
-/// `predict_row` buffers: the standardized query row and the kept
-/// `(distance, target)` neighbours.
-type Scratch = (Vec<f64>, Vec<(f64, f64)>);
+/// `predict_row` buffers: the standardized query row, its squared
+/// distances and the kept neighbours.
+type Scratch = (Vec<f64>, Vec<f64>, Vec<Neighbour>);
 
 thread_local! {
     /// Per-thread [`Scratch`], so estimating a library allocates nothing
     /// per row.
-    static SCRATCH: RefCell<Scratch> = const { RefCell::new((Vec::new(), Vec::new())) };
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
-/// The inverse-distance-weighted mean of the `k` nearest `(distance,
-/// target)` pairs, in the order a stable ascending sort on
-/// [`afp_ord::asc`] would rank them: ties keep training order and NaN
-/// distances rank last. `top` holds at most `k` pairs, kept sorted by
-/// insertion, and the weights are summed nearest first — the same bits
-/// as sorting every pair and summing the first `k`.
-fn nearest_weighted_mean(
-    dist: impl Iterator<Item = (f64, f64)>,
-    k: usize,
-    top: &mut Vec<(f64, f64)>,
-) -> f64 {
+/// A kept neighbour: its distance, squared distance and target.
+type Neighbour = (f64, f64, f64);
+
+/// The inverse-distance-weighted mean of the `k` nearest training rows,
+/// given their squared distances `d2` and `targets` in training order,
+/// ranked as a stable ascending sort on [`afp_ord::asc`] of the distances
+/// `d2.sqrt()` would rank them: ties keep training order and NaN
+/// distances rank last. `top` holds at most `k` neighbours, kept sorted by
+/// insertion, and the weights are summed nearest first — the same bits as
+/// sorting every pair and summing the first `k`.
+fn nearest_weighted_mean(d2: &[f64], targets: &[f64], k: usize, top: &mut Vec<Neighbour>) -> f64 {
     top.clear();
-    for (d, y) in dist {
+    for (&d2, &y) in d2.iter().zip(targets) {
         if top.len() == k {
             // Full: only a strictly nearer pair displaces the farthest;
-            // an equal one ranks after it in training order.
-            match top.last() {
-                Some(&(worst, _)) if afp_ord::asc(d, worst) == Ordering::Less => {
-                    top.pop();
-                }
-                _ => continue,
+            // an equal one ranks after it in training order. `sqrt` keeps
+            // the `asc` order of squared distances (a sum of squares is
+            // -0.0, ≥ +0.0 or NaN), so a pair whose d² ranks no nearer
+            // than the farthest's is skipped before its root is taken.
+            // While the farthest is NaN every non-NaN pair passes.
+            let Some(&(worst, worst_d2, _)) = top.last() else {
+                continue;
+            };
+            if afp_ord::asc(d2, worst_d2) != Ordering::Less {
+                continue;
             }
+            let d = d2.sqrt();
+            if afp_ord::asc(d, worst) != Ordering::Less {
+                continue;
+            }
+            top.pop();
+            insert(top, (d, d2, y));
+        } else {
+            insert(top, (d2.sqrt(), d2, y));
         }
-        let at = top.partition_point(|&(e, _)| afp_ord::asc(e, d) != Ordering::Greater);
-        top.insert(at, (d, y));
     }
     // Inverse-distance weights; exact hits dominate.
     let mut num = 0.0;
     let mut den = 0.0;
-    for &(d, y) in top.iter() {
+    for &(d, _, y) in top.iter() {
         let w = 1.0 / (d + 1e-9);
         num += w * y;
         den += w;
     }
     num / den
+}
+
+/// Insert `n` after every kept neighbour whose distance ranks no farther.
+fn insert(top: &mut Vec<Neighbour>, n: Neighbour) {
+    let at = top.partition_point(|&(e, _, _)| afp_ord::asc(e, n.0) != Ordering::Greater);
+    top.insert(at, n);
 }
 
 impl Default for KNearest {
@@ -115,8 +134,7 @@ impl Regressor for KNearest {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
         check_xy(x, y)?;
         let scaler = Standardizer::fit(x);
-        let z = scaler.transform(x);
-        self.train = (0..z.rows()).map(|r| z.row(r).to_vec()).collect();
+        self.train = scaler.transform(x).transpose();
         self.targets = y.to_vec();
         self.scaler = Some(scaler);
         Ok(())
@@ -125,13 +143,10 @@ impl Regressor for KNearest {
     fn predict_row(&self, row: &[f64]) -> f64 {
         let scaler = self.scaler.as_ref().expect("model must be fitted first");
         SCRATCH.with(|scratch| {
-            let (z, top) = &mut *scratch.borrow_mut();
+            let (z, d2, top) = &mut *scratch.borrow_mut();
             scaler.transform_row_into(row, z);
-            let dist = self.train.iter().zip(&self.targets).map(|(t, &y)| {
-                let d2: f64 = t.iter().zip(z.iter()).map(|(a, b)| (a - b) * (a - b)).sum();
-                (d2.sqrt(), y)
-            });
-            nearest_weighted_mean(dist, self.k, top)
+            sq_dists::<true>(&self.train, z, d2);
+            nearest_weighted_mean(d2, &self.targets, self.k, top)
         })
     }
 
@@ -143,7 +158,7 @@ impl Regressor for KNearest {
         let mut payload = Vec::new();
         codec::put_usize(&mut payload, self.k);
         codec::put_scaler(&mut payload, &self.scaler);
-        codec::put_rows(&mut payload, &self.train);
+        codec::put_train(&mut payload, &self.train);
         codec::put_vec(&mut payload, &self.targets);
         Some(ModelState {
             tag: codec::TAG_KNN,
@@ -178,7 +193,8 @@ mod tests {
     }
 
     /// The sort-based selection `nearest_weighted_mean` replaced: rank
-    /// every pair with a stable sort, sum the first `k`.
+    /// every `(distance, target)` pair with a stable sort, sum the first
+    /// `k`.
     fn sorted_oracle(pairs: &[(f64, f64)], k: usize) -> f64 {
         let mut dist = pairs.to_vec();
         dist.sort_by(|a, b| afp_ord::asc(a.0, b.0));
@@ -193,21 +209,22 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Bounded top-k equals the full sort bit for bit: distances come
-        /// from a small pool (so ties are common) that includes NaN, and
-        /// `k` ranges past the number of pairs.
+        /// Bounded top-k with the d² prefilter equals the full sort of
+        /// the roots bit for bit: squared distances come from a small
+        /// pool (so ties are common) that includes NaN, -0.0 and two
+        /// values with one root, and `k` ranges past the number of pairs.
         #[test]
         fn bounded_top_k_matches_the_sort_oracle(
-            picks in proptest::collection::vec((0usize..6, -50i32..50), 0..40),
+            picks in proptest::collection::vec((0usize..8, -50i32..50), 0..40),
             k in 1usize..48,
         ) {
-            let pool = [0.0, 0.5, 1.0, 1.0 + f64::EPSILON, 3.0, f64::NAN];
-            let pairs: Vec<(f64, f64)> = picks
-                .iter()
-                .map(|&(d, y)| (pool[d], f64::from(y) * 0.25))
-                .collect();
+            let pool = [0.0, -0.0, 0.25, 1.0, 1.0 + f64::EPSILON, 9.0, f64::INFINITY, f64::NAN];
+            assert_eq!(pool[3].sqrt(), pool[4].sqrt());
+            let d2: Vec<f64> = picks.iter().map(|&(d, _)| pool[d]).collect();
+            let ys: Vec<f64> = picks.iter().map(|&(_, y)| f64::from(y) * 0.25).collect();
+            let pairs: Vec<(f64, f64)> = d2.iter().map(|d| d.sqrt()).zip(ys.iter().copied()).collect();
             let mut top = Vec::new();
-            let got = nearest_weighted_mean(pairs.iter().copied(), k, &mut top);
+            let got = nearest_weighted_mean(&d2, &ys, k, &mut top);
             proptest::prop_assert_eq!(got.to_bits(), sorted_oracle(&pairs, k).to_bits());
             proptest::prop_assert!(top.len() <= k);
         }
@@ -228,13 +245,13 @@ mod tests {
             let mut m = KNearest::new(k);
             m.fit(&x, &y).unwrap();
             let scaler = m.scaler.as_ref().unwrap();
+            let rows = m.train.transpose();
             for q in [[0.0, 1.0], [0.5, 0.5], [9.0, -3.0]] {
                 let z = scaler.transform_row(&q);
-                let pairs: Vec<(f64, f64)> = m
-                    .train
-                    .iter()
+                let pairs: Vec<(f64, f64)> = (0..rows.rows())
                     .zip(&m.targets)
-                    .map(|(t, &y)| {
+                    .map(|(j, &y)| {
+                        let t = rows.row(j);
                         let d2: f64 = t.iter().zip(&z).map(|(a, b)| (a - b) * (a - b)).sum();
                         (d2.sqrt(), y)
                     })

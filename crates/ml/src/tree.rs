@@ -32,16 +32,37 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Node {
-    Leaf(f64),
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+/// One node of a grown tree, 24 bytes. A split sends a row left when
+/// `row[feature] <= value` and right otherwise, so a NaN feature goes
+/// right. A leaf holds its prediction in `value` and both its children
+/// are its own slot: a lockstep walk of the tree's depth steps ends on a
+/// leaf whatever the row, with no branch on the node's kind.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Node {
+    /// Split threshold, or the leaf's prediction.
+    value: f64,
+    /// Split feature (0 on a leaf, where both children agree).
+    feature: u32,
+    children: [u32; 2],
 }
+
+impl Node {
+    fn leaf(slot: usize, value: f64) -> Node {
+        let slot = slot as u32;
+        Node {
+            value,
+            feature: 0,
+            children: [slot, slot],
+        }
+    }
+
+    fn is_leaf(&self, slot: usize) -> bool {
+        self.children[0] as usize == slot
+    }
+}
+
+/// Rows a batch prediction walks through a tree in lockstep.
+const LANES: usize = 8;
 
 /// CART regression tree (variance-reduction splits) — ML18.
 ///
@@ -62,7 +83,11 @@ enum Node {
 #[derive(Clone, Debug)]
 pub struct DecisionTree {
     config: TreeConfig,
+    /// Nodes in growth order: the root first, every child after its
+    /// parent.
     nodes: Vec<Node>,
+    /// Splits on the longest root-to-leaf path.
+    depth: u32,
     /// Feature subset to consider per split (None = all); used by random
     /// forests. Indices are sampled per split with this many candidates.
     pub(crate) features_per_split: Option<usize>,
@@ -75,6 +100,7 @@ impl DecisionTree {
         DecisionTree {
             config,
             nodes: Vec::new(),
+            depth: 0,
             features_per_split: None,
             seed: 0x7EE5,
         }
@@ -115,6 +141,7 @@ impl DecisionTree {
             rng: self.seed | 1,
         };
         self.grow(&mut grower, 0, n, 0);
+        self.depth = depth_of(&self.nodes).expect("grown children follow their parents");
     }
 
     /// Grow the subtree over rows `idx[lo..hi]` and return its node slot.
@@ -125,9 +152,10 @@ impl DecisionTree {
         let make_leaf = idx.len() < self.config.min_samples_split
             || depth >= self.config.max_depth
             || variance(idx, y, w) < 1e-12;
+        let slot = self.nodes.len();
+        self.nodes.push(Node::leaf(slot, node_value));
         if make_leaf {
-            self.nodes.push(Node::Leaf(node_value));
-            return self.nodes.len() - 1;
+            return slot;
         }
         let (n, p) = (g.pre.rows, g.pre.cols);
         g.feats.clear();
@@ -156,8 +184,7 @@ impl DecisionTree {
             }
         }
         let Some((feature, threshold, _)) = best else {
-            self.nodes.push(Node::Leaf(node_value));
-            return self.nodes.len() - 1;
+            return slot;
         };
         // Send each row left or right, then stable-partition the node's
         // range of every list: ties keep their presorted order.
@@ -173,16 +200,14 @@ impl DecisionTree {
                 &mut g.scratch,
             );
         }
-        // Reserve a slot, grow children, then fill it.
-        self.nodes.push(Node::Leaf(node_value));
-        let slot = self.nodes.len() - 1;
+        // The slot reserved above becomes the split once both children
+        // have theirs.
         let left = self.grow(g, lo, mid, depth + 1);
         let right = self.grow(g, mid, hi, depth + 1);
-        self.nodes[slot] = Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
+        self.nodes[slot] = Node {
+            value: threshold,
+            feature: feature as u32,
+            children: [left as u32, right as u32],
         };
         slot
     }
@@ -204,31 +229,24 @@ impl DecisionTree {
         }
         out.extend_from_slice(&self.seed.to_le_bytes());
         codec::put_usize(out, self.nodes.len());
-        for node in &self.nodes {
-            match node {
-                Node::Leaf(v) => {
-                    out.push(0);
-                    put_f64(out, *v);
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    out.push(1);
-                    codec::put_usize(out, *feature);
-                    put_f64(out, *threshold);
-                    codec::put_usize(out, *left);
-                    codec::put_usize(out, *right);
-                }
+        for (slot, node) in self.nodes.iter().enumerate() {
+            if node.is_leaf(slot) {
+                out.push(0);
+                put_f64(out, node.value);
+            } else {
+                let [left, right] = node.children;
+                out.push(1);
+                codec::put_usize(out, node.feature as usize);
+                put_f64(out, node.value);
+                codec::put_usize(out, left as usize);
+                codec::put_usize(out, right as usize);
             }
         }
     }
 
-    /// Decode a tree written by [`DecisionTree::encode_state`]; child
-    /// indices are validated so a corrupt payload can never panic later
-    /// prediction.
+    /// Decode a tree written by [`DecisionTree::encode_state`]. Every
+    /// child must come after its parent, as growth places it, so a corrupt
+    /// payload can neither panic nor loop a later prediction.
     pub(crate) fn decode_state(r: &mut ByteReader) -> Option<DecisionTree> {
         let config = decode_config(r)?;
         let features_per_split = match r.u8()? {
@@ -243,34 +261,125 @@ impl DecisionTree {
             return None;
         }
         let mut nodes = Vec::with_capacity(count);
-        for _ in 0..count {
+        for slot in 0..count {
             nodes.push(match r.u8()? {
-                0 => Node::Leaf(r.f64_le()?),
+                0 => Node::leaf(slot, r.f64_le()?),
                 1 => {
-                    let feature = codec::read_usize(r)?;
-                    let threshold = r.f64_le()?;
-                    let left = codec::read_usize(r)?;
-                    let right = codec::read_usize(r)?;
-                    if left >= count || right >= count {
+                    let feature = u32::try_from(codec::read_usize(r)?).ok()?;
+                    let value = r.f64_le()?;
+                    let mut child = || u32::try_from(codec::read_usize(r)?).ok();
+                    let children = [child()?, child()?];
+                    if children.iter().any(|&c| c as usize <= slot) {
                         return None;
                     }
-                    Node::Split {
+                    Node {
+                        value,
                         feature,
-                        threshold,
-                        left,
-                        right,
+                        children,
                     }
                 }
                 _ => return None,
             });
         }
+        let depth = depth_of(&nodes)?;
         Some(DecisionTree {
             config,
             nodes,
+            depth,
             features_per_split,
             seed,
         })
     }
+
+    /// Hand every prediction of `trees` on every row of `x` to
+    /// `emit(row, tree, value)`. Tree by tree, the rows walk in lockstep
+    /// blocks of [`LANES`] and the rest one at a time, so one row's
+    /// predictions arrive in tree order. A tree that splits on a feature
+    /// `x` lacks walks every row alone and panics where `predict_row`
+    /// would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has rows and a tree is not fitted.
+    pub(crate) fn predict_each<'a>(
+        trees: impl Iterator<Item = &'a DecisionTree>,
+        x: &Matrix,
+        mut emit: impl FnMut(usize, usize, f64),
+    ) {
+        let (n, cols) = (x.rows(), x.cols());
+        for (t, tree) in trees.enumerate() {
+            let mut r = 0;
+            if tree.reads_within(cols) {
+                while r + LANES <= n {
+                    let block = &x.as_slice()[r * cols..(r + LANES) * cols];
+                    for (l, leaf) in tree.walk::<LANES>(block, cols).into_iter().enumerate() {
+                        emit(r + l, t, tree.nodes[leaf as usize].value);
+                    }
+                    r += LANES;
+                }
+            }
+            for r in r..n {
+                emit(
+                    r,
+                    t,
+                    tree.nodes[tree.walk::<1>(x.row(r), cols)[0] as usize].value,
+                );
+            }
+        }
+    }
+
+    /// Whether every feature a walk reads is below `cols`: the splits'
+    /// and, once the tree has a split, its leaves' feature 0.
+    fn reads_within(&self, cols: usize) -> bool {
+        self.nodes.iter().all(|n| (n.feature as usize) < cols) || self.depth == 0
+    }
+
+    /// The leaf slot each of the `B` rows of `block` (row-major, `cols`
+    /// wide) reaches: `depth` lockstep steps from the root, branch-free (a
+    /// leaf steps to itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree is not fitted.
+    #[inline(never)]
+    fn walk<const B: usize>(&self, block: &[f64], cols: usize) -> [u32; B] {
+        assert!(!self.nodes.is_empty(), "model must be fitted first");
+        let mut cur = [0u32; B];
+        for _ in 0..self.depth {
+            for (l, c) in cur.iter_mut().enumerate() {
+                let node = &self.nodes[*c as usize];
+                let v = block[l * cols + node.feature as usize];
+                // `!(v <= t)`, not `v > t`: a NaN feature goes right, as
+                // it does in `predict_row`.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let right = !(v <= node.value);
+                *c = node.children[usize::from(right)];
+            }
+        }
+        cur
+    }
+}
+
+/// The splits on the longest walk from the root, or `None` when a child
+/// index is out of range or does not follow its parent. With every child
+/// after its parent, each step of a walk raises a node's distance from the
+/// root, so after this many steps every walk rests on a leaf.
+fn depth_of(nodes: &[Node]) -> Option<u32> {
+    let mut dist = vec![0u32; nodes.len()];
+    let mut depth = 0;
+    for (slot, node) in nodes.iter().enumerate() {
+        if node.is_leaf(slot) {
+            depth = depth.max(dist[slot]);
+            continue;
+        }
+        for c in node.children.map(|c| c as usize) {
+            if c <= slot || c >= nodes.len() {
+                return None;
+            }
+            dist[c] = dist[c].max(dist[slot] + 1);
+        }
+    }
+    Some(depth)
 }
 
 pub(crate) fn encode_config(out: &mut Vec<u8>, config: &TreeConfig) {
@@ -295,25 +404,27 @@ impl Regressor for DecisionTree {
 
     fn predict_row(&self, row: &[f64]) -> f64 {
         assert!(!self.nodes.is_empty(), "model must be fitted first");
-        // Root is always the first reserved slot.
-        let mut cur = 0usize;
+        // Root is always the first reserved slot; children follow their
+        // parents, so the walk ends.
+        let mut slot = 0;
         loop {
-            match &self.nodes[cur] {
-                Node::Leaf(v) => return *v,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    cur = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
+            let node = &self.nodes[slot];
+            if node.is_leaf(slot) {
+                return node.value;
             }
+            let [left, right] = node.children;
+            slot = if row[node.feature as usize] <= node.value {
+                left
+            } else {
+                right
+            } as usize;
         }
+    }
+
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        let mut out = vec![0.0; x.rows()];
+        DecisionTree::predict_each(std::iter::once(self), x, |r, _, v| out[r] = v);
+        out
     }
 
     fn name(&self) -> &'static str {
@@ -515,9 +626,10 @@ mod tests {
         let make_leaf = idx.len() < tree.config.min_samples_split
             || depth >= tree.config.max_depth
             || variance(&rows, y, w) < 1e-12;
+        let slot = tree.nodes.len();
+        tree.nodes.push(Node::leaf(slot, node_value));
         if make_leaf {
-            tree.nodes.push(Node::Leaf(node_value));
-            return tree.nodes.len() - 1;
+            return slot;
         }
         let p = x.cols();
         let candidates: Vec<usize> = match tree.features_per_split {
@@ -545,21 +657,17 @@ mod tests {
             }
         }
         let Some((feature, threshold, _)) = best else {
-            tree.nodes.push(Node::Leaf(node_value));
-            return tree.nodes.len() - 1;
+            return slot;
         };
         let (li, ri): (Vec<usize>, Vec<usize>) = idx
             .into_iter()
             .partition(|&i| x.get(i, feature) <= threshold);
-        tree.nodes.push(Node::Leaf(node_value));
-        let slot = tree.nodes.len() - 1;
         let left = oracle_grow(tree, x, y, w, li, depth + 1, rng);
         let right = oracle_grow(tree, x, y, w, ri, depth + 1, rng);
-        tree.nodes[slot] = Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
+        tree.nodes[slot] = Node {
+            value: threshold,
+            feature: feature as u32,
+            children: [left as u32, right as u32],
         };
         slot
     }

@@ -298,6 +298,96 @@ mod tests {
         assert!(off.stages().is_empty());
     }
 
+    /// splitmix64 step: every proptest case derives its inputs from one
+    /// drawn seed.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One cell: usually continuous, often a small integer (ties) or a
+    /// midpoint of two (a tree threshold), and with `special` set
+    /// sometimes NaN, ±inf or a signed zero.
+    fn cell(s: &mut u64, special: bool) -> f64 {
+        const SPECIAL: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        match mix(s) % 8 {
+            0 if special => SPECIAL[(mix(s) % 5) as usize],
+            1 | 2 => (mix(s) % 3) as f64,
+            3 if special => (mix(s) % 2) as f64 + 0.5,
+            _ => (mix(s) >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 1.0,
+        }
+    }
+
+    /// A training set and a query matrix of 0, 1, 9 or up to 24 rows.
+    /// The queries repeat training rows (exact distance ties) and each
+    /// other, and hold NaN, ±inf and signed-zero cells; the training set
+    /// does too in one case of four.
+    fn batch_case(seed: u64) -> (Matrix, Vec<f64>, Matrix) {
+        let mut s = seed;
+        let p = 5;
+        let n = 12 + (mix(&mut s) % 30) as usize;
+        let special_train = mix(&mut s).is_multiple_of(4);
+        let mut train: Vec<f64> = Vec::with_capacity(n * p);
+        for i in 0..n {
+            if i > 0 && mix(&mut s).is_multiple_of(5) {
+                let j = (mix(&mut s) % i as u64) as usize;
+                train.extend_from_within(j * p..(j + 1) * p);
+            } else {
+                train.extend((0..p).map(|_| cell(&mut s, special_train)));
+            }
+        }
+        let y: Vec<f64> = (0..n).map(|_| cell(&mut s, false)).collect();
+        let rows = [0, 1, 9, (mix(&mut s) % 25) as usize][(mix(&mut s) % 4) as usize];
+        let mut query: Vec<f64> = Vec::with_capacity(rows * p);
+        for i in 0..rows {
+            match mix(&mut s) % 4 {
+                0 => {
+                    let j = (mix(&mut s) % n as u64) as usize;
+                    query.extend_from_slice(&train[j * p..(j + 1) * p]);
+                }
+                1 if i > 0 => {
+                    let j = (mix(&mut s) % i as u64) as usize;
+                    query.extend_from_within(j * p..(j + 1) * p);
+                }
+                _ => query.extend((0..p).map(|_| cell(&mut s, true))),
+            }
+        }
+        (
+            Matrix::from_vec(n, p, train),
+            y,
+            Matrix::from_vec(rows, p, query),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every model's batch `predict` — fitted and restored from its
+        /// saved state — is bit-equal to `predict_row` on each row.
+        #[test]
+        fn batch_predict_is_bit_equal_to_predict_row(seed in 0u64..u64::MAX) {
+            let (x, y, q) = batch_case(seed);
+            for id in MlModelId::ALL {
+                let mut model = build_model(id, asic());
+                if model.fit(&x, &y).is_err() {
+                    continue;
+                }
+                let state = model.save_state().expect("every zoo model saves");
+                let restored = crate::restore(state.tag, &state.payload).expect("round trip");
+                let rows: Vec<u64> = (0..q.rows())
+                    .map(|r| model.predict_row(q.row(r)).to_bits())
+                    .collect();
+                for (what, m) in [("fitted", &model), ("restored", &restored)] {
+                    let batch: Vec<u64> = m.predict(&q).iter().map(|v| v.to_bits()).collect();
+                    proptest::prop_assert_eq!(&batch, &rows, "{} {}", id, what);
+                }
+            }
+        }
+    }
+
     #[test]
     fn labels_match_table_one() {
         assert_eq!(MlModelId::Ml11.label(), "ML11");

@@ -64,26 +64,63 @@ pub struct NetlistStats {
     pub max_fanout: u32,
 }
 
-/// Compute [`NetlistStats`] for a netlist.
+/// Gate kinds: the logic kinds plus `Input` and `Const`.
+const KINDS: usize = GateKind::LOGIC.len() + 2;
+
+/// Compute [`NetlistStats`] for a netlist in one pass over its gates —
+/// levels, fanout and kind counts together — then one sweep of the fanout
+/// array.
+///
+/// `mean_fanout` divides the integer count of fanout references. Summed
+/// as `f64` in net order, every partial sum of those counts is an integer
+/// below 2^53, so each addition is exact and the float sum is that count.
 pub fn stats(netlist: &Netlist) -> NetlistStats {
-    let fo = fanout(netlist);
-    let read: Vec<u32> = fo.iter().copied().filter(|&f| f > 0).collect();
-    let mean_fanout = if read.is_empty() {
+    let gates = netlist.gates();
+    let mut lv = vec![0u32; gates.len()];
+    let mut fo = vec![0u32; gates.len()];
+    let mut kinds = [0usize; KINDS];
+    let mut refs = 0u64;
+    for (i, gate) in gates.iter().enumerate() {
+        kinds[gate.kind() as usize] += 1;
+        let mut level = 0;
+        for op in gate.operands().map(NetId::index) {
+            fo[op] += 1;
+            level = level.max(lv[op]);
+            refs += 1;
+        }
+        if gate.is_logic() {
+            lv[i] = level + 1;
+        }
+    }
+    let mut depth = 0;
+    for out in netlist.outputs().iter().map(|o| o.index()) {
+        fo[out] += 1;
+        depth = depth.max(lv[out]);
+        refs += 1;
+    }
+    let (mut read, mut max_fanout) = (0usize, 0u32);
+    for &f in &fo {
+        read += usize::from(f > 0);
+        max_fanout = max_fanout.max(f);
+    }
+    let mean_fanout = if read == 0 {
         0.0
     } else {
-        read.iter().map(|&f| f as f64).sum::<f64>() / read.len() as f64
+        refs as f64 / read as f64
     };
-    let mut kind_counts = netlist.kind_histogram();
-    kind_counts.remove(&GateKind::Input);
-    kind_counts.remove(&GateKind::Const);
+    let kind_counts: BTreeMap<GateKind, usize> = GateKind::LOGIC
+        .iter()
+        .map(|&k| (k, kinds[k as usize]))
+        .filter(|&(_, count)| count > 0)
+        .collect();
     NetlistStats {
         inputs: netlist.num_inputs(),
         outputs: netlist.num_outputs(),
-        gates: netlist.num_logic_gates(),
+        gates: kind_counts.values().sum(),
         kind_counts,
-        depth: depth(netlist),
+        depth,
         mean_fanout,
-        max_fanout: fo.iter().copied().max().unwrap_or(0),
+        max_fanout,
     }
 }
 

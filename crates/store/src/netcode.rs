@@ -103,7 +103,12 @@ pub fn decode_netlist(r: &mut ByteReader<'_>) -> Option<Netlist> {
         return None;
     }
     let mut netlist = Netlist::new(name);
-    netlist.add_inputs(num_inputs);
+    // Every stored gate takes at least two bytes, so a header cannot
+    // reserve more gates than the payload left could hold.
+    netlist.reserve(num_inputs + (num_gates - num_inputs).min(r.remaining() / 2));
+    for _ in 0..num_inputs {
+        netlist.add_input();
+    }
     for i in num_inputs..num_gates {
         let kind = r.u8()?;
         if kind == K_CONST {
@@ -144,7 +149,8 @@ pub fn decode_netlist(r: &mut ByteReader<'_>) -> Option<Netlist> {
         };
     }
     let num_outputs = r.uvarint()? as usize;
-    let mut outputs = Vec::with_capacity(num_outputs.min(1 << 16));
+    // Every output takes at least one byte.
+    let mut outputs = Vec::with_capacity(num_outputs.min(r.remaining()));
     for _ in 0..num_outputs {
         let delta = r.uvarint()? as usize;
         if delta == 0 || delta > num_gates {
