@@ -56,5 +56,6 @@ pub use library::{build_library, build_library_with, LibrarySpec};
 pub use source::{ensure_library, paper_full_specs, LibraryShards, LibrarySource};
 pub use spec::from_spec_ref;
 pub use store::{
-    read_library, stream_library, write_library, write_library_specs, LibraryStream, WriteSummary,
+    read_library, stream_library, stream_library_bytes, write_library, write_library_specs,
+    LibraryStream, WriteSummary,
 };

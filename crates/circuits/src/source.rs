@@ -3,8 +3,8 @@
 //! [`LibrarySource`] abstracts over the two ways a characterization run
 //! obtains its library — generated in process from a [`LibrarySpec`], or
 //! streamed shard-at-a-time from a sealed `.afps` corpus written by
-//! [`crate::store::write_library`] — behind one
-//! [`LibrarySource::shards`] / [`LibrarySource::for_each_shard`] API.
+//! [`crate::store::write_library`] — behind one [`LibrarySource::shards`]
+//! API.
 //! Streaming a stored corpus keeps at most one shard of circuits
 //! resident, which is what makes paper-full-scale libraries (the 44,940
 //! 8x8 multipliers plus the five smaller libraries) a bounded-memory
@@ -51,24 +51,6 @@ impl LibrarySource {
             LibrarySource::Stored(path) => ShardsInner::Stored(stream_library(path)?),
         };
         Ok(LibraryShards { shard, inner })
-    }
-
-    /// Drive `f` over every shard in order; returns the total number of
-    /// circuits visited. Stops at the first error (the source's own, or
-    /// one returned by `f`).
-    pub fn for_each_shard(
-        &self,
-        shard: usize,
-        rt: &Runtime,
-        mut f: impl FnMut(Vec<ArithCircuit>) -> io::Result<()>,
-    ) -> io::Result<usize> {
-        let mut total = 0;
-        for batch in self.shards(shard, rt)? {
-            let batch = batch?;
-            total += batch.len();
-            f(batch)?;
-        }
-        Ok(total)
     }
 }
 
@@ -190,20 +172,15 @@ mod tests {
         let full = build_library(&spec);
         let rt = Runtime::new(1);
         for shard in [1, 7, 25, 1000, 0] {
-            let source = LibrarySource::Generated(spec.clone());
-            let mut got = Vec::new();
-            let mut sizes = Vec::new();
-            let total = source
-                .for_each_shard(shard, &rt, |batch| {
-                    sizes.push(batch.len());
-                    got.extend(batch);
-                    Ok(())
-                })
+            let shards: Vec<Vec<ArithCircuit>> = LibrarySource::Generated(spec.clone())
+                .shards(shard, &rt)
+                .unwrap()
+                .collect::<io::Result<_>>()
                 .unwrap();
-            assert_eq!(total, full.len(), "shard={shard}");
-            assert_eq!(names(&got), names(&full), "shard={shard}");
             let cap = if shard == 0 { usize::MAX } else { shard };
-            assert!(sizes.iter().all(|&s| s <= cap), "shard={shard}");
+            assert!(shards.iter().all(|s| s.len() <= cap), "shard={shard}");
+            let got: Vec<ArithCircuit> = shards.into_iter().flatten().collect();
+            assert_eq!(names(&got), names(&full), "shard={shard}");
         }
     }
 
@@ -215,14 +192,12 @@ mod tests {
         let eager = read_library(&path).unwrap();
         let rt = Runtime::new(1);
         for shard in [1, 5, 64] {
-            let source = LibrarySource::Stored(path.clone());
-            let mut got = Vec::new();
-            source
-                .for_each_shard(shard, &rt, |batch| {
-                    got.extend(batch);
-                    Ok(())
-                })
-                .unwrap();
+            let got: Vec<ArithCircuit> = LibrarySource::Stored(path.clone())
+                .shards(shard, &rt)
+                .unwrap()
+                .collect::<io::Result<Vec<_>>>()
+                .unwrap()
+                .concat();
             assert_eq!(names(&got), names(&eager), "shard={shard}");
         }
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
@@ -240,7 +215,9 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let err = LibrarySource::Stored(path.clone())
-            .for_each_shard(4, &rt, |_| Ok(()))
+            .shards(4, &rt)
+            .unwrap()
+            .collect::<io::Result<Vec<_>>>()
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());

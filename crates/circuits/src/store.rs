@@ -40,7 +40,9 @@
 //! ```
 
 use std::collections::HashSet;
-use std::io;
+use std::fmt::Display;
+use std::fs::File;
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 
 use afp_runtime::{Key128, Runtime, StableHasher};
@@ -157,9 +159,10 @@ pub fn write_library_specs(
     Ok(summary)
 }
 
-/// Lazy iterator over the circuits of a store file written by
-/// [`write_library`]. Frames are read and decompressed on demand —
-/// opening the stream does not load the library.
+/// Lazy iterator over the circuits of a store image written by
+/// [`write_library`], read from a file ([`stream_library`]) or from
+/// memory ([`stream_library_bytes`]). Frames are read and decompressed
+/// on demand — opening the stream does not load the library.
 ///
 /// A torn or corrupt tail is never silent: after yielding the intact
 /// prefix, the stream yields one final `Err` so a damaged corpus cannot
@@ -167,12 +170,12 @@ pub fn write_library_specs(
 /// recovered prefix can consume circuits until the error and check
 /// [`LibraryStream::truncated`].
 #[derive(Debug)]
-pub struct LibraryStream {
-    inner: FrameStream,
+pub struct LibraryStream<R = BufReader<File>> {
+    inner: FrameStream<R>,
     torn_reported: bool,
 }
 
-impl LibraryStream {
+impl<R: Read> LibraryStream<R> {
     /// Whether the underlying file ended in a torn (truncated or
     /// corrupted) frame; circuits yielded before that point are intact.
     pub fn truncated(&self) -> bool {
@@ -180,7 +183,7 @@ impl LibraryStream {
     }
 }
 
-impl Iterator for LibraryStream {
+impl<R: Read> Iterator for LibraryStream<R> {
     type Item = io::Result<ArithCircuit>;
 
     fn next(&mut self) -> Option<io::Result<ArithCircuit>> {
@@ -209,15 +212,29 @@ impl Iterator for LibraryStream {
 /// circuit encoding this build understands — a foreign-version corpus is
 /// an error naming both versions, never a silent empty stream.
 pub fn stream_library(path: &Path) -> io::Result<LibraryStream> {
-    let inner = FrameStream::open(path)?;
+    library_stream(FrameStream::open(path)?, &path.display())
+}
+
+/// [`stream_library`] over a store image already in memory (an `.afps`
+/// request body, say): the same circuits, the same torn-tail `Err` and
+/// the same foreign-version error as the file would give.
+pub fn stream_library_bytes(bytes: &[u8]) -> io::Result<LibraryStream<&[u8]>> {
+    library_stream(FrameStream::new(bytes)?, &"in-memory store image")
+}
+
+/// Check the record version of a freshly opened store image, naming
+/// `origin` in the error.
+fn library_stream<R: Read>(
+    inner: FrameStream<R>,
+    origin: &dyn Display,
+) -> io::Result<LibraryStream<R>> {
     let found = inner.header().record_version;
     if found != CIRCUIT_VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
                 "circuit store has record version {found}, this build reads \
-                 version {CIRCUIT_VERSION} ({})",
-                path.display()
+                 version {CIRCUIT_VERSION} ({origin})"
             ),
         ));
     }
@@ -368,6 +385,53 @@ mod tests {
         // frame holds all three) circuits, same loud error.
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         assert!(read_library(&path).is_err());
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn in_memory_and_file_streams_agree_on_the_same_bytes() {
+        // Each item as its circuit or its error (kind and message, minus
+        // the origin the foreign-version error names).
+        fn items<R: Read>(opened: io::Result<LibraryStream<R>>) -> Vec<Result<String, String>> {
+            let describe = |e: io::Error| {
+                let msg = e.to_string();
+                let msg = msg.split(" (").next().unwrap_or_default().to_string();
+                format!("{:?}: {msg}", e.kind())
+            };
+            match opened {
+                Ok(stream) => stream
+                    .map(|item| item.map(|c| format!("{c:?}")).map_err(describe))
+                    .collect(),
+                Err(e) => vec![Err(describe(e))],
+            }
+        }
+        let path = temp_path("memory");
+        let circuits = vec![adders::ripple_carry(4), adders::loa(4, 2)];
+        write_library(&path, &circuits).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        let mut foreign = StoreWriter::create(&path, CIRCUIT_VERSION + 1).unwrap();
+        foreign.append(Key128 { hi: 1, lo: 2 }, &[0xFF; 4]).unwrap();
+        foreign.finish_sealed().unwrap();
+        let foreign = std::fs::read(&path).unwrap();
+        let images: [(&str, &[u8]); 5] = [
+            ("whole", &full),
+            ("torn trailer", &full[..full.len() - 12]),
+            ("torn data", &full[..full.len() / 2]),
+            ("foreign version", &foreign),
+            ("not a store", b"name,v1,cols\n"),
+        ];
+        for (case, bytes) in images {
+            std::fs::write(&path, bytes).unwrap();
+            let from_file = items(stream_library(&path));
+            let from_memory = items(stream_library_bytes(bytes));
+            assert_eq!(from_file, from_memory, "{case}");
+            let errors = from_file.iter().filter(|item| item.is_err()).count();
+            assert_eq!(
+                errors,
+                usize::from(case != "whole"),
+                "{case}: {from_file:?}"
+            );
+        }
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -27,6 +27,7 @@ use std::path::Path;
 
 use afp_circuits::{build_library, ArithCircuit, ArithKind, LibrarySource, LibrarySpec};
 use afp_netlist::Netlist;
+use afp_runtime::ReportSection;
 
 /// A parsed command line: subcommand, flags and positional arguments.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -661,10 +662,10 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     let outcome = flow
         .run_source_traced(&source, &recorder)
         .map_err(|e| format!("cannot stream the circuit corpus: {e}"))?;
+    let mut report = approxfpgas::run_report(&config, &outcome, &recorder);
     if report_mode == "json" {
         // Stdout carries the JSON document and nothing else, so the
         // output pipes straight into `python3 -m json.tool`, `jq`, etc.
-        let mut report = approxfpgas::run_report(&config, &outcome, &recorder);
         if report_normalized {
             report = approxfpgas::report::normalized(&report);
         }
@@ -720,67 +721,28 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
             outcome.final_fronts[param].len()
         );
     }
-    let rt = &outcome.runtime;
-    let _ = writeln!(
-        out,
-        "runtime: {} tasks ({} steals), cache {} hits / {} misses, \
-         {} ASIC + {} FPGA synths, {} error analyses, {:.1} MiB simulated",
-        rt.tasks_executed,
-        rt.steals,
-        rt.cache_hits,
-        rt.cache_misses,
-        rt.asic_synths,
-        rt.fpga_synths,
-        rt.error_analyses,
-        rt.bytes_simulated as f64 / (1024.0 * 1024.0)
-    );
-    if rt.cache_write_errors > 0 {
+    if outcome.runtime.cache_write_errors > 0 {
         let _ = writeln!(
             out,
             "warning: {} cache entries were not persisted to disk (disk append failed; \
              see cache.write_errors in the report)",
-            rt.cache_write_errors
+            outcome.runtime.cache_write_errors
         );
         if let Some(err) = &outcome.cache_last_error {
             let _ = writeln!(out, "warning: last cache write error: {err}");
         }
     }
-    let _ = writeln!(
-        out,
-        "mapper: {} cut merges ({} sig-rejected, {} dominance-pruned), {} mapper reuses",
-        rt.cuts_merged, rt.cuts_sig_rejected, rt.cuts_dominance_pruned, rt.mapper_reuses
-    );
-    let _ = writeln!(
-        out,
-        "sim: {} tape reuses, {} structural dedup hits, {} nodes shared",
-        rt.sim_tape_reuses, rt.structural_dedup_hits, rt.sim_nodes_shared
-    );
-    let _ = writeln!(
-        out,
-        "zoo memo: {} hits / {} misses, {} save errors",
-        rt.zoo_memo_hits, rt.zoo_memo_misses, rt.zoo_memo_errors
-    );
-    if rt.shards_streamed > 0 {
-        let _ = writeln!(
-            out,
-            "streaming: {} shards, peak {} circuits resident",
-            rt.shards_streamed, rt.peak_resident_circuits
-        );
-    }
-    let dropped: usize = outcome.dropped_models.values().map(|v| v.len()).sum();
-    let _ = writeln!(
-        out,
-        "quarantine: {} non-finite estimates excluded, {} models dropped",
-        rt.estimates_quarantined, dropped
-    );
+    // Every counter reaches the terminal through the run report's
+    // sections; `--report none` only leaves out the stage table.
     if report_mode == "table" {
-        let report = approxfpgas::run_report(&config, &outcome, &recorder);
         let _ = writeln!(out, "\nper-stage timing:");
         out.push_str(&report.render_table());
         if cli.flags.contains_key("report-out") {
             let written = report.write_json(&report_out).map_err(|e| e.to_string())?;
             let _ = writeln!(out, "wrote run report to {}", written.display());
         }
+    } else {
+        out.push_str(&report.render_sections());
     }
     Ok(out)
 }
@@ -854,24 +816,26 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
             cli.flag_or("socket", "<socket>")
         ),
     }
-    let snap = handle.join();
-    Ok(format!(
-        "serve drained: {} requests served ({} coalesced, {} keep-alive reuses, \
-         {} queue rejections, inflight peak {}), {} estimates from models \
-         ({} estimate-cache hits), {} ASIC synths, cache {} hits / {} misses, \
-         {} body-cache hits\n",
-        snap.requests_served,
-        snap.requests_coalesced,
-        snap.keepalive_reuses,
-        snap.queue_rejections,
-        snap.inflight_peak,
-        snap.estimates_served,
-        snap.model_cache_hits,
-        snap.asic_synths,
-        snap.cache_hits,
-        snap.cache_misses,
-        snap.body_cache_hits
-    ))
+    Ok(drained_summary(&handle.join()))
+}
+
+/// `afp serve`'s exit summary: one `serve drained: [section] ...` line per
+/// counter section the daemon moves, straight from the registry.
+fn drained_summary(snap: &afp_runtime::CounterSnapshot) -> String {
+    let mut report = afp_obs::RunReport::new();
+    for section in [
+        ReportSection::Serve,
+        ReportSection::Estimate,
+        ReportSection::Runtime,
+        ReportSection::Cache,
+    ] {
+        report.push_section(approxfpgas::report::counter_section(section, snap));
+    }
+    report
+        .render_sections()
+        .lines()
+        .map(|line| format!("serve drained: {line}\n"))
+        .collect()
 }
 
 /// `afp zoo` — train and persist model zoos (`.afpm` containers).
@@ -1399,23 +1363,53 @@ mod tests {
         .unwrap();
         assert!(out.contains("synthesized"));
         assert!(out.contains("coverage"));
-        assert!(out.contains("runtime:"), "missing counter summary:\n{out}");
-        assert!(out.contains("mapper:"), "missing mapper summary:\n{out}");
-        assert!(out.contains("cut merges"), "{out}");
-        assert!(out.contains("sig-rejected"), "{out}");
-        assert!(out.contains("dominance-pruned"), "{out}");
-        assert!(out.contains("mapper reuses"), "{out}");
-        assert!(out.contains("sim:"), "missing sim summary:\n{out}");
-        assert!(out.contains("tape reuses"), "{out}");
-        assert!(out.contains("structural dedup hits"), "{out}");
+        // Every runtime counter reaches the terminal as a registry row.
+        let runtime_line = out
+            .lines()
+            .find(|line| line.starts_with("[runtime] "))
+            .unwrap_or_else(|| panic!("missing runtime section:\n{out}"));
+        for row in afp_runtime::COUNTERS
+            .iter()
+            .filter(|row| row.section == ReportSection::Runtime)
+        {
+            assert!(runtime_line.contains(&format!("{}=", row.name)), "{out}");
+        }
         // No cache dir: no memo slot, so nothing hit or missed.
         assert!(
-            out.contains("zoo memo: 0 hits / 0 misses, 0 save errors"),
+            runtime_line.ends_with("zoo_memo_hits=0, zoo_memo_misses=0, zoo_memo_errors=0"),
+            "{out}"
+        );
+        assert!(out.contains("[cache] hits="), "{out}");
+        assert!(
+            out.contains("[quarantine] estimates_quarantined=0"),
             "{out}"
         );
         // The flow actually did mapping work, so the counters are live.
-        assert!(!out.contains("0 cut merges"), "{out}");
-        assert!(!out.contains(" 0 tape reuses"), "{out}");
+        assert!(!runtime_line.contains("cuts_merged=0,"), "{out}");
+        assert!(!runtime_line.contains("sim_tape_reuses=0,"), "{out}");
+    }
+
+    #[test]
+    fn serve_drained_summary_prints_the_registry() {
+        let summary = drained_summary(&afp_runtime::CounterSnapshot {
+            requests_served: 7,
+            zoo_memo_hits: 2,
+            ..Default::default()
+        });
+        let sections: Vec<&str> = summary
+            .lines()
+            .map(|line| line.strip_prefix("serve drained: [").unwrap())
+            .map(|rest| rest.split(']').next().unwrap())
+            .collect();
+        assert_eq!(sections, ["serve", "estimate", "runtime", "cache"]);
+        assert!(summary.contains("[serve] requests_served=7, "), "{summary}");
+        assert!(summary.contains(", zoo_memo_hits=2, "), "{summary}");
+        for row in afp_runtime::COUNTERS
+            .iter()
+            .filter(|row| row.section != ReportSection::Quarantine)
+        {
+            assert!(summary.contains(&format!("{}=", row.name)), "{summary}");
+        }
     }
 
     #[test]
@@ -1486,6 +1480,10 @@ mod tests {
         .unwrap();
         assert!(out.contains("synthesized"));
         assert!(!out.contains("per-stage timing:"), "{out}");
+        assert!(!out.contains("items/s"), "{out}");
+        // The counters still print, as the report's section lines.
+        assert!(out.contains("\n[runtime] tasks_executed="), "{out}");
+        assert!(out.contains("\n[coverage] latency="), "{out}");
     }
 
     #[test]
@@ -1572,7 +1570,7 @@ mod tests {
         // The store warms the next run.
         let out = run(&args(&flow_args)).unwrap();
         assert!(
-            out.contains(" 0 misses"),
+            out.contains("[cache] hits=60, misses=0,"),
             "warm run must be all hits: {out}"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -1663,9 +1661,11 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("corpus "), "{out}");
-        assert!(out.contains("streaming: "), "{out}");
-        assert!(out.contains("shards, peak "), "{out}");
-        assert!(out.contains("circuits resident"), "{out}");
+        // 60 circuits in shards of 16, never more than one shard resident.
+        assert!(
+            out.contains("shards_streamed=4, peak_resident_circuits=16,"),
+            "{out}"
+        );
         // The corpus fixes the circuits: generated-library flags conflict.
         let e = run(&args(&["flow", "--library", &p, "--size", "60"])).unwrap_err();
         assert!(e.contains("cannot be combined"), "{e}");
@@ -1715,7 +1715,13 @@ mod tests {
         ];
         let out = run(&args(&base)).unwrap();
         assert!(out.contains("generated paper-full corpus"), "{out}");
-        assert!(out.contains("streaming: "), "{out}");
+        assert!(out.contains("shards_streamed="), "{out}");
+        assert!(!out.contains("shards_streamed=0,"), "{out}");
+        // Six libraries of two kinds: the report says so.
+        assert!(
+            out.contains("library_kind=mixed, library_width=--,"),
+            "{out}"
+        );
         // Second run streams the already-persisted corpus.
         let out = run(&args(&base)).unwrap();
         assert!(out.contains("reusing existing corpus"), "{out}");
@@ -1856,6 +1862,6 @@ mod tests {
         ]))
         .unwrap();
         // --no-cache: every characterization is a miss-free direct compute.
-        assert!(out.contains("cache 0 hits / 0 misses"), "{out}");
+        assert!(out.contains("[cache] hits=0, misses=0,"), "{out}");
     }
 }

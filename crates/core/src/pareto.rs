@@ -35,11 +35,23 @@ use std::collections::BTreeSet;
 /// assert_eq!(pareto_front(&pts), vec![0, 1, 3]); // (3,4) is dominated
 /// ```
 pub fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
+    let mut front = sweep_front(points, &sorted_order(points));
+    front.sort_unstable();
+    front
+}
+
+/// Every index of `points`, stably sorted by cost, then error. The total
+/// order places NaN-cost points last, where [`sweep_front`] stops.
+fn sorted_order(points: &[(f64, f64)]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..points.len()).collect();
-    // Sort by cost, then error: a sweep keeping the running error minimum
-    // yields the non-dominated set. The total order places NaN-cost
-    // points last, where the sweep stops.
     order.sort_by(|&a, &b| afp_ord::pair_asc(points[a], points[b]));
+    order
+}
+
+/// The pareto front of the points `order` lists, given in
+/// [`sorted_order`]'s order: a sweep keeping the running error minimum
+/// yields the non-dominated set (in sweep order, not sorted).
+fn sweep_front(points: &[(f64, f64)], order: &[usize]) -> Vec<usize> {
     let mut front = Vec::new();
     let mut best_error = f64::INFINITY;
     let mut i = 0;
@@ -70,7 +82,6 @@ pub fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
         }
         i = j;
     }
-    front.sort_unstable();
     front
 }
 
@@ -94,22 +105,21 @@ pub fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
 /// assert!(fronts[1].contains(&2));
 /// ```
 pub fn peel_fronts(points: &[(f64, f64)], n: usize) -> Vec<Vec<usize>> {
-    let mut remaining: Vec<usize> = (0..points.len()).collect();
+    // A stable sort restricted to a subset is that subset's stable sort,
+    // so one sort serves every front: each peel sweeps the order and
+    // then drops the points it took.
+    let mut order = sorted_order(points);
     let mut fronts = Vec::new();
     for _ in 0..n {
-        if remaining.is_empty() {
+        let mut front = sweep_front(points, &order);
+        if front.is_empty() {
+            // Nothing or only NaN points left; further peels would all
+            // be empty.
             break;
         }
-        let sub: Vec<(f64, f64)> = remaining.iter().map(|&i| points[i]).collect();
-        let local = pareto_front(&sub);
-        if local.is_empty() {
-            // Only NaN points left; further peels would all be empty.
-            break;
-        }
-        let global: Vec<usize> = local.iter().map(|&li| remaining[li]).collect();
-        let taken: std::collections::HashSet<usize> = global.iter().copied().collect();
-        remaining.retain(|i| !taken.contains(i));
-        fronts.push(global);
+        front.sort_unstable();
+        order.retain(|i| front.binary_search(i).is_err());
+        fronts.push(front);
     }
     fronts
 }
@@ -513,7 +523,78 @@ mod tests {
         assert_eq!(m.coverage, 4.0 / 6.0);
     }
 
+    /// `pareto_front` as one function, before the sort and the sweep were
+    /// split for `peel_fronts` to share.
+    fn pareto_front_by_sorting(points: &[(f64, f64)]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        order.sort_by(|&a, &b| afp_ord::pair_asc(points[a], points[b]));
+        let mut front = Vec::new();
+        let mut best_error = f64::INFINITY;
+        let mut i = 0;
+        while i < order.len() {
+            let cost = points[order[i]].0;
+            if cost.is_nan() {
+                break;
+            }
+            let mut j = i;
+            let mut group_min = f64::INFINITY;
+            while j < order.len() && points[order[j]].0 == cost {
+                group_min = group_min.min(points[order[j]].1);
+                j += 1;
+            }
+            if group_min < best_error {
+                for &idx in &order[i..j] {
+                    if points[idx].1 == group_min {
+                        front.push(idx);
+                    }
+                }
+                best_error = group_min;
+            }
+            i = j;
+        }
+        front.sort_unstable();
+        front
+    }
+
+    /// The peeling every front used to do: copy the remaining points and
+    /// take the pareto front of the copy.
+    fn peel_fronts_by_copying(points: &[(f64, f64)], n: usize) -> Vec<Vec<usize>> {
+        let mut remaining: Vec<usize> = (0..points.len()).collect();
+        let mut fronts = Vec::new();
+        for _ in 0..n {
+            if remaining.is_empty() {
+                break;
+            }
+            let sub: Vec<(f64, f64)> = remaining.iter().map(|&i| points[i]).collect();
+            let local = pareto_front_by_sorting(&sub);
+            if local.is_empty() {
+                break;
+            }
+            let global: Vec<usize> = local.iter().map(|&li| remaining[li]).collect();
+            let taken: std::collections::HashSet<usize> = global.iter().copied().collect();
+            remaining.retain(|i| !taken.contains(i));
+            fronts.push(global);
+        }
+        fronts
+    }
+
     proptest::proptest! {
+        #[test]
+        fn front_and_peeling_match_the_oracle(
+            picks in proptest::collection::vec((0usize..12, 0usize..12), 0..80),
+            n in 0usize..8,
+        ) {
+            // A small value pool forces duplicates and ties; it holds NaN,
+            // both infinities and both zeros.
+            const POOL: [f64; 12] = [
+                f64::NAN, f64::NEG_INFINITY, -2.0, -0.0, 0.0, 0.5,
+                1.0, 1.0, 3.0, 7.5, 1e300, f64::INFINITY,
+            ];
+            let pts: Vec<(f64, f64)> = picks.iter().map(|&(c, e)| (POOL[c], POOL[e])).collect();
+            proptest::prop_assert_eq!(pareto_front(&pts), pareto_front_by_sorting(&pts));
+            proptest::prop_assert_eq!(peel_fronts(&pts, n), peel_fronts_by_copying(&pts, n));
+        }
+
         #[test]
         fn front_is_subset_and_idempotent(seed in 0u64..300) {
             let mut s = seed | 1;

@@ -28,23 +28,34 @@ fn param_key(param: FpgaParam) -> &'static str {
 
 /// Build the structured run report of one flow outcome.
 ///
-/// Sections, in order: `flow` (what ran), `target` (which device profile
-/// the FPGA ground truth was synthesized for), `time` (the paper's
-/// exploration-time accounting; undefined ratios are `null`), `runtime`
-/// (the registry's scheduler/synthesis counters, see [`counter_section`]),
-/// `cache` (hit/miss totals, hit rate and dropped disk writes),
-/// `quarantine` (non-finite estimate defenses from the robustness
-/// harness) and `coverage` (per-parameter pareto coverage plus the
-/// mean).
+/// Sections, in order: `flow` (what ran; `library_kind` and
+/// `library_width` come from the explored records and read `"mixed"` and
+/// `null` when a stored corpus mixes kinds or widths), `target` (which
+/// device profile the FPGA ground truth was synthesized for), `time` (the
+/// paper's exploration-time accounting; undefined ratios are `null`),
+/// `runtime` (the registry's scheduler, synthesis, mapper, simulator and
+/// zoo-memo counters, see [`counter_section`]), `cache` (hit/miss
+/// totals, hit rate and dropped disk writes), `quarantine` (non-finite
+/// estimate defenses from the robustness harness) and `coverage`
+/// (per-parameter pareto coverage plus the mean).
 pub fn run_report(config: &FlowConfig, outcome: &FlowOutcome, recorder: &Recorder) -> RunReport {
     let mut report = RunReport::from_recorder(recorder);
+    // The explored records, not `config.library` (which a stored corpus
+    // ignores), say what ran.
+    let (library_kind, library_width) = match outcome.records.split_first() {
+        Some((first, rest))
+            if rest
+                .iter()
+                .all(|r| r.kind == first.kind && r.width == first.width) =>
+        {
+            (first.kind.mnemonic(), Value::UInt(first.width as u64))
+        }
+        _ => ("mixed", Value::Null),
+    };
     report.push_section(
         Section::new("flow")
-            .field(
-                "library_kind",
-                Value::Str(config.library.kind.mnemonic().to_string()),
-            )
-            .field("library_width", Value::UInt(config.library.width as u64))
+            .field("library_kind", Value::Str(library_kind.to_string()))
+            .field("library_width", library_width)
             .field("library_size", Value::UInt(outcome.records.len() as u64))
             .field("subset_size", Value::UInt(outcome.subset.len() as u64))
             .field("train_size", Value::UInt(outcome.train.len() as u64))
@@ -194,8 +205,8 @@ mod tests {
                 "coverage"
             ]
         );
-        // The registry's `runtime` rows, in the schema's historical order
-        // (`afp serve`'s `/stats` pins the same list).
+        // The registry's `runtime` rows, in table order (`afp serve`'s
+        // `/stats` pins the same list).
         let runtime: Vec<&str> = report.sections[3]
             .fields
             .iter()
@@ -209,11 +220,19 @@ mod tests {
                 "asic_synths",
                 "fpga_synths",
                 "error_analyses",
+                "bytes_simulated",
+                "sim_nodes_shared",
+                "cuts_merged",
+                "cuts_sig_rejected",
+                "cuts_dominance_pruned",
                 "mapper_reuses",
                 "sim_tape_reuses",
                 "structural_dedup_hits",
                 "shards_streamed",
-                "peak_resident_circuits"
+                "peak_resident_circuits",
+                "zoo_memo_hits",
+                "zoo_memo_misses",
+                "zoo_memo_errors"
             ]
         );
         let json = report.to_json();
@@ -244,11 +263,38 @@ mod tests {
             [
                 "tasks_executed",
                 "steals",
+                "sim_nodes_shared",
                 "mapper_reuses",
                 "shards_streamed",
                 "peak_resident_circuits"
             ]
         );
+    }
+
+    #[test]
+    fn a_stored_corpus_reports_the_kind_and_width_it_explored() {
+        use afp_circuits::{build_library, store};
+        let dir = std::env::temp_dir().join(format!("afp-report-mul8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mul8.afps");
+        let library = build_library(&LibrarySpec::new(ArithKind::Multiplier, 8, 40));
+        store::write_library(&path, &library).unwrap();
+        // The config still names the default add8 library, which a
+        // stored corpus ignores.
+        let config = FlowConfig {
+            models: vec![MlModelId::Ml11, MlModelId::Ml18],
+            top_models: 1,
+            ..FlowConfig::default()
+        };
+        let outcome = Flow::new(config.clone())
+            .run_source(&LibrarySource::Stored(path))
+            .expect("stored corpus");
+        let json = run_report(&config, &outcome, &Recorder::disabled()).to_json();
+        assert!(
+            json.contains("\"library_kind\":\"mul\",\"library_width\":8,"),
+            "{json}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -798,7 +798,7 @@ mod tests {
         for c in &circuits {
             let serial = analyze_with(c, &cfg(), &Runtime::serial());
             for threads in [2, 4, 8] {
-                let par = Runtime::install(threads, |rt| analyze_with(c, &cfg(), rt));
+                let par = analyze_with(c, &cfg(), &Runtime::new(threads));
                 assert_eq!(serial, par, "{} at {threads} threads", c.name());
             }
         }

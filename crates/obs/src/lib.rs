@@ -8,14 +8,13 @@
 //! * [`Recorder`] — a thread-safe aggregator of named stages. Each stage
 //!   accumulates monotonic wall time ([`std::time::Instant`]), a call
 //!   count and an item count (for throughput such as circuits/s).
-//! * [`Span`]/[`SpanGuard`] — RAII timing of one stage activation.
-//!   Opening a span against a **disabled** recorder performs no clock
-//!   read and no allocation; the guard is a no-op shell. The `timing`
-//!   cargo feature (default on) is the compile-time kill switch: without
-//!   it even [`Recorder::enabled`] builds a disabled recorder.
+//! * [`SpanGuard`] — RAII timing of one stage activation. Opening a
+//!   span against a **disabled** recorder performs no clock read and no
+//!   allocation; the guard is a no-op shell.
 //! * [`RunReport`] — a structured report (stages + named sections of
-//!   typed fields) with two sinks: a human-readable stage table
-//!   ([`RunReport::render_table`]) and a machine-readable JSON document
+//!   typed fields) with two sinks: human-readable text (the stage table
+//!   of [`RunReport::render_table`], one line per section from
+//!   [`RunReport::render_sections`]) and a machine-readable JSON document
 //!   ([`RunReport::to_json`], [`RunReport::write_json`]).
 //!
 //! Tracing is strictly observational: a recorder never influences what
@@ -105,27 +104,18 @@ impl Inner {
 ///
 /// Cloning shares the underlying storage, so one recorder can be handed
 /// to parallel workers and CLI layers alike. A **disabled** recorder
-/// ([`Recorder::disabled`], or any recorder when the `timing` feature is
-/// off) carries no storage: spans against it read no clock and allocate
-/// nothing.
+/// ([`Recorder::disabled`]) carries no storage: spans against it read no
+/// clock and allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
 }
 
 impl Recorder {
-    /// A recording recorder (disabled anyway when the `timing` feature is
-    /// compiled out).
+    /// A recording recorder.
     pub fn enabled() -> Recorder {
-        #[cfg(feature = "timing")]
-        {
-            Recorder {
-                inner: Some(Arc::new(Inner::default())),
-            }
-        }
-        #[cfg(not(feature = "timing"))]
-        {
-            Recorder::disabled()
+        Recorder {
+            inner: Some(Arc::new(Inner::default())),
         }
     }
 
@@ -176,10 +166,6 @@ impl Recorder {
         }
     }
 }
-
-/// Alias kept for API symmetry with other tracing layers: a [`Span`] *is*
-/// the RAII guard.
-pub type Span<'r> = SpanGuard<'r>;
 
 /// RAII guard of one stage activation; see [`Recorder::span`].
 #[must_use = "a span measures the scope it lives in; bind it to a variable"]
@@ -489,7 +475,8 @@ impl RunReport {
         out
     }
 
-    /// Render the human-readable stage table plus section summaries.
+    /// Render the human-readable stage table followed by
+    /// [`RunReport::render_sections`].
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         let name_w = self
@@ -523,6 +510,14 @@ impl RunReport {
             "total",
             self.total_wall_s()
         ));
+        out.push_str(&self.render_sections());
+        out
+    }
+
+    /// Render one `[section] key=value, ...` line per section, in
+    /// builder order.
+    pub fn render_sections(&self) -> String {
+        let mut out = String::new();
         for section in &self.sections {
             out.push_str(&format!("[{}]", section.name));
             for (i, (name, value)) in section.fields.iter().enumerate() {
@@ -613,7 +608,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "timing")]
     fn spans_aggregate_calls_items_and_time() {
         let rec = Recorder::enabled();
         for _ in 0..3 {
@@ -634,7 +628,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "timing")]
     fn recorder_is_shareable_across_threads() {
         let rec = Recorder::enabled();
         std::thread::scope(|scope| {
@@ -694,6 +687,24 @@ mod tests {
         assert!(table.contains("beta"));
         assert!(table.contains("total"));
         assert!(table.lines().next().unwrap().contains("items/s"));
+    }
+
+    #[test]
+    fn sections_render_one_line_each_after_the_stage_table() {
+        let rec = Recorder::enabled();
+        rec.record("alpha", Duration::from_millis(5), 1);
+        let mut report = RunReport::from_recorder(&rec);
+        report.push_section(
+            Section::new("runtime")
+                .field("steals", Value::UInt(2))
+                .field("rate", Value::Null),
+        );
+        report.push_section(Section::new("cache").field("hits", Value::UInt(0)));
+        let sections = report.render_sections();
+        assert_eq!(sections, "[runtime] steals=2, rate=--\n[cache] hits=0\n");
+        let table = report.render_table();
+        assert!(table.starts_with("stage"), "{table}");
+        assert!(table.ends_with(&sections), "{table}");
     }
 
     #[test]

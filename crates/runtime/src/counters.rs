@@ -37,8 +37,9 @@ impl CounterKind {
 /// The report section a counter is published in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReportSection {
-    /// Scheduler and synthesis work: the `runtime` section of both the
-    /// flow run report and the `afp serve` `/stats` document.
+    /// Scheduler, synthesis, mapper, simulator and zoo-memo work: the
+    /// `runtime` section of both the flow run report and the `afp serve`
+    /// `/stats` document.
     Runtime,
     /// Characterization-cache behaviour: the `cache` section, whose keys
     /// differ from the counter names and sit among derived values.
@@ -49,13 +50,10 @@ pub enum ReportSection {
     Serve,
     /// The model-zoo fast path: the `estimate` section of `/stats`.
     Estimate,
-    /// Mapper and simulator telemetry in no report section (the CLI
-    /// summary and the benches read it).
-    Unreported,
 }
 
 impl ReportSection {
-    /// The section's JSON key (`"-"` for [`ReportSection::Unreported`]).
+    /// The section's JSON key.
     pub fn name(self) -> &'static str {
         match self {
             ReportSection::Runtime => "runtime",
@@ -63,7 +61,6 @@ impl ReportSection {
             ReportSection::Quarantine => "quarantine",
             ReportSection::Serve => "serve",
             ReportSection::Estimate => "estimate",
-            ReportSection::Unreported => "-",
         }
     }
 }
@@ -164,18 +161,18 @@ counters! {
     error_analyses: Count, stable, Runtime;
     /// Bytes of operand data pushed through the bit-parallel simulator
     /// (16 bytes per evaluated input pair).
-    bytes_simulated: Count, stable, Unreported;
+    bytes_simulated: Count, stable, Runtime;
     /// Logic gates folded into an existing node of a hash-consed
     /// simulation batch (simulated once for all the circuits sharing
     /// it). Batches form within one shard, so the count depends on the
     /// shard size.
-    sim_nodes_shared: Count, unstable, Unreported;
+    sim_nodes_shared: Count, unstable, Runtime;
     /// Cut-pair merges performed by the LUT mapper (post signature filter).
-    cuts_merged: Count, stable, Unreported;
+    cuts_merged: Count, stable, Runtime;
     /// Cut merges rejected O(1) by the leaf-signature popcount filter.
-    cuts_sig_rejected: Count, stable, Unreported;
+    cuts_sig_rejected: Count, stable, Runtime;
     /// Candidate cuts dropped because an equal leaf set was already kept.
-    cuts_dominance_pruned: Count, stable, Unreported;
+    cuts_dominance_pruned: Count, stable, Runtime;
     /// Synthesis calls that reused a worker's warm mapper scratch state
     /// (depends on how work-stealing spread circuits over workers).
     mapper_reuses: Count, unstable, Runtime;
@@ -227,12 +224,12 @@ counters! {
     body_cache_bytes: Gauge, stable, Serve;
     /// Flows whose trained zoo was loaded from the memo beside the
     /// characterization store (no model was trained).
-    zoo_memo_hits: Count, stable, Unreported;
+    zoo_memo_hits: Count, stable, Runtime;
     /// Flows with a memo slot whose zoo was trained: no memo yet, or one
     /// that was corrupt, foreign or keyed by other training inputs.
-    zoo_memo_misses: Count, stable, Unreported;
+    zoo_memo_misses: Count, stable, Runtime;
     /// Trained zoos the memo failed to save (the flow still succeeded).
-    zoo_memo_errors: Count, stable, Unreported;
+    zoo_memo_errors: Count, stable, Runtime;
 }
 
 impl Counters {

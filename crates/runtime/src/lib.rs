@@ -28,9 +28,7 @@
 //! ```
 //! use afp_runtime::Runtime;
 //!
-//! let squares = Runtime::install(4, |rt| {
-//!     rt.par_map(&[1u64, 2, 3, 4, 5], |_, &x| x * x)
-//! });
+//! let squares = Runtime::new(4).par_map(&[1u64, 2, 3, 4, 5], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
 

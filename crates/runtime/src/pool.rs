@@ -70,12 +70,6 @@ impl Runtime {
         Runtime::new(1)
     }
 
-    /// Run `f` with a runtime of `threads` workers (`0` = all cores).
-    pub fn install<R>(threads: usize, f: impl FnOnce(&Runtime) -> R) -> R {
-        let rt = Runtime::new(threads);
-        f(&rt)
-    }
-
     /// Number of workers this runtime uses.
     pub fn threads(&self) -> usize {
         self.threads
@@ -290,7 +284,7 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 4, 8, 16] {
-            let got = Runtime::install(threads, |rt| rt.par_map(&items, |_, &x| x * 3 + 1));
+            let got = Runtime::new(threads).par_map(&items, |_, &x| x * 3 + 1);
             assert_eq!(got, expect, "threads={threads}");
         }
     }
@@ -426,21 +420,19 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|x| x * 2).collect();
         for threads in [1, 2, 4, 8] {
             let inits = AtomicUsize::new(0);
-            let got = Runtime::install(threads, |rt| {
-                rt.par_map_init(
-                    &items,
-                    || {
-                        inits.fetch_add(1, Ordering::Relaxed);
-                        Vec::<u64>::new()
-                    },
-                    |scratch, _, &x| {
-                        // Scratch is reusable worker-local storage.
-                        scratch.clear();
-                        scratch.push(x);
-                        scratch[0] * 2
-                    },
-                )
-            });
+            let got = Runtime::new(threads).par_map_init(
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<u64>::new()
+                },
+                |scratch, _, &x| {
+                    // Scratch is reusable worker-local storage.
+                    scratch.clear();
+                    scratch.push(x);
+                    scratch[0] * 2
+                },
+            );
             assert_eq!(got, expect, "threads={threads}");
             // One scratch per worker, not per item.
             assert!(inits.load(Ordering::Relaxed) <= threads.max(1));

@@ -46,13 +46,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use afp_circuits::{from_spec_ref, stream_library, ArithCircuit, ArithKind};
+use afp_circuits::{from_spec_ref, stream_library_bytes, ArithCircuit, ArithKind};
 use afp_ml::MlModelId;
 use afp_obs::{RunReport, Section, Value};
 use afp_runtime::{Counters, Inflight, ReportSection, Runtime};
@@ -267,7 +267,6 @@ struct Shared {
     threads: usize,
     shutdown: AtomicBool,
     wake: WakeTarget,
-    batch_seq: AtomicU64,
     zoos: Vec<LoadedZoo>,
     bodies: BodyCache,
     estimate_only: bool,
@@ -450,7 +449,6 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
         threads,
         shutdown: AtomicBool::new(false),
         wake,
-        batch_seq: AtomicU64::new(0),
         zoos,
         bodies: BodyCache::new(BODY_CACHE_BYTES),
         estimate_only: config.estimate_only,
@@ -931,36 +929,32 @@ fn characterize_batch(req: &Request, shared: &Shared) -> Response {
     if req.body.is_empty() {
         return error(400, "empty batch body; expected .afps bytes");
     }
-    // The streaming reader wants a file; spill the payload to a
-    // uniquely-named temp path and clean it up on every exit.
-    let seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
-    let path =
-        std::env::temp_dir().join(format!("afp-serve-batch-{}-{seq}.afps", std::process::id()));
-    let result = (|| -> Result<Vec<u8>, String> {
-        std::fs::write(&path, &req.body).map_err(|e| format!("spilling batch body: {e}"))?;
-        let stream = stream_library(&path).map_err(|e| format!("bad .afps payload: {e}"))?;
-        let mut out = Vec::from(&b"["[..]);
-        let mut first = true;
-        for item in stream {
-            let circuit = item.map_err(|e| format!("bad .afps payload: {e}"))?;
-            let (body, _) = characterize_circuit(&circuit, config, shared);
-            if !first {
-                out.push(b',');
-            }
-            first = false;
-            out.extend_from_slice(body.trim_end().as_bytes());
-        }
-        out.extend_from_slice(b"]\n");
-        Ok(out)
-    })();
-    let _ = std::fs::remove_file(&path);
-    match result {
+    match characterize_library(&req.body, config, shared) {
         Ok(body) => {
             Counters::add(&shared.counters().requests_served, 1);
             (200, Vec::new(), Body::Owned(body))
         }
-        Err(reason) => error(400, &reason),
+        Err(e) => error(400, &format!("bad .afps payload: {e}")),
     }
+}
+
+/// The JSON array of per-circuit reports of the `.afps` store image
+/// `bytes`, decoded in memory.
+fn characterize_library(
+    bytes: &[u8],
+    config: &RequestConfig,
+    shared: &Shared,
+) -> io::Result<Vec<u8>> {
+    let mut out = Vec::from(&b"["[..]);
+    for (i, item) in stream_library_bytes(bytes)?.enumerate() {
+        let (body, _) = characterize_circuit(&item?, config, shared);
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(body.trim_end().as_bytes());
+    }
+    out.extend_from_slice(b"]\n");
+    Ok(out)
 }
 
 /// The `GET /stats` report: serve counters, cache state, and the run
@@ -1231,11 +1225,19 @@ mod tests {
                 "asic_synths",
                 "fpga_synths",
                 "error_analyses",
+                "bytes_simulated",
+                "sim_nodes_shared",
+                "cuts_merged",
+                "cuts_sig_rejected",
+                "cuts_dominance_pruned",
                 "mapper_reuses",
                 "sim_tape_reuses",
                 "structural_dedup_hits",
                 "shards_streamed",
-                "peak_resident_circuits"
+                "peak_resident_circuits",
+                "zoo_memo_hits",
+                "zoo_memo_misses",
+                "zoo_memo_errors"
             ]
         );
 

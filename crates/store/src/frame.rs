@@ -576,13 +576,9 @@ mod tests {
 
     /// Every record of the store image `bytes`, read back through
     /// [`FrameStream`], and the finished stream.
-    fn stream_bytes(tag: &str, bytes: &[u8]) -> (Vec<RawRecord>, FrameStream) {
-        let name = format!("afp-store-frame-{tag}-{}.afps", std::process::id());
-        let path = std::env::temp_dir().join(name);
-        std::fs::write(&path, bytes).unwrap();
-        let mut stream = FrameStream::open(&path).unwrap();
+    fn stream_bytes(bytes: &[u8]) -> (Vec<RawRecord>, FrameStream<&[u8]>) {
+        let mut stream = FrameStream::new(bytes).unwrap();
         let records = stream.by_ref().collect();
-        std::fs::remove_file(&path).unwrap();
         (records, stream)
     }
 
@@ -615,7 +611,7 @@ mod tests {
         for i in 0..5u64 {
             put_record_frame(&mut bytes, key(i), format!("payload-{i}").as_bytes());
         }
-        let (records, stream) = stream_bytes("records", &bytes);
+        let (records, stream) = stream_bytes(&bytes);
         assert_eq!(records.len(), 5);
         assert_eq!(stream.record_frames(), 5);
         assert!(!stream.truncated());
@@ -636,7 +632,7 @@ mod tests {
             "block should compress: {} vs {raw_total}",
             bytes.len()
         );
-        let (back, stream) = stream_bytes("block", &bytes);
+        let (back, stream) = stream_bytes(&bytes);
         assert_eq!(back.len(), 200);
         assert_eq!(stream.record_frames(), 0);
         for (i, rec) in back.iter().enumerate() {
@@ -652,7 +648,7 @@ mod tests {
         let tear = bytes.len() + 7; // mid-way through the next frame
         put_record_frame(&mut bytes, key(2), b"second-to-be-torn");
         bytes.truncate(tear);
-        let (records, stream) = stream_bytes("torn", &bytes);
+        let (records, stream) = stream_bytes(&bytes);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].payload, b"first");
         assert!(stream.truncated());
@@ -666,7 +662,7 @@ mod tests {
         put_record_frame(&mut bytes, key(2), b"will corrupt");
         let idx = keep + 10;
         bytes[idx] ^= 0xFF;
-        let (records, stream) = stream_bytes("crc", &bytes);
+        let (records, stream) = stream_bytes(&bytes);
         assert_eq!(records.len(), 1);
         assert!(stream.truncated());
     }
@@ -677,7 +673,7 @@ mod tests {
         put_record_frame(&mut bytes, key(1), b"a");
         put_frame(&mut bytes, 0x7E, b"future frame kind");
         put_record_frame(&mut bytes, key(2), b"b");
-        let (records, stream) = stream_bytes("unknown", &bytes);
+        let (records, stream) = stream_bytes(&bytes);
         assert_eq!(records.len(), 2);
         assert!(!stream.truncated());
         assert_eq!(stream.record_frames(), 2);

@@ -1,7 +1,9 @@
 //! Lazy, frame-at-a-time store reader.
 //!
-//! [`FrameStream`] reads one frame per `next()` refill instead of slurping
-//! the whole file, so library-scale corpora are never fully resident:
+//! [`FrameStream`] reads one frame per `next()` refill from any
+//! [`Read`] — a store file ([`FrameStream::open`]) or bytes already in
+//! memory ([`FrameStream::new`]) — instead of slurping the whole input,
+//! so library-scale corpora are never fully resident:
 //! peak memory is one frame (a block of [`crate::frame::BLOCK_RECORDS`]
 //! records) regardless of file size. A torn or corrupt tail frame ends
 //! the stream (recoverable via [`FrameStream::truncated`]) instead of
@@ -16,10 +18,11 @@ use crate::frame::{
     decode_frame_records, read_frame, Header, RawRecord, FORMAT_VERSION, TAG_INDEX, TAG_RECORD,
 };
 
-/// An iterator over the records of a store file, decoding lazily.
+/// An iterator over the records of a store image, decoding lazily. The
+/// default reader is a buffered store file.
 #[derive(Debug)]
-pub struct FrameStream {
-    reader: BufReader<File>,
+pub struct FrameStream<R = BufReader<File>> {
+    reader: R,
     header: Header,
     buffered: VecDeque<RawRecord>,
     done: bool,
@@ -28,12 +31,17 @@ pub struct FrameStream {
 }
 
 impl FrameStream {
-    /// Open `path` and validate its header. Fails with
-    /// [`io::ErrorKind::InvalidData`] when the file is not a store file or
-    /// uses an unknown container format version.
+    /// Open `path` and validate its header; see [`FrameStream::new`].
     pub fn open(path: &Path) -> io::Result<FrameStream> {
-        let file = File::open(path)?;
-        let mut reader = BufReader::new(file);
+        FrameStream::new(BufReader::new(File::open(path)?))
+    }
+}
+
+impl<R: Read> FrameStream<R> {
+    /// Read and validate the header at the start of `reader`. Fails with
+    /// [`io::ErrorKind::InvalidData`] when the input is not a store image
+    /// or uses an unknown container format version.
+    pub fn new(mut reader: R) -> io::Result<FrameStream<R>> {
         let mut hdr = [0u8; 16];
         reader
             .read_exact(&mut hdr)
@@ -91,7 +99,7 @@ impl FrameStream {
     }
 }
 
-impl Iterator for FrameStream {
+impl<R: Read> Iterator for FrameStream<R> {
     type Item = RawRecord;
 
     fn next(&mut self) -> Option<RawRecord> {

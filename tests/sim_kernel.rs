@@ -207,7 +207,7 @@ fn error_metrics_match_pre_tape_goldens_bit_exactly() {
 fn error_metrics_goldens_hold_on_eight_threads() {
     let cfg = ErrorConfig::default();
     for (circuit, golden) in &golden_cases() {
-        let m = Runtime::install(8, |rt| analyze_with(circuit, &cfg, rt));
+        let m = analyze_with(circuit, &cfg, &Runtime::new(8));
         assert_matches_golden(&m, golden, circuit.name());
     }
 }
@@ -373,7 +373,7 @@ fn error_analysis_matches_the_per_pair_oracle_on_every_paper_corner() {
             inexact += !oracle.is_exact() as usize;
             let want = metric_bits(&oracle);
             for threads in [1, 4] {
-                let got = Runtime::install(threads, |rt| analyze_with(circuit, &cfg, rt));
+                let got = analyze_with(circuit, &cfg, &Runtime::new(threads));
                 assert_eq!(
                     metric_bits(&got),
                     want,
@@ -836,9 +836,13 @@ fn check_batches(circuits: &[ArithCircuit], config: &ErrorConfig) -> Vec<usize> 
             assert!(batch.dag().len() <= SIM_BATCH_NODES, "batch over budget");
         }
         for threads in [1, 2, 4, 8] {
-            let got = Runtime::install(threads, |rt| {
-                analyze_batch(c0.kind(), c0.width(), &batch, config, rt)
-            });
+            let got = analyze_batch(
+                c0.kind(),
+                c0.width(),
+                &batch,
+                config,
+                &Runtime::new(threads),
+            );
             assert_eq!(got.len(), members.len());
             for (m, metrics) in members.iter().zip(&got) {
                 assert_eq!(

@@ -51,7 +51,7 @@ fn normalized_report(threads: usize, cache_dir: &Path) -> RunReport {
 /// changes zeroed: what was computed, not what had to be recomputed.
 /// Zoo training is such work too — a warm run loads its zoo from the memo
 /// — so the per-model `train/*` stages go and the memo counters are
-/// zeroed (they are unreported today, so that is a guard, not a change).
+/// zeroed.
 fn warmth_invariant(report: &RunReport) -> String {
     let mut report = report.clone();
     report
@@ -68,6 +68,10 @@ fn warmth_invariant(report: &RunReport) -> String {
         "asic_synths",
         "fpga_synths",
         "error_analyses",
+        "bytes_simulated",
+        "cuts_merged",
+        "cuts_sig_rejected",
+        "cuts_dominance_pruned",
         "sim_tape_reuses",
     ] {
         report.set_field("runtime", field, Value::UInt(0));
@@ -96,7 +100,10 @@ fn cold_and_warm_store_reports_agree() {
         "warm run should be fully cache-served: {warm_json}"
     );
     assert!(warm_json.contains("\"asic_synths\":0"), "{warm_json}");
+    assert!(warm_json.contains("\"bytes_simulated\":0"), "{warm_json}");
+    assert!(warm_json.contains("\"cuts_merged\":0"), "{warm_json}");
     // The warm zoo came from the memo: the stage ran, no model trained.
+    assert!(warm_json.contains("\"zoo_memo_hits\":1,"), "{warm_json}");
     let trains = |r: &RunReport| {
         r.stages
             .iter()
