@@ -23,7 +23,6 @@ fn main() {
         library.target_size
     );
     let config = FlowConfig {
-        library,
         models: vec![
             MlModelId::Ml4,
             MlModelId::Ml11,
@@ -39,7 +38,7 @@ fn main() {
     for jitter in [0.0f64, 0.04, 0.08, 0.16] {
         let mut config = config.clone();
         config.fpga.pnr_jitter = jitter;
-        let zoo = run_flow(&config).zoo;
+        let zoo = run_flow(&config, library.clone()).zoo;
         for param in FpgaParam::ALL {
             let best = zoo
                 .fidelities

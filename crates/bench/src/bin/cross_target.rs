@@ -3,9 +3,11 @@
 //!
 //! This is the regenerator behind EXPERIMENTS.md "Cross-target transfer"
 //! — the Xel-FPGAs question asked of every (train, eval) pair in the
-//! device-profile registry. The diagonal is native quality; off-diagonal
-//! cells show how much fidelity and coverage survive a retarget without
-//! re-synthesizing a new training subset.
+//! device-profile registry. One flow runs per target; each cell scores
+//! the train target's zoo and candidates against the eval target's ground
+//! truth. The diagonal is native quality; off-diagonal cells show how much
+//! fidelity and coverage survive a retarget without re-synthesizing a new
+//! training subset.
 //!
 //! Usage: `cargo run --release -p afp-bench --bin cross_target [--quick]`
 //!
@@ -13,7 +15,7 @@
 
 use afp_bench::render::table;
 use afp_bench::{write_csv, Scale};
-use afp_circuits::{ArithKind, LibrarySpec};
+use afp_circuits::{ArithKind, LibrarySource, LibrarySpec};
 use afp_ml::MlModelId;
 use approxfpgas::{transfer_matrix, FlowConfig, TargetSet};
 
@@ -24,8 +26,8 @@ fn main() {
     } else {
         Scale::paper()
     };
+    let source = LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, scale.add8));
     let config = FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, scale.add8),
         min_subset: 24,
         models: vec![
             MlModelId::Ml1,
@@ -47,7 +49,7 @@ fn main() {
         scale.add8,
         config.models.len()
     );
-    let cells = transfer_matrix(&config, &set).expect("registry targets resolve");
+    let cells = transfer_matrix(&config, &source, &set).expect("generated libraries stream");
 
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();

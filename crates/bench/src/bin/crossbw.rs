@@ -28,12 +28,7 @@ fn main() {
     };
     let tolerance = config.fidelity_tolerance;
     println!("crossbw: characterizing mult8/mult12/mult16 libraries...");
-    let explore = |library: LibrarySpec| {
-        run_flow(&FlowConfig {
-            library,
-            ..config.clone()
-        })
-    };
+    let explore = |library: LibrarySpec| run_flow(&config, library);
     // Zoo trained on the 8-bit library; each other width also gets its
     // native-width zoo for the same models.
     let zoo8 = explore(scale.mul8_spec()).zoo;

@@ -4,10 +4,9 @@
 //! Usage: `cargo run --release -p afp-bench --bin fig3 [--quick]`
 
 use afp_bench::render::table;
-use afp_bench::{human_time, write_csv, Scale};
-use afp_circuits::LibrarySource;
+use afp_bench::{human_time, run_flow, write_csv, Scale};
 use afp_obs::fmt_ratio;
-use approxfpgas::{Flow, FlowConfig};
+use approxfpgas::FlowConfig;
 
 fn main() {
     let scale = Scale::from_args();
@@ -18,13 +17,7 @@ fn main() {
     for spec in scale.all_specs() {
         let label = format!("{}{}-bit", spec.kind.mnemonic(), spec.width);
         println!("running flow on {label} ({} circuits)...", spec.target_size);
-        let source = LibrarySource::Generated(spec.clone());
-        let outcome = Flow::new(FlowConfig {
-            library: spec.clone(),
-            ..FlowConfig::default()
-        })
-        .run_source(&source)
-        .expect("generated libraries stream");
+        let outcome = run_flow(&FlowConfig::default(), spec);
         let t = outcome.time;
         cum_exhaustive += t.exhaustive_s;
         cum_flow += t.flow_s();

@@ -17,10 +17,7 @@ fn main() {
         "Fig. 5: characterizing {} 8x8 multipliers and training the 18-model zoo...",
         spec.target_size
     );
-    let outcome = run_flow(&FlowConfig {
-        library: spec,
-        ..FlowConfig::default()
-    });
+    let outcome = run_flow(&FlowConfig::default(), spec);
     println!(
         "trained on {} circuits, validated on {}",
         outcome.train.len(),

@@ -17,10 +17,7 @@ fn main() {
         "Fig. 6: characterizing {} 16x16 multipliers...",
         spec.target_size
     );
-    let outcome = run_flow(&FlowConfig {
-        library: spec,
-        ..FlowConfig::default()
-    });
+    let outcome = run_flow(&FlowConfig::default(), spec);
     let (records, zoo) = (&outcome.records, &outcome.zoo);
 
     let mut summary_rows = Vec::new();

@@ -24,10 +24,7 @@ fn main() {
         "Fig. 7: characterizing {} 8x8 multipliers...",
         spec.target_size
     );
-    let outcome = run_flow(&FlowConfig {
-        library: spec,
-        ..FlowConfig::default()
-    });
+    let outcome = run_flow(&FlowConfig::default(), spec);
     let (records, subset, zoo) = (&outcome.records, &outcome.subset, &outcome.zoo);
 
     let param = FpgaParam::Latency;

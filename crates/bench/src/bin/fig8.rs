@@ -26,10 +26,7 @@ fn main() {
     for spec in libs {
         let label = format!("{}{}", spec.kind.mnemonic(), spec.width);
         println!("flow on {label} ({} circuits)...", spec.target_size);
-        let outcome = run_flow(&FlowConfig {
-            library: spec,
-            ..FlowConfig::default()
-        });
+        let outcome = run_flow(&FlowConfig::default(), spec);
         for (&param, front) in &outcome.final_fronts {
             let cov = outcome.coverage[&param];
             cov_sum += cov;

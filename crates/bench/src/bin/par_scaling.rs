@@ -28,7 +28,6 @@ fn subset_spec() -> afp_circuits::LibrarySpec {
 
 fn config(threads: usize) -> FlowConfig {
     FlowConfig {
-        library: subset_spec(),
         threads,
         ..FlowConfig::default()
     }
@@ -36,7 +35,7 @@ fn config(threads: usize) -> FlowConfig {
 
 fn timed(flow: &Flow) -> (f64, FlowOutcome) {
     let start = Instant::now();
-    let source = LibrarySource::Generated(flow.config().library.clone());
+    let source = LibrarySource::Generated(subset_spec());
     let outcome = flow
         .run_source(&source)
         .expect("generated libraries stream");

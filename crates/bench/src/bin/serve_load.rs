@@ -267,26 +267,18 @@ fn burst_keepalive(addr: &str, path_of: &(dyn Fn(usize) -> String + Sync), expec
 /// in-process server exercises the full train → save → load → serve
 /// estimate path.
 fn train_and_save_zoo() -> std::path::PathBuf {
-    let lib = afp_circuits::build_library(&afp_circuits::LibrarySpec::new(
-        afp_circuits::ArithKind::Adder,
-        8,
-        60,
-    ));
-    let records = approxfpgas::dataset::characterize_library(
-        &lib,
-        &afp_asic::AsicConfig::default(),
-        &afp_fpga::FpgaConfig::default(),
-        &afp_error::ErrorConfig::default(),
-    );
-    let subset = approxfpgas::dataset::sample_subset(records.len(), 0.5, 24, 7);
-    let (train, val) = approxfpgas::dataset::train_validate_split(&subset, 0.8, 7);
-    let zoo = approxfpgas::fidelity::train_zoo(
-        &records,
-        &train,
-        &val,
-        &[afp_ml::MlModelId::Ml1, afp_ml::MlModelId::Ml14],
-        0.01,
-    );
+    let config = approxfpgas::FlowConfig {
+        subset_fraction: 0.5,
+        min_subset: 24,
+        seed: 7,
+        models: vec![afp_ml::MlModelId::Ml1, afp_ml::MlModelId::Ml14],
+        ..approxfpgas::FlowConfig::default()
+    };
+    let spec = afp_circuits::LibrarySpec::new(afp_circuits::ArithKind::Adder, 8, 60);
+    let zoo = approxfpgas::Flow::new(config)
+        .run_source(&afp_circuits::LibrarySource::Generated(spec))
+        .expect("generated libraries stream")
+        .zoo;
     let path = std::env::temp_dir().join(format!("afp-bench-zoo-{}.afpm", std::process::id()));
     approxfpgas::save_zoo(
         &path,

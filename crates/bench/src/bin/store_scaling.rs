@@ -42,17 +42,16 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Populate a characterization cache directory by running the real flow
-/// on the mul8 library; returns the flow's outcome and configuration.
-fn populate_cache(dir: &Path) -> (FlowOutcome, FlowConfig) {
+/// on the library of `spec`; returns the flow's outcome and configuration.
+fn populate_cache(dir: &Path, spec: &LibrarySpec) -> (FlowOutcome, FlowConfig) {
     let config = FlowConfig {
-        library: LibrarySpec::new(ArithKind::Multiplier, 8, 320),
         min_subset: 24,
         threads: 1,
         cache_dir: Some(dir.to_path_buf()),
         ..FlowConfig::default()
     };
     let outcome = Flow::new(config.clone())
-        .run_source(&LibrarySource::Generated(config.library.clone()))
+        .run_source(&LibrarySource::Generated(spec.clone()))
         .expect("generated libraries stream");
     assert!(!outcome.records.is_empty(), "flow produced no records");
     (outcome, config)
@@ -69,7 +68,8 @@ fn main() {
 
     // ---- warm_start_mul8: characterization cache load --------------------
     let store_dir = temp_dir("store");
-    let (outcome, config) = populate_cache(&store_dir);
+    let spec = LibrarySpec::new(ArithKind::Multiplier, 8, 320);
+    let (outcome, config) = populate_cache(&store_dir, &spec);
     // One settling open: the store tier compacts an append-heavy file into
     // block frames on first open, which is the steady state every later
     // warm start sees.
@@ -77,7 +77,7 @@ fn main() {
 
     // Equivalence gate: the reopened store serves exactly the reports the
     // flow computed, for every circuit (record ids are library indices).
-    let library = build_library(&config.library);
+    let library = build_library(&spec);
     let cache = CharacterizationCache::try_with_disk(&store_dir).unwrap();
     let entries = cache.len();
     assert!(entries > 0, "cache ended up empty");

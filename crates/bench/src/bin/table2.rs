@@ -16,11 +16,7 @@ fn main() {
         "Table II: characterizing {} 8x8 multipliers...",
         spec.target_size
     );
-    let zoo = run_flow(&FlowConfig {
-        library: spec,
-        ..FlowConfig::default()
-    })
-    .zoo;
+    let zoo = run_flow(&FlowConfig::default(), spec).zoo;
     let fid = |m: MlModelId, p: FpgaParam| zoo.fidelity(m, p).map_or(0.0, |f| f.fidelity);
 
     let mut rows = Vec::new();

@@ -20,11 +20,10 @@ fn main() {
         spec.target_size
     );
     let config = FlowConfig {
-        library: spec,
         seed: 0x7ED,
         ..FlowConfig::default()
     };
-    let outcome = run_flow(&config);
+    let outcome = run_flow(&config, spec);
     let base = &outcome.zoo;
     println!("training tuned zoo (full hyperparameter grids)...");
     let (tuned, labels) = train_zoo_tuned(

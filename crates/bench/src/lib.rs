@@ -22,12 +22,12 @@ use std::time::Instant;
 use afp_circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas::{Flow, FlowConfig, FlowOutcome};
 
-/// Run the exploration flow on the generated library of `config`. This
-/// is the one front end (build, characterize, subset, split, zoo) the
-/// experiment binaries share; they read `records`, `subset`, `train`,
-/// `validate` and `zoo` from the outcome.
-pub fn run_flow(config: &FlowConfig) -> FlowOutcome {
-    let source = LibrarySource::Generated(config.library.clone());
+/// Run the exploration flow of `config` on the library generated from
+/// `spec`. This is the one front end (build, characterize, subset, split,
+/// zoo) the experiment binaries share; they read `records`, `subset`,
+/// `train`, `validate` and `zoo` from the outcome.
+pub fn run_flow(config: &FlowConfig, spec: LibrarySpec) -> FlowOutcome {
+    let source = LibrarySource::Generated(spec);
     Flow::new(config.clone())
         .run_source(&source)
         .expect("generated libraries stream")

@@ -279,11 +279,13 @@ USAGE:
   afp zoo train --save MODELS.afpm [--kind add|mul] [--width W]
           [--size N] [--target NAME] [--models ML1,ML14,..] [--subset F]
           [--tolerance T] [--threads T]
-      Characterize a library, train the model zoo on a --subset fraction
-      (default 0.5), persist it as a sealed `.afpm` container at --save,
-      then reload it and verify the round trip is byte-exact. --models
-      picks Table I models by label (default: all 18); --target (default
-      lut6-7series) fixes the FPGA ground truth the models learn.
+      Run the flow on a library, training the model zoo on a --subset
+      fraction (default 0.5), persist the zoo as a sealed `.afpm`
+      container at --save, then reload it and verify the round trip is
+      byte-exact. --models picks Table I models by label (default: all
+      18); --target (default lut6-7series) fixes the FPGA ground truth
+      the models learn; --tolerance (default 0.01, in [0, 1)) is the
+      fidelity pair tolerance the models are ranked by.
       `afp serve --models MODELS.afpm` serves GET /estimate from the
       result.
   afp cache stats DIR
@@ -631,8 +633,8 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
         );
     }
     let profile = afp_fpga::target::resolve(&target_name).map_err(|e| e.to_string())?;
+    let spec = LibrarySpec::new(kind, width, size);
     let mut config = approxfpgas::FlowConfig {
-        library: LibrarySpec::new(kind, width, size),
         fronts,
         subset_fraction: subset,
         threads,
@@ -643,7 +645,7 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     };
     config.fpga = profile.apply(&config.fpga);
     if all_targets {
-        return cmd_flow_all_targets(&config);
+        return cmd_flow_all_targets(&config, &spec);
     }
     // A cache dir the user asked for must work: fail loudly instead of
     // silently degrading to a memory-only cache.
@@ -658,19 +660,22 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     } else {
         afp_obs::Recorder::enabled()
     };
-    let source = source.unwrap_or_else(|| LibrarySource::Generated(config.library.clone()));
+    let source = source.unwrap_or(LibrarySource::Generated(spec));
     let outcome = flow
         .run_source_traced(&source, &recorder)
         .map_err(|e| format!("cannot stream the circuit corpus: {e}"))?;
-    let mut report = approxfpgas::run_report(&config, &outcome, &recorder);
+    let report = approxfpgas::run_report(&config, &outcome, &recorder);
+    // The document `--report-out` receives in every mode, and json mode
+    // prints; the stage table always shows the raw report.
+    let normalized = report_normalized.then(|| approxfpgas::report::normalized(&report));
+    let document = normalized.as_ref().unwrap_or(&report);
     if report_mode == "json" {
         // Stdout carries the JSON document and nothing else, so the
         // output pipes straight into `python3 -m json.tool`, `jq`, etc.
-        if report_normalized {
-            report = approxfpgas::report::normalized(&report);
-        }
-        report.write_json(&report_out).map_err(|e| e.to_string())?;
-        let mut doc = report.to_json();
+        document
+            .write_json(&report_out)
+            .map_err(|e| e.to_string())?;
+        let mut doc = document.to_json();
         doc.push('\n');
         return Ok(doc);
     }
@@ -738,7 +743,9 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
         let _ = writeln!(out, "\nper-stage timing:");
         out.push_str(&report.render_table());
         if cli.flags.contains_key("report-out") {
-            let written = report.write_json(&report_out).map_err(|e| e.to_string())?;
+            let written = document
+                .write_json(&report_out)
+                .map_err(|e| e.to_string())?;
             let _ = writeln!(out, "wrote run report to {}", written.display());
         }
     } else {
@@ -876,10 +883,15 @@ fn cmd_zoo_train(cli: &Cli) -> Result<String, String> {
     let size = cli.usize_flag("size", 300)?;
     let threads = cli.usize_flag("threads", 0)?;
     let subset = cli.fraction_flag("subset", 0.5)?;
-    let tolerance: f64 = cli
-        .flag_or("tolerance", "0.01")
-        .parse()
-        .map_err(|_| "--tolerance expects a number".to_string())?;
+    let raw_tolerance = cli.flag_or("tolerance", "0.01");
+    let tolerance = match raw_tolerance.parse::<f64>() {
+        Ok(t) if (0.0..1.0).contains(&t) => t,
+        _ => {
+            return Err(format!(
+                "--tolerance expects a fraction in [0, 1), got `{raw_tolerance}`"
+            ))
+        }
+    };
     let target_name = cli.flag_or("target", afp_fpga::DEFAULT_TARGET).to_string();
     let profile = afp_fpga::target::resolve(&target_name).map_err(|e| e.to_string())?;
     let models = match cli.flags.get("models") {
@@ -890,33 +902,26 @@ fn cmd_zoo_train(cli: &Cli) -> Result<String, String> {
         return Err("--models lists no models; drop the flag to train all 18".to_string());
     }
 
-    let spec = LibrarySpec::new(kind, width, size);
-    let lib = build_library(&spec);
-    let rt = afp_runtime::Runtime::new(threads);
-    let fpga = profile.apply(&afp_fpga::FpgaConfig::default());
-    let records = approxfpgas::dataset::characterize_library_with(
-        &lib,
-        &afp_asic::AsicConfig::default(),
-        &fpga,
-        &afp_error::ErrorConfig::default(),
-        &rt,
-        None,
-    );
-    let sub = approxfpgas::dataset::sample_subset(records.len(), subset, 24.min(records.len()), 7);
-    let (train, val) = approxfpgas::dataset::train_validate_split(&sub, 0.8, 7);
-    let zoo = approxfpgas::fidelity::train_zoo_with(
-        &records,
-        &train,
-        &val,
-        &models,
-        tolerance,
-        &rt,
-        &afp_obs::Recorder::disabled(),
-    );
+    let config = approxfpgas::FlowConfig {
+        subset_fraction: subset,
+        min_subset: 24,
+        seed: 7,
+        models: models.clone(),
+        fidelity_tolerance: tolerance,
+        threads,
+        fpga: profile.apply(&afp_fpga::FpgaConfig::default()),
+        ..approxfpgas::FlowConfig::default()
+    };
+    let outcome = approxfpgas::Flow::new(config)
+        .run_source(&LibrarySource::Generated(LibrarySpec::new(
+            kind, width, size,
+        )))
+        .map_err(|e| format!("cannot build the library: {e}"))?;
+    let (records, zoo) = (&outcome.records, &outcome.zoo);
 
     let path = Path::new(save);
     let coverage = vec![(kind, width)];
-    let saved_count = approxfpgas::save_zoo(path, &zoo, &target_name, &coverage)
+    let saved_count = approxfpgas::save_zoo(path, zoo, &target_name, &coverage)
         .map_err(|e| format!("cannot save zoo to {}: {e}", path.display()))?;
     // Reload and prove the round trip is exact: every persisted model
     // must reproduce its in-memory estimates bit-for-bit.
@@ -956,9 +961,9 @@ fn cmd_zoo_train(cli: &Cli) -> Result<String, String> {
         kind.mnemonic(),
         width,
         records.len(),
-        sub.len(),
-        train.len(),
-        val.len(),
+        outcome.subset.len(),
+        outcome.train.len(),
+        outcome.validate.len(),
         target_name
     );
     for param in FpgaParam::ALL {
@@ -980,17 +985,22 @@ fn cmd_zoo_train(cli: &Cli) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_flow_all_targets(base: &approxfpgas::FlowConfig) -> Result<String, String> {
+fn cmd_flow_all_targets(
+    base: &approxfpgas::FlowConfig,
+    spec: &LibrarySpec,
+) -> Result<String, String> {
     use approxfpgas::record::FpgaParam;
     let set = approxfpgas::TargetSet::all();
-    let sweep = approxfpgas::sweep_targets(base, &set);
+    let source = LibrarySource::Generated(spec.clone());
+    let sweep = approxfpgas::sweep_targets(base, &source, &set)
+        .map_err(|e| format!("cannot build the library: {e}"))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "target sweep: {} profiles, library {}{}u x{}",
         sweep.runs.len(),
-        base.library.kind.mnemonic(),
-        base.library.width,
+        spec.kind.mnemonic(),
+        spec.width,
         sweep
             .runs
             .first()
@@ -1225,6 +1235,15 @@ mod tests {
         let saved = approxfpgas::load_zoo(&path).expect("saved zoo reloads");
         assert_eq!(saved.target, afp_fpga::DEFAULT_TARGET);
         assert!(saved.covers(ArithKind::Adder, 8));
+        // The container is byte-reproducible: any drift in the library,
+        // characterization, split, training or encoding moves this digest.
+        let mut h = afp_runtime::StableHasher::new();
+        h.write_bytes(&std::fs::read(&path).unwrap());
+        let key = h.finish();
+        assert_eq!(
+            format!("{:016x}{:016x}", key.hi, key.lo),
+            "d4b284f8f6b6be525df7a8d0c63b29e0"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1640,6 +1659,33 @@ mod tests {
     }
 
     #[test]
+    fn table_mode_writes_a_normalized_report_on_request() {
+        let dir = std::env::temp_dir().join(format!("afp_cli_table_norm_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let report_out = dir.join("report.json").to_string_lossy().to_string();
+        let out = run(&args(&[
+            "flow",
+            "--kind",
+            "add",
+            "--width",
+            "8",
+            "--size",
+            "40",
+            "--report",
+            "table",
+            "--report-normalized",
+            "--report-out",
+            &report_out,
+        ]))
+        .unwrap();
+        assert!(out.contains("per-stage timing:"), "{out}");
+        let written = std::fs::read_to_string(&report_out).unwrap();
+        assert!(written.contains("\"total_wall_s\":0.0"), "{written}");
+        assert!(written.contains("\"steals\":0"), "{written}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn flow_streams_a_persisted_library() {
         let dir = std::env::temp_dir().join(format!("afp_cli_stream_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1806,6 +1852,31 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zoo_train_tolerance_must_be_a_finite_fraction() {
+        for bad in ["nan", "inf", "-inf", "-0.01", "1", "2", "x"] {
+            let argv = [
+                "zoo",
+                "train",
+                "--save",
+                "/tmp/afp-never.afpm",
+                "--size",
+                "20",
+                "--tolerance",
+                bad,
+            ];
+            let outcome = std::panic::catch_unwind(|| run(&args(&argv)));
+            let e = outcome
+                .unwrap_or_else(|_| panic!("{argv:?} panicked"))
+                .unwrap_err();
+            assert!(
+                e.contains("--tolerance expects a fraction in [0, 1)"),
+                "{argv:?}: {e}"
+            );
+        }
+        assert!(!std::path::Path::new("/tmp/afp-never.afpm").exists());
     }
 
     #[test]

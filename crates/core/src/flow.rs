@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use afp_circuits::{build_library_with, ArithCircuit, LibrarySource, LibrarySpec};
+use afp_circuits::{build_library_with, ArithCircuit, LibrarySource};
 use afp_fpga::FpgaReport;
 use afp_ml::chaos::ChaosConfig;
 use afp_ml::MlModelId;
@@ -27,8 +27,6 @@ pub const DEFAULT_SHARD_CIRCUITS: usize = 1024;
 /// Configuration of one flow run.
 #[derive(Clone, Debug)]
 pub struct FlowConfig {
-    /// The circuit library to explore.
-    pub library: LibrarySpec,
     /// Fraction of the library synthesized as the training/validation
     /// subset (the paper uses 10%).
     pub subset_fraction: f64,
@@ -109,7 +107,6 @@ impl ChaosSpec {
 impl Default for FlowConfig {
     fn default() -> FlowConfig {
         FlowConfig {
-            library: LibrarySpec::new(afp_circuits::ArithKind::Adder, 8, 500),
             subset_fraction: 0.10,
             min_subset: 40,
             train_fraction: 0.80,
@@ -284,8 +281,9 @@ impl Flow {
     /// Run the full methodology (see the crate docs for the pipeline) on
     /// a library obtained from `source`.
     ///
-    /// [`LibrarySource::Generated`], typically of [`FlowConfig::library`],
-    /// builds the library in process as one resident shard.
+    /// `source` is the one place a run's circuits are named.
+    /// [`LibrarySource::Generated`] builds the library in process as one
+    /// resident shard.
     /// [`LibrarySource::Stored`] streams the corpus shard-at-a-time
     /// ([`FlowConfig::shard_circuits`] circuits per shard), keeping only
     /// one shard plus the surviving records resident. Normalized outcomes
@@ -534,14 +532,14 @@ impl Flow {
 }
 
 /// What the selection stage chose, per parameter.
-pub(crate) struct Selection {
+struct Selection {
     /// Accepted models: the ML ranking's, then the ASIC-regression slot's.
-    pub(crate) selected_models: BTreeMap<FpgaParam, Vec<MlModelId>>,
+    selected_models: BTreeMap<FpgaParam, Vec<MlModelId>>,
     /// Models dropped because every estimate was non-finite, in the
     /// order they were tried.
-    pub(crate) dropped_models: BTreeMap<FpgaParam, Vec<MlModelId>>,
+    dropped_models: BTreeMap<FpgaParam, Vec<MlModelId>>,
     /// Union of the accepted models' pseudo-pareto candidates, ascending.
-    pub(crate) candidates: BTreeMap<FpgaParam, Vec<usize>>,
+    candidates: BTreeMap<FpgaParam, Vec<usize>>,
 }
 
 /// The selection stage: per parameter, fill `top_models` slots from the
@@ -557,9 +555,9 @@ pub(crate) struct Selection {
 /// this is the plain top-k. Jobs, promotions and drops follow the
 /// rankings, never completion order, so the selection is
 /// thread-invariant.
-pub(crate) fn select<F: Sync>(
+fn select(
     zoo: &TrainedZoo,
-    records: &[CircuitRecord<F>],
+    records: &[CircuitRecord<()>],
     fronts: usize,
     top_models: usize,
     asic_slots: usize,
@@ -652,11 +650,14 @@ fn per_param<T: Default>() -> BTreeMap<FpgaParam, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afp_circuits::ArithKind;
+    use afp_circuits::{ArithKind, LibrarySpec};
 
-    fn tiny_config(target: usize) -> FlowConfig {
+    fn spec(size: usize) -> LibrarySpec {
+        LibrarySpec::new(ArithKind::Adder, 8, size)
+    }
+
+    fn tiny_config() -> FlowConfig {
         FlowConfig {
-            library: LibrarySpec::new(ArithKind::Adder, 8, target),
             min_subset: 24,
             // Keep tests quick: a competitive subset of the zoo.
             models: vec![
@@ -673,12 +674,12 @@ mod tests {
         }
     }
 
-    fn run(config: FlowConfig) -> FlowOutcome {
-        run_traced(config, &Recorder::disabled())
+    fn run(config: FlowConfig, size: usize) -> FlowOutcome {
+        run_traced(config, size, &Recorder::disabled())
     }
 
-    fn run_traced(config: FlowConfig, recorder: &Recorder) -> FlowOutcome {
-        let source = LibrarySource::Generated(config.library.clone());
+    fn run_traced(config: FlowConfig, size: usize, recorder: &Recorder) -> FlowOutcome {
+        let source = LibrarySource::Generated(spec(size));
         Flow::new(config)
             .run_source_traced(&source, recorder)
             .expect("generated source")
@@ -686,7 +687,7 @@ mod tests {
 
     #[test]
     fn flow_runs_end_to_end_and_reduces_synthesis() {
-        let outcome = run(tiny_config(120));
+        let outcome = run(tiny_config(), 120);
         assert_eq!(outcome.records.len(), outcome.time.exhaustive_count);
         // The generated library is characterized as one resident shard.
         assert_eq!(outcome.runtime.shards_streamed, 1);
@@ -710,7 +711,7 @@ mod tests {
 
     #[test]
     fn coverage_is_meaningful() {
-        let outcome = run(tiny_config(120));
+        let outcome = run(tiny_config(), 120);
         for (&param, &c) in &outcome.coverage {
             assert!((0.0..=1.0).contains(&c), "{param:?}: {c}");
         }
@@ -725,27 +726,33 @@ mod tests {
 
     #[test]
     fn more_fronts_synthesize_more_but_cover_more() {
-        let base = tiny_config(120);
-        let one = run(FlowConfig {
-            fronts: 1,
-            ..base.clone()
-        });
-        let three = run(FlowConfig { fronts: 3, ..base });
+        let base = tiny_config();
+        let one = run(
+            FlowConfig {
+                fronts: 1,
+                ..base.clone()
+            },
+            120,
+        );
+        let three = run(FlowConfig { fronts: 3, ..base }, 120);
         assert!(three.time.flow_count >= one.time.flow_count);
         assert!(three.mean_coverage() >= one.mean_coverage() - 1e-9);
     }
 
     #[test]
     fn selected_models_exclude_asic_regressions_by_default() {
-        let outcome = run(tiny_config(100));
+        let outcome = run(tiny_config(), 100);
         for models in outcome.selected_models.values() {
             assert!(!models.is_empty());
             assert!(models.iter().all(|m| !m.is_asic_regression()));
         }
-        let with_asic = run(FlowConfig {
-            include_asic_regression: true,
-            ..tiny_config(100)
-        });
+        let with_asic = run(
+            FlowConfig {
+                include_asic_regression: true,
+                ..tiny_config()
+            },
+            100,
+        );
         for models in with_asic.selected_models.values() {
             assert!(models.iter().any(|m| m.is_asic_regression()));
         }
@@ -763,9 +770,9 @@ mod tests {
                 config: ChaosConfig::always(ChaosKind::Nan, 77),
                 only: Some((MlModelId::Ml4, FpgaParam::Area)),
             }),
-            ..tiny_config(100)
+            ..tiny_config()
         };
-        let library = afp_circuits::build_library(&config.library);
+        let library = afp_circuits::build_library(&spec(100));
         let records = crate::dataset::characterize_library(
             &library,
             &config.asic,
@@ -820,8 +827,8 @@ mod tests {
 
     #[test]
     fn outcome_is_deterministic() {
-        let a = run(tiny_config(80));
-        let b = run(tiny_config(80));
+        let a = run(tiny_config(), 80);
+        let b = run(tiny_config(), 80);
         assert_eq!(a.subset, b.subset);
         assert_eq!(a.synthesized, b.synthesized);
         assert_eq!(a.final_fronts, b.final_fronts);
@@ -830,9 +837,9 @@ mod tests {
 
     #[test]
     fn tracing_does_not_perturb_the_outcome() {
-        let untraced = run(tiny_config(80));
+        let untraced = run(tiny_config(), 80);
         let recorder = Recorder::enabled();
-        let traced = run_traced(tiny_config(80), &recorder);
+        let traced = run_traced(tiny_config(), 80, &recorder);
         assert_eq!(untraced.subset, traced.subset);
         assert_eq!(untraced.synthesized, traced.synthesized);
         assert_eq!(untraced.final_fronts, traced.final_fronts);
@@ -867,11 +874,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let path = dir.join("lib.afps");
-        let cfg = tiny_config(60);
-        let library = afp_circuits::build_library(&cfg.library);
+        let cfg = tiny_config();
+        let library = afp_circuits::build_library(&spec(60));
         afp_circuits::write_library(&path, &library).expect("persist corpus");
 
-        let in_ram = run(cfg.clone());
+        let in_ram = run(cfg.clone(), 60);
         for (threads, shard) in [(1, 7), (4, 17), (1, 0)] {
             let flow = Flow::new(FlowConfig {
                 threads,
@@ -934,13 +941,13 @@ mod tests {
         // directory: try_new must surface the error.
         let config = FlowConfig {
             cache_dir: Some(file.clone()),
-            ..tiny_config(40)
+            ..tiny_config()
         };
         assert!(Flow::try_new(config).is_err());
         // And a usable directory succeeds.
         let ok = FlowConfig {
             cache_dir: Some(dir.join("cache")),
-            ..tiny_config(40)
+            ..tiny_config()
         };
         assert!(Flow::try_new(ok).is_ok());
         std::fs::remove_dir_all(&dir).ok();

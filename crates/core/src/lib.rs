@@ -33,12 +33,11 @@
 //! // A miniature run (tiny library, few models) — at full library sizes
 //! // (see afp-bench) the same flow reaches the paper's ~10x speedup.
 //! let config = FlowConfig {
-//!     library: LibrarySpec::new(ArithKind::Adder, 8, 60),
 //!     models: vec![MlModelId::Ml11, MlModelId::Ml14, MlModelId::Ml18],
 //!     top_models: 2,
 //!     ..FlowConfig::default()
 //! };
-//! let source = LibrarySource::Generated(config.library.clone());
+//! let source = LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, 60));
 //! let outcome = Flow::new(config).run_source(&source).unwrap();
 //! assert!(outcome.time.flow_count <= outcome.time.exhaustive_count);
 //! assert!(!outcome.final_fronts.is_empty());
@@ -69,8 +68,8 @@ pub use record::{CircuitRecord, FeatureLayout, FpgaParam};
 pub use report::run_report;
 pub use request::{characterize_request, request_report, RequestConfig};
 pub use targets::{
-    sweep_targets, transfer_experiment, transfer_matrix, TargetRun, TargetSet, TargetSweep,
-    TransferOutcome, UnknownTargetError,
+    sweep_targets, transfer_matrix, TargetRun, TargetSet, TargetSweep, TransferOutcome,
+    UnknownTargetError,
 };
 pub use zoo_store::{
     load_zoo, save_zoo, SavedZoo, ZooStoreError, AFPM_RECORD_VERSION, ZOO_MEMO_FILE,

@@ -8,7 +8,7 @@
 //! [`pseudo_pareto`] and [`measured_front`] are the two exploration
 //! stages built on these: candidate selection with the estimate
 //! quarantine, and scoring of what was synthesized. The flow, the
-//! cross-target transfer experiment and the figure regenerators all go
+//! cross-target transfer matrix and the figure regenerators all go
 //! through them.
 //!
 //! Numeric policy: all orderings go through the workspace total-order

@@ -40,8 +40,7 @@ fn param_key(param: FpgaParam) -> &'static str {
 /// (per-parameter pareto coverage plus the mean).
 pub fn run_report(config: &FlowConfig, outcome: &FlowOutcome, recorder: &Recorder) -> RunReport {
     let mut report = RunReport::from_recorder(recorder);
-    // The explored records, not `config.library` (which a stored corpus
-    // ignores), say what ran.
+    // The explored records say what ran.
     let (library_kind, library_width) = match outcome.records.split_first() {
         Some((first, rest))
             if rest
@@ -176,14 +175,16 @@ mod tests {
 
     fn small_outcome() -> (FlowConfig, FlowOutcome, Recorder) {
         let config = FlowConfig {
-            library: LibrarySpec::new(ArithKind::Adder, 8, 60),
             models: vec![MlModelId::Ml11, MlModelId::Ml14, MlModelId::Ml18],
             top_models: 2,
             ..FlowConfig::default()
         };
         let recorder = Recorder::enabled();
         let outcome = Flow::new(config.clone())
-            .run_source_traced(&LibrarySource::Generated(config.library.clone()), &recorder)
+            .run_source_traced(
+                &LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, 60)),
+                &recorder,
+            )
             .expect("generated source");
         (config, outcome, recorder)
     }
@@ -279,8 +280,6 @@ mod tests {
         let path = dir.join("mul8.afps");
         let library = build_library(&LibrarySpec::new(ArithKind::Multiplier, 8, 40));
         store::write_library(&path, &library).unwrap();
-        // The config still names the default add8 library, which a
-        // stored corpus ignores.
         let config = FlowConfig {
             models: vec![MlModelId::Ml11, MlModelId::Ml18],
             top_models: 1,

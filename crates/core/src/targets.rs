@@ -9,29 +9,26 @@
 //!   named device profile (characterize → train → estimate → peel →
 //!   pareto), producing one [`FlowOutcome`] per fabric whose records all
 //!   carry their target identity.
-//! * [`transfer_experiment`] trains the model zoo on one target's
-//!   synthesized subset and evaluates its estimates against *another*
-//!   target's ground truth — reporting how much estimation fidelity and
-//!   pareto coverage degrade under a retarget. The diagonal of
-//!   [`transfer_matrix`] is the native (train = eval) quality; the
-//!   off-diagonal cells answer "does the pareto front survive a move
-//!   from fabric A to fabric B?".
+//! * [`transfer_matrix`] scores, for every (train, eval) pair of one
+//!   sweep, the zoo and candidates of the train target's run against the
+//!   eval target's ground truth — reporting how much estimation fidelity
+//!   and pareto coverage degrade under a retarget. The diagonal is the
+//!   native (train = eval) quality; the off-diagonal cells answer "does
+//!   the pareto front survive a move from fabric A to fabric B?".
 //!
-//! Everything here is deterministic for a fixed configuration: sweeps
-//! reuse the flow's thread-invariant stages, and the transfer experiment
-//! derives all sampling from the base seed.
+//! Everything here is deterministic for a fixed configuration: both run
+//! the flow's thread-invariant stages, which derive all sampling from
+//! the base seed.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io;
 
-use afp_circuits::{build_library_with, LibrarySource};
+use afp_circuits::LibrarySource;
 pub use afp_fpga::target::UnknownTargetError;
 use afp_fpga::target::{registry, resolve, TargetProfile};
 use afp_ml::metrics::fidelity;
-use afp_runtime::Runtime;
 
-use crate::dataset::{characterize_library_with, sample_subset, train_validate_split};
-use crate::fidelity::train_zoo_with;
-use crate::flow::{select, Flow, FlowConfig, FlowOutcome};
+use crate::flow::{Flow, FlowConfig, FlowOutcome};
 use crate::pareto::measured_front;
 use crate::record::FpgaParam;
 
@@ -98,15 +95,20 @@ impl TargetSweep {
     }
 }
 
-/// Run the full methodology once per profile in `set`.
+/// Run the full methodology on `source` once per profile in `set`.
 ///
 /// Each run clones `base`, retargets its FPGA configuration through
 /// [`TargetProfile::apply`] (architecture, clock and jitter change;
 /// cut budget, activity passes, seed and pruning are preserved) and runs
 /// a fresh [`Flow`]. Characterization-cache keys include the target
 /// identity, so per-target entries never collide even across sweeps
-/// sharing one cache directory.
-pub fn sweep_targets(base: &FlowConfig, set: &TargetSet) -> TargetSweep {
+/// sharing one cache directory. A stored `source` that cannot be
+/// streamed is an `Err`, as in [`Flow::run_source`].
+pub fn sweep_targets(
+    base: &FlowConfig,
+    source: &LibrarySource,
+    set: &TargetSet,
+) -> io::Result<TargetSweep> {
     let runs = set
         .profiles()
         .iter()
@@ -115,21 +117,17 @@ pub fn sweep_targets(base: &FlowConfig, set: &TargetSet) -> TargetSweep {
                 fpga: profile.apply(&base.fpga),
                 ..base.clone()
             };
-            let source = LibrarySource::Generated(config.library.clone());
-            TargetRun {
+            Ok(TargetRun {
                 target: profile.name.to_string(),
-                outcome: Flow::new(config)
-                    .run_source(&source)
-                    .expect("generated libraries cannot fail to stream"),
-            }
+                outcome: Flow::new(config).run_source(source)?,
+            })
         })
-        .collect();
-    TargetSweep { runs }
+        .collect::<io::Result<_>>()?;
+    Ok(TargetSweep { runs })
 }
 
-/// Result of one [`transfer_experiment`] cell: the zoo trained on
-/// `train_target`'s subset, evaluated against `eval_target`'s ground
-/// truth.
+/// One cell of [`transfer_matrix`]: the zoo trained on `train_target`'s
+/// subset, evaluated against `eval_target`'s ground truth.
 #[derive(Clone, Debug)]
 pub struct TransferOutcome {
     /// Target whose synthesized subset trained the zoo.
@@ -168,118 +166,59 @@ fn mean<'a>(values: impl Iterator<Item = &'a f64>) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
 }
 
-/// Train the zoo on `train_target`, evaluate against `eval_target`.
-///
-/// The experiment mirrors the flow's estimation stage under a retarget:
-///
-/// 1. characterize the library for both targets (same circuits, two
-///    FPGA ground truths; ASIC and error metrics are fabric-independent),
-/// 2. sample the base configuration's subset and train the zoo on the
-///    *train* target's reports,
-/// 3. run the flow's selection stage (top models, estimate quarantine,
-///    `base.fronts` pseudo-pareto fronts; no ASIC-regression slot) —
-///    exactly what the flow would re-synthesize on the new fabric,
-/// 4. score the transfer: best-model fidelity against the *eval* target's
-///    ground truth, and coverage of the eval target's true pareto front
-///    by the candidates (evaluated at the eval target's cost points).
-///
-/// With `train_target == eval_target` this is the native quality
-/// (the matrix diagonal); the degradation of off-diagonal cells is the
-/// Xel-FPGAs question.
-pub fn transfer_experiment(
-    base: &FlowConfig,
-    train_target: &str,
-    eval_target: &str,
-) -> Result<TransferOutcome, UnknownTargetError> {
-    let train_profile = resolve(train_target)?;
-    let eval_profile = resolve(eval_target)?;
-    let rt = Runtime::new(base.threads);
-    let library = build_library_with(&base.library, &rt);
-    let characterize = |profile: &TargetProfile| {
-        characterize_library_with(
-            &library,
-            &base.asic,
-            &profile.apply(&base.fpga),
-            &base.error,
-            &rt,
-            None,
-        )
-    };
-    let train_records = characterize(train_profile);
-    let eval_records = if train_target == eval_target {
-        train_records.clone()
-    } else {
-        characterize(eval_profile)
-    };
-
-    let n = train_records.len();
-    let subset = sample_subset(n, base.subset_fraction, base.min_subset, base.seed);
-    let (train, validate) = train_validate_split(&subset, base.train_fraction, base.seed);
-    let zoo = train_zoo_with(
-        &train_records,
-        &train,
-        &validate,
-        &base.models,
-        base.fidelity_tolerance,
-        &rt,
-        &afp_obs::Recorder::disabled(),
-    );
-
-    // Candidate selection happens entirely in estimate space — the
-    // transferred flow has not synthesized anything on the eval fabric
-    // yet.
-    let selection = select(
-        &zoo,
-        &train_records,
-        base.fronts,
-        base.top_models,
-        0,
-        &rt,
-        &afp_obs::Recorder::disabled(),
-    );
-    let mut fid = BTreeMap::new();
-    let mut cov = BTreeMap::new();
-    for &param in &FpgaParam::ALL {
-        let truth_eval: Vec<f64> = eval_records.iter().map(|r| r.fpga_param(param)).collect();
-        if let Some(&best) = selection.selected_models[&param].first() {
-            let est = zoo.estimate_all(best, param, &train_records);
-            fid.insert(param, fidelity(&est, &truth_eval, base.fidelity_tolerance));
-        }
-        // Score on the eval fabric: the front the flow would measure
-        // after re-synthesizing the candidates (plus the subset it
-        // already paid for) on the new target.
-        let mut synthesized: BTreeSet<usize> = subset.iter().copied().collect();
-        synthesized.extend(&selection.candidates[&param]);
-        let eval_points: Vec<(f64, f64)> = eval_records
-            .iter()
-            .map(|r| (r.fpga_param(param), r.error.med))
-            .collect();
-        cov.insert(param, measured_front(&eval_points, &synthesized).coverage);
-    }
-    let union: BTreeSet<usize> = selection.candidates.into_values().flatten().collect();
-
-    Ok(TransferOutcome {
-        train_target: train_target.to_string(),
-        eval_target: eval_target.to_string(),
-        fidelity: fid,
-        coverage: cov,
-        candidates: union.len(),
-    })
-}
-
 /// Every (train, eval) pair over `set`, in row-major sweep order — the
 /// full cross-target coverage matrix.
+///
+/// One [`sweep_targets`] runs the flow once per fabric; each cell then
+/// moves the train run's method onto the eval run's fabric. With
+/// `train == eval` a cell is the native quality (the diagonal); the
+/// degradation of off-diagonal cells is the Xel-FPGAs question.
 pub fn transfer_matrix(
     base: &FlowConfig,
+    source: &LibrarySource,
     set: &TargetSet,
-) -> Result<Vec<TransferOutcome>, UnknownTargetError> {
-    let mut cells = Vec::with_capacity(set.len() * set.len());
-    for train in set.profiles() {
-        for eval in set.profiles() {
-            cells.push(transfer_experiment(base, train.name, eval.name)?);
+) -> io::Result<Vec<TransferOutcome>> {
+    let sweep = sweep_targets(base, source, set)?;
+    let mut cells = Vec::with_capacity(sweep.runs.len() * sweep.runs.len());
+    for train in &sweep.runs {
+        for eval in &sweep.runs {
+            cells.push(transfer_cell(train, eval, base.fidelity_tolerance));
         }
     }
     Ok(cells)
+}
+
+/// Score `train`'s method against `eval`'s fabric. The zoo, subset and
+/// candidates are the train run's: its selection happened entirely in
+/// estimate space, so it is exactly what the flow would re-synthesize
+/// on the new fabric. The cell scores the best model's whole-library
+/// fidelity against the eval fabric's ground truth, and the coverage of
+/// the eval fabric's true pareto front by what the transferred flow
+/// would have measured there (the subset it already paid for plus the
+/// candidates).
+fn transfer_cell(train: &TargetRun, eval: &TargetRun, tolerance: f64) -> TransferOutcome {
+    let (method, truth) = (&train.outcome, &eval.outcome);
+    let mut fid = BTreeMap::new();
+    let mut cov = BTreeMap::new();
+    for &param in &FpgaParam::ALL {
+        let eval_points = truth.points(param);
+        if let Some(&best) = method.selected_models[&param].first() {
+            let est = method.zoo.estimate_all(best, param, &method.records);
+            let truth_eval: Vec<f64> = eval_points.iter().map(|&(cost, _)| cost).collect();
+            fid.insert(param, fidelity(&est, &truth_eval, tolerance));
+        }
+        let mut synthesized: BTreeSet<usize> = method.subset.iter().copied().collect();
+        synthesized.extend(&method.candidates[&param]);
+        cov.insert(param, measured_front(&eval_points, &synthesized).coverage);
+    }
+    let union: BTreeSet<&usize> = method.candidates.values().flatten().collect();
+    TransferOutcome {
+        train_target: train.target.clone(),
+        eval_target: eval.target.clone(),
+        fidelity: fid,
+        coverage: cov,
+        candidates: union.len(),
+    }
 }
 
 #[cfg(test)]
@@ -288,9 +227,12 @@ mod tests {
     use afp_circuits::{ArithKind, LibrarySpec};
     use afp_ml::MlModelId;
 
+    fn tiny_source() -> LibrarySource {
+        LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, 70))
+    }
+
     fn tiny_config() -> FlowConfig {
         FlowConfig {
-            library: LibrarySpec::new(ArithKind::Adder, 8, 70),
             min_subset: 24,
             models: vec![
                 MlModelId::Ml4,
@@ -318,7 +260,7 @@ mod tests {
     #[test]
     fn sweep_produces_per_target_outcomes_with_identities() {
         let set = TargetSet::from_names(&["lut6-7series", "lut4-ice40"]).unwrap();
-        let sweep = sweep_targets(&tiny_config(), &set);
+        let sweep = sweep_targets(&tiny_config(), &tiny_source(), &set).unwrap();
         assert_eq!(sweep.runs.len(), 2);
         for run in &sweep.runs {
             assert!(run.outcome.records.iter().all(|r| r.target == run.target));
@@ -341,9 +283,15 @@ mod tests {
 
     #[test]
     fn native_transfer_matches_itself_and_is_deterministic() {
-        let base = tiny_config();
-        let a = transfer_experiment(&base, "lut6-7series", "lut6-7series").unwrap();
-        let b = transfer_experiment(&base, "lut6-7series", "lut6-7series").unwrap();
+        let set = TargetSet::from_names(&["lut6-7series"]).unwrap();
+        let matrix = || transfer_matrix(&tiny_config(), &tiny_source(), &set).unwrap();
+        let (cells, again) = (matrix(), matrix());
+        assert_eq!(cells.len(), 1);
+        let (a, b) = (&cells[0], &again[0]);
+        assert_eq!(
+            (a.train_target.as_str(), a.eval_target.as_str()),
+            ("lut6-7series", "lut6-7series")
+        );
         assert_eq!(a.fidelity, b.fidelity);
         assert_eq!(a.coverage, b.coverage);
         assert_eq!(a.candidates, b.candidates);
@@ -361,12 +309,5 @@ mod tests {
             "native coverage {}",
             a.mean_coverage()
         );
-    }
-
-    #[test]
-    fn transfer_rejects_unknown_targets() {
-        let base = tiny_config();
-        assert!(transfer_experiment(&base, "nope", "lut4-ice40").is_err());
-        assert!(transfer_experiment(&base, "lut4-ice40", "nope").is_err());
     }
 }

@@ -192,24 +192,6 @@ pub fn fit_traced(
     model.fit(x, y)
 }
 
-/// [`Regressor::predict`] under an [`afp_obs`] span named
-/// `estimate/<label>`, with the row count reported as span items
-/// (estimates/s throughput). Free when the recorder is disabled.
-pub fn predict_traced(
-    model: &dyn Regressor,
-    id: MlModelId,
-    x: &crate::Matrix,
-    recorder: &afp_obs::Recorder,
-) -> Vec<f64> {
-    if !recorder.is_enabled() {
-        return model.predict(x);
-    }
-    let name = format!("estimate/{}", id.label());
-    let mut span = recorder.span(&name);
-    span.add_items(x.rows() as u64);
-    model.predict(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,24 +259,19 @@ mod tests {
     }
 
     #[test]
-    fn traced_fit_and_predict_record_spans_only_when_enabled() {
+    fn traced_fit_records_a_span_only_when_enabled() {
         let (x, y) = dataset(80);
         let rec = afp_obs::Recorder::enabled();
         let mut model = build_model(MlModelId::Ml14, asic());
         fit_traced(model.as_mut(), MlModelId::Ml14, &x, &y, &rec).unwrap();
-        let est = predict_traced(model.as_ref(), MlModelId::Ml14, &x, &rec);
-        assert_eq!(est.len(), x.rows());
         let stages: Vec<String> = rec.stages().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(stages, vec!["estimate/ML14", "train/ML14"]);
+        assert_eq!(stages, vec!["train/ML14"]);
 
-        // The disabled path computes the same thing and records nothing.
+        // The disabled path fits the same model and records nothing.
         let off = afp_obs::Recorder::disabled();
         let mut quiet = build_model(MlModelId::Ml14, asic());
         fit_traced(quiet.as_mut(), MlModelId::Ml14, &x, &y, &off).unwrap();
-        assert_eq!(
-            predict_traced(quiet.as_ref(), MlModelId::Ml14, &x, &off),
-            est
-        );
+        assert_eq!(quiet.predict(&x), model.predict(&x));
         assert!(off.stages().is_empty());
     }
 

@@ -175,68 +175,6 @@ impl Runtime {
             .map(|r| r.expect("every item produced a result"))
             .collect()
     }
-
-    /// [`Runtime::par_map_init`] over an *iterator*, holding at most
-    /// `window` items in flight at a time.
-    ///
-    /// Items are pulled from `items` in waves of up to `window`, each wave
-    /// mapped with [`Runtime::par_map_init`], and the wave buffer dropped
-    /// before the next is pulled — so peak residency is `O(window)` even
-    /// for corpora streamed off disk. `f` receives the item's *global*
-    /// index (its position in the full iteration), and results come back
-    /// in that order: for a pure `f` the output is identical to buffering
-    /// everything and calling `par_map_init` once, for any thread count,
-    /// window size, or scheduling. Scratch state is rebuilt per wave, so
-    /// — as with `par_map_init` — it must only carry allocations, never
-    /// values.
-    pub fn par_map_stream_init<T, R, S, I, F>(
-        &self,
-        items: impl IntoIterator<Item = T>,
-        window: usize,
-        init: I,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
-        let window = window.max(1);
-        let mut it = items.into_iter();
-        let mut out = Vec::new();
-        let mut wave: Vec<T> = Vec::with_capacity(window);
-        loop {
-            wave.clear();
-            while wave.len() < window {
-                match it.next() {
-                    Some(item) => wave.push(item),
-                    None => break,
-                }
-            }
-            if wave.is_empty() {
-                return out;
-            }
-            let base = out.len();
-            out.extend(
-                self.par_map_init(&wave, &init, |scratch, i, item| f(scratch, base + i, item)),
-            );
-        }
-    }
-
-    /// Parallel map over `items` followed by an **in-order** fold of the
-    /// per-item results. Because the fold order is fixed, the reduction
-    /// is deterministic even for non-associative (e.g. floating-point)
-    /// operations.
-    pub fn par_map_reduce<T, R, A, F, G>(&self, items: &[T], map: F, init: A, fold: G) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.par_map(items, map).into_iter().fold(init, fold)
-    }
 }
 
 /// Pop from the own deque front, else steal from the fullest peer.
@@ -437,50 +375,6 @@ mod tests {
             // One scratch per worker, not per item.
             assert!(inits.load(Ordering::Relaxed) <= threads.max(1));
         }
-    }
-
-    #[test]
-    fn streamed_map_matches_buffered_map_for_any_window() {
-        let items: Vec<u64> = (0..500).collect();
-        let expect = Runtime::new(1).par_map(&items, |i, &x| (i as u64) * 1000 + x * 7);
-        for threads in [1, 3, 8] {
-            for window in [1, 7, 64, 500, 10_000] {
-                let rt = Runtime::new(threads);
-                let got = rt.par_map_stream_init(
-                    items.iter().copied(),
-                    window,
-                    || (),
-                    |(), i, &x| (i as u64) * 1000 + x * 7,
-                );
-                assert_eq!(got, expect, "threads={threads} window={window}");
-                // Waves never double-count: the task total is the item
-                // total regardless of how the windows split it.
-                assert_eq!(rt.snapshot().tasks_executed, items.len() as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_map_handles_empty_iterators() {
-        let rt = Runtime::new(4);
-        let got = rt.par_map_stream_init(std::iter::empty::<u32>(), 8, || (), |(), _, &x| x);
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn par_map_reduce_is_in_order() {
-        let rt = Runtime::new(8);
-        let items: Vec<usize> = (0..100).collect();
-        let concat = rt.par_map_reduce(
-            &items,
-            |_, &x| x,
-            Vec::new(),
-            |mut acc: Vec<usize>, x| {
-                acc.push(x);
-                acc
-            },
-        );
-        assert_eq!(concat, items);
     }
 
     #[test]

@@ -9,16 +9,14 @@ use approxfpgas_suite::flow::record::FpgaParam;
 use approxfpgas_suite::flow::{Flow, FlowConfig};
 
 fn main() {
-    let config = FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 200),
-        ..FlowConfig::default()
-    };
+    let spec = LibrarySpec::new(ArithKind::Adder, 8, 200);
+    let config = FlowConfig::default();
     println!(
         "exploring a {}-circuit 8-bit adder library (subset fraction {:.0}%)...",
-        config.library.target_size,
+        spec.target_size,
         100.0 * config.subset_fraction
     );
-    let source = LibrarySource::Generated(config.library.clone());
+    let source = LibrarySource::Generated(spec);
     let outcome = Flow::new(config)
         .run_source(&source)
         .expect("generated libraries stream");

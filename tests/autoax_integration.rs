@@ -18,7 +18,6 @@ fn components_from_flow() -> ComponentLibrary {
     // Pareto 8x8 multipliers from a small flow run.
     let library = LibrarySpec::new(ArithKind::Multiplier, 8, 120);
     let mult_outcome = Flow::new(FlowConfig {
-        library: library.clone(),
         models: vec![MlModelId::Ml11, MlModelId::Ml14, MlModelId::Ml18],
         min_subset: 24,
         ..FlowConfig::default()

@@ -20,7 +20,6 @@ fn fast_models() -> Vec<MlModelId> {
 fn run(kind: ArithKind, width: usize, size: usize) -> approxfpgas_suite::flow::FlowOutcome {
     let library = LibrarySpec::new(kind, width, size);
     Flow::new(FlowConfig {
-        library: library.clone(),
         models: fast_models(),
         min_subset: 24,
         ..FlowConfig::default()
@@ -124,7 +123,6 @@ fn flow_front_end_equals_the_hand_built_chain() {
 
     let library = LibrarySpec::new(ArithKind::Multiplier, 8, 150);
     let config = FlowConfig {
-        library: library.clone(),
         models: fast_models(),
         ..FlowConfig::default()
     };

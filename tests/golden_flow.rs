@@ -16,7 +16,6 @@ use approxfpgas_suite::obs::Recorder;
 
 fn golden_config() -> FlowConfig {
     FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 100),
         min_subset: 24,
         models: vec![
             MlModelId::Ml1,
@@ -97,10 +96,14 @@ fn assert_matches_goldens(outcome: &FlowOutcome) {
     assert!(outcome.dropped_models.values().all(|v| v.is_empty()));
 }
 
-/// Run `flow` on its configured generated library.
+/// The 100-circuit 8-bit adder library the goldens were taken on.
+fn golden_source() -> LibrarySource {
+    LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, 100))
+}
+
+/// Run `flow` on the golden library.
 fn run(flow: &Flow) -> FlowOutcome {
-    let source = LibrarySource::Generated(flow.config().library.clone());
-    flow.run_source(&source)
+    flow.run_source(&golden_source())
         .expect("generated libraries stream")
 }
 
@@ -129,10 +132,7 @@ fn tracing_enabled_flow_matches_the_same_goldens_bit_exactly() {
     // move a single golden bit relative to the untraced run.
     let recorder = Recorder::enabled();
     let outcome = Flow::new(golden_config())
-        .run_source_traced(
-            &LibrarySource::Generated(golden_config().library),
-            &recorder,
-        )
+        .run_source_traced(&golden_source(), &recorder)
         .expect("generated libraries stream");
     assert_matches_goldens(&outcome);
     if recorder.is_enabled() {

@@ -13,9 +13,9 @@ use approxfpgas_suite::flow::{ChaosSpec, Flow, FlowConfig, FlowOutcome};
 use approxfpgas_suite::ml::chaos::{ChaosConfig, ChaosKind};
 use approxfpgas_suite::ml::MlModelId;
 
-/// Run `flow` on its configured generated library.
-fn run(flow: &Flow) -> FlowOutcome {
-    let source = LibrarySource::Generated(flow.config().library.clone());
+/// Run `flow` on a generated library of `size` 8-bit adders.
+fn run(flow: &Flow, size: usize) -> FlowOutcome {
+    let source = LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, size));
     flow.run_source(&source)
         .expect("generated libraries stream")
 }
@@ -35,7 +35,6 @@ fn fast_models() -> Vec<MlModelId> {
 
 fn chaotic_config(rate: f64, threads: usize) -> FlowConfig {
     FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 100),
         min_subset: 24,
         models: fast_models(),
         threads,
@@ -68,7 +67,7 @@ fn assert_sane(outcome: &FlowOutcome) {
 
 #[test]
 fn flow_completes_under_mixed_injection() {
-    let outcome = run(&Flow::new(chaotic_config(0.2, 1)));
+    let outcome = run(&Flow::new(chaotic_config(0.2, 1)), 100);
     assert_sane(&outcome);
     // Injection at 20% over a 100-circuit library must actually have
     // quarantined something.
@@ -84,8 +83,8 @@ fn flow_completes_under_mixed_injection() {
 
 #[test]
 fn injection_outcomes_are_bit_identical_across_thread_counts() {
-    let one = run(&Flow::new(chaotic_config(0.25, 1)));
-    let eight = run(&Flow::new(chaotic_config(0.25, 8)));
+    let one = run(&Flow::new(chaotic_config(0.25, 1)), 100);
+    let eight = run(&Flow::new(chaotic_config(0.25, 8)), 100);
     assert_eq!(one.subset, eight.subset);
     assert_eq!(one.selected_models, eight.selected_models);
     assert_eq!(one.dropped_models, eight.dropped_models);
@@ -112,7 +111,7 @@ fn injection_outcomes_are_bit_identical_across_thread_counts() {
 fn heavy_injection_still_yields_valid_coverage() {
     // Half of every model's estimates are NaN/inf/huge; the flow must
     // still terminate with rankable output.
-    let outcome = run(&Flow::new(chaotic_config(0.5, 0)));
+    let outcome = run(&Flow::new(chaotic_config(0.5, 0)), 100);
     assert_sane(&outcome);
     assert!(outcome.runtime.estimates_quarantined > 0);
 }
@@ -125,7 +124,6 @@ fn fully_nan_model_is_dropped_and_replaced() {
     // next-best model promoted, and every parameter still gets its full
     // top-k quota.
     let config = FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 100),
         min_subset: 24,
         models: fast_models(),
         chaos: Some(ChaosSpec {
@@ -134,7 +132,7 @@ fn fully_nan_model_is_dropped_and_replaced() {
         }),
         ..FlowConfig::default()
     };
-    let outcome = run(&Flow::new(config));
+    let outcome = run(&Flow::new(config), 100);
     assert_sane(&outcome);
 
     // The poisoned model is dropped for Area only.
@@ -164,7 +162,7 @@ fn mean_coverage_of_an_empty_coverage_map_is_zero_not_nan() {
     // Regression: an empty coverage map used to divide 0.0 by 0, turning
     // the report's headline number into NaN. The mean of nothing is
     // defined as 0.0 — "nothing covered", not "undefined".
-    let mut outcome = run(&Flow::new(chaotic_config(0.2, 1)));
+    let mut outcome = run(&Flow::new(chaotic_config(0.2, 1)), 100);
     outcome.coverage.clear();
     let mean = outcome.mean_coverage();
     assert!(mean.is_finite(), "empty coverage produced {mean}");
@@ -177,7 +175,6 @@ fn always_inf_injection_never_panics_rankings() {
     // dry, and the flow must still complete with empty selections rather
     // than panic.
     let config = FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 60),
         min_subset: 24,
         models: fast_models(),
         chaos: Some(ChaosSpec {
@@ -186,7 +183,7 @@ fn always_inf_injection_never_panics_rankings() {
         }),
         ..FlowConfig::default()
     };
-    let outcome = run(&Flow::new(config));
+    let outcome = run(&Flow::new(config), 60);
     for (&param, models) in &outcome.selected_models {
         assert!(models.is_empty(), "{param:?}: {models:?} survived +inf");
         assert!(outcome.candidates[&param].is_empty());

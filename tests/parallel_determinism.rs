@@ -12,9 +12,8 @@ use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::{Flow, FlowConfig, FlowOutcome};
 use approxfpgas_suite::ml::MlModelId;
 
-fn tiny_config(kind: ArithKind, threads: usize) -> FlowConfig {
+fn tiny_config(threads: usize) -> FlowConfig {
     FlowConfig {
-        library: LibrarySpec::new(kind, 8, 60),
         min_subset: 24,
         threads,
         // A competitive subset of the zoo keeps the test quick while still
@@ -56,17 +55,21 @@ fn assert_outcomes_identical(serial: &FlowOutcome, parallel: &FlowOutcome) {
     assert_eq!(serial.time, parallel.time);
 }
 
-/// Run `flow` on its configured generated library.
-fn run(flow: &Flow) -> FlowOutcome {
-    let source = LibrarySource::Generated(flow.config().library.clone());
-    flow.run_source(&source)
+/// A generated library of 60 8-bit circuits of `kind`.
+fn library(kind: ArithKind) -> LibrarySource {
+    LibrarySource::Generated(LibrarySpec::new(kind, 8, 60))
+}
+
+/// Run `flow` on the generated library of `kind`.
+fn run(flow: &Flow, kind: ArithKind) -> FlowOutcome {
+    flow.run_source(&library(kind))
         .expect("generated libraries stream")
 }
 
 #[test]
 fn adder_flow_is_identical_for_one_and_eight_threads() {
-    let serial = run(&Flow::new(tiny_config(ArithKind::Adder, 1)));
-    let parallel = run(&Flow::new(tiny_config(ArithKind::Adder, 8)));
+    let serial = run(&Flow::new(tiny_config(1)), ArithKind::Adder);
+    let parallel = run(&Flow::new(tiny_config(8)), ArithKind::Adder);
     assert_outcomes_identical(&serial, &parallel);
     // Task accounting is thread-invariant too (steals are not).
     assert_eq!(
@@ -77,8 +80,8 @@ fn adder_flow_is_identical_for_one_and_eight_threads() {
 
 #[test]
 fn multiplier_flow_is_identical_for_one_and_eight_threads() {
-    let serial = run(&Flow::new(tiny_config(ArithKind::Multiplier, 1)));
-    let parallel = run(&Flow::new(tiny_config(ArithKind::Multiplier, 8)));
+    let serial = run(&Flow::new(tiny_config(1)), ArithKind::Multiplier);
+    let parallel = run(&Flow::new(tiny_config(8)), ArithKind::Multiplier);
     assert_outcomes_identical(&serial, &parallel);
     assert_eq!(
         serial.runtime.tasks_executed,
@@ -94,9 +97,9 @@ fn traced_flow_keeps_the_thread_invariance_guarantee() {
     use approxfpgas_suite::obs::Recorder;
     let rec_serial = Recorder::enabled();
     let rec_parallel = Recorder::enabled();
-    let source = LibrarySource::Generated(tiny_config(ArithKind::Adder, 1).library);
+    let source = library(ArithKind::Adder);
     let traced = |threads, recorder| {
-        Flow::new(tiny_config(ArithKind::Adder, threads))
+        Flow::new(tiny_config(threads))
             .run_source_traced(&source, recorder)
             .expect("generated libraries stream")
     };
@@ -104,7 +107,7 @@ fn traced_flow_keeps_the_thread_invariance_guarantee() {
     let parallel = traced(8, &rec_parallel);
     assert_outcomes_identical(&serial, &parallel);
     // And tracing vs no tracing is equally invisible.
-    let untraced = run(&Flow::new(tiny_config(ArithKind::Adder, 8)));
+    let untraced = run(&Flow::new(tiny_config(8)), ArithKind::Adder);
     assert_outcomes_identical(&untraced, &parallel);
     if rec_serial.is_enabled() {
         // Call/item tallies are scheduling-independent; only wall time
@@ -121,8 +124,8 @@ fn traced_flow_keeps_the_thread_invariance_guarantee() {
 
 #[test]
 fn second_run_on_one_flow_synthesizes_nothing() {
-    let flow = Flow::new(tiny_config(ArithKind::Adder, 4));
-    let cold = run(&flow);
+    let flow = Flow::new(tiny_config(4));
+    let cold = run(&flow, ArithKind::Adder);
     assert!(cold.runtime.asic_synths > 0);
     assert!(cold.runtime.fpga_synths > 0);
     assert_eq!(cold.runtime.cache_hits, 0);
@@ -131,7 +134,7 @@ fn second_run_on_one_flow_synthesizes_nothing() {
     // Counters are per-run (fresh Runtime), so the warm run's synthesis
     // counts stand alone: the cache outlives the run and every
     // characterization must hit.
-    let warm = run(&flow);
+    let warm = run(&flow, ArithKind::Adder);
     assert_eq!(warm.runtime.asic_synths, 0, "warm run re-synthesized ASIC");
     assert_eq!(warm.runtime.fpga_synths, 0, "warm run re-synthesized FPGA");
     assert_eq!(warm.runtime.error_analyses, 0);
@@ -143,10 +146,10 @@ fn second_run_on_one_flow_synthesizes_nothing() {
 fn disabling_the_cache_disables_memoization() {
     let flow = Flow::new(FlowConfig {
         use_cache: false,
-        ..tiny_config(ArithKind::Adder, 2)
+        ..tiny_config(2)
     });
-    let first = run(&flow);
-    let second = run(&flow);
+    let first = run(&flow, ArithKind::Adder);
+    let second = run(&flow, ArithKind::Adder);
     assert_eq!(first.runtime.cache_hits, 0);
     assert_eq!(first.runtime.cache_misses, 0);
     assert_eq!(second.runtime.asic_synths, first.runtime.asic_synths);
@@ -159,13 +162,13 @@ fn disk_cache_warms_a_fresh_process_worth_of_state() {
     let _ = std::fs::remove_dir_all(&dir);
     let config = FlowConfig {
         cache_dir: Some(dir.clone()),
-        ..tiny_config(ArithKind::Adder, 4)
+        ..tiny_config(4)
     };
-    let cold = run(&Flow::new(config.clone()));
+    let cold = run(&Flow::new(config.clone()), ArithKind::Adder);
     assert!(cold.runtime.fpga_synths > 0);
 
     // A brand-new Flow (fresh memory tier) reloads the CSV tier.
-    let warm = run(&Flow::new(config));
+    let warm = run(&Flow::new(config), ArithKind::Adder);
     assert_eq!(warm.runtime.asic_synths, 0);
     assert_eq!(warm.runtime.fpga_synths, 0);
     assert_eq!(warm.runtime.cache_hits as usize, warm.records.len());

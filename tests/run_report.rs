@@ -14,9 +14,13 @@ use approxfpgas_suite::flow::{Flow, FlowConfig};
 use approxfpgas_suite::ml::MlModelId;
 use approxfpgas_suite::obs::{Recorder, RunReport};
 
+/// The 60-circuit 8-bit adder library every run explores.
+fn source() -> LibrarySource {
+    LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, 60))
+}
+
 fn report_config(threads: usize) -> FlowConfig {
     FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 60),
         min_subset: 24,
         models: vec![
             MlModelId::Ml1,
@@ -33,7 +37,7 @@ fn traced_run(threads: usize) -> (approxfpgas_suite::flow::FlowOutcome, RunRepor
     let config = report_config(threads);
     let recorder = Recorder::enabled();
     let outcome = Flow::new(config.clone())
-        .run_source_traced(&LibrarySource::Generated(config.library.clone()), &recorder)
+        .run_source_traced(&source(), &recorder)
         .expect("generated libraries stream");
     let report = run_report(&config, &outcome, &recorder);
     (outcome, report)
@@ -190,7 +194,7 @@ fn report_fields_mirror_the_outcome() {
     let config = report_config(1);
     let recorder = Recorder::enabled();
     let outcome = Flow::new(config.clone())
-        .run_source_traced(&LibrarySource::Generated(config.library.clone()), &recorder)
+        .run_source_traced(&source(), &recorder)
         .expect("generated libraries stream");
     let json = run_report(&config, &outcome, &recorder).to_json();
     assert!(json.contains(&format!("\"library_size\":{}", outcome.records.len())));

@@ -30,7 +30,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// zeroed out.
 fn normalized_report(threads: usize, cache_dir: &Path) -> RunReport {
     let config = FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 48),
         min_subset: 20,
         models: vec![MlModelId::Ml1, MlModelId::Ml13],
         threads,
@@ -40,7 +39,10 @@ fn normalized_report(threads: usize, cache_dir: &Path) -> RunReport {
     let recorder = Recorder::enabled();
     let outcome = Flow::try_new(config.clone())
         .unwrap()
-        .run_source_traced(&LibrarySource::Generated(config.library.clone()), &recorder)
+        .run_source_traced(
+            &LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, 48)),
+            &recorder,
+        )
         .expect("generated libraries stream");
     let mut report = normalized(&run_report(&config, &outcome, &recorder));
     report.set_field("flow", "threads", Value::UInt(0));

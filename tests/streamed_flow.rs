@@ -23,7 +23,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn config(threads: usize, shard_circuits: usize) -> FlowConfig {
     FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 60),
         min_subset: 24,
         models: vec![
             MlModelId::Ml1,

@@ -145,7 +145,6 @@ fn per_target_reports_are_bit_identical_goldens() {
 fn tiny_flow(target: &str) -> FlowOutcome {
     let profile = named(target).expect("registry target");
     let mut config = FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 70),
         min_subset: 24,
         models: vec![
             MlModelId::Ml4,
@@ -156,7 +155,7 @@ fn tiny_flow(target: &str) -> FlowOutcome {
         ..FlowConfig::default()
     };
     config.fpga = profile.apply(&config.fpga);
-    let source = LibrarySource::Generated(config.library.clone());
+    let source = LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, 70));
     Flow::new(config)
         .run_source(&source)
         .expect("generated libraries stream")

@@ -24,9 +24,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The 60-circuit 8-bit adder library every run explores.
+fn source() -> LibrarySource {
+    LibrarySource::Generated(LibrarySpec::new(ArithKind::Adder, 8, 60))
+}
+
 fn config(dir: &Path) -> FlowConfig {
     FlowConfig {
-        library: LibrarySpec::new(ArithKind::Adder, 8, 60),
         min_subset: 24,
         // Every model family the memo has to restore: linear, kernel
         // (the GP's lazily rebuilt factor), neighbours, trees, the MLP.
@@ -50,7 +54,7 @@ fn run(config: &FlowConfig) -> FlowOutcome {
 fn run_traced(config: &FlowConfig, recorder: &Recorder) -> FlowOutcome {
     Flow::try_new(config.clone())
         .unwrap()
-        .run_source_traced(&LibrarySource::Generated(config.library.clone()), recorder)
+        .run_source_traced(&source(), recorder)
         .expect("generated libraries stream")
 }
 
