@@ -236,11 +236,11 @@ USAGE:
       foreign-version corpus is a loud error, never a smaller run.
       --cache-dir persists the characterization cache across runs as
       the binary store DIR/characterization.afps (an unusable directory
-      is an error) and keeps the trained zoo in DIR/zoo.afpm, which a
-      re-run with the same training inputs loads instead of training.
-      --no-cache disables memoization. --target retargets
-      the FPGA model to a named device profile (see `afp targets`;
-      default lut6-7series);
+      is an error) and keeps each trained zoo in DIR/zoo-<key>.afpm,
+      named after its training inputs, for re-runs to load (oldest
+      deleted past 64 MiB). --no-cache disables memoization (not with
+      --cache-dir). --target retargets the FPGA model to a named device
+      profile (see `afp targets`; default lut6-7series);
       --all-targets sweeps every registry profile and prints a
       per-target comparison instead of one run's summary. --report table
       (default) appends a per-stage timing table; --report json writes
@@ -619,11 +619,13 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
         ));
     }
     let report_out = std::path::PathBuf::from(cli.flag_or("report-out", "results/run_report.json"));
-    let explicit_cache_dir = cache_dir.is_some();
     let all_targets = cli.flag_or("all-targets", "false") == "true";
     let target_name = cli.flag_or("target", afp_fpga::DEFAULT_TARGET).to_string();
     if all_targets && cli.flags.contains_key("target") {
         return Err("--target and --all-targets are mutually exclusive".to_string());
+    }
+    if !use_cache && cache_dir.is_some() {
+        return Err("--no-cache and --cache-dir are mutually exclusive".to_string());
     }
     if all_targets && source.is_some() {
         return Err(
@@ -647,14 +649,8 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     if all_targets {
         return cmd_flow_all_targets(&config, &spec);
     }
-    // A cache dir the user asked for must work: fail loudly instead of
-    // silently degrading to a memory-only cache.
-    let flow = if explicit_cache_dir {
-        approxfpgas::Flow::try_new(config.clone())
-            .map_err(|e| format!("cannot open --cache-dir: {e}"))?
-    } else {
-        approxfpgas::Flow::new(config.clone())
-    };
+    let flow = approxfpgas::Flow::try_new(config.clone())
+        .map_err(|e| format!("cannot open --cache-dir: {e}"))?;
     let recorder = if report_mode == "none" {
         afp_obs::Recorder::disabled()
     } else {
@@ -992,8 +988,9 @@ fn cmd_flow_all_targets(
     use approxfpgas::record::FpgaParam;
     let set = approxfpgas::TargetSet::all();
     let source = LibrarySource::Generated(spec.clone());
+    // A generated library always streams: only the cache dir can fail.
     let sweep = approxfpgas::sweep_targets(base, &source, &set)
-        .map_err(|e| format!("cannot build the library: {e}"))?;
+        .map_err(|e| format!("cannot open --cache-dir: {e}"))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1533,7 +1530,43 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.contains("cannot open --cache-dir"), "{e}");
+        // The target sweep opens every flow's cache dir just as loudly.
+        let e = run(&args(&[
+            "flow",
+            "--kind",
+            "add",
+            "--width",
+            "8",
+            "--size",
+            "40",
+            "--all-targets",
+            "--cache-dir",
+            &blocker.join("x").to_string_lossy(),
+        ]))
+        .unwrap_err();
+        assert!(e.contains("cannot open --cache-dir"), "{e}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flow_rejects_no_cache_with_a_cache_dir() {
+        let dir = std::env::temp_dir().join(format!("afp_cli_nocache_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let e = run(&args(&[
+            "flow",
+            "--kind",
+            "add",
+            "--width",
+            "8",
+            "--size",
+            "40",
+            "--no-cache",
+            "--cache-dir",
+            &dir.to_string_lossy(),
+        ]))
+        .unwrap_err();
+        assert!(e.contains("mutually exclusive"), "{e}");
+        assert!(!dir.exists(), "a rejected run created its cache dir");
     }
 
     #[test]

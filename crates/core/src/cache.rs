@@ -180,18 +180,9 @@ impl CharacterizationCache {
     }
 
     /// A cache persisted to `dir/characterization.afps`; existing
-    /// entries are loaded into the memory tier immediately. Falls back to
-    /// a memory-only cache if the directory is not writable — callers
-    /// that need loud failure use [`CharacterizationCache::try_with_disk`].
-    pub fn with_disk(dir: &Path) -> CharacterizationCache {
-        CharacterizationCache::try_with_disk(dir)
-            .unwrap_or_else(|_| CharacterizationCache::in_memory())
-    }
-
-    /// Like [`CharacterizationCache::with_disk`], but an unusable cache
-    /// directory (cannot be created, or the cache file cannot be opened
-    /// for append) is returned as the underlying I/O error instead of
-    /// silently degrading to a memory-only cache.
+    /// entries are loaded into the memory tier immediately. An unusable
+    /// cache directory (cannot be created, or the cache file cannot be
+    /// opened for append) is returned as the underlying I/O error.
     pub fn try_with_disk(dir: &Path) -> std::io::Result<CharacterizationCache> {
         let mut disk = StoreTier::open(dir, STORE_FILE)?;
         let memo = MemoCache::new();
@@ -405,9 +396,6 @@ mod tests {
         let blocker = dir.join("not-a-dir");
         std::fs::write(&blocker, b"x").unwrap();
         assert!(CharacterizationCache::try_with_disk(&blocker).is_err());
-        // with_disk on the same path degrades to memory-only, silently.
-        let fallback = CharacterizationCache::with_disk(&blocker);
-        assert!(fallback.is_empty());
         // A good directory works.
         assert!(CharacterizationCache::try_with_disk(&dir.join("ok")).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
@@ -425,10 +413,10 @@ mod tests {
             &afp_error::ErrorConfig::default(),
         );
         {
-            let cache = CharacterizationCache::with_disk(&dir);
+            let cache = CharacterizationCache::try_with_disk(&dir).unwrap();
             cache.insert(key, v);
         }
-        let reopened = CharacterizationCache::with_disk(&dir);
+        let reopened = CharacterizationCache::try_with_disk(&dir).unwrap();
         let counters = Counters::default();
         assert_eq!(reopened.get(key, &counters), Some(v));
         assert_eq!(counters.snapshot().cache_hits, 1);

@@ -17,7 +17,7 @@ use crate::fidelity::{TrainedZoo, TrainingSet};
 use crate::oracle::FpgaOracle;
 use crate::pareto::{measured_front, pseudo_pareto, PseudoPareto};
 use crate::record::{CircuitRecord, FpgaParam};
-use crate::zoo_store::{load_zoo, read_memo_key, write_zoo, ZOO_MEMO_FILE, ZOO_MEMO_VERSION};
+use crate::zoo_store::{load_memo, save_memo, ZOO_MEMO_VERSION};
 
 /// Default [`FlowConfig::shard_circuits`]: large enough to keep the
 /// work-stealing pool saturated, small enough that a paper-full corpus
@@ -63,9 +63,9 @@ pub struct FlowConfig {
     /// configuration (default on; repeated circuits and repeated runs of
     /// one [`Flow`] skip synthesis entirely).
     pub use_cache: bool,
-    /// Persist the characterization cache under `cache_dir` (as the
-    /// binary store `characterization.afps`) so hits survive across
-    /// processes. `None` keeps the cache in memory only.
+    /// Persist the characterization cache (`characterization.afps`) and
+    /// the zoo memos (`zoo-<training key>.afpm`) under `cache_dir`, so
+    /// hits survive across processes. `None` keeps the cache in memory.
     pub cache_dir: Option<PathBuf>,
     /// Master seed for sampling/splitting.
     pub seed: u64,
@@ -250,20 +250,19 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// Create a flow with `config`. If caching is enabled, the cache lives
-    /// as long as the `Flow` — repeated runs on the same instance hit it.
+    /// [`Flow::try_new`] for a config whose cache directory must work.
+    ///
+    /// # Panics
+    ///
+    /// If `use_cache` is set and `cache_dir` cannot be opened.
     pub fn new(config: FlowConfig) -> Flow {
-        let cache = config.use_cache.then(|| match &config.cache_dir {
-            Some(dir) => CharacterizationCache::with_disk(dir),
-            None => CharacterizationCache::in_memory(),
-        });
-        Flow { config, cache }
+        Flow::try_new(config).expect("cannot open the flow's cache_dir")
     }
 
-    /// [`Flow::new`], but a `cache_dir` that cannot be created or opened
-    /// is a hard error instead of a silent fall-back to a memory-only
-    /// cache. Use this when the caller asked for persistence explicitly
-    /// (as the CLI's `--cache-dir` does).
+    /// Create a flow with `config`. If caching is enabled, the cache lives
+    /// as long as the `Flow` — repeated runs on the same instance hit it.
+    /// A `cache_dir` that cannot be created or opened is an error, never a
+    /// silent fall-back to a memory-only cache.
     pub fn try_new(config: FlowConfig) -> std::io::Result<Flow> {
         let cache = match (config.use_cache, &config.cache_dir) {
             (false, _) => None,
@@ -467,12 +466,12 @@ impl Flow {
     }
 
     /// The trained zoo of this run. With a persistent cache (`use_cache`
-    /// and a `cache_dir`), the zoo memo at `cache_dir/`[`ZOO_MEMO_FILE`]
-    /// is tried first: it is used when its key equals this run's training
-    /// key and every loaded model re-predicts the validation rows to the
-    /// stored fidelity table, bit for bit. Anything else — no memo, a
-    /// corrupt or foreign one, other training inputs — is a miss: the zoo
-    /// is trained and saved over the memo, and a failed save is counted,
+    /// and a `cache_dir`), the memo saved under this run's training key
+    /// is tried first: it is used when its target and coverage are this
+    /// run's and every loaded model re-predicts the validation rows to
+    /// the stored fidelity table, bit for bit. Anything else — no memo, a
+    /// corrupt or mismatching one — is a miss: the zoo is trained and
+    /// saved under the key, and a failed save or eviction is counted,
     /// never fatal.
     fn zoo(
         &self,
@@ -512,21 +511,20 @@ impl Flow {
         ) else {
             return train();
         };
-        let path = dir.join(ZOO_MEMO_FILE);
         let counters = rt.counters();
-        if read_memo_key(&path) == Some(key) {
-            if let Ok(saved) = load_zoo(&path) {
-                if set.reproduces(&saved.zoo, &cfg.models, cfg.fidelity_tolerance) {
-                    Counters::add(&counters.zoo_memo_hits, 1);
-                    return saved.zoo;
-                }
+        if let Some(saved) = load_memo(dir, key) {
+            if saved.target == *target
+                && saved.coverage == coverage
+                && set.reproduces(&saved.zoo, &cfg.models, cfg.fidelity_tolerance)
+            {
+                Counters::add(&counters.zoo_memo_hits, 1);
+                return saved.zoo;
             }
         }
         Counters::add(&counters.zoo_memo_misses, 1);
         let zoo = train();
-        if write_zoo(&path, &zoo, target, &coverage, Some(key)).is_err() {
-            Counters::add(&counters.zoo_memo_errors, 1);
-        }
+        let errors = save_memo(dir, key, &zoo, target, &coverage);
+        Counters::add(&counters.zoo_memo_errors, errors);
         zoo
     }
 }

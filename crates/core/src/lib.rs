@@ -72,7 +72,7 @@ pub use targets::{
     UnknownTargetError,
 };
 pub use zoo_store::{
-    load_zoo, save_zoo, SavedZoo, ZooStoreError, AFPM_RECORD_VERSION, ZOO_MEMO_FILE,
+    load_zoo, save_zoo, SavedZoo, ZooStoreError, AFPM_RECORD_VERSION, ZOO_MEMO_BYTES,
     ZOO_MEMO_VERSION,
 };
 

@@ -85,16 +85,6 @@ pub struct TargetSweep {
     pub runs: Vec<TargetRun>,
 }
 
-impl TargetSweep {
-    /// Per-target mean pareto coverage, in sweep order.
-    pub fn mean_coverages(&self) -> Vec<(String, f64)> {
-        self.runs
-            .iter()
-            .map(|r| (r.target.clone(), r.outcome.mean_coverage()))
-            .collect()
-    }
-}
-
 /// Run the full methodology on `source` once per profile in `set`.
 ///
 /// Each run clones `base`, retargets its FPGA configuration through
@@ -102,8 +92,8 @@ impl TargetSweep {
 /// cut budget, activity passes, seed and pruning are preserved) and runs
 /// a fresh [`Flow`]. Characterization-cache keys include the target
 /// identity, so per-target entries never collide even across sweeps
-/// sharing one cache directory. A stored `source` that cannot be
-/// streamed is an `Err`, as in [`Flow::run_source`].
+/// sharing one cache directory. An unusable `cache_dir` or a stored
+/// `source` that cannot be streamed is an `Err`, as in [`Flow::try_new`].
 pub fn sweep_targets(
     base: &FlowConfig,
     source: &LibrarySource,
@@ -119,7 +109,7 @@ pub fn sweep_targets(
             };
             Ok(TargetRun {
                 target: profile.name.to_string(),
-                outcome: Flow::new(config).run_source(source)?,
+                outcome: Flow::try_new(config)?.run_source(source)?,
             })
         })
         .collect::<io::Result<_>>()?;
@@ -276,9 +266,7 @@ mod tests {
             luts(&sweep.runs[1]) > luts(&sweep.runs[0]),
             "LUT-4 should need more LUTs than LUT-6"
         );
-        let covs = sweep.mean_coverages();
-        assert_eq!(covs[0].0, "lut6-7series");
-        assert_eq!(covs[0].1, sweep.runs[0].outcome.mean_coverage());
+        assert_eq!(sweep.runs[0].target, "lut6-7series");
     }
 
     #[test]

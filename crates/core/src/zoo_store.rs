@@ -13,12 +13,10 @@
 //!   is the model's codec tag byte followed by its
 //!   [`afp_ml::ModelState`] payload.
 //!
-//! A zoo saved as a flow's memo ([`ZOO_MEMO_FILE`] beside the
-//! characterization store) carries one more record, first in the file:
-//! the **memo key** (`Key128 { hi: 2, lo: 0 }`), the 128-bit hash of the
-//! training inputs the zoo was trained from. [`load_zoo`] skips that
-//! reserved key space, so a memo is also a plain `.afpm` for
-//! `afp serve --models`.
+//! A flow's zoo memo is a plain `.afpm` named after its training key,
+//! `cache_dir/zoo-<32 hex digits>.afpm`, bounded by [`ZOO_MEMO_BYTES`].
+//! [`load_zoo`] skips the reserved key space, where earlier releases'
+//! memos kept their key, so those still serve under `afp serve --models`.
 //!
 //! Loading is deliberately loud: a record-version mismatch, an unsealed
 //! (interrupted) file, a layout whose column names drifted from
@@ -29,7 +27,8 @@
 //! estimate the training process would have produced, to the last bit.
 
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::SystemTime;
 
 use afp_circuits::ArithKind;
 use afp_ml::{MlModelId, Regressor};
@@ -44,10 +43,10 @@ use crate::record::{FeatureLayout, FpgaParam};
 /// or model payload encoding changes; readers refuse other versions.
 pub const AFPM_RECORD_VERSION: u32 = 1;
 
-/// File name of a flow's zoo memo inside its `cache_dir`, beside the
-/// characterization store. The file holds at most one zoo: a flow that
-/// trains replaces it.
-pub const ZOO_MEMO_FILE: &str = "zoo.afpm";
+/// Byte bound on the zoo memo files of one `cache_dir`: the memos of
+/// four 4-target sweeps of the full paper corpus, about 3.8 MB each
+/// (measured sizes in DESIGN.md "Zoo memo").
+pub const ZOO_MEMO_BYTES: u64 = 64 << 20;
 
 /// Version hashed into every zoo memo key: bumping it turns every memo on
 /// disk into a miss. Bump it whenever a trainer fits different bits from
@@ -114,7 +113,6 @@ impl SavedZoo {
 
 const META_KEY: Key128 = Key128 { hi: 0, lo: 0 };
 const MODEL_KEY_HI: u64 = 1;
-const MEMO_KEY: Key128 = Key128 { hi: 2, lo: 0 };
 
 fn model_index(model: MlModelId) -> u64 {
     MlModelId::ALL.iter().position(|&m| m == model).unwrap_or(0) as u64
@@ -244,40 +242,7 @@ pub fn save_zoo(
     target: &str,
     coverage: &[(ArithKind, usize)],
 ) -> Result<u64, ZooStoreError> {
-    write_zoo(path, zoo, target, coverage, None)
-}
-
-/// The memo key stored first in the `.afpm` at `path`; `None` when the
-/// file is missing, unreadable, or carries no memo key.
-pub(crate) fn read_memo_key(path: &Path) -> Option<Key128> {
-    let first = FrameStream::open(path).ok()?.next()?;
-    if first.key != MEMO_KEY {
-        return None;
-    }
-    let mut r = ByteReader::new(&first.payload);
-    let key = Key128 {
-        hi: r.u64_le()?,
-        lo: r.u64_le()?,
-    };
-    r.is_empty().then_some(key)
-}
-
-/// [`save_zoo`], with the flow's `memo` key first in the file when
-/// given, where [`read_memo_key`] finds it without decoding a model.
-pub(crate) fn write_zoo(
-    path: &Path,
-    zoo: &TrainedZoo,
-    target: &str,
-    coverage: &[(ArithKind, usize)],
-    memo: Option<Key128>,
-) -> Result<u64, ZooStoreError> {
     let mut writer = StoreWriter::create_atomic(path, AFPM_RECORD_VERSION)?;
-    if let Some(key) = memo {
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&key.hi.to_le_bytes());
-        payload.extend_from_slice(&key.lo.to_le_bytes());
-        writer.append(MEMO_KEY, &payload)?;
-    }
     writer.append(META_KEY, &encode_meta(zoo, target, coverage))?;
     let mut saved = 0u64;
     for (model, param, reg) in zoo.trained_models() {
@@ -300,6 +265,63 @@ pub(crate) fn write_zoo(
     }
     writer.finish_sealed()?;
     Ok(saved)
+}
+
+fn memo_path(dir: &Path, key: Key128) -> PathBuf {
+    dir.join(format!("zoo-{:016x}{:016x}.afpm", key.hi, key.lo))
+}
+
+/// Whether `name` is `zoo-<32 lowercase hex digits>.afpm`.
+fn is_memo_name(name: &str) -> bool {
+    let hex = name
+        .strip_prefix("zoo-")
+        .and_then(|n| n.strip_suffix(".afpm"));
+    hex.is_some_and(|h| h.len() == 32 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+}
+
+/// The memo of training key `key` in `dir`, if there is one that loads.
+pub(crate) fn load_memo(dir: &Path, key: Key128) -> Option<SavedZoo> {
+    load_zoo(&memo_path(dir, key)).ok()
+}
+
+/// Save `zoo` as the memo of training key `key` in `dir`, then delete
+/// the oldest-modified other memos until all fit in [`ZOO_MEMO_BYTES`].
+/// Returns the failures: the save, the listing, each delete. No other
+/// file is ever deleted, nor the memo just written.
+pub(crate) fn save_memo(
+    dir: &Path,
+    key: Key128,
+    zoo: &TrainedZoo,
+    target: &str,
+    coverage: &[(ArithKind, usize)],
+) -> u64 {
+    let path = memo_path(dir, key);
+    let saved = save_zoo(&path, zoo, target, coverage);
+    let (Ok(_), Ok(entries)) = (saved, std::fs::read_dir(dir)) else {
+        return 1;
+    };
+    let mut memos: Vec<(SystemTime, PathBuf, u64)> = entries
+        .flatten()
+        .filter(|entry| entry.file_name().to_str().is_some_and(is_memo_name))
+        .filter_map(|entry| {
+            let meta = entry.metadata().ok().filter(|m| m.is_file())?;
+            let modified = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            Some((modified, entry.path(), meta.len()))
+        })
+        .collect();
+    memos.sort();
+    let mut total: u64 = memos.iter().map(|&(_, _, len)| len).sum();
+    let mut errors = 0;
+    for (_, old, len) in memos.into_iter().filter(|(_, old, _)| *old != path) {
+        if total <= ZOO_MEMO_BYTES {
+            break;
+        }
+        match std::fs::remove_file(&old) {
+            Ok(()) => total -= len,
+            Err(_) => errors += 1,
+        }
+    }
+    errors
 }
 
 /// Load a `.afpm` container saved by [`save_zoo`].
@@ -333,7 +355,8 @@ pub fn load_zoo(path: &Path) -> Result<SavedZoo, ZooStoreError> {
             continue;
         }
         if record.key.hi != MODEL_KEY_HI {
-            // Reserved key space: skip for forward compatibility.
+            // Reserved key space (an earlier release's memo key, or a
+            // later release's records): skip.
             continue;
         }
         let mi = (record.key.lo >> 8) as usize;
@@ -494,6 +517,28 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(load_zoo(&path).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn memo_names_are_exactly_the_keyed_layout() {
+        let key = Key128 {
+            hi: 0x0123_4567_89ab_cdef,
+            lo: 0xfedc_ba98_7654_3210,
+        };
+        let path = memo_path(Path::new("dir"), key);
+        let name = path.file_name().unwrap().to_str().unwrap();
+        assert_eq!(name, "zoo-0123456789abcdeffedcba9876543210.afpm");
+        assert!(is_memo_name(name));
+        for other in [
+            "zoo.afpm",
+            "characterization.afps",
+            "zoo-0123456789abcdeffedcba9876543210.afpm.tmp",
+            "zoo-0123456789ABCDEFFEDCBA9876543210.afpm",
+            "zoo-0123456789abcdeffedcba987654321.afpm",
+            "zoo-0123456789abcdeffedcba987654321g.afpm",
+        ] {
+            assert!(!is_memo_name(other), "{other}");
+        }
     }
 
     #[test]

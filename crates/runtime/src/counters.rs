@@ -225,10 +225,10 @@ counters! {
     /// Flows whose trained zoo was loaded from the memo beside the
     /// characterization store (no model was trained).
     zoo_memo_hits: Count, stable, Runtime;
-    /// Flows with a memo slot whose zoo was trained: no memo yet, or one
-    /// that was corrupt, foreign or keyed by other training inputs.
+    /// Flows with a persistent cache whose zoo was trained: no memo under
+    /// the run's training key, or one that was corrupt or mismatching.
     zoo_memo_misses: Count, stable, Runtime;
-    /// Trained zoos the memo failed to save (the flow still succeeded).
+    /// Memo saves and evictions that failed (the flow still succeeded).
     zoo_memo_errors: Count, stable, Runtime;
 }
 

@@ -1,17 +1,22 @@
 //! The zoo memo: a flow with a persistent cache saves its trained zoo to
-//! `cache_dir/zoo.afpm`, keyed by a hash of its training inputs, and a
-//! later flow with the same inputs loads it instead of training. A hit
-//! must change nothing but the work done; every input of the key must
-//! turn a hit into a miss; and a memo that is corrupt, truncated, of a
-//! foreign version or out of step with its fidelity table is a miss that
-//! re-trains and overwrites it — never an error.
+//! `cache_dir/zoo-<key>.afpm`, named after a hash of its training inputs,
+//! and a later flow with the same inputs loads it instead of training. A
+//! hit must change nothing but the work done; every input of the key must
+//! turn a hit into a miss; memos of other inputs (other targets) live
+//! side by side; a memo that is corrupt, truncated, of a foreign version
+//! or out of step with its fidelity table, target or coverage is a miss
+//! that re-trains and overwrites it — never an error; and the memo files
+//! stay within their byte bound.
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, SystemTime};
 
 use approxfpgas_suite::circuits::{ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::record::FpgaParam;
 use approxfpgas_suite::flow::{
-    load_zoo, Flow, FlowConfig, FlowOutcome, AFPM_RECORD_VERSION, ZOO_MEMO_FILE,
+    load_zoo, save_zoo, sweep_targets, Flow, FlowConfig, FlowOutcome, TargetSet,
+    AFPM_RECORD_VERSION, ZOO_MEMO_BYTES,
 };
 use approxfpgas_suite::ml::MlModelId;
 use approxfpgas_suite::obs::Recorder;
@@ -56,6 +61,27 @@ fn run_traced(config: &FlowConfig, recorder: &Recorder) -> FlowOutcome {
         .unwrap()
         .run_source_traced(&source(), recorder)
         .expect("generated libraries stream")
+}
+
+/// The memo files in `dir`, by name.
+fn memo_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            let name = path.file_name().unwrap().to_str().unwrap();
+            name.starts_with("zoo-") && name.ends_with(".afpm")
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The one memo file in `dir`.
+fn only_memo(dir: &Path) -> PathBuf {
+    let files = memo_files(dir);
+    assert_eq!(files.len(), 1, "{files:?}");
+    files[0].clone()
 }
 
 /// `(hits, misses, save errors)` of one run.
@@ -117,7 +143,19 @@ fn a_warm_run_loads_a_bit_identical_zoo_and_trains_nothing() {
     let cold_rec = Recorder::enabled();
     let cold = run_traced(&cfg, &cold_rec);
     assert_eq!(memo(&cold), MISS);
-    assert!(dir.join(ZOO_MEMO_FILE).exists());
+    let name = only_memo(&dir)
+        .file_name()
+        .unwrap()
+        .to_str()
+        .unwrap()
+        .to_string();
+    let hex = &name["zoo-".len()..name.len() - ".afpm".len()];
+    assert_eq!(hex.len(), 32, "{name}");
+    assert!(
+        hex.bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)),
+        "{name}"
+    );
     let warm_rec = Recorder::enabled();
     let warm = run_traced(&cfg, &warm_rec);
     assert_eq!(memo(&warm), HIT);
@@ -139,10 +177,39 @@ fn the_memo_is_a_servable_zoo_with_its_target_and_coverage() {
     let dir = temp_dir("servable");
     let cfg = config(&dir);
     let cold = run(&cfg);
-    let saved = load_zoo(&dir.join(ZOO_MEMO_FILE)).expect("the memo is a valid .afpm");
+    let path = only_memo(&dir);
+    let saved = load_zoo(&path).expect("the memo is a valid .afpm");
     assert_eq!(saved.target, cfg.fpga.target);
     assert_eq!(saved.coverage, vec![(ArithKind::Adder, 8)]);
     assert_eq!(saved.zoo.fidelities.len(), cold.zoo.fidelities.len());
+    // One writer: the memo's bytes are `save_zoo`'s for the same zoo.
+    let plain = temp_dir("servable-plain").join("zoo.afpm");
+    save_zoo(&plain, &cold.zoo, &cfg.fpga.target, &saved.coverage).unwrap();
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        std::fs::read(&plain).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(plain.parent().unwrap());
+}
+
+#[test]
+fn a_target_sweep_hits_every_memo_on_its_second_pass() {
+    let dir = temp_dir("sweep");
+    let set = TargetSet::all();
+    let sweep = || sweep_targets(&config(&dir), &source(), &set).unwrap();
+    let cold = sweep();
+    assert_eq!(cold.runs.len(), 4);
+    for run in &cold.runs {
+        assert_eq!(memo(&run.outcome), MISS, "{}: first pass", run.target);
+    }
+    assert_eq!(memo_files(&dir).len(), 4, "one memo per target");
+    let warm = sweep();
+    for (c, w) in cold.runs.iter().zip(&warm.runs) {
+        assert_eq!(memo(&w.outcome), HIT, "{}: second pass", w.target);
+        assert_eq!(w.outcome.runtime.fpga_synths, 0, "{}", w.target);
+        assert_same_outcome(&c.outcome, &w.outcome);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -195,14 +262,13 @@ fn every_key_input_turns_a_hit_into_a_miss() {
             },
         ),
     ];
+    run(&base);
     for (what, cfg) in changed {
-        // Re-seed the slot with the base zoo, then change one input.
-        run(&base);
         assert_eq!(memo(&run(&base)), HIT, "{what}: base");
         assert_eq!(memo(&run(&cfg)), MISS, "{what}: changed input hit");
-        // The changed run took the single slot; running it again hits.
         assert_eq!(memo(&run(&cfg)), HIT, "{what}: second changed run");
-        assert_eq!(memo(&run(&base)), MISS, "{what}: the slot holds one zoo");
+        // The changed run saved beside the base memo, not over it.
+        assert_eq!(memo(&run(&base)), HIT, "{what}: base after the change");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -226,9 +292,18 @@ type Corruption<'a> = Box<dyn Fn() + 'a>;
 fn a_bad_memo_is_a_miss_that_retrains_and_overwrites() {
     let dir = temp_dir("bad");
     let cfg = config(&dir);
-    let path = dir.join(ZOO_MEMO_FILE);
     let cold = run(&cfg);
+    let path = only_memo(&dir);
     let good = std::fs::read(&path).unwrap();
+    // Another run's memo: the same library explored on another target.
+    let other_dir = temp_dir("bad-other");
+    let target = approxfpgas_suite::fpga::target::named("lut4-ice40").unwrap();
+    run(&FlowConfig {
+        fpga: target.apply(&cfg.fpga),
+        ..config(&other_dir)
+    });
+    let other = std::fs::read(only_memo(&other_dir)).unwrap();
+    let coverage = [(ArithKind::Adder, 8)];
     let corruptions: Vec<(&str, Corruption)> = vec![
         (
             "flipped byte",
@@ -263,13 +338,22 @@ fn a_bad_memo_is_a_miss_that_retrains_and_overwrites() {
             }),
         ),
         (
-            "foreign memo key",
+            "another run's memo copied under this run's name",
+            Box::new(|| std::fs::write(&path, &other).unwrap()),
+        ),
+        (
+            // The models reproduce their scores, but the metadata names
+            // another target or another coverage.
+            "this zoo saved for another target",
             Box::new(|| {
-                rewrite_memo(&path, AFPM_RECORD_VERSION, |hi, payload| {
-                    if hi == 2 {
-                        payload[0] ^= 1;
-                    }
-                })
+                save_zoo(&path, &cold.zoo, "lut4-ice40", &coverage).unwrap();
+            }),
+        ),
+        (
+            "this zoo saved for another coverage",
+            Box::new(|| {
+                let wider = [(ArithKind::Adder, 8), (ArithKind::Adder, 16)];
+                save_zoo(&path, &cold.zoo, &cfg.fpga.target, &wider).unwrap();
             }),
         ),
     ];
@@ -287,19 +371,25 @@ fn a_bad_memo_is_a_miss_that_retrains_and_overwrites() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&other_dir);
 }
 
 #[test]
 fn a_failed_save_is_counted_and_the_flow_succeeds() {
+    let named = temp_dir("unsavable-name");
+    run(&config(&named));
+    let name = only_memo(&named).file_name().unwrap().to_owned();
     let dir = temp_dir("unsavable");
     let cfg = config(&dir);
     // A directory where the memo file should go: reading finds no memo
     // and the atomic rename onto it fails.
-    std::fs::create_dir_all(dir.join(ZOO_MEMO_FILE).join("occupied")).unwrap();
+    std::fs::create_dir_all(dir.join(&name).join("occupied")).unwrap();
     let outcome = run(&cfg);
     assert_eq!(memo(&outcome), (0, 1, 1));
     // The failed save leaves no temp sibling behind.
-    let tmp = dir.join(format!("{ZOO_MEMO_FILE}.tmp"));
+    let mut tmp = name.clone();
+    tmp.push(".tmp");
+    let tmp = dir.join(tmp);
     assert!(!tmp.exists(), "{} left behind", tmp.display());
     let reference = run(&FlowConfig {
         cache_dir: None,
@@ -307,6 +397,7 @@ fn a_failed_save_is_counted_and_the_flow_succeeds() {
     });
     assert_same_outcome(&reference, &outcome);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&named);
 }
 
 #[test]
@@ -319,13 +410,14 @@ fn flows_without_a_persistent_cache_neither_read_nor_write_the_memo() {
     };
     let recorder = Recorder::enabled();
     assert_eq!(memo(&run_traced(&no_cache, &recorder)), (0, 0, 0));
-    assert!(!dir.join(ZOO_MEMO_FILE).exists(), "--no-cache wrote a memo");
+    assert!(memo_files(&dir).is_empty(), "--no-cache wrote a memo");
     if recorder.is_enabled() {
         assert!(train_spans(&recorder) > 0);
     }
     // With a memo present, a no-cache run still trains and leaves it be.
     let cold = run(&cfg);
-    let before = std::fs::read(dir.join(ZOO_MEMO_FILE)).unwrap();
+    let path = only_memo(&dir);
+    let before = std::fs::read(&path).unwrap();
     let recorder = Recorder::enabled();
     let again = run_traced(&no_cache, &recorder);
     assert_eq!(memo(&again), (0, 0, 0));
@@ -333,8 +425,9 @@ fn flows_without_a_persistent_cache_neither_read_nor_write_the_memo() {
         assert!(train_spans(&recorder) > 0, "--no-cache read the memo");
     }
     assert_same_outcome(&cold, &again);
-    assert_eq!(std::fs::read(dir.join(ZOO_MEMO_FILE)).unwrap(), before);
-    // An in-memory cache has no slot either.
+    assert_eq!(std::fs::read(&path).unwrap(), before);
+    assert_eq!(memo_files(&dir), [path]);
+    // An in-memory cache has no memo either.
     let in_memory = run(&FlowConfig {
         cache_dir: None,
         ..cfg
@@ -386,5 +479,60 @@ fn chaos_runs_save_the_clean_zoo_and_corrupt_a_loaded_one() {
             .collect()
     };
     assert_eq!(est(&cold), est(&warm));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_memo_files_stay_within_their_byte_bound() {
+    let dir = temp_dir("bound");
+    let cfg = config(&dir);
+    // Fill the characterization store, so the bounded run appends nothing.
+    run(&FlowConfig {
+        seed: cfg.seed + 1,
+        ..cfg.clone()
+    });
+    // Sparse old memos past the bound, oldest first by mtime, not by name.
+    let old = |tag: char| dir.join(format!("zoo-{}.afpm", tag.to_string().repeat(32)));
+    let half = ZOO_MEMO_BYTES / 2;
+    for (tag, len, age_s) in [
+        ('c', half, 3_000),
+        ('a', half, 2_000),
+        ('b', half / 2, 1_000),
+    ] {
+        let file = File::create(old(tag)).unwrap();
+        file.set_len(len).unwrap();
+        file.set_modified(SystemTime::now() - Duration::from_secs(age_s))
+            .unwrap();
+    }
+    std::fs::write(dir.join("zoo.afpm"), b"a memo of an earlier release").unwrap();
+    std::fs::write(dir.join("notes.txt"), b"not a memo").unwrap();
+    let others = ["characterization.afps", "zoo.afpm", "notes.txt"];
+    // Older than every memo, so only the name can spare them.
+    for name in others {
+        let file = File::options().write(true).open(dir.join(name)).unwrap();
+        file.set_modified(SystemTime::now() - Duration::from_secs(9_000))
+            .unwrap();
+    }
+    let keep = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+        others
+            .into_iter()
+            .map(|name| (dir.join(name), std::fs::read(dir.join(name)).unwrap()))
+            .collect()
+    };
+    let before = keep(&dir);
+    let memos_before = memo_files(&dir);
+
+    assert_eq!(memo(&run(&cfg)), MISS);
+    let memos = memo_files(&dir);
+    let total: u64 = memos
+        .iter()
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .sum();
+    assert!(total <= ZOO_MEMO_BYTES, "{total} bytes of memos");
+    assert!(!old('c').exists(), "the oldest memo stays");
+    assert!(old('a').exists() && old('b').exists(), "a newer memo went");
+    let new: Vec<_> = memos.iter().filter(|p| !memos_before.contains(p)).collect();
+    assert_eq!(new.len(), 1, "the new memo is present");
+    assert_eq!(keep(&dir), before, "a file that is not a memo changed");
     let _ = std::fs::remove_dir_all(&dir);
 }
