@@ -989,27 +989,23 @@ fn cmd_flow_all_targets(
     let set = approxfpgas::TargetSet::all();
     let source = LibrarySource::Generated(spec.clone());
     // A generated library always streams: only the cache dir can fail.
-    let sweep = approxfpgas::sweep_targets(base, &source, &set)
+    let runs = approxfpgas::sweep_targets(base, &source, &set)
         .map_err(|e| format!("cannot open --cache-dir: {e}"))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "target sweep: {} profiles, library {}{}u x{}",
-        sweep.runs.len(),
+        runs.len(),
         spec.kind.mnemonic(),
         spec.width,
-        sweep
-            .runs
-            .first()
-            .map(|r| r.outcome.records.len())
-            .unwrap_or(0)
+        runs.first().map(|r| r.outcome.records.len()).unwrap_or(0)
     );
     let _ = writeln!(
         out,
         "{:<18} {:>8} {:>8} {:>8} {:>8} {:>10} {:>12}",
         "target", "latency", "power", "area", "mean", "synth", "front sizes"
     );
-    for run in &sweep.runs {
+    for run in &runs {
         let o = &run.outcome;
         let pct = |p: FpgaParam| 100.0 * o.coverage.get(&p).copied().unwrap_or(0.0);
         let fronts: Vec<String> = FpgaParam::ALL

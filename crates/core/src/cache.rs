@@ -8,6 +8,11 @@
 //! memory and optionally on disk, so repeated runs (or repeated circuits)
 //! skip synthesis entirely.
 //!
+//! The memory tier is afp-runtime's byte-bounded CLOCK ring
+//! ([`afp_runtime::ClockCache`]) under [`MEMO_BYTES`]. An evicted entry
+//! only turns a later hit into a counted miss: it is recomputed bit for
+//! bit, and a run assembles its records from its own lookups and results.
+//!
 //! The disk tier is the binary store ([`afp_store::StoreTier`], compact
 //! frames + fast decode). It is lossless — float fields round-trip
 //! bit-exactly — so a warm run's outcome is identical to a cold one's.
@@ -18,7 +23,7 @@ use afp_asic::AsicReport;
 use afp_circuits::{ArithCircuit, ArithKind};
 use afp_error::ErrorMetrics;
 use afp_fpga::FpgaReport;
-use afp_runtime::{Counters, Fingerprint, Key128, MemoCache, StableHasher};
+use afp_runtime::{ClockCache, Counters, Fingerprint, Key128, StableHasher};
 use afp_store::bytes::{put_f64, put_ivarint, put_uvarint, ByteReader};
 use afp_store::{BinRecord, StoreTier};
 
@@ -159,10 +164,24 @@ fn exact_ratio(v: f64, den: u64) -> Option<i64> {
     }
 }
 
+/// Bytes the memory tier charges per entry: its measured resident cost.
+/// By layout a ring slot is 200 B (the 176-byte
+/// [`CachedCharacterization`], its 16-byte key and the reference bit) and
+/// an index entry 24 B plus hash-table slack; filling a ring with 5,034 to
+/// 209,715 entries grew the resident set by 232–269 B per entry (see
+/// `DESIGN.md`, "Characterization cache").
+const ENTRY_BYTES: usize = 256;
+
+/// Byte budget of the characterization memory tier: 262,144 entries at
+/// 256 B each. Four targets' full paper corpus (4 × 50,340 circuits)
+/// sharing one cache directory fill 77% of it, so no workload in this
+/// repository evicts.
+pub const MEMO_BYTES: usize = 64 << 20;
+
 /// Two-tier (memory + optional disk) cache of [`CachedCharacterization`]s.
 #[derive(Debug)]
 pub struct CharacterizationCache {
-    memo: MemoCache<CachedCharacterization>,
+    memo: ClockCache<CachedCharacterization>,
     disk: Option<StoreTier<CachedCharacterization>>,
 }
 
@@ -174,7 +193,7 @@ impl CharacterizationCache {
     /// [`crate::flow::Flow`] instance).
     pub fn in_memory() -> CharacterizationCache {
         CharacterizationCache {
-            memo: MemoCache::new(),
+            memo: ClockCache::new(MEMO_BYTES, |_| ENTRY_BYTES),
             disk: None,
         }
     }
@@ -184,8 +203,15 @@ impl CharacterizationCache {
     /// cache directory (cannot be created, or the cache file cannot be
     /// opened for append) is returned as the underlying I/O error.
     pub fn try_with_disk(dir: &Path) -> std::io::Result<CharacterizationCache> {
+        CharacterizationCache::with_budget(dir, MEMO_BYTES)
+    }
+
+    /// [`CharacterizationCache::try_with_disk`] with a memory tier of
+    /// `budget` bytes. A store larger than the budget keeps the entries
+    /// it loads last.
+    pub(crate) fn with_budget(dir: &Path, budget: usize) -> std::io::Result<CharacterizationCache> {
         let mut disk = StoreTier::open(dir, STORE_FILE)?;
-        let memo = MemoCache::new();
+        let memo = ClockCache::new(budget, |_| ENTRY_BYTES);
         for (key, value) in disk.take_loaded() {
             memo.insert(key, value);
         }
@@ -252,22 +278,35 @@ impl CharacterizationCache {
 
     /// Look up `key`, recording hit/miss in `counters`.
     pub fn get(&self, key: Key128, counters: &Counters) -> Option<CachedCharacterization> {
-        self.memo.get(key, counters)
+        let found = self.memo.get(key);
+        match found {
+            Some(_) => Counters::add(&counters.cache_hits, 1),
+            None => Counters::add(&counters.cache_misses, 1),
+        }
+        found
     }
 
     /// Non-counting warm check: whether `key` is already in the memory
     /// tier. Used by the serve layer to label responses warm/cold
-    /// without distorting hit/miss statistics.
+    /// without distorting hit/miss statistics or eviction order.
     pub fn contains(&self, key: Key128) -> bool {
         self.memo.peek(key).is_some()
     }
 
-    /// Store a freshly computed entry in both tiers.
-    pub fn insert(&self, key: Key128, value: CachedCharacterization) {
-        self.memo.insert(key, value);
+    /// Store a freshly computed entry in both tiers, counting the entries
+    /// the memory tier evicts for it in `counters.cache_evictions`.
+    pub fn insert_counted(&self, key: Key128, value: CachedCharacterization, counters: &Counters) {
+        let admission = self.memo.insert(key, value);
+        Counters::add(&counters.cache_evictions, admission.evicted);
         if let Some(tier) = &self.disk {
             tier.append(key, &value);
         }
+    }
+
+    /// [`CharacterizationCache::insert_counted`] for a caller that keeps
+    /// no counters.
+    pub fn insert(&self, key: Key128, value: CachedCharacterization) {
+        self.insert_counted(key, value, &Counters::default());
     }
 
     /// Number of entries in the memory tier.
@@ -398,6 +437,43 @@ mod tests {
         assert!(CharacterizationCache::try_with_disk(&blocker).is_err());
         // A good directory works.
         assert!(CharacterizationCache::try_with_disk(&dir.join("ok")).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_evicted_entry_is_a_counted_miss_recomputed_bit_for_bit() {
+        use crate::record::CharacterizeScratch;
+        use crate::request::{characterize_request, request_report, RequestConfig};
+        let dir = std::env::temp_dir().join(format!("afp-core-evict-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A memory tier with room for one entry.
+        let cache = CharacterizationCache::with_budget(&dir, ENTRY_BYTES).unwrap();
+        let (config, rt) = (RequestConfig::default(), afp_runtime::Runtime::serial());
+        let mut scratch = CharacterizeScratch::default();
+        let mut report = |spec: &str| {
+            let circuit = afp_circuits::from_spec_ref(spec).unwrap();
+            let record = characterize_request(&circuit, &config, &rt, Some(&cache), &mut scratch);
+            request_report(&record).to_json()
+        };
+        let cold = report("add8:loa:2");
+        report("add8:loa:3");
+        let again = report("add8:loa:2");
+        assert_eq!(again, cold, "an evicted entry is recomputed bit for bit");
+        let snap = rt.snapshot();
+        assert_eq!(
+            (snap.cache_hits, snap.cache_misses, snap.cache_evictions),
+            (0, 3, 2)
+        );
+        assert_eq!(snap.asic_synths, 3);
+        drop(cache);
+
+        // The recomputed entry was appended twice; the next open keeps
+        // the last write and compacts the duplicate away.
+        let store = dir.join(STORE_FILE);
+        assert_eq!(afp_store::inspect(&store).unwrap().records, 3);
+        let reopened = CharacterizationCache::try_with_disk(&dir).unwrap();
+        assert_eq!(reopened.len(), 2);
+        assert_eq!(afp_store::inspect(&store).unwrap().records, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

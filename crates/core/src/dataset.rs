@@ -183,7 +183,7 @@ where
             for (&m, reports) in members.iter().zip(reports) {
                 let (_, key, slot) = &mut looked_up[misses[m]];
                 if let (Some(cache), Some(key)) = (cache, *key) {
-                    cache.insert(key, reports);
+                    cache.insert_counted(key, reports, rt.counters());
                 }
                 *slot = Some(reports);
             }

@@ -68,8 +68,7 @@ pub use record::{CircuitRecord, FeatureLayout, FpgaParam};
 pub use report::run_report;
 pub use request::{characterize_request, request_report, RequestConfig};
 pub use targets::{
-    sweep_targets, transfer_matrix, TargetRun, TargetSet, TargetSweep, TransferOutcome,
-    UnknownTargetError,
+    sweep_targets, transfer_matrix, TargetRun, TargetSet, TransferOutcome, UnknownTargetError,
 };
 pub use zoo_store::{
     load_zoo, save_zoo, SavedZoo, ZooStoreError, AFPM_RECORD_VERSION, ZOO_MEMO_BYTES,

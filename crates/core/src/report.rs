@@ -110,6 +110,7 @@ pub fn run_report(config: &FlowConfig, outcome: &FlowOutcome, recorder: &Recorde
             .field("hits", Value::UInt(rt.cache_hits))
             .field("misses", Value::UInt(rt.cache_misses))
             .field("hit_rate", Value::ratio(hit_rate))
+            .field("evictions", Value::UInt(rt.cache_evictions))
             .field("write_errors", Value::UInt(rt.cache_write_errors))
             .field("last_write_error", last_write_error),
     );
@@ -234,6 +235,22 @@ mod tests {
                 "zoo_memo_hits",
                 "zoo_memo_misses",
                 "zoo_memo_errors"
+            ]
+        );
+        let cache: Vec<&str> = report.sections[4]
+            .fields
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        assert_eq!(
+            cache,
+            [
+                "hits",
+                "misses",
+                "hit_rate",
+                "evictions",
+                "write_errors",
+                "last_write_error"
             ]
         );
         let json = report.to_json();

@@ -85,7 +85,7 @@ pub fn characterize_request(
         let (asic, fpga, error) = (&config.asic, &config.fpga, &config.error);
         let computed = characterize_batch(&[circuit], asic, fpga, error, rt, scratch)[0];
         if let (Some(cache), Some(key)) = (cache, key) {
-            cache.insert(key, computed);
+            cache.insert_counted(key, computed, rt.counters());
         }
         computed
     });

@@ -79,13 +79,8 @@ pub struct TargetRun {
     pub outcome: FlowOutcome,
 }
 
-/// Result of [`sweep_targets`]: one flow outcome per device profile.
-pub struct TargetSweep {
-    /// Per-target runs, in sweep order.
-    pub runs: Vec<TargetRun>,
-}
-
-/// Run the full methodology on `source` once per profile in `set`.
+/// Run the full methodology on `source` once per profile in `set`,
+/// returning one [`TargetRun`] per profile, in sweep order.
 ///
 /// Each run clones `base`, retargets its FPGA configuration through
 /// [`TargetProfile::apply`] (architecture, clock and jitter change;
@@ -98,9 +93,8 @@ pub fn sweep_targets(
     base: &FlowConfig,
     source: &LibrarySource,
     set: &TargetSet,
-) -> io::Result<TargetSweep> {
-    let runs = set
-        .profiles()
+) -> io::Result<Vec<TargetRun>> {
+    set.profiles()
         .iter()
         .map(|profile| {
             let config = FlowConfig {
@@ -112,8 +106,7 @@ pub fn sweep_targets(
                 outcome: Flow::try_new(config)?.run_source(source)?,
             })
         })
-        .collect::<io::Result<_>>()?;
-    Ok(TargetSweep { runs })
+        .collect()
 }
 
 /// One cell of [`transfer_matrix`]: the zoo trained on `train_target`'s
@@ -168,10 +161,10 @@ pub fn transfer_matrix(
     source: &LibrarySource,
     set: &TargetSet,
 ) -> io::Result<Vec<TransferOutcome>> {
-    let sweep = sweep_targets(base, source, set)?;
-    let mut cells = Vec::with_capacity(sweep.runs.len() * sweep.runs.len());
-    for train in &sweep.runs {
-        for eval in &sweep.runs {
+    let runs = sweep_targets(base, source, set)?;
+    let mut cells = Vec::with_capacity(runs.len() * runs.len());
+    for train in &runs {
+        for eval in &runs {
             cells.push(transfer_cell(train, eval, base.fidelity_tolerance));
         }
     }
@@ -250,9 +243,9 @@ mod tests {
     #[test]
     fn sweep_produces_per_target_outcomes_with_identities() {
         let set = TargetSet::from_names(&["lut6-7series", "lut4-ice40"]).unwrap();
-        let sweep = sweep_targets(&tiny_config(), &tiny_source(), &set).unwrap();
-        assert_eq!(sweep.runs.len(), 2);
-        for run in &sweep.runs {
+        let runs = sweep_targets(&tiny_config(), &tiny_source(), &set).unwrap();
+        assert_eq!(runs.len(), 2);
+        for run in &runs {
             assert!(run.outcome.records.iter().all(|r| r.target == run.target));
             for (&param, &c) in &run.outcome.coverage {
                 assert!((0.0..=1.0).contains(&c), "{}/{param:?}: {c}", run.target);
@@ -263,10 +256,10 @@ mod tests {
         let luts =
             |run: &TargetRun| -> usize { run.outcome.records.iter().map(|r| r.fpga.luts).sum() };
         assert!(
-            luts(&sweep.runs[1]) > luts(&sweep.runs[0]),
+            luts(&runs[1]) > luts(&runs[0]),
             "LUT-4 should need more LUTs than LUT-6"
         );
-        assert_eq!(sweep.runs[0].target, "lut6-7series");
+        assert_eq!(runs[0].target, "lut6-7series");
     }
 
     #[test]

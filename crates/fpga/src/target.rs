@@ -156,11 +156,6 @@ pub fn resolve(name: &str) -> Result<&'static TargetProfile, UnknownTargetError>
     named(name).ok_or_else(|| UnknownTargetError { name: name.into() })
 }
 
-/// The default profile (`lut6-7series`).
-pub fn default_profile() -> &'static TargetProfile {
-    named(DEFAULT_TARGET).expect("default profile is registered")
-}
-
 impl TargetProfile {
     /// A fresh [`FpgaConfig`] for this target: profile architecture and
     /// clocking on top of the workspace defaults for everything else
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn default_profile_is_byte_identical_to_default_config() {
         let d = FpgaConfig::default();
-        let p = default_profile().config();
+        let p = resolve(DEFAULT_TARGET).unwrap().config();
         assert_eq!(p.target, DEFAULT_TARGET);
         assert_eq!(p.arch.lut_inputs, d.arch.lut_inputs);
         assert_eq!(p.arch.luts_per_slice, d.arch.luts_per_slice);

@@ -1,4 +1,4 @@
-//! Structural export: Verilog netlists and Graphviz DOT graphs.
+//! Structural export: Verilog netlists.
 //!
 //! The Verilog writer emits the same gate-level structural style the
 //! EvoApprox library distributes, so circuits from this reproduction can be
@@ -85,36 +85,6 @@ pub fn to_verilog(netlist: &Netlist) -> String {
     s
 }
 
-/// Render a netlist as a Graphviz DOT digraph (inputs as boxes, outputs
-/// double-circled).
-pub fn to_dot(netlist: &Netlist) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "digraph \"{}\" {{", sanitize(netlist.name()));
-    let _ = writeln!(s, "  rankdir=LR;");
-    let is_output: std::collections::HashSet<usize> =
-        netlist.outputs().iter().map(|o| o.index()).collect();
-    for (i, gate) in netlist.gates().iter().enumerate() {
-        let (label, shape) = match gate {
-            Gate::Input(ord) => (format!("pi{ord}"), "box"),
-            Gate::Const(v) => (format!("{}", *v as u8), "box"),
-            g => (
-                g.kind().mnemonic().to_string(),
-                if is_output.contains(&i) {
-                    "doublecircle"
-                } else {
-                    "ellipse"
-                },
-            ),
-        };
-        let _ = writeln!(s, "  n{i} [label=\"{label}\", shape={shape}];");
-        for op in gate.operands() {
-            let _ = writeln!(s, "  n{} -> n{i};", op.index());
-        }
-    }
-    let _ = writeln!(s, "}}");
-    s
-}
-
 fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| {
@@ -164,14 +134,5 @@ mod tests {
         let v = to_verilog(&n);
         assert!(v.contains("1'b1"));
         assert!(v.contains("(pi0 & pi1)"));
-    }
-
-    #[test]
-    fn dot_contains_every_node_and_edge() {
-        let d = to_dot(&sample());
-        assert!(d.contains("digraph"));
-        assert!(d.contains("n0 [label=\"pi0\""));
-        assert!(d.contains("n0 -> n2;"));
-        assert!(d.contains("doublecircle"));
     }
 }

@@ -13,7 +13,7 @@
 //! * [`opt`] — constant folding, algebraic identities, structural hashing
 //!   and dead-logic sweeping (used to clean up mutated/approximated
 //!   circuits).
-//! * [`export`] — structural Verilog and Graphviz DOT writers.
+//! * [`export`] — the structural Verilog writer.
 //! * [`bristol`] — Bristol-fashion circuit import/export (the MPC
 //!   community's exchange format).
 //!

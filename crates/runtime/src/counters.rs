@@ -153,6 +153,10 @@ counters! {
     cache_hits: Count, stable, Cache;
     /// Characterization cache misses (entries computed and inserted).
     cache_misses: Count, stable, Cache;
+    /// Entries the characterization memory tier dropped to stay within
+    /// its byte budget (a later lookup of one is a miss, recomputed bit
+    /// for bit).
+    cache_evictions: Count, stable, Cache;
     /// ASIC synthesis invocations actually performed.
     asic_synths: Count, stable, Runtime;
     /// FPGA synthesis invocations actually performed.
@@ -300,7 +304,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), COUNTERS.len());
-        assert_eq!(COUNTERS.len(), 32);
+        assert_eq!(COUNTERS.len(), 33);
         // `rows` pairs each row with its own field, in table order.
         let c = Counters::default();
         Counters::add(&c.structural_dedup_hits, 7);

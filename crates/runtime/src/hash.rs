@@ -16,14 +16,6 @@ pub struct Key128 {
     pub lo: u64,
 }
 
-impl Key128 {
-    /// Shard selector for `shards`-way sharded structures.
-    #[inline]
-    pub fn shard(self, shards: usize) -> usize {
-        (self.lo % shards.max(1) as u64) as usize
-    }
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 

@@ -10,10 +10,11 @@
 //!   steal from busy ones), yet always returns results **in input order**,
 //!   so the output of a parallel stage is bit-for-bit independent of the
 //!   thread count. `threads = 1` executes inline on the caller thread.
-//! * [`cache`] — a sharded, content-addressed memoization cache keyed by
-//!   128-bit structural fingerprints ([`Key128`]); `afp-store` adds the
-//!   persistent disk tier so repeated runs of the same characterization
-//!   skip recomputation across processes.
+//! * [`ClockCache`] — the one in-memory cache: a byte-bounded CLOCK ring
+//!   keyed by 128-bit structural fingerprints ([`Key128`]). It holds the
+//!   characterization memo and `afp serve`'s rendered bodies; `afp-store`
+//!   adds the persistent disk tier so repeated runs of the same
+//!   characterization skip recomputation across processes.
 //!
 //! Both report into shared [`Counters`]: relaxed atomics declared once,
 //! as rows of the [`COUNTERS`] registry. Each row names a counter, says
@@ -35,13 +36,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 mod counters;
 mod hash;
 mod inflight;
 mod pool;
 
-pub use cache::MemoCache;
+pub use cache::{Admission, ClockCache};
 pub use counters::{CounterKind, CounterRow, CounterSnapshot, Counters, ReportSection, COUNTERS};
 pub use hash::{Fingerprint, Key128, StableHasher};
 pub use inflight::Inflight;

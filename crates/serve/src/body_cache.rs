@@ -9,15 +9,14 @@
 //! spellings of one circuit (`mul8:udm:ff`, `mul8:udm:0ff`) share an
 //! entry, while the raw query string never reaches the key.
 //!
-//! The cache is bounded by bytes, not entries: each entry costs its body
-//! plus a fixed bookkeeping charge, and a CLOCK sweep evicts the first
-//! entry that was not hit since the hand last passed it. A hot set that
-//! keeps being hit survives any stream of one-hit bodies.
+//! The cache is afp-runtime's byte-bounded CLOCK ring
+//! ([`afp_runtime::ClockCache`]): each entry costs its body plus a fixed
+//! bookkeeping charge, and a hot set that keeps being hit survives any
+//! stream of one-hit bodies.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
-use afp_runtime::{Counters, Key128, StableHasher};
+use afp_runtime::{ClockCache, Counters, Key128, StableHasher};
 
 /// Byte budget of the daemon's body cache: roughly 8,000 `/characterize`
 /// bodies, far more than a hot set, and small next to the daemon.
@@ -39,7 +38,7 @@ pub(crate) enum Endpoint {
 }
 
 /// The canonical key of one rendered body.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct BodyKey(Key128);
 
 impl BodyKey {
@@ -58,140 +57,45 @@ impl BodyKey {
     }
 }
 
-struct Slot {
-    key: BodyKey,
-    body: Arc<String>,
-    /// Hit since the hand last passed: survives one more sweep.
-    referenced: bool,
-}
-
-fn cost(body: &str) -> usize {
+fn cost(body: &Arc<String>) -> usize {
     body.len() + ENTRY_OVERHEAD
 }
 
-#[derive(Default)]
-struct Clock {
-    index: HashMap<BodyKey, usize>,
-    /// The ring the hand sweeps; `None` marks a slot freed by eviction.
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
-    hand: usize,
-    bytes: usize,
-}
-
-impl Clock {
-    /// Advance the hand to the first unreferenced entry, clearing the
-    /// reference bits it passes, and drop that entry. Terminates within
-    /// two sweeps because the caller only evicts from a non-empty ring.
-    fn evict_one(&mut self) {
-        loop {
-            if self.hand >= self.slots.len() {
-                self.hand = 0;
-            }
-            let at = self.hand;
-            self.hand += 1;
-            match &mut self.slots[at] {
-                Some(slot) if slot.referenced => slot.referenced = false,
-                Some(_) => {
-                    let slot = self.slots[at].take().expect("matched an occupied slot");
-                    self.index.remove(&slot.key);
-                    self.bytes -= cost(&slot.body);
-                    self.free.push(at);
-                    return;
-                }
-                None => {}
-            }
-        }
-    }
-}
-
-/// A byte-bounded CLOCK cache of rendered response bodies.
-pub(crate) struct BodyCache {
-    budget: usize,
-    clock: Mutex<Clock>,
-}
+/// The rendered-body cache: the shared [`ClockCache`] ring, counted
+/// under the `body_cache_*` rows.
+pub(crate) struct BodyCache(ClockCache<Arc<String>>);
 
 impl BodyCache {
     /// An empty cache holding at most `budget` bytes.
     pub(crate) fn new(budget: usize) -> BodyCache {
-        BodyCache {
-            budget,
-            clock: Mutex::new(Clock::default()),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Clock> {
-        // Every mutation leaves the ring consistent before it can panic,
-        // so a poisoned lock is safe to recover.
-        self.clock.lock().unwrap_or_else(PoisonError::into_inner)
+        BodyCache(ClockCache::new(budget, cost))
     }
 
     /// The body under `key`, marking it referenced and counting
     /// `body_cache_hits`.
     pub(crate) fn get(&self, key: BodyKey, counters: &Counters) -> Option<Arc<String>> {
-        let mut clock = self.lock();
-        let at = *clock.index.get(&key)?;
-        let slot = clock.slots[at]
-            .as_mut()
-            .expect("indexed slots are occupied");
-        slot.referenced = true;
+        let body = self.0.get(key.0)?;
         Counters::add(&counters.body_cache_hits, 1);
-        Some(Arc::clone(&slot.body))
+        Some(body)
     }
 
-    /// Admit `body` under `key`, evicting until it fits. A key already
-    /// present keeps its entry (bodies are pure functions of their key),
-    /// and a body larger than the whole budget is not admitted.
+    /// Admit `body` under `key`, counting the bodies evicted for it and
+    /// the bytes held after it.
     pub(crate) fn insert(&self, key: BodyKey, body: Arc<String>, counters: &Counters) {
-        let cost = cost(&body);
-        if cost > self.budget {
-            return;
-        }
-        let mut clock = self.lock();
-        if clock.index.contains_key(&key) {
-            return;
-        }
-        while clock.bytes + cost > self.budget {
-            clock.evict_one();
-            Counters::add(&counters.body_cache_evictions, 1);
-        }
-        let slot = Some(Slot {
-            key,
-            body,
-            referenced: false,
-        });
-        let at = match clock.free.pop() {
-            Some(at) => {
-                clock.slots[at] = slot;
-                at
-            }
-            None => {
-                clock.slots.push(slot);
-                clock.slots.len() - 1
-            }
-        };
-        clock.index.insert(key, at);
-        clock.bytes += cost;
-        Counters::set(&counters.body_cache_bytes, clock.bytes as u64);
+        let admission = self.0.insert(key.0, body);
+        Counters::add(&counters.body_cache_evictions, admission.evicted);
+        Counters::set(&counters.body_cache_bytes, admission.bytes as u64);
     }
 
     /// Entries held.
     pub(crate) fn len(&self) -> usize {
-        self.lock().index.len()
+        self.0.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn key(i: u64) -> BodyKey {
-        BodyKey::new(Endpoint::Estimate, Key128 { hi: i, lo: !i }, "c")
-    }
-
-    fn body(len: usize) -> Arc<String> {
-        Arc::new("x".repeat(len))
-    }
 
     #[test]
     fn keys_separate_endpoints_names_and_content() {
@@ -213,44 +117,20 @@ mod tests {
     }
 
     #[test]
-    fn a_re_hit_entry_survives_a_sweep_of_one_hit_entries() {
+    fn hits_evictions_and_bytes_are_counted() {
         let counters = Counters::default();
-        // Room for exactly ten entries.
-        let cache = BodyCache::new(10 * (100 + ENTRY_OVERHEAD));
-        let hot = key(u64::MAX);
-        cache.insert(hot, body(100), &counters);
-        for i in 0..1_000u64 {
-            assert!(
-                cache.get(hot, &counters).is_some(),
-                "evicted before insert {i}"
-            );
-            cache.insert(key(i), body(100), &counters);
+        let key = |i: u64| BodyKey::new(Endpoint::Estimate, Key128 { hi: i, lo: !i }, "c");
+        let body = Arc::new("x".repeat(100));
+        // Room for exactly two bodies.
+        let cache = BodyCache::new(2 * cost(&body));
+        for i in 0..3 {
+            cache.insert(key(i), Arc::clone(&body), &counters);
         }
-        assert!(cache.get(hot, &counters).is_some());
-        assert_eq!(cache.len(), 10);
-        // Without hits it goes within two sweeps: one clears its bit.
-        for i in 1_000..1_020u64 {
-            cache.insert(key(i), body(100), &counters);
-        }
-        assert!(cache.get(hot, &counters).is_none());
-    }
-
-    #[test]
-    fn duplicates_and_oversized_bodies_change_nothing() {
-        let counters = Counters::default();
-        let cache = BodyCache::new(1024);
-        cache.insert(key(1), body(100), &counters);
-        let bytes = cache.lock().bytes;
-        cache.insert(key(1), body(100), &counters);
-        assert_eq!((cache.len(), cache.lock().bytes), (1, bytes));
-        cache.insert(key(2), body(1024), &counters);
-        assert_eq!((cache.len(), cache.lock().bytes), (1, bytes));
-        assert_eq!(counters.snapshot().body_cache_evictions, 0);
-        assert_eq!(counters.snapshot().body_cache_hits, 0);
-        assert_eq!(
-            cache.get(key(1), &counters).as_deref().map(String::len),
-            Some(100)
-        );
-        assert_eq!(counters.snapshot().body_cache_hits, 1);
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(key(0), &counters).is_none());
+        assert_eq!(cache.get(key(2), &counters).as_deref(), Some(&*body));
+        let snap = counters.snapshot();
+        assert_eq!((snap.body_cache_hits, snap.body_cache_evictions), (1, 1));
+        assert_eq!(snap.body_cache_bytes, 2 * cost(&body) as u64);
     }
 }

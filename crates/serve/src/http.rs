@@ -86,13 +86,6 @@ impl RequestReader {
         }
     }
 
-    /// True when pipelined bytes already received are waiting to be
-    /// parsed — the next request may be servable without touching the
-    /// socket at all.
-    pub fn has_buffered(&self) -> bool {
-        self.pos < self.len
-    }
-
     fn next_byte(&mut self, stream: &mut impl Read) -> io::Result<Option<u8>> {
         if self.pos == self.len {
             self.len = stream.read(&mut self.buf)?;
@@ -380,7 +373,6 @@ mod tests {
         let first = read_request(&mut cursor, &mut reader).unwrap();
         assert_eq!(first.path, "/a");
         assert!(first.body.is_empty());
-        assert!(reader.has_buffered(), "pipelined bytes retained");
         let second = read_request(&mut cursor, &mut reader).unwrap();
         assert_eq!(second.path, "/b");
         assert!(second.body.is_empty());

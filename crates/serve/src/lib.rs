@@ -1001,6 +1001,7 @@ fn stats_report(shared: &Shared) -> RunReport {
             .field("hits", Value::UInt(snap.cache_hits))
             .field("misses", Value::UInt(snap.cache_misses))
             .field("entries", Value::UInt(shared.cache.len() as u64))
+            .field("evictions", Value::UInt(snap.cache_evictions))
             .field("write_errors", Value::UInt(snap.cache_write_errors))
             .field("last_write_error", last_write_error),
     );
@@ -1202,6 +1203,7 @@ mod tests {
                     "hits",
                     "misses",
                     "entries",
+                    "evictions",
                     "write_errors",
                     "last_write_error",
                 ],

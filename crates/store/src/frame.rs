@@ -135,19 +135,6 @@ pub fn put_record_frame(out: &mut Vec<u8>, key: Key128, payload: &[u8]) {
     put_frame(out, TAG_RECORD, &body);
 }
 
-/// Append a block frame (`TAG_BLOCK`) holding `records`, compressed with
-/// the built-in LZ codec when that pays, stored raw otherwise.
-pub fn put_block_frame(out: &mut Vec<u8>, records: &[(Key128, Vec<u8>)]) {
-    let mut raw = Vec::new();
-    for (key, payload) in records {
-        raw.extend_from_slice(&key.hi.to_le_bytes());
-        raw.extend_from_slice(&key.lo.to_le_bytes());
-        put_uvarint(&mut raw, payload.len() as u64);
-        raw.extend_from_slice(payload);
-    }
-    put_block_frame_raw(out, records.len(), &raw);
-}
-
 /// Append a block frame (`TAG_BLOCK`) from a pre-concatenated entry buffer
 /// (`count` entries of `key.hi u64 LE | key.lo u64 LE | payload_len
 /// uvarint | payload`). This is the zero-copy path [`StoreWriter::append`]
@@ -624,8 +611,15 @@ mod tests {
         let records: Vec<(Key128, Vec<u8>)> = (0..200u64)
             .map(|i| (key(i), format!("gate and xor not {i} {i} {i}").into_bytes()))
             .collect();
+        let mut raw = Vec::new();
+        for (key, payload) in &records {
+            raw.extend_from_slice(&key.hi.to_le_bytes());
+            raw.extend_from_slice(&key.lo.to_le_bytes());
+            put_uvarint(&mut raw, payload.len() as u64);
+            raw.extend_from_slice(payload);
+        }
         let mut bytes = header_bytes();
-        put_block_frame(&mut bytes, &records);
+        put_block_frame_raw(&mut bytes, records.len(), &raw);
         let raw_total: usize = records.iter().map(|(_, p)| p.len() + 16).sum();
         assert!(
             bytes.len() < raw_total,

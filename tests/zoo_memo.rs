@@ -199,13 +199,13 @@ fn a_target_sweep_hits_every_memo_on_its_second_pass() {
     let set = TargetSet::all();
     let sweep = || sweep_targets(&config(&dir), &source(), &set).unwrap();
     let cold = sweep();
-    assert_eq!(cold.runs.len(), 4);
-    for run in &cold.runs {
+    assert_eq!(cold.len(), 4);
+    for run in &cold {
         assert_eq!(memo(&run.outcome), MISS, "{}: first pass", run.target);
     }
     assert_eq!(memo_files(&dir).len(), 4, "one memo per target");
     let warm = sweep();
-    for (c, w) in cold.runs.iter().zip(&warm.runs) {
+    for (c, w) in cold.iter().zip(&warm) {
         assert_eq!(memo(&w.outcome), HIT, "{}: second pass", w.target);
         assert_eq!(w.outcome.runtime.fpga_synths, 0, "{}", w.target);
         assert_same_outcome(&c.outcome, &w.outcome);
